@@ -25,6 +25,7 @@ from .geometry import (
 from .macro import (
     MacroSimulation,
     MacroSourceSpec,
+    balance_macro_source,
     build_macro_source,
     reconstruct_corrector_potential,
     run_macro,
@@ -33,6 +34,7 @@ from .micro import (
     MicroSimulation,
     ScalingSpec,
     SpeciesSpec,
+    balance_outer_charges,
     h_p_eval,
     h_p_prime,
     run_micro,
@@ -41,7 +43,6 @@ from .micro import (
 from .transport import RunResult, SimState
 from .verification import (
     ConvergenceReport,
-    balance_outer_charges,
     run_convergence_study,
     run_eta_sweep,
     run_mms_verification,

@@ -23,7 +23,7 @@ from .cell_problem import compute_effective_tensor
 from .config import parse_and_validate
 from .errors import PorodriftError
 from .geometry import InclusionShape, build_cell_geometry, build_masked_grid
-from .macro import MacroSourceSpec, build_macro_source, run_macro
+from .macro import balance_macro_source, build_macro_source, run_macro
 from .micro import run_micro
 from .verification import (
     run_convergence_study,
@@ -52,28 +52,12 @@ def _write_json(path: Path, payload) -> None:
     path.write_text(json.dumps(_jsonable(payload), sort_keys=True, indent=2) + "\n")
 
 
-def _write_snapshot(path: Path, grid, state, conc_prefix: str, phi_name: str) -> None:
-    n_species = state.conc.shape[0]
-    header = ["cell"] + [f"x{i + 1}" for i in range(grid.dim)]
-    header += [f"{conc_prefix}_{i + 1}" for i in range(n_species)] + [phi_name]
+def _write_snapshot(path: Path, coord: str, centers, columns: dict) -> None:
+    """Per-cell CSV: the cell index, its center ``<coord>1..n`` and one column per field."""
+    header = ["cell"] + [f"{coord}{i + 1}" for i in range(centers.shape[1])] + list(columns)
+    fields = [map(repr, values.tolist()) for values in (*centers.T, *columns.values())]
     lines = [",".join(header)]
-    for j in range(grid.n_fluid):
-        row = [str(j)]
-        row += [repr(float(v)) for v in grid.centers[j]]
-        row += [repr(float(state.conc[i, j])) for i in range(n_species)]
-        row.append(repr(float(state.phi[j])))
-        lines.append(",".join(row))
-    path.write_text("\n".join(lines) + "\n")
-
-
-def _write_correctors_csv(path: Path, cell, correctors) -> None:
-    header = ["cell"] + [f"y{i + 1}" for i in range(cell.dim)]
-    header += [f"w_{c.k + 1}" for c in correctors]
-    lines = [",".join(header)]
-    for j in range(cell.n_fluid):
-        row = [str(j)] + [repr(float(v)) for v in cell.centers[j]]
-        row += [repr(float(c.values[j])) for c in correctors]
-        lines.append(",".join(row))
+    lines += [",".join(row) for row in zip(map(str, range(centers.shape[0])), *fields)]
     path.write_text("\n".join(lines) + "\n")
 
 
@@ -84,30 +68,16 @@ def _sha256(path: Path) -> str:
 def _macro_inputs(config):
     """Macro grid, effective tensor, balanced sources, and species for a config."""
     macro_grid = build_masked_grid(
-        build_cell_geometry(InclusionShape("none"), config.macro_resolution),
+        build_cell_geometry(InclusionShape("none", center=(0.5,) * config.dim),
+                            config.macro_resolution),
         1, config.macro_resolution)
-    if config.inclusion.kind == "none":
-        tensor_matrix = np.eye(config.dim)
-        porosity = 1.0
-        source = MacroSourceSpec(np.zeros(macro_grid.n_fluid),
-                                 np.zeros(macro_grid.outer_cell.size))
-    else:
-        tensor = compute_effective_tensor(config.cell, tol=config.cell_tol)
-        tensor_matrix = tensor.a_hom
-        porosity = tensor.porosity
-        source = build_macro_source(config.cell, macro_grid,
-                                    config.xi1_callable(), config.xi2_callable())
+    tensor = compute_effective_tensor(config.cell, tol=config.cell_tol)
+    source = build_macro_source(config.cell, macro_grid,
+                                config.xi1_callable(), config.xi2_callable())
     specs = config.species_specs()
     if config.auto_balance:
-        rho0 = np.zeros(macro_grid.n_fluid)
-        for spec in specs:
-            rho0 += spec.charge * np.asarray(spec.initial_profile(macro_grid.centers))
-        residual = (float(np.sum(rho0 + source.volumetric)) * macro_grid.cell_volume
-                    + float(np.sum(source.boundary)) * macro_grid.facet_area)
-        source = MacroSourceSpec(
-            source.volumetric,
-            source.boundary - residual / macro_grid.outer_area_total)
-    return macro_grid, tensor_matrix, porosity, source, specs
+        source = balance_macro_source(macro_grid, specs, source)
+    return macro_grid, tensor.a_hom, tensor.porosity, source, specs
 
 
 def _run_result_payload(kind, config, result, extra=None):
@@ -165,52 +135,34 @@ def dispatch(subcommand: str, config, out_dir=None, explicit_time=None,
             _write_json(run_dir / "report.json", report)
             written.append("report.json")
             if dump_correctors:
-                _write_correctors_csv(run_dir / "correctors.csv", cell, tensor.correctors)
+                _write_snapshot(run_dir / "correctors.csv", "y", cell.centers,
+                                {f"w_{c.k + 1}": c.values for c in tensor.correctors})
                 written.append("correctors.csv")
 
         elif subcommand == "micro":
+            grid, conc_name, phi_name, extra = config.grid, "c", "phi", None
             result = run_micro(
-                config.grid, config.scaling(), config.species_specs(), config.charges,
+                grid, config.scaling(), config.species_specs(), config.charges,
                 dt_init=config.dt_init, cfl_fraction=config.cfl_fraction,
                 output_interval=config.output_interval or None,
                 snapshot_times=config.snapshot_times,
                 poisson_tol=config.poisson_tol, explicit_time=explicit_time,
             )
-            result.record.to_csv(run_dir / "diagnostics.csv")
-            written.append("diagnostics.csv")
-            for t_snap in sorted(result.snapshots):
-                name = f"snapshot_{t_snap:.6f}.csv"
-                _write_snapshot(run_dir / name, config.grid, result.snapshots[t_snap],
-                                "c", "phi")
-                written.append(name)
-            _write_json(run_dir / "report.json",
-                        _run_result_payload("micro", config, result))
-            written.append("report.json")
 
         elif subcommand == "macro":
             mode = config.resolved_macro_mode()
-            macro_grid, tensor_matrix, porosity, source, specs = _macro_inputs(config)
+            grid, tensor_matrix, porosity, source, specs = _macro_inputs(config)
+            conc_name, phi_name = "c0", "phi0"
+            extra = {"mode": mode, "a_hom": tensor_matrix, "porosity": porosity,
+                     "macro_resolution": config.macro_resolution}
             result = run_macro(
-                macro_grid, tensor_matrix, specs, source, config.eta, config.p,
+                grid, tensor_matrix, specs, source, config.eta, config.p,
                 config.final_time, config.dt_init, mode=mode,
                 cfl_fraction=config.cfl_fraction,
                 output_interval=config.output_interval or None,
                 snapshot_times=config.snapshot_times, poisson_tol=config.poisson_tol,
                 explicit_time=explicit_time, poisson_every_step=poisson_every_step,
             )
-            result.record.to_csv(run_dir / "diagnostics.csv")
-            written.append("diagnostics.csv")
-            for t_snap in sorted(result.snapshots):
-                name = f"snapshot_{t_snap:.6f}.csv"
-                _write_snapshot(run_dir / name, macro_grid, result.snapshots[t_snap],
-                                "c0", "phi0")
-                written.append(name)
-            _write_json(run_dir / "report.json",
-                        _run_result_payload("macro", config, result, extra={
-                            "mode": mode, "a_hom": tensor_matrix, "porosity": porosity,
-                            "macro_resolution": config.macro_resolution,
-                        }))
-            written.append("report.json")
 
         elif subcommand == "converge":
             report = run_convergence_study(
@@ -247,6 +199,19 @@ def dispatch(subcommand: str, config, out_dir=None, explicit_time=None,
                                    config.eta_dt_init, cfl_fraction=config.cfl_fraction,
                                    poisson_tol=config.poisson_tol)
             _write_json(run_dir / "report.json", report)
+            written.append("report.json")
+
+        if subcommand in ("micro", "macro"):
+            result.record.to_csv(run_dir / "diagnostics.csv")
+            written.append("diagnostics.csv")
+            for t_snap, state in sorted(result.snapshots.items()):
+                name = f"snapshot_{t_snap:.6f}.csv"
+                columns = {f"{conc_name}_{i + 1}": c for i, c in enumerate(state.conc)}
+                _write_snapshot(run_dir / name, "x", grid.centers,
+                                {**columns, phi_name: state.phi})
+                written.append(name)
+            _write_json(run_dir / "report.json",
+                        _run_result_payload(subcommand, config, result, extra))
             written.append("report.json")
 
     except PorodriftError as exc:

@@ -38,8 +38,7 @@ from .geometry import (
     build_masked_grid,
     surface_charge_on_facets,
 )
-from .micro import ScalingSpec, SpeciesSpec, validate_compatibility
-from .verification import balance_outer_charges
+from .micro import ScalingSpec, SpeciesSpec, balance_outer_charges, validate_compatibility
 
 
 def _require(section, key, kind, where):

@@ -131,6 +131,3 @@ class DiagnosticsRecord:
 
     def energy_series(self) -> np.ndarray:
         return np.asarray(self.energies)
-
-    def mass_series(self, i: int) -> np.ndarray:
-        return np.asarray([row[i] for row in self.masses])

@@ -138,17 +138,54 @@ def _adjacent_flat_indices(shape, axis, periodic):
 def _face_centers(flat_lo, shape, axis, h, wrap):
     """Facet midpoints for faces on the high side of the ``flat_lo`` cells."""
     multi = np.unravel_index(flat_lo, shape)
-    dim = len(shape)
-    centers = np.empty((flat_lo.size, dim))
-    for d in range(dim):
-        if d == axis:
-            pos = (multi[d] + 1).astype(float) * h
-            if wrap:
-                pos = np.mod(pos, 1.0)
-            centers[:, d] = pos
-        else:
-            centers[:, d] = (multi[d] + 0.5) * h
+    centers = (np.stack(multi, axis=1) + 0.5) * h
+    pos = (multi[axis] + 1).astype(float) * h
+    centers[:, axis] = np.mod(pos, 1.0) if wrap else pos
     return centers
+
+
+def _grid_points(n_side, dim):
+    """Centers of all cells of the uniform n_side^dim grid over (0,1)^dim, C order."""
+    axes_1d = (np.arange(n_side) + 0.5) * (1.0 / n_side)
+    grids = np.meshgrid(*([axes_1d] * dim), indexing="ij")
+    return np.stack([g.ravel() for g in grids], axis=1)
+
+
+def _classify_faces(fluid_mask, points, periodic):
+    """Number the fluid cells and classify the faces between grid cells.
+
+    Returns the fluid numbering, the fluid cell centers, the fluid-fluid faces
+    and the fluid-solid facets as keyword fields shared by ``CellGeometry``
+    and ``MaskedGrid``.  ``periodic`` adds the faces that wrap around the grid.
+    """
+    shape = fluid_mask.shape
+    h = 1.0 / shape[0]
+    n_fluid = int(np.count_nonzero(fluid_mask))
+    fluid_id = -np.ones(shape, dtype=np.int64)
+    fluid_id[fluid_mask] = np.arange(n_fluid)
+    mask_flat = fluid_mask.ravel()
+    id_flat = fluid_id.ravel()
+
+    faces = {key: [] for key in ("face_lo", "face_hi", "face_axis", "gamma_cell",
+                                 "gamma_axis", "gamma_sign", "gamma_center")}
+    for axis in range(len(shape)):
+        lo, hi = _adjacent_flat_indices(shape, axis, periodic)
+        both = mask_flat[lo] & mask_flat[hi]
+        faces["face_lo"].append(id_flat[lo[both]])
+        faces["face_hi"].append(id_flat[hi[both]])
+        faces["face_axis"].append(np.full(int(both.sum()), axis, dtype=np.int64))
+        # the solid neighbour sits on the high side (+1), then on the low side (-1)
+        for sign, only, fluid_side in ((1, mask_flat[lo] & ~mask_flat[hi], lo),
+                                       (-1, ~mask_flat[lo] & mask_flat[hi], hi)):
+            sel_lo = lo[only]
+            faces["gamma_cell"].append(id_flat[fluid_side[only]])
+            faces["gamma_axis"].append(np.full(sel_lo.size, axis, dtype=np.int64))
+            faces["gamma_sign"].append(np.full(sel_lo.size, sign, dtype=np.int64))
+            faces["gamma_center"].append(_face_centers(sel_lo, shape, axis, h, wrap=periodic))
+    fields = {key: np.concatenate(parts) for key, parts in faces.items()}
+    fields.update(fluid_mask=fluid_mask, n_fluid=n_fluid, fluid_id=fluid_id,
+                  centers=points[mask_flat])
+    return fields
 
 
 def _check_connected(n_fluid, face_lo, face_hi):
@@ -181,66 +218,12 @@ def build_cell_geometry(shape: InclusionShape, resolution: int) -> CellGeometry:
                 f"inclusion margin {margin:.6g} to the cell boundary is below 2/resolution = "
                 f"{2.0 / resolution:.6g}; the solid part must stay strictly inside the cell"
             )
-    h = 1.0 / resolution
-    axes_1d = (np.arange(resolution) + 0.5) * h
-    grids = np.meshgrid(*([axes_1d] * dim), indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=1)
-    solid = shape.contains(points).reshape((resolution,) * dim)
-    fluid_mask = ~solid
-
-    n_total = fluid_mask.size
-    n_fluid = int(np.count_nonzero(fluid_mask))
-    fluid_id = -np.ones(fluid_mask.shape, dtype=np.int64)
-    fluid_id[fluid_mask] = np.arange(n_fluid)
-
-    face_lo_parts, face_hi_parts, face_axis_parts = [], [], []
-    g_cell, g_axis, g_sign, g_center = [], [], [], []
-    mask_flat = fluid_mask.ravel()
-    id_flat = fluid_id.ravel()
-    for axis in range(dim):
-        lo, hi = _adjacent_flat_indices(fluid_mask.shape, axis, periodic=True)
-        both = mask_flat[lo] & mask_flat[hi]
-        face_lo_parts.append(id_flat[lo[both]])
-        face_hi_parts.append(id_flat[hi[both]])
-        face_axis_parts.append(np.full(int(both.sum()), axis, dtype=np.int64))
-        lo_only = mask_flat[lo] & ~mask_flat[hi]
-        hi_only = ~mask_flat[lo] & mask_flat[hi]
-        if np.any(lo_only):
-            sel = lo[lo_only]
-            g_cell.append(id_flat[sel])
-            g_axis.append(np.full(sel.size, axis, dtype=np.int64))
-            g_sign.append(np.ones(sel.size, dtype=np.int64))
-            g_center.append(_face_centers(sel, fluid_mask.shape, axis, h, wrap=True))
-        if np.any(hi_only):
-            sel_lo = lo[hi_only]
-            g_cell.append(id_flat[hi[hi_only]])
-            g_axis.append(np.full(sel_lo.size, axis, dtype=np.int64))
-            g_sign.append(-np.ones(sel_lo.size, dtype=np.int64))
-            g_center.append(_face_centers(sel_lo, fluid_mask.shape, axis, h, wrap=True))
-
-    face_lo = np.concatenate(face_lo_parts) if face_lo_parts else np.empty(0, dtype=np.int64)
-    face_hi = np.concatenate(face_hi_parts) if face_hi_parts else np.empty(0, dtype=np.int64)
-    face_axis = np.concatenate(face_axis_parts) if face_axis_parts else np.empty(0, dtype=np.int64)
-    _check_connected(n_fluid, face_lo, face_hi)
-
-    cell = CellGeometry(
-        shape=shape,
-        resolution=resolution,
-        dim=dim,
-        fluid_mask=fluid_mask,
-        porosity=n_fluid / n_total,
-        n_fluid=n_fluid,
-        fluid_id=fluid_id,
-        centers=points[mask_flat],
-        face_lo=face_lo,
-        face_hi=face_hi,
-        face_axis=face_axis,
-        gamma_cell=np.concatenate(g_cell) if g_cell else np.empty(0, dtype=np.int64),
-        gamma_axis=np.concatenate(g_axis) if g_axis else np.empty(0, dtype=np.int64),
-        gamma_sign=np.concatenate(g_sign) if g_sign else np.empty(0, dtype=np.int64),
-        gamma_center=np.concatenate(g_center) if g_center else np.empty((0, dim)),
-    )
-    return cell
+    points = _grid_points(resolution, dim)
+    fluid_mask = ~shape.contains(points).reshape((resolution,) * dim)
+    fields = _classify_faces(fluid_mask, points, periodic=True)
+    _check_connected(fields["n_fluid"], fields["face_lo"], fields["face_hi"])
+    return CellGeometry(shape=shape, resolution=resolution, dim=dim,
+                        porosity=fields["n_fluid"] / fluid_mask.size, **fields)
 
 
 @dataclass
@@ -342,89 +325,32 @@ def build_masked_grid(cell: CellGeometry, m: int, r: int) -> MaskedGrid:
     fluid_mask = np.tile(cell.fluid_mask, (m,) * dim)
     n_side = m * r
     h = 1.0 / n_side
-
-    n_fluid = int(np.count_nonzero(fluid_mask))
-    fluid_id = -np.ones(fluid_mask.shape, dtype=np.int64)
-    fluid_id[fluid_mask] = np.arange(n_fluid)
+    fields = _classify_faces(fluid_mask, _grid_points(n_side, dim), periodic=False)
     mask_flat = fluid_mask.ravel()
-    id_flat = fluid_id.ravel()
+    id_flat = fields["fluid_id"].ravel()
+    idx = np.arange(fluid_mask.size).reshape(fluid_mask.shape)
 
-    axes_1d = (np.arange(n_side) + 0.5) * h
-    grids = np.meshgrid(*([axes_1d] * dim), indexing="ij")
-    points = np.stack([g.ravel() for g in grids], axis=1)
-    centers = points[mask_flat]
-
-    face_lo_parts, face_hi_parts, face_axis_parts = [], [], []
-    g_cell, g_axis, g_sign, g_center = [], [], [], []
-    o_cell, o_axis, o_sign, o_center = [], [], [], []
     n_ss = 0
+    outer = {key: [] for key in ("outer_cell", "outer_axis", "outer_sign", "outer_center")}
     for axis in range(dim):
         lo, hi = _adjacent_flat_indices(fluid_mask.shape, axis, periodic=False)
-        both = mask_flat[lo] & mask_flat[hi]
-        face_lo_parts.append(id_flat[lo[both]])
-        face_hi_parts.append(id_flat[hi[both]])
-        face_axis_parts.append(np.full(int(both.sum()), axis, dtype=np.int64))
         n_ss += int(np.count_nonzero(~mask_flat[lo] & ~mask_flat[hi]))
-        lo_only = mask_flat[lo] & ~mask_flat[hi]
-        hi_only = ~mask_flat[lo] & mask_flat[hi]
-        if np.any(lo_only):
-            sel = lo[lo_only]
-            g_cell.append(id_flat[sel])
-            g_axis.append(np.full(sel.size, axis, dtype=np.int64))
-            g_sign.append(np.ones(sel.size, dtype=np.int64))
-            g_center.append(_face_centers(sel, fluid_mask.shape, axis, h, wrap=False))
-        if np.any(hi_only):
-            sel_lo = lo[hi_only]
-            g_cell.append(id_flat[hi[hi_only]])
-            g_axis.append(np.full(sel_lo.size, axis, dtype=np.int64))
-            g_sign.append(-np.ones(sel_lo.size, dtype=np.int64))
-            g_center.append(_face_centers(sel_lo, fluid_mask.shape, axis, h, wrap=False))
-
         # outer boundary facets at x_axis = 0 and x_axis = 1
-        idx = np.arange(fluid_mask.size).reshape(fluid_mask.shape)
         for side, sign in ((0, -1), (n_side - 1, +1)):
-            sl = [slice(None)] * dim
-            sl[axis] = side
-            cells = idx[tuple(sl)].ravel()
+            cells = np.take(idx, side, axis=axis).ravel()
             if np.any(~mask_flat[cells]):
                 raise GeometryError(
                     "outer boundary adjacent to a solid cell; the inclusion must be interior"
                 )
-            o_cell.append(id_flat[cells])
-            o_axis.append(np.full(cells.size, axis, dtype=np.int64))
-            o_sign.append(np.full(cells.size, sign, dtype=np.int64))
-            multi = np.unravel_index(cells, fluid_mask.shape)
-            ctr = np.empty((cells.size, dim))
-            for d in range(dim):
-                if d == axis:
-                    ctr[:, d] = 0.0 if side == 0 else 1.0
-                else:
-                    ctr[:, d] = (multi[d] + 0.5) * h
-            o_center.append(ctr)
+            outer["outer_cell"].append(id_flat[cells])
+            outer["outer_axis"].append(np.full(cells.size, axis, dtype=np.int64))
+            outer["outer_sign"].append(np.full(cells.size, sign, dtype=np.int64))
+            ctr = (np.stack(np.unravel_index(cells, fluid_mask.shape), axis=1) + 0.5) * h
+            ctr[:, axis] = 0.0 if side == 0 else 1.0
+            outer["outer_center"].append(ctr)
 
-    grid = MaskedGrid(
-        cell=cell,
-        dim=dim,
-        m=m,
-        r=r,
-        fluid_mask=fluid_mask,
-        n_fluid=n_fluid,
-        fluid_id=fluid_id,
-        centers=centers,
-        face_lo=np.concatenate(face_lo_parts),
-        face_hi=np.concatenate(face_hi_parts),
-        face_axis=np.concatenate(face_axis_parts),
-        gamma_cell=np.concatenate(g_cell) if g_cell else np.empty(0, dtype=np.int64),
-        gamma_axis=np.concatenate(g_axis) if g_axis else np.empty(0, dtype=np.int64),
-        gamma_sign=np.concatenate(g_sign) if g_sign else np.empty(0, dtype=np.int64),
-        gamma_center=np.concatenate(g_center) if g_center else np.empty((0, dim)),
-        outer_cell=np.concatenate(o_cell),
-        outer_axis=np.concatenate(o_axis),
-        outer_sign=np.concatenate(o_sign),
-        outer_center=np.concatenate(o_center),
-        n_solid_solid_faces=n_ss,
-    )
-    return grid
+    fields.update({key: np.concatenate(parts) for key, parts in outer.items()})
+    return MaskedGrid(cell=cell, dim=dim, m=m, r=r, n_solid_solid_faces=n_ss, **fields)
 
 
 @dataclass
@@ -432,12 +358,11 @@ class FacetCharges:
     """Surface charge samples on the boundary facets of a masked grid.
 
     ``gamma_values`` carry the eps-scaled interface density eps*xi1(x, x/eps mod 1);
-    ``outer_values`` carry xi2(x).  ``xi_star`` is the max absolute facet value.
+    ``outer_values`` carry xi2(x).
     """
 
     gamma_values: np.ndarray
     outer_values: np.ndarray
-    xi_star: float
 
     def total_charge(self, grid: MaskedGrid) -> float:
         return float(
@@ -459,9 +384,4 @@ def surface_charge_on_facets(grid: MaskedGrid, xi1, xi2) -> FacetCharges:
     gamma_values = grid.eps * np.asarray(xi1(x_gamma, y_gamma), dtype=float) \
         if x_gamma.shape[0] else np.empty(0)
     outer_values = np.asarray(xi2(grid.outer_center), dtype=float)
-    hi = 0.0
-    if gamma_values.size:
-        hi = float(np.max(np.abs(gamma_values)))
-    if outer_values.size:
-        hi = max(hi, float(np.max(np.abs(outer_values))))
-    return FacetCharges(gamma_values=gamma_values, outer_values=outer_values, xi_star=hi)
+    return FacetCharges(gamma_values=gamma_values, outer_values=outer_values)

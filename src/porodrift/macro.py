@@ -32,8 +32,9 @@ from .linalg import face_laplacian
 from .transport import RunResult, TransportSim
 
 __all__ = [
-    "MacroSourceSpec", "MacroSimulation", "build_macro_source", "run_macro",
-    "reconstruct_corrector_potential", "cell_centered_gradients", "sample_macro_field",
+    "MacroSourceSpec", "MacroSimulation", "build_macro_source", "balance_macro_source",
+    "run_macro", "reconstruct_corrector_potential", "cell_centered_gradients",
+    "sample_macro_field",
 ]
 
 
@@ -63,6 +64,22 @@ def build_macro_source(cell: CellGeometry, grid: MaskedGrid, xi1, xi2) -> MacroS
         volumetric = values.sum(axis=1) * cell.facet_area / porosity
     boundary = np.asarray(xi2(grid.outer_center), dtype=float) / porosity
     return MacroSourceSpec(volumetric=volumetric, boundary=boundary)
+
+
+def balance_macro_source(grid: MaskedGrid, species, source: MacroSourceSpec) -> MacroSourceSpec:
+    """Shift the Neumann flux by a constant so the discrete macro charge balance is exact.
+
+    The macro counterpart of ``balance_outer_charges``: the residual of
+    sum_i z_i c_i^0 + s over the cells plus g over the outer boundary is
+    removed by the constant -R/|outer boundary| on g.
+    """
+    rho0 = np.zeros(grid.n_fluid)
+    for spec in species:
+        rho0 += spec.charge * np.asarray(spec.initial_profile(grid.centers), dtype=float)
+    residual = (float(np.sum(rho0 + source.volumetric)) * grid.cell_volume
+                + float(np.sum(source.boundary)) * grid.facet_area)
+    return MacroSourceSpec(volumetric=source.volumetric,
+                           boundary=source.boundary - residual / grid.outer_area_total)
 
 
 def _derivative_matrix_1d(n: int, h: float):
@@ -138,9 +155,10 @@ class MacroSimulation(TransportSim):
         self._face_diag = tensor[grid.face_axis, grid.face_axis]
 
         offdiag = tensor - np.diag(np.diag(tensor))
-        self._cross_magnitude = float(np.max(np.abs(offdiag)))
+        cross_magnitude = float(np.max(np.abs(offdiag)))
         self._cross_terms = None
-        if self._cross_magnitude > 1e-14:
+        if cross_magnitude > 1e-14:
+            self._cross_magnitude = cross_magnitude
             grads = gradient_matrices(grid)
             n_faces = grid.face_lo.size
             ones = np.ones(n_faces)
@@ -157,8 +175,6 @@ class MacroSimulation(TransportSim):
                     terms.append((coef, (avg @ grads[t_axis]).tocsr()))
             self._cross_terms = terms
             self._scatter = (s_hi - s_lo).T.tocsr()
-        else:
-            self._cross_magnitude = 0.0
 
         boundary = np.zeros(grid.n_fluid)
         np.add.at(boundary, grid.outer_cell, source.boundary * grid.facet_area)

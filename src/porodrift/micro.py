@@ -20,7 +20,7 @@ from .transport import RunResult, TransportSim, h_p_eval, h_p_prime
 
 __all__ = [
     "ScalingSpec", "SpeciesSpec", "MicroSimulation", "run_micro",
-    "validate_compatibility", "h_p_eval", "h_p_prime",
+    "validate_compatibility", "balance_outer_charges", "h_p_eval", "h_p_prime",
 ]
 
 
@@ -100,6 +100,19 @@ def validate_compatibility(grid: MaskedGrid, species, charges: FacetCharges,
     return residual
 
 
+def balance_outer_charges(grid: MaskedGrid, species, charges: FacetCharges):
+    """Shift the outer-boundary charge by a constant so the discrete balance is exact.
+
+    Returns (balanced charges, shift).  The shift -R/|outer boundary| is the
+    unique constant correction supported on the outer boundary.
+    """
+    residual = validate_compatibility(grid, species, charges, raise_on_fail=False)
+    shift = -residual / grid.outer_area_total
+    balanced = FacetCharges(gamma_values=charges.gamma_values,
+                            outer_values=charges.outer_values + shift)
+    return balanced, float(shift)
+
+
 class MicroSimulation(TransportSim):
     """Time integrator for the microscopic system on a masked grid."""
 
@@ -116,8 +129,7 @@ class MicroSimulation(TransportSim):
         self.energy_prefactor = scaling.epsilon ** (scaling.alpha + scaling.beta)
         self.grad_scale = scaling.epsilon ** scaling.alpha
         boundary = np.zeros(grid.n_fluid)
-        if charges.gamma_values.size:
-            np.add.at(boundary, grid.gamma_cell, charges.gamma_values * grid.facet_area)
+        np.add.at(boundary, grid.gamma_cell, charges.gamma_values * grid.facet_area)
         np.add.at(boundary, grid.outer_cell, charges.outer_values * grid.facet_area)
         self._boundary_rhs = boundary
 
@@ -129,28 +141,6 @@ class MicroSimulation(TransportSim):
         grid = self.grid
         coeff = self.scaling.epsilon ** self.scaling.alpha * grid.facet_area / grid.h
         return face_laplacian(grid.n_fluid, grid.face_lo, grid.face_hi, coeff)
-
-    def compute_fluxes(self, state):
-        """Total face fluxes (diffusive h_p differences plus upwinded drift).
-
-        Sign convention: positive flux flows from the low-index to the
-        high-index cell of each interior fluid-fluid face.  Exact-h_p form
-        used for diagnostics and the explicit mode; the IMEX step itself
-        realizes the linearized implicit diffusive flux.  Fluxes on
-        hole-boundary and outer facets are identically zero (no-flux) and
-        are not represented.
-        """
-        grid = self.grid
-        grad_phi = self._normal_gradient_faces(state.phi)
-        fluxes = np.zeros((len(self.species), grid.face_lo.size))
-        drift = self._drift_fluxes(state.conc, grad_phi)
-        c_safe = np.maximum(state.conc, 0.0)
-        for i, spec in enumerate(self.species):
-            hp = h_p_eval(c_safe[i], self.eta, self.p)
-            fluxes[i] = -spec.diffusivity * (hp[grid.face_hi] - hp[grid.face_lo]) / grid.h
-            if drift is not None:
-                fluxes[i] += drift[i]
-        return fluxes
 
 
 def run_micro(grid: MaskedGrid, scaling: ScalingSpec, species, charges: FacetCharges,

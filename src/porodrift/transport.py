@@ -19,7 +19,7 @@ import numpy as np
 import scipy.sparse as sparse
 from scipy.sparse.linalg import splu
 
-from .diagnostics import DiagnosticsRecord, energy_value, face_gradient_l2
+from .diagnostics import DiagnosticsRecord, energy_value, face_gradient_l2, lp_norm_pth_power
 from .errors import ConfigError, SolverError, TimeStepError
 from .linalg import ZeroMeanDirect, face_laplacian
 
@@ -85,6 +85,10 @@ class TransportSim:
                               contribution, or None
       _poisson_matrix()       singular Neumann operator consistent with
                               _charge_rhs
+      _cross_magnitude        attribute, max |off-diagonal tensor entry|; a
+                              subclass whose _cross_flux is not None sets it
+                              so dt_limit bounds the explicit tangential terms
+                              (0.0, no bound, by default)
     """
 
     def __init__(self, grid, species, eta, p, drift_scale, poisson_tol=1e-11,
@@ -99,6 +103,7 @@ class TransportSim:
         self.lazy_poisson = bool(lazy_poisson)
         self.energy_prefactor = 1.0   # eps^(alpha+beta) for micro runs
         self.grad_scale = 1.0         # eps^alpha factor on the logged |grad phi|
+        self._cross_magnitude = 0.0
         self._poisson = None
         self._charges = np.array([s.charge for s in self.species], dtype=float)
         self._diffusivities = np.array([s.diffusivity for s in self.species], dtype=float)
@@ -148,6 +153,11 @@ class TransportSim:
         loss = np.bincount(grid.face_lo, weights=face_flux, minlength=n)
         return (gain - loss) * scale
 
+    def _rate(self, face_flux, source_row):
+        """Divergence of the face fluxes plus the species' source row, if any."""
+        rate = self._divergence(face_flux)
+        return rate if source_row is None else rate + source_row
+
     def _normal_gradient_faces(self, values):
         """(A grad u) . n per face: two-point normal part plus tangential terms."""
         grid = self.grid
@@ -192,9 +202,9 @@ class TransportSim:
         if self.explicit_time:
             diff_limit = CFL_SAFETY * grid.h ** 2 / (2.0 * grid.dim * d_max * a_max * h_max)
             limit = min(limit, diff_limit)
-        cross_mag = getattr(self, "_cross_magnitude", 0.0)
-        if cross_mag > 0.0:
-            limit = min(limit, 0.25 * grid.h ** 2 / (grid.dim * d_max * cross_mag * h_max))
+        if self._cross_magnitude > 0.0:
+            limit = min(limit, 0.25 * grid.h ** 2
+                        / (grid.dim * d_max * self._cross_magnitude * h_max))
         return limit
 
     # -- stepping ----------------------------------------------------------------
@@ -232,33 +242,26 @@ class TransportSim:
         c_safe = np.maximum(conc, 0.0)
         for i in range(n_species):
             d_i = self._diffusivities[i]
+            src_i = None if src is None else src[i]
+            hp = h_p_eval(c_safe[i], self.eta, self.p)
             flux = np.zeros(grid.face_lo.size)
             if drift is not None:
                 flux += drift[i]
             if self.explicit_time:
-                hp = h_p_eval(c_safe[i], self.eta, self.p)
                 flux += -d_i * self._normal_gradient_faces(hp)
-                update = self._divergence(flux)
-                if src is not None:
-                    update = update + src[i]
-                new_conc[i] = conc[i] + dt * update
             else:
-                hp_cross = self._cross_flux(h_p_eval(c_safe[i], self.eta, self.p))
+                # explicit tangential part, then the implicit normal diffusive flux
+                hp_cross = self._cross_flux(hp)
                 if hp_cross is not None:
                     flux += -d_i * hp_cross
                 face_h = h_p_prime(0.5 * (c_safe[i][grid.face_lo] + c_safe[i][grid.face_hi]),
                                    self.eta, self.p)
-                rhs_extra = self._divergence(flux)
-                if src is not None:
-                    rhs_extra = rhs_extra + src[i]
-                c_star = self._implicit_solve(conc[i], d_i, face_h, dt, rhs_extra)
+                c_star = self._implicit_solve(conc[i], d_i, face_h, dt,
+                                              self._rate(flux, src_i))
                 diag = np.broadcast_to(np.asarray(self._axis_diag(), dtype=float),
                                        grid.face_lo.shape)
                 flux += -d_i * diag * face_h * (c_star[grid.face_hi] - c_star[grid.face_lo]) / grid.h
-                update = self._divergence(flux)
-                if src is not None:
-                    update = update + src[i]
-                new_conc[i] = conc[i] + dt * update
+            new_conc[i] = conc[i] + dt * self._rate(flux, src_i)
 
         if float(np.min(new_conc)) < -NEG_TOLERANCE:
             raise _StepRejected
@@ -336,9 +339,9 @@ class TransportSim:
         energy_0 = record.energies[0]
 
         def entropy_pnorm(conc):
-            # eta/(p-1) ||c_i||_p^p, the p-norm term bounded by the initial energy
-            powers = np.sum(np.maximum(conc, 0.0) ** self.p, axis=1) * self.grid.cell_volume
-            return float(np.max(powers)) * self.eta / (self.p - 1.0)
+            # eta/(p-1) max_i ||c_i||_p^p, the p-norm term bounded by the initial energy
+            return (max(lp_norm_pth_power(self.grid, c, self.p) for c in conc)
+                    * self.eta / (self.p - 1.0))
 
         summary = {
             "min_c": float(np.min(state.conc)),

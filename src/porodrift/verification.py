@@ -26,7 +26,6 @@ from .cell_problem import compute_effective_tensor
 from .errors import ConfigError
 from .geometry import (
     CellGeometry,
-    FacetCharges,
     InclusionShape,
     build_cell_geometry,
     build_masked_grid,
@@ -34,28 +33,19 @@ from .geometry import (
 )
 from .macro import (
     MacroSourceSpec,
+    balance_macro_source,
     build_macro_source,
     reconstruct_corrector_potential,
     run_macro,
     sample_macro_field,
 )
-from .micro import ScalingSpec, SpeciesSpec, run_micro, validate_compatibility
-
-
-def balance_outer_charges(grid, species, charges: FacetCharges):
-    """Shift the outer-boundary charge by a constant so the discrete balance is exact.
-
-    Returns (balanced charges, shift).  The shift -R/|outer boundary| is the
-    unique constant correction supported on the outer boundary.
-    """
-    residual = validate_compatibility(grid, species, charges, raise_on_fail=False)
-    shift = -residual / grid.outer_area_total
-    balanced = FacetCharges(
-        gamma_values=charges.gamma_values,
-        outer_values=charges.outer_values + shift,
-        xi_star=charges.xi_star,
-    )
-    return balanced, float(shift)
+from .micro import (
+    ScalingSpec,
+    SpeciesSpec,
+    balance_outer_charges,
+    run_micro,
+    validate_compatibility,
+)
 
 
 def _rms(values: np.ndarray) -> float:
@@ -134,22 +124,12 @@ def run_convergence_study(cell: CellGeometry, species, xi1, xi2, alpha, beta, et
     tensor = compute_effective_tensor(cell, tol=cell_tol)
     timings["cell_problem"] = time.perf_counter() - t0
 
-    macro_cell = build_cell_geometry(InclusionShape("none"), macro_resolution)
+    macro_cell = build_cell_geometry(InclusionShape("none", center=(0.5,) * cell.dim),
+                                     macro_resolution)
     macro_grid = build_masked_grid(macro_cell, 1, macro_resolution)
     source = build_macro_source(cell, macro_grid, xi1, xi2)
     if auto_balance:
-        rho0 = np.zeros(macro_grid.n_fluid)
-        for spec in species:
-            c0 = np.asarray(spec.initial_profile(macro_grid.centers), dtype=float)
-            rho0 += spec.charge * c0
-        residual = (
-            float(np.sum(rho0 + source.volumetric)) * macro_grid.cell_volume
-            + float(np.sum(source.boundary)) * macro_grid.facet_area
-        )
-        source = MacroSourceSpec(
-            volumetric=source.volumetric,
-            boundary=source.boundary - residual / macro_grid.outer_area_total,
-        )
+        source = balance_macro_source(macro_grid, species, source)
 
     t0 = time.perf_counter()
     macro_result = run_macro(

@@ -260,6 +260,8 @@ def test_three_dimensional_config_dispatch(tmp_path):
         "surface_charge": {"xi1": "0.1*cos(2*pi*y3)", "xi2": "0",
                            "auto_balance": True},
         "output": {"directory": str(tmp_path), "snapshot_times": [0.004]},
+        "eta_sweep": {"T": 0.004},
+        "convergence": {"m_values": [1, 2], "T": 0.004, "dt_init": 2e-3},
     }
     config = parse_and_validate(cfg)
     assert config.dim == 3
@@ -269,9 +271,64 @@ def test_three_dimensional_config_dispatch(tmp_path):
     report = json.loads((tmp_path / "report.json").read_text())
     assert report["summary"]["max_mass_drift_rel"] <= 1e-9
 
+    # the macro grid takes its dimension from the config
+    assert dispatch("macro", config, out_dir=tmp_path / "macro") == 0
+    header = (tmp_path / "macro" / f"snapshot_{0.004:.6f}.csv").read_text().split("\n")[0]
+    assert header == "cell,x1,x2,x3,c0_1,c0_2,phi0"
+    assert dispatch("eta-sweep", config, out_dir=tmp_path / "eta") == 0
+    dispatch("converge", config, out_dir=tmp_path / "converge")
+    report = json.loads((tmp_path / "converge" / "report.json").read_text())
+    errors = [e for series in report["conc_errors"].values() for e in series]
+    assert len(errors) == 4 and all(np.isfinite(errors))
+
+
+def test_macro_without_inclusion_matches_micro(tmp_path):
+    # with no inclusion, m = 1 and alpha = beta = 0 the micro and macro models
+    # coincide, outer charge xi2 included
+    r = 16
+    cfg = {
+        "geometry": {"m": 1, "r": r},
+        "scaling": {"alpha": 0.0, "beta": 0.0, "eta": 1.0, "p": 4.0, "T": 0.01,
+                    "dt_init": 1e-3},
+        "species": [
+            {"name": "p", "D": 1.0, "z": 1, "c0": "1 + 0.25*cos(pi*x1)"},
+            {"name": "m", "D": 0.5, "z": -1, "c0": "1 + 0.25*cos(pi*x1)"},
+        ],
+        "surface_charge": {"xi1": "0", "xi2": "0.5*cos(pi*x2)", "auto_balance": True},
+        "macro": {"resolution": r},
+    }
+    config = parse_and_validate(cfg)
+    assert dispatch("micro", config, out_dir=tmp_path / "micro") == 0
+    assert dispatch("macro", config, out_dir=tmp_path / "macro") == 0
+    micro = np.loadtxt(tmp_path / "micro" / "diagnostics.csv", delimiter=",", skiprows=1)
+    macro = np.loadtxt(tmp_path / "macro" / "diagnostics.csv", delimiter=",", skiprows=1)
+    assert micro.shape == macro.shape
+    assert np.max(np.abs(micro[:, 1:] - macro[:, 1:])) <= 1e-12
+    np.testing.assert_array_equal(micro[:, 0], macro[:, 0])
+    # the outer charge drives the potential
+    header = (tmp_path / "micro" / "diagnostics.csv").read_text().split("\n")[0].split(",")
+    assert np.min(micro[:, header.index("grad_phi_scaled")]) > 1e-3
+
 
 def test_snapshot_header_micro(tmp_path):
     config = parse_and_validate(canonical_config(tmp_path, T=0.01))
     assert dispatch("micro", config, out_dir=tmp_path) == 0
     header = (tmp_path / f"snapshot_{0.01:.6f}.csv").read_text().split("\n")[0]
     assert header == "cell,x1,x2,c_1,c_2,phi"
+
+
+def test_snapshot_rows_match_per_cell_format(tmp_path):
+    from porodrift.cli import _write_snapshot
+
+    rng = np.random.default_rng(0)
+    centers = rng.random((5, 2))
+    conc = rng.random((2, 5)) * 1e-7
+    phi = rng.standard_normal(5)
+    _write_snapshot(tmp_path / "s.csv", "x", centers, {"c_1": conc[0], "c_2": conc[1],
+                                                       "phi": phi})
+    lines = ["cell,x1,x2,c_1,c_2,phi"]
+    for j in range(5):
+        row = [str(j)] + [repr(float(v)) for v in centers[j]]
+        row += [repr(float(conc[i, j])) for i in range(2)] + [repr(float(phi[j]))]
+        lines.append(",".join(row))
+    assert (tmp_path / "s.csv").read_text() == "\n".join(lines) + "\n"

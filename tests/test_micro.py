@@ -7,6 +7,7 @@ from porodrift import (
     ScalingSpec,
     SpeciesSpec,
     TimeStepError,
+    balance_outer_charges,
     build_masked_grid,
     h_p_eval,
     h_p_prime,
@@ -111,29 +112,40 @@ def test_compatibility_rejects_unbalanced(disk_cell_8):
 # -- fluxes ------------------------------------------------------------------------
 
 
-def _simple_sim(grid, species, charges=None, alpha=0.0, beta=0.0, T=0.1):
+def _simple_sim(grid, species, charges=None, alpha=0.0, beta=0.0, T=0.1,
+                explicit_time=False):
     charges = charges if charges is not None else zero_charges(grid)
     scaling = make_scaling(grid.eps, alpha=alpha, beta=beta, T=T)
-    return MicroSimulation(grid, scaling, species, charges)
+    return MicroSimulation(grid, scaling, species, charges, explicit_time=explicit_time)
 
 
 def test_fluxes_vanish_for_uniform_state():
     grid = hole_free_grid(8)
-    sim = _simple_sim(grid, [SpeciesSpec("s", 1.0, 1, lambda x: np.ones(x.shape[0]))])
-    state = SimState(0.0, np.ones((1, grid.n_fluid)), np.zeros(grid.n_fluid))
-    np.testing.assert_allclose(sim.compute_fluxes(state), 0.0, atol=1e-15)
+    species = [SpeciesSpec(name, 1.0, z, lambda x: np.ones(x.shape[0]))
+               for name, z in (("p", 1), ("m", -1))]
+    sim = _simple_sim(grid, species, explicit_time=True)
+    state = SimState(0.0, np.ones((2, grid.n_fluid)), np.zeros(grid.n_fluid))
+    new_state = sim.step(state, 1e-4)
+    np.testing.assert_allclose(new_state.conc, 1.0, rtol=0.0, atol=1e-15)
 
 
 def test_diffusive_flux_is_h_p_difference():
     grid = hole_free_grid(8)
     diffusivity = 0.7
-    sim = _simple_sim(grid, [SpeciesSpec("s", diffusivity, 0, lambda x: x[:, 0])])
+    sim = _simple_sim(grid, [SpeciesSpec("s", diffusivity, 0, lambda x: x[:, 0])],
+                      explicit_time=True)
     conc = grid.centers[:, 0].copy()
     state = SimState(0.0, conc[None, :], np.zeros(grid.n_fluid))
-    fluxes = sim.compute_fluxes(state)[0]
+    dt = 1e-4
+    new_state = sim.step(state, dt)
     hp = h_p_eval(conc, 1.0, 4.0)
-    expected = -diffusivity * (hp[grid.face_hi] - hp[grid.face_lo]) / grid.h
-    np.testing.assert_allclose(fluxes, expected, rtol=1e-13)
+    flux = -diffusivity * (hp[grid.face_hi] - hp[grid.face_lo]) / grid.h
+    divergence = np.zeros(grid.n_fluid)
+    np.add.at(divergence, grid.face_hi, flux)
+    np.add.at(divergence, grid.face_lo, -flux)
+    divergence *= grid.facet_area / grid.cell_volume
+    np.testing.assert_allclose(new_state.conc[0], conc + dt * divergence, rtol=1e-13)
+    assert np.max(np.abs(divergence)) > 1.0
 
 
 def test_upwind_picks_donor_cell():
@@ -175,7 +187,6 @@ def test_zero_species_is_fixed_point():
 def test_mass_conserved_every_step(disk_cell_8, canonical_species):
     grid = build_masked_grid(disk_cell_8, 4, 8)
     charges = surface_charge_on_facets(grid, constant_xi1(0.2), zero_xi2)
-    from porodrift.verification import balance_outer_charges
     charges, _ = balance_outer_charges(grid, canonical_species, charges)
     scaling = make_scaling(grid.eps, T=0.02)
     result = run_micro(grid, scaling, canonical_species, charges, dt_init=1e-3)
@@ -308,7 +319,6 @@ def test_three_dimensional_micro_run():
 
     species = [SpeciesSpec("p", 1.0, 1, c0), SpeciesSpec("m", 1.0, -1, c0)]
     charges = surface_charge_on_facets(grid, constant_xi1(0.1), zero_xi2)
-    from porodrift.verification import balance_outer_charges
     charges, _ = balance_outer_charges(grid, species, charges)
     scaling = make_scaling(grid.eps, T=0.005)
     result = run_micro(grid, scaling, species, charges, dt_init=1e-3)
@@ -325,7 +335,6 @@ def test_oscillatory_interface_charge_run(disk_cell_8, canonical_species):
 
     grid = build_masked_grid(disk_cell_8, 4, 8)
     charges = surface_charge_on_facets(grid, xi1, zero_xi2)
-    from porodrift.verification import balance_outer_charges
     charges, _ = balance_outer_charges(grid, canonical_species, charges)
     scaling = make_scaling(grid.eps, T=0.01)
     result = run_micro(grid, scaling, canonical_species, charges, dt_init=1e-3)
@@ -338,7 +347,6 @@ def test_oscillatory_interface_charge_run(disk_cell_8, canonical_species):
 def test_compatibility_persists_along_run(disk_cell_8, canonical_species):
     grid = build_masked_grid(disk_cell_8, 4, 8)
     charges = surface_charge_on_facets(grid, constant_xi1(0.2), zero_xi2)
-    from porodrift.verification import balance_outer_charges
     charges, _ = balance_outer_charges(grid, canonical_species, charges)
     scaling = make_scaling(grid.eps, T=0.02)
     result = run_micro(grid, scaling, canonical_species, charges, dt_init=1e-3)

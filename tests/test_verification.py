@@ -4,12 +4,12 @@ import pytest
 from porodrift import (
     MacroSourceSpec,
     SpeciesSpec,
+    balance_outer_charges,
     build_masked_grid,
     surface_charge_on_facets,
     validate_compatibility,
 )
 from porodrift.verification import (
-    balance_outer_charges,
     mms_poisson_macro,
     mms_poisson_micro,
     run_convergence_study,
