@@ -23,7 +23,7 @@ from .cell_problem import compute_effective_tensor
 from .config import parse_and_validate
 from .errors import PorodriftError
 from .geometry import InclusionShape, build_cell_geometry, build_masked_grid
-from .macro import balance_macro_source, build_macro_source, run_macro
+from .macro import balance_macro_source, build_macro_source, limit_mode, run_macro
 from .micro import run_micro
 from .verification import (
     run_convergence_study,
@@ -80,26 +80,8 @@ def _macro_inputs(config):
     return macro_grid, tensor.a_hom, tensor.porosity, source, specs
 
 
-def _run_result_payload(kind, config, result, extra=None):
-    payload = {
-        "kind": kind,
-        "species": [s.name for s in config.species],
-        "final_time": config.final_time,
-        "summary": dict(result.summary),
-        "diagnostics_rows": len(result.record),
-        "epsilon": 1.0 / config.m,
-        "alpha": config.alpha,
-        "beta": config.beta,
-        "eta": config.eta,
-        "p": config.p,
-    }
-    if extra:
-        payload.update(extra)
-    return payload
-
-
 def dispatch(subcommand: str, config, out_dir=None, explicit_time=None,
-             poisson_every_step=None, dump_correctors=None) -> int:
+             dump_correctors=None) -> int:
     """Run one pipeline, write its artifacts and manifest; returns the exit status."""
     if subcommand not in SUBCOMMANDS:
         raise PorodriftError(f"unknown subcommand {subcommand!r}; expected one of {SUBCOMMANDS}")
@@ -107,8 +89,6 @@ def dispatch(subcommand: str, config, out_dir=None, explicit_time=None,
     run_dir.mkdir(parents=True, exist_ok=True)
     if explicit_time is None:
         explicit_time = config.explicit_time
-    if poisson_every_step is None:
-        poisson_every_step = config.poisson_every_step
     if dump_correctors is None:
         dump_correctors = config.dump_correctors
 
@@ -140,7 +120,7 @@ def dispatch(subcommand: str, config, out_dir=None, explicit_time=None,
                 written.append("correctors.csv")
 
         elif subcommand == "micro":
-            grid, conc_name, phi_name, extra = config.grid, "c", "phi", None
+            grid, conc_name, phi_name, extra = config.grid, "c", "phi", {}
             result = run_micro(
                 grid, config.scaling(), config.species_specs(), config.charges,
                 dt_init=config.dt_init, cfl_fraction=config.cfl_fraction,
@@ -150,7 +130,7 @@ def dispatch(subcommand: str, config, out_dir=None, explicit_time=None,
             )
 
         elif subcommand == "macro":
-            mode = config.resolved_macro_mode()
+            mode = limit_mode(config.alpha, config.beta)
             grid, tensor_matrix, porosity, source, specs = _macro_inputs(config)
             conc_name, phi_name = "c0", "phi0"
             extra = {"mode": mode, "a_hom": tensor_matrix, "porosity": porosity,
@@ -161,7 +141,7 @@ def dispatch(subcommand: str, config, out_dir=None, explicit_time=None,
                 cfl_fraction=config.cfl_fraction,
                 output_interval=config.output_interval or None,
                 snapshot_times=config.snapshot_times, poisson_tol=config.poisson_tol,
-                explicit_time=explicit_time, poisson_every_step=poisson_every_step,
+                explicit_time=explicit_time,
             )
 
         elif subcommand == "converge":
@@ -174,7 +154,7 @@ def dispatch(subcommand: str, config, out_dir=None, explicit_time=None,
                 auto_balance=config.auto_balance, poisson_tol=config.poisson_tol,
                 cell_tol=config.cell_tol,
             )
-            _write_json(run_dir / "report.json", report.to_dict(include_runtimes=False))
+            _write_json(run_dir / "report.json", report.to_dict())
             written.append("report.json")
             timings.update(report.runtimes)
             if not all(report.monotone_decreasing(n) for n in report.species_names):
@@ -191,7 +171,7 @@ def dispatch(subcommand: str, config, out_dir=None, explicit_time=None,
                 error_message = "mms verification: observed order outside threshold"
 
         elif subcommand == "eta-sweep":
-            if config.resolved_macro_mode() != "coupled":
+            if limit_mode(config.alpha, config.beta) != "coupled":
                 raise PorodriftError("eta-sweep requires the coupled regime (alpha = beta)")
             macro_grid, tensor_matrix, _, source, specs = _macro_inputs(config)
             report = run_eta_sweep(macro_grid, tensor_matrix, specs, source, config.p,
@@ -210,8 +190,19 @@ def dispatch(subcommand: str, config, out_dir=None, explicit_time=None,
                 _write_snapshot(run_dir / name, "x", grid.centers,
                                 {**columns, phi_name: state.phi})
                 written.append(name)
-            _write_json(run_dir / "report.json",
-                        _run_result_payload(subcommand, config, result, extra))
+            _write_json(run_dir / "report.json", {
+                "kind": subcommand,
+                "species": [s.name for s in config.species],
+                "final_time": config.final_time,
+                "summary": dict(result.summary),
+                "diagnostics_rows": len(result.record),
+                "epsilon": 1.0 / config.m,
+                "alpha": config.alpha,
+                "beta": config.beta,
+                "eta": config.eta,
+                "p": config.p,
+                **extra,
+            })
             written.append("report.json")
 
     except PorodriftError as exc:
@@ -253,8 +244,6 @@ def main(argv=None) -> int:
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
     parser.add_argument("--explicit-time", action="store_true", default=None,
                         help="fully explicit stepping (cross-validation mode)")
-    parser.add_argument("--poisson-every-step", action="store_true", default=None,
-                        help="re-solve the potential every step in decoupled macro runs")
     parser.add_argument("--dump-correctors", action="store_true", default=None,
                         help="write corrector fields as CSV (cell subcommand)")
     args = parser.parse_args(argv)
@@ -269,7 +258,6 @@ def main(argv=None) -> int:
         return 2
     return dispatch(args.subcommand, config, out_dir=args.out,
                     explicit_time=args.explicit_time,
-                    poisson_every_step=args.poisson_every_step,
                     dump_correctors=args.dump_correctors)
 
 

@@ -12,9 +12,9 @@ Sections (see README for the full schema):
     scaling         alpha, beta, eta, p, T, dt_init, cfl_fraction
     species         list of {name, D, z, c0}
     surface_charge  xi1(x, y), xi2(x), auto_balance
-    solver          poisson_tol, cell_tol, explicit_time, poisson_every_step
+    solver          poisson_tol, cell_tol, explicit_time
     output          directory, interval, snapshot_times
-    macro           resolution, mode (auto | coupled | decoupled)
+    macro           resolution
     cell            resolution, dump_correctors
     convergence     m_values, T, dt_init, macro_resolution
     eta_sweep       values, T, dt_init
@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -44,24 +45,38 @@ from .micro import ScalingSpec, SpeciesSpec, balance_outer_charges, validate_com
 def _require(section, key, kind, where):
     if key not in section:
         raise ConfigError(f"missing required key {key!r} in {where} section")
-    value = section[key]
+    return _typed(section[key], kind, f"{where}.{key}")
+
+
+def _optional(section, key, default, kind=None, where="config"):
+    if key not in section:
+        return default
+    return _typed(section[key], kind, f"{where}.{key}")
+
+
+def _typed(value, kind, label):
+    """``value`` checked against ``kind`` (float, int, str, bool; None for any JSON value).
+
+    Numbers must be finite, also inside lists: JSON parsing admits NaN and
+    Infinity, and no input of a run means either.
+    """
     if kind is float:
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{where}.{key} must be a number, got {value!r}")
-        return float(value)
-    if kind is int:
+            raise ConfigError(f"{label} must be a number, got {value!r}")
+        value = float(value)
+    elif kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
-            raise ConfigError(f"{where}.{key} must be an integer, got {value!r}")
-        return int(value)
-    if kind is str:
+            raise ConfigError(f"{label} must be an integer, got {value!r}")
+    elif kind is str:
         if not isinstance(value, str):
-            raise ConfigError(f"{where}.{key} must be a string, got {value!r}")
-        return value
+            raise ConfigError(f"{label} must be a string, got {value!r}")
+    elif kind is bool:
+        if not isinstance(value, bool):
+            raise ConfigError(f"{label} must be true or false, got {value!r}")
+    for item in value if isinstance(value, list) else (value,):
+        if isinstance(item, float) and not math.isfinite(item):
+            raise ConfigError(f"{label} must be finite, got {item!r}")
     return value
-
-
-def _optional(section, key, default):
-    return section.get(key, default)
 
 
 def _inclusion_from_config(geo: dict, dim: int) -> InclusionShape:
@@ -84,7 +99,8 @@ def _inclusion_from_config(geo: dict, dim: int) -> InclusionShape:
             axes = tuple(float(v) for v in _require(inc, "semi_axes", list,
                                                     "geometry.inclusion"))
             return InclusionShape("super_ellipse", center=center, semi_axes=axes,
-                                  exponent=float(_optional(inc, "exponent", 4.0)))
+                                  exponent=_optional(inc, "exponent", 4.0, float,
+                                                     "geometry.inclusion"))
     except GeometryError as exc:
         raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown inclusion kind {kind!r}")
@@ -131,12 +147,10 @@ class RunConfig:
     poisson_tol: float
     cell_tol: float
     explicit_time: bool
-    poisson_every_step: bool
     output_dir: str
     output_interval: float
     snapshot_times: list
     macro_resolution: int
-    macro_mode: str
     cell_resolution: int
     dump_correctors: bool
     convergence_m_values: list
@@ -207,16 +221,8 @@ class RunConfig:
         return ScalingSpec(epsilon=1.0 / self.m, alpha=self.alpha, beta=self.beta,
                            eta=self.eta, p=self.p, final_time=self.final_time)
 
-    def resolved_macro_mode(self) -> str:
-        if self.macro_mode == "auto":
-            return "coupled" if self.alpha == self.beta else "decoupled"
-        return self.macro_mode
-
-    def canonical_json(self) -> str:
-        return json.dumps(self.raw, sort_keys=True, indent=2)
-
     def content_hash(self) -> str:
-        return hashlib.sha256(self.canonical_json().encode()).hexdigest()
+        return hashlib.sha256(json.dumps(self.raw, sort_keys=True, indent=2).encode()).hexdigest()
 
 
 def parse_and_validate(source) -> RunConfig:
@@ -262,10 +268,11 @@ def parse_and_validate(source) -> RunConfig:
     eta = _require(sca, "eta", float, "scaling")
     p = _require(sca, "p", float, "scaling")
     final_time = _require(sca, "T", float, "scaling")
-    dt_init = float(_optional(sca, "dt_init", final_time / 100 if final_time > 0 else 1e-3))
+    dt_init = _optional(sca, "dt_init", final_time / 100 if final_time > 0 else 1e-3,
+                        float, "scaling")
     if dt_init <= 0:
         raise ConfigError(f"scaling.dt_init must be positive, got {dt_init}")
-    cfl_fraction = float(_optional(sca, "cfl_fraction", 0.5))
+    cfl_fraction = _optional(sca, "cfl_fraction", 0.5, float, "scaling")
     if not 0 < cfl_fraction <= 1:
         raise ConfigError(f"scaling.cfl_fraction must lie in (0, 1], got {cfl_fraction}")
 
@@ -295,19 +302,19 @@ def parse_and_validate(source) -> RunConfig:
     charge_sec = _optional(raw, "surface_charge", {})
     xi1_text = str(_optional(charge_sec, "xi1", "0"))
     xi2_text = str(_optional(charge_sec, "xi2", "0"))
-    auto_balance = bool(_optional(charge_sec, "auto_balance", False))
+    auto_balance = _optional(charge_sec, "auto_balance", False, bool, "surface_charge")
 
     solver = _optional(raw, "solver", {})
-    poisson_tol = float(_optional(solver, "poisson_tol", 1e-10))
-    cell_tol = float(_optional(solver, "cell_tol", 1e-12))
+    poisson_tol = _optional(solver, "poisson_tol", 1e-10, float, "solver")
+    cell_tol = _optional(solver, "cell_tol", 1e-12, float, "solver")
     if poisson_tol <= 0 or cell_tol <= 0:
         raise ConfigError("solver tolerances must be positive")
-    explicit_time = bool(_optional(solver, "explicit_time", False))
-    poisson_every_step = bool(_optional(solver, "poisson_every_step", False))
+    explicit_time = _optional(solver, "explicit_time", False, bool, "solver")
 
     output = _optional(raw, "output", {})
     output_dir = str(_optional(output, "directory", "out"))
-    output_interval = float(_optional(output, "interval", final_time / 10 if final_time > 0 else 0.0))
+    output_interval = _optional(output, "interval", final_time / 10 if final_time > 0 else 0.0,
+                                float, "output")
     snapshot_times = [float(t) for t in _optional(output, "snapshot_times",
                                                   [final_time] if final_time > 0 else [])]
     for t_snap in snapshot_times:
@@ -316,29 +323,22 @@ def parse_and_validate(source) -> RunConfig:
 
     macro_sec = _optional(raw, "macro", {})
     macro_resolution = int(_optional(macro_sec, "resolution", m * r))
-    macro_mode = str(_optional(macro_sec, "mode", "auto"))
-    if macro_mode not in ("auto", "coupled", "decoupled"):
-        raise ConfigError(f"macro.mode must be auto, coupled or decoupled, got {macro_mode!r}")
-    if macro_mode == "coupled" and alpha != beta:
-        raise ConfigError("macro.mode = coupled requires equal scalings alpha = beta")
-    if macro_mode == "decoupled" and not alpha < beta:
-        raise ConfigError("macro.mode = decoupled requires alpha < beta")
 
     cell_sec = _optional(raw, "cell", {})
     cell_resolution = int(_optional(cell_sec, "resolution", r))
-    dump_correctors = bool(_optional(cell_sec, "dump_correctors", False))
+    dump_correctors = _optional(cell_sec, "dump_correctors", False, bool, "cell")
 
     conv = _optional(raw, "convergence", {})
     conv_m_values = [int(v) for v in _optional(conv, "m_values", [4, 8, 16])]
-    conv_final_time = float(_optional(conv, "T", 0.05))
-    conv_dt_init = float(_optional(conv, "dt_init", 5e-4))
+    conv_final_time = _optional(conv, "T", 0.05, float, "convergence")
+    conv_dt_init = _optional(conv, "dt_init", 5e-4, float, "convergence")
     conv_macro_resolution = int(_optional(conv, "macro_resolution",
                                           r * max(conv_m_values) if conv_m_values else m * r))
 
     eta_sec = _optional(raw, "eta_sweep", {})
     eta_values = [float(v) for v in _optional(eta_sec, "values", [0.5, 0.25, 0.125])]
-    eta_final_time = float(_optional(eta_sec, "T", 0.05))
-    eta_dt_init = float(_optional(eta_sec, "dt_init", dt_init))
+    eta_final_time = _optional(eta_sec, "T", 0.05, float, "eta_sweep")
+    eta_dt_init = _optional(eta_sec, "dt_init", dt_init, float, "eta_sweep")
 
     mms_sec = _optional(raw, "mms", {})
     mms_solvers = list(_optional(mms_sec, "solvers",
@@ -351,10 +351,10 @@ def parse_and_validate(source) -> RunConfig:
         dt_init=dt_init, cfl_fraction=cfl_fraction, species=species,
         xi1_text=xi1_text, xi2_text=xi2_text, auto_balance=auto_balance,
         poisson_tol=poisson_tol, cell_tol=cell_tol,
-        explicit_time=explicit_time, poisson_every_step=poisson_every_step,
+        explicit_time=explicit_time,
         output_dir=output_dir, output_interval=output_interval,
         snapshot_times=snapshot_times,
-        macro_resolution=macro_resolution, macro_mode=macro_mode,
+        macro_resolution=macro_resolution,
         cell_resolution=cell_resolution, dump_correctors=dump_correctors,
         convergence_m_values=conv_m_values, convergence_final_time=conv_final_time,
         convergence_dt_init=conv_dt_init,

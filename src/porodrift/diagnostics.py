@@ -128,6 +128,3 @@ class DiagnosticsRecord:
             lines.append(",".join(repr(float(v)) for v in self.row_values(i)))
         with open(path, "w") as handle:
             handle.write("\n".join(lines) + "\n")
-
-    def energy_series(self) -> np.ndarray:
-        return np.asarray(self.energies)

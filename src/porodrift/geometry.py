@@ -370,6 +370,13 @@ class FacetCharges:
             + np.sum(self.outer_values) * grid.facet_area
         )
 
+    def cell_sums(self, grid: MaskedGrid) -> np.ndarray:
+        """Charge times facet area, summed into the fluid cell behind each facet."""
+        sums = np.zeros(grid.n_fluid)
+        np.add.at(sums, grid.gamma_cell, self.gamma_values * grid.facet_area)
+        np.add.at(sums, grid.outer_cell, self.outer_values * grid.facet_area)
+        return sums
+
 
 def surface_charge_on_facets(grid: MaskedGrid, xi1, xi2) -> FacetCharges:
     """Sample the surface charge density at facet midpoints.

@@ -19,6 +19,8 @@ from scipy.sparse.linalg import splu
 
 from .errors import SolverError
 
+MAX_REFINEMENTS = 2   # iterative-refinement passes of ZeroMeanDirect.solve
+
 
 def face_laplacian(n_cells, face_lo, face_hi, coeff):
     """SPD graph Laplacian row_j = sum_f coeff_f (u_j - u_nb) from face lists.
@@ -96,7 +98,7 @@ class ZeroMeanDirect:
         self.matrix = matrix.tocsr()
         self._lu = splu(augmented)
 
-    def solve(self, rhs, tol=1e-10, max_refinements=2):
+    def solve(self, rhs, tol=1e-10):
         """Zero-mean solution; iterative refinement until the residual meets ``tol``."""
         b = rhs - rhs.mean()
         b_norm = float(np.linalg.norm(b))
@@ -105,7 +107,7 @@ class ZeroMeanDirect:
         phi = self._lu.solve(np.concatenate([b, [0.0]]))[: self.n]
         phi -= phi.mean()
         rel = np.inf
-        for _ in range(max_refinements + 1):
+        for _ in range(MAX_REFINEMENTS + 1):
             residual = b - self.matrix @ phi
             residual -= residual.mean()
             rel = float(np.linalg.norm(residual)) / b_norm

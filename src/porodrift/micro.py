@@ -15,7 +15,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import FacetCharges, MaskedGrid
-from .linalg import face_laplacian
 from .transport import RunResult, TransportSim, h_p_eval, h_p_prime
 
 __all__ = [
@@ -71,12 +70,15 @@ class SpeciesSpec:
             )
 
 
+COMPAT_REL_TOL = 1e-12   # |R| allowed relative to the charge scale
+
+
 def validate_compatibility(grid: MaskedGrid, species, charges: FacetCharges,
-                           rel_tol: float = 1e-12, raise_on_fail: bool = True) -> float:
+                           raise_on_fail: bool = True) -> float:
     """Discrete charge balance R = sum_i z_i int c_i^0 + int_boundary xi dS.
 
     The pure-Neumann Poisson problem is solvable iff R = 0.  Returns R; when
-    ``raise_on_fail`` and |R| exceeds ``rel_tol`` times the charge scale, a
+    ``raise_on_fail`` and |R| exceeds COMPAT_REL_TOL times the charge scale, a
     ConfigError carrying R is raised.
     """
     bulk = 0.0
@@ -90,7 +92,7 @@ def validate_compatibility(grid: MaskedGrid, species, charges: FacetCharges,
     scale += float(np.sum(np.abs(charges.gamma_values)) * grid.facet_area)
     scale += float(np.sum(np.abs(charges.outer_values)) * grid.facet_area)
     residual = bulk + boundary
-    if raise_on_fail and abs(residual) > rel_tol * max(1.0, scale):
+    if raise_on_fail and abs(residual) > COMPAT_REL_TOL * max(1.0, scale):
         raise ConfigError(
             f"incompatible charge data: residual {residual:.6e} violates the "
             f"solvability condition (total bulk + boundary charge must vanish); "
@@ -114,33 +116,21 @@ def balance_outer_charges(grid: MaskedGrid, species, charges: FacetCharges):
 
 
 class MicroSimulation(TransportSim):
-    """Time integrator for the microscopic system on a masked grid."""
+    """The microscopic system as engine data: identity transport tensor,
+    permittivity eps^alpha, mobility eps^beta, the sampled facet charges."""
 
     def __init__(self, grid: MaskedGrid, scaling: ScalingSpec, species,
                  charges: FacetCharges, poisson_tol: float = 1e-11,
                  explicit_time: bool = False):
+        eps, alpha, beta = scaling.epsilon, scaling.alpha, scaling.beta
+        identity = np.eye(grid.dim)
         super().__init__(
             grid, species, scaling.eta, scaling.p,
-            drift_scale=scaling.epsilon ** scaling.beta,
-            poisson_tol=poisson_tol, explicit_time=explicit_time,
+            transport_tensor=identity, poisson_tensor=eps ** alpha * identity,
+            drift_scale=eps ** beta, volumetric_charge=np.zeros(grid.n_fluid),
+            facet_charges=charges, energy_prefactor=eps ** (alpha + beta),
+            grad_scale=eps ** alpha, poisson_tol=poisson_tol, explicit_time=explicit_time,
         )
-        self.scaling = scaling
-        self.charges = charges
-        self.energy_prefactor = scaling.epsilon ** (scaling.alpha + scaling.beta)
-        self.grad_scale = scaling.epsilon ** scaling.alpha
-        boundary = np.zeros(grid.n_fluid)
-        np.add.at(boundary, grid.gamma_cell, charges.gamma_values * grid.facet_area)
-        np.add.at(boundary, grid.outer_cell, charges.outer_values * grid.facet_area)
-        self._boundary_rhs = boundary
-
-    def _charge_rhs(self, conc):
-        rho = self._charges @ conc
-        return rho * self.grid.cell_volume + self._boundary_rhs
-
-    def _poisson_matrix(self):
-        grid = self.grid
-        coeff = self.scaling.epsilon ** self.scaling.alpha * grid.facet_area / grid.h
-        return face_laplacian(grid.n_fluid, grid.face_lo, grid.face_hi, coeff)
 
 
 def run_micro(grid: MaskedGrid, scaling: ScalingSpec, species, charges: FacetCharges,

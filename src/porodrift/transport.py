@@ -7,6 +7,10 @@ with upwinding; the potential is re-solved from the updated concentrations
 face flux enters its two cells with opposite signs -- so each species' total
 mass telescopes exactly regardless of linear-solver residuals.
 
+A constant symmetric tensor enters through its diagonal as a per-face
+two-point coefficient (implicit) and through its off-diagonal entries as
+four-point averaged tangential differences (explicit).
+
 A fully explicit mode (exact h_p face differences, diffusive CFL) exists for
 cross-validation at small time steps.
 """
@@ -14,18 +18,20 @@ cross-validation at small time steps.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 
 import numpy as np
 import scipy.sparse as sparse
 from scipy.sparse.linalg import splu
 
 from .diagnostics import DiagnosticsRecord, energy_value, face_gradient_l2, lp_norm_pth_power
-from .errors import ConfigError, SolverError, TimeStepError
+from .errors import ConfigError, GeometryError, SolverError, TimeStepError
 from .linalg import ZeroMeanDirect, face_laplacian
 
 NEG_TOLERANCE = 1e-12     # accepted round-off undershoot of concentrations
 DT_FLOOR = 1e-10          # abort threshold for the step-halving loop
 CFL_SAFETY = 0.4          # dt <= CFL_SAFETY * h / max face drift speed
+CROSS_TOL = 1e-14         # off-diagonal tensor entries up to this count as zero
 
 
 def h_p_eval(r, eta: float, p: float):
@@ -44,6 +50,94 @@ def h_p_prime(r, eta: float, p: float):
         raise ValueError("h_p' is only defined for r >= 0")
     value = 1.0 + eta * p * arr ** (p - 1.0)
     return float(value) if np.isscalar(r) else value
+
+
+def _derivative_matrix_1d(n: int, h: float):
+    """Cell-centered first derivative: central interior, quadratic one-sided ends."""
+    mat = sparse.lil_matrix((n, n))
+    for i in range(1, n - 1):
+        mat[i, i - 1] = -0.5 / h
+        mat[i, i + 1] = 0.5 / h
+    mat[0, 0], mat[0, 1], mat[0, 2] = -1.5 / h, 2.0 / h, -0.5 / h
+    mat[n - 1, n - 1], mat[n - 1, n - 2], mat[n - 1, n - 3] = 1.5 / h, -2.0 / h, 0.5 / h
+    return mat.tocsr()
+
+
+def gradient_matrices(grid):
+    """Sparse cell-centered partial-derivative operators, one per axis (hole-free grids)."""
+    if not grid.is_unperforated:
+        raise GeometryError("cell-centered gradients require an unperforated grid")
+    n_side = grid.n_cells_per_edge
+    d1 = _derivative_matrix_1d(n_side, grid.h)
+    eye = sparse.identity(n_side, format="csr")
+    mats = []
+    for axis in range(grid.dim):
+        factors = [eye] * grid.dim
+        factors[axis] = d1
+        mats.append(reduce(lambda a, b: sparse.kron(a, b, format="csr"), factors))
+    return mats
+
+
+def _face_incidence(grid):
+    """Face-by-cell selection matrices of the lo and hi cell of every face."""
+    n_faces = grid.face_lo.size
+    ones = np.ones(n_faces)
+    rows = np.arange(n_faces)
+    s_lo = sparse.coo_matrix((ones, (rows, grid.face_lo)),
+                             shape=(n_faces, grid.n_fluid)).tocsr()
+    s_hi = sparse.coo_matrix((ones, (rows, grid.face_hi)),
+                             shape=(n_faces, grid.n_fluid)).tocsr()
+    return s_lo, s_hi
+
+
+def cross_operators(grid, tensor) -> list:
+    """Tangential part of (tensor grad u) . n per face as (coef, matrix) pairs.
+
+    The face value is coef * (matrix @ u): the off-diagonal entry times the
+    tangential cell-centered derivative averaged over the face's two cells.
+    Empty when every off-diagonal entry is at most CROSS_TOL in magnitude.
+    """
+    if np.max(np.abs(tensor - np.diag(np.diag(tensor)))) <= CROSS_TOL:
+        return []
+    grads = gradient_matrices(grid)
+    s_lo, s_hi = _face_incidence(grid)
+    avg = 0.5 * (s_lo + s_hi)
+    terms = []
+    for t_axis in range(grid.dim):
+        coef = tensor[grid.face_axis, t_axis] * (grid.face_axis != t_axis)
+        if np.any(coef != 0.0):
+            terms.append((coef, (avg @ grads[t_axis]).tocsr()))
+    return terms
+
+
+def poisson_matrix(grid, tensor):
+    """Singular finite-volume operator of -div(tensor grad phi) with no-flux faces.
+
+    Rows are cell integrals: the two-point diagonal flux plus the tangential
+    cross terms, each times the facet area.  The constant is its nullspace.
+    """
+    tensor = np.asarray(tensor, dtype=float)
+    face_diag = tensor[grid.face_axis, grid.face_axis]
+    matrix = face_laplacian(grid.n_fluid, grid.face_lo, grid.face_hi,
+                            face_diag * grid.facet_area / grid.h)
+    terms = cross_operators(grid, tensor)
+    if terms:
+        t_cross = None
+        for coef, mat in terms:
+            term = sparse.diags(coef) @ mat
+            t_cross = term if t_cross is None else t_cross + term
+        s_lo, s_hi = _face_incidence(grid)
+        matrix = matrix + grid.facet_area * ((s_hi - s_lo).T.tocsr() @ t_cross)
+    return matrix.tocsr()
+
+
+def _checked_tensor(tensor, dim):
+    tensor = np.asarray(tensor, dtype=float)
+    if tensor.shape != (dim, dim):
+        raise ValueError(f"tensor shape {tensor.shape} does not match dimension {dim}")
+    if np.max(np.abs(tensor - tensor.T)) > 1e-8:
+        raise ValueError("tensor must be symmetric")
+    return tensor
 
 
 class _StepRejected(Exception):
@@ -73,56 +167,51 @@ class RunResult:
 
 
 class TransportSim:
-    """Shared machinery; subclasses supply the Poisson operator and tensor hooks.
+    """Drift-diffusion engine of both scales; the model is its constructor data.
 
-    Subclass contract:
-      _charge_rhs(conc)       finite-volume Poisson right-hand side (cell sums
-                              + boundary facet terms); its plain sum is the
-                              discrete compatibility residual
-      _axis_diag()            per-face normal tensor coefficient (1.0 for the
-                              identity tensor)
-      _cross_flux(values)     per-face tangential (off-diagonal tensor) flux
-                              contribution, or None
-      _poisson_matrix()       singular Neumann operator consistent with
-                              _charge_rhs
-      _cross_magnitude        attribute, max |off-diagonal tensor entry|; a
-                              subclass whose _cross_flux is not None sets it
-                              so dt_limit bounds the explicit tangential terms
-                              (0.0, no bound, by default)
+    Species flux -D_i [A grad h_p(c_i) + drift_scale z_i c_i A grad phi] with
+    no-flux faces, potential from -div(B grad phi) = sum_i z_i c_i + s with the
+    facet charges as Neumann data, zero mean.
+
+      transport_tensor   A, constant symmetric (dim, dim)
+      poisson_tensor     B, constant symmetric (dim, dim)
+      drift_scale        mobility factor; 0.0 drops the drift from transport
+      volumetric_charge  s, fixed charge density per cell
+      facet_charges      FacetCharges: charge density per interface and outer facet
+      energy_prefactor   weight of (1/2)|grad phi|^2 in the energy
+      grad_scale         factor on the logged |grad phi|
     """
 
-    def __init__(self, grid, species, eta, p, drift_scale, poisson_tol=1e-11,
-                 explicit_time=False, lazy_poisson=False):
+    def __init__(self, grid, species, eta, p, *, transport_tensor, poisson_tensor,
+                 drift_scale, volumetric_charge, facet_charges, energy_prefactor,
+                 grad_scale, poisson_tol=1e-11, explicit_time=False):
         self.grid = grid
         self.species = list(species)
         self.eta = float(eta)
         self.p = float(p)
+        transport_tensor = _checked_tensor(transport_tensor, grid.dim)
+        self._poisson_tensor = _checked_tensor(poisson_tensor, grid.dim)
         self.drift_scale = float(drift_scale)
         self.poisson_tol = float(poisson_tol)
         self.explicit_time = bool(explicit_time)
-        self.lazy_poisson = bool(lazy_poisson)
-        self.energy_prefactor = 1.0   # eps^(alpha+beta) for micro runs
-        self.grad_scale = 1.0         # eps^alpha factor on the logged |grad phi|
-        self._cross_magnitude = 0.0
+        self.energy_prefactor = float(energy_prefactor)
+        self.grad_scale = float(grad_scale)
+        self._face_diag = transport_tensor[grid.face_axis, grid.face_axis]
+        self._cross_terms = cross_operators(grid, transport_tensor)
+        self._cross_magnitude = max(
+            (float(np.max(np.abs(coef))) for coef, _ in self._cross_terms), default=0.0)
+        self._volumetric = np.asarray(volumetric_charge, dtype=float)
+        self._boundary_rhs = facet_charges.cell_sums(grid)
         self._poisson = None
         self._charges = np.array([s.charge for s in self.species], dtype=float)
         self._diffusivities = np.array([s.diffusivity for s in self.species], dtype=float)
 
-    # -- hooks ---------------------------------------------------------------
+    # -- potential -----------------------------------------------------------
 
     def _charge_rhs(self, conc):
-        raise NotImplementedError
-
-    def _axis_diag(self):
-        return 1.0
-
-    def _cross_flux(self, values):
-        return None
-
-    def _poisson_matrix(self):
-        raise NotImplementedError
-
-    # -- potential -----------------------------------------------------------
+        """Finite-volume Poisson right-hand side: cell charges plus facet charges."""
+        rho = self._charges @ conc + self._volumetric
+        return rho * self.grid.cell_volume + self._boundary_rhs
 
     def compat_residual(self, conc) -> float:
         """Discrete compatibility: total bulk charge plus total boundary charge."""
@@ -139,33 +228,33 @@ class TransportSim:
                 residual=residual,
             )
         if self._poisson is None:
-            self._poisson = ZeroMeanDirect(self._poisson_matrix())
+            self._poisson = ZeroMeanDirect(poisson_matrix(self.grid, self._poisson_tensor))
         return self._poisson.solve(rhs, tol=self.poisson_tol)
 
     # -- face kernels ----------------------------------------------------------
 
-    def _divergence(self, face_flux):
-        """Rate of change from per-face fluxes (positive flux flows lo -> hi)."""
-        grid = self.grid
-        n = grid.n_fluid
-        scale = grid.facet_area / grid.cell_volume
-        gain = np.bincount(grid.face_hi, weights=face_flux, minlength=n)
-        loss = np.bincount(grid.face_lo, weights=face_flux, minlength=n)
-        return (gain - loss) * scale
-
     def _rate(self, face_flux, source_row):
-        """Divergence of the face fluxes plus the species' source row, if any."""
-        rate = self._divergence(face_flux)
+        """Divergence of the face fluxes (positive flows lo -> hi) plus the source row, if any."""
+        grid = self.grid
+        gain = np.bincount(grid.face_hi, weights=face_flux, minlength=grid.n_fluid)
+        loss = np.bincount(grid.face_lo, weights=face_flux, minlength=grid.n_fluid)
+        rate = (gain - loss) * (grid.facet_area / grid.cell_volume)
         return rate if source_row is None else rate + source_row
 
     def _normal_gradient_faces(self, values):
         """(A grad u) . n per face: two-point normal part plus tangential terms."""
         grid = self.grid
-        g = self._axis_diag() * (values[grid.face_hi] - values[grid.face_lo]) / grid.h
-        cross = self._cross_flux(values)
-        if cross is not None:
-            g = g + cross
+        g = self._face_diag * (values[grid.face_hi] - values[grid.face_lo]) / grid.h
+        if self._cross_terms:
+            g = g + self._cross_flux(values)
         return g
+
+    def _cross_flux(self, values):
+        """Tangential (off-diagonal tensor) part of (A grad u) . n per face."""
+        total = np.zeros(self.grid.face_lo.size)
+        for coef, mat in self._cross_terms:
+            total += coef * (mat @ values)
+        return total
 
     def _drift_fluxes(self, conc, grad_phi_faces):
         """Upwinded drift flux per species, or None when drift is inactive."""
@@ -181,10 +270,6 @@ class TransportSim:
 
     # -- time-step control -----------------------------------------------------
 
-    def _max_h_prime(self, conc) -> float:
-        top = float(np.max(conc)) if conc.size else 0.0
-        return h_p_prime(max(top, 0.0), self.eta, self.p)
-
     def dt_limit(self, state: SimState) -> float:
         """Largest admissible dt at this state (drift CFL, explicit-mode bounds)."""
         grid = self.grid
@@ -195,10 +280,9 @@ class TransportSim:
             vmax = float(np.max(factors)) * (float(np.max(grad)) if grad.size else 0.0)
             if vmax > 0:
                 limit = CFL_SAFETY * grid.h / vmax
-        h_max = self._max_h_prime(state.conc)
+        h_max = h_p_prime(max(float(np.max(state.conc)), 0.0), self.eta, self.p)
         d_max = float(np.max(self._diffusivities))
-        diag = np.asarray(self._axis_diag(), dtype=float)
-        a_max = float(np.max(diag))
+        a_max = float(np.max(self._face_diag))
         if self.explicit_time:
             diff_limit = CFL_SAFETY * grid.h ** 2 / (2.0 * grid.dim * d_max * a_max * h_max)
             limit = min(limit, diff_limit)
@@ -211,8 +295,7 @@ class TransportSim:
 
     def _implicit_solve(self, c, diffusivity, face_h, dt, rhs_extra):
         grid = self.grid
-        kappa = diffusivity * np.asarray(self._axis_diag(), dtype=float) * face_h / grid.h ** 2
-        kappa = np.broadcast_to(kappa, grid.face_lo.shape)
+        kappa = diffusivity * self._face_diag * face_h / grid.h ** 2
         matrix = face_laplacian(grid.n_fluid, grid.face_lo, grid.face_hi, kappa)
         matrix = matrix + sparse.identity(grid.n_fluid, format="csr") / dt
         rhs = c / dt + rhs_extra
@@ -243,34 +326,27 @@ class TransportSim:
         for i in range(n_species):
             d_i = self._diffusivities[i]
             src_i = None if src is None else src[i]
-            hp = h_p_eval(c_safe[i], self.eta, self.p)
             flux = np.zeros(grid.face_lo.size)
             if drift is not None:
                 flux += drift[i]
             if self.explicit_time:
-                flux += -d_i * self._normal_gradient_faces(hp)
+                flux += -d_i * self._normal_gradient_faces(h_p_eval(c_safe[i], self.eta, self.p))
             else:
                 # explicit tangential part, then the implicit normal diffusive flux
-                hp_cross = self._cross_flux(hp)
-                if hp_cross is not None:
-                    flux += -d_i * hp_cross
+                if self._cross_terms:
+                    flux += -d_i * self._cross_flux(h_p_eval(c_safe[i], self.eta, self.p))
                 face_h = h_p_prime(0.5 * (c_safe[i][grid.face_lo] + c_safe[i][grid.face_hi]),
                                    self.eta, self.p)
                 c_star = self._implicit_solve(conc[i], d_i, face_h, dt,
                                               self._rate(flux, src_i))
-                diag = np.broadcast_to(np.asarray(self._axis_diag(), dtype=float),
-                                       grid.face_lo.shape)
-                flux += -d_i * diag * face_h * (c_star[grid.face_hi] - c_star[grid.face_lo]) / grid.h
+                flux += (-d_i * self._face_diag * face_h
+                         * (c_star[grid.face_hi] - c_star[grid.face_lo]) / grid.h)
             new_conc[i] = conc[i] + dt * self._rate(flux, src_i)
 
         if float(np.min(new_conc)) < -NEG_TOLERANCE:
             raise _StepRejected
 
-        if self.lazy_poisson:
-            phi = state.phi
-        else:
-            phi = self.solve_poisson(new_conc)
-        return SimState(t=t_new, conc=new_conc, phi=phi)
+        return SimState(t=t_new, conc=new_conc, phi=self.solve_poisson(new_conc))
 
     # -- initialization and the run loop -------------------------------------------
 
@@ -285,11 +361,14 @@ class TransportSim:
         phi = self.solve_poisson(conc)
         return SimState(t=0.0, conc=conc, phi=phi)
 
-    def _record_row(self, record, state, dt):
+    def _energy(self, state) -> float:
+        return energy_value(self.grid, state.conc, state.phi, self.eta, self.p,
+                            self.energy_prefactor)
+
+    def _record_row(self, record, state, dt, energy):
+        """One diagnostics row of ``state``; ``energy`` is its energy, computed once."""
         grid = self.grid
         masses = [float(np.sum(c)) * grid.cell_volume for c in state.conc]
-        energy = energy_value(grid, state.conc, state.phi, self.eta, self.p,
-                              self.energy_prefactor)
         mins = [float(np.min(c)) for c in state.conc]
         maxs = [float(np.max(c)) for c in state.conc]
         grad_phi = self.grad_scale * face_gradient_l2(grid, state.phi)
@@ -328,15 +407,15 @@ class TransportSim:
                 event_list.append(event)
 
         state = self.initial_state()
+        energy = energy_0 = self._energy(state)
         record = DiagnosticsRecord(species_names=tuple(s.name for s in self.species))
-        self._record_row(record, state, 0.0)
+        self._record_row(record, state, 0.0, energy)
         snapshots = {}
         if any(abs(t_snap) <= merge_tol for t_snap in snap_set):
             snapshots[0.0] = state.copy()
 
         initial_masses = np.array([np.sum(c) for c in state.conc]) * self.grid.cell_volume
         mass_scale = np.maximum(np.abs(initial_masses), 1e-300)
-        energy_0 = record.energies[0]
 
         def entropy_pnorm(conc):
             # eta/(p-1) max_i ||c_i||_p^p, the p-norm term bounded by the initial energy
@@ -360,7 +439,6 @@ class TransportSim:
             "source_active": source is not None,
         }
 
-        energy_prev = energy_0
         prev_masses = initial_masses.copy()
         last_dt = 0.0
         time_tol = 1e-12 * max(1.0, final_time)
@@ -401,18 +479,11 @@ class TransportSim:
                 prev_masses = masses
                 summary["max_compat_residual"] = max(
                     summary["max_compat_residual"], abs(self.compat_residual(state.conc)))
-                if not self.lazy_poisson:
-                    energy = energy_value(self.grid, state.conc, state.phi,
-                                          self.eta, self.p, self.energy_prefactor)
-                    if energy_0 > 0:
-                        summary["max_energy_increase_rel"] = max(
-                            summary["max_energy_increase_rel"],
-                            (energy - energy_prev) / energy_0)
-                    energy_prev = energy
-            # refresh the potential if the stepper runs with a lazy Poisson solve
-            if self.lazy_poisson:
-                state = SimState(state.t, state.conc, self.solve_poisson(state.conc))
-            self._record_row(record, state, last_dt)
+                energy_prev, energy = energy, self._energy(state)
+                if energy_0 > 0:
+                    summary["max_energy_increase_rel"] = max(
+                        summary["max_energy_increase_rel"], (energy - energy_prev) / energy_0)
+            self._record_row(record, state, last_dt, energy)
             if any(abs(t_event - ts) <= merge_tol for ts in snap_set):
                 snapshots[t_event] = state.copy()
 

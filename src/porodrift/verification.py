@@ -26,15 +26,18 @@ from .cell_problem import compute_effective_tensor
 from .errors import ConfigError
 from .geometry import (
     CellGeometry,
+    FacetCharges,
     InclusionShape,
     build_cell_geometry,
     build_masked_grid,
     surface_charge_on_facets,
 )
+from .linalg import ZeroMeanDirect
 from .macro import (
     MacroSourceSpec,
     balance_macro_source,
     build_macro_source,
+    limit_mode,
     reconstruct_corrector_potential,
     run_macro,
     sample_macro_field,
@@ -46,6 +49,7 @@ from .micro import (
     run_micro,
     validate_compatibility,
 )
+from .transport import poisson_matrix
 
 
 def _rms(values: np.ndarray) -> float:
@@ -80,8 +84,9 @@ class ConvergenceReport:
         errors = self.conc_errors[name]
         return all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))
 
-    def to_dict(self, include_runtimes: bool = False) -> dict:
-        out = {
+    def to_dict(self) -> dict:
+        """The report.json payload; runtimes stay out so the bytes replay."""
+        return {
             "m_values": list(self.m_values),
             "epsilons": list(self.epsilons),
             "species": list(self.species_names),
@@ -97,9 +102,6 @@ class ConvergenceReport:
             "mode": self.mode,
             "monotone": {name: self.monotone_decreasing(name) for name in self.species_names},
         }
-        if include_runtimes:
-            out["runtimes"] = dict(self.runtimes)
-        return out
 
 
 def run_convergence_study(cell: CellGeometry, species, xi1, xi2, alpha, beta, eta, p,
@@ -114,7 +116,7 @@ def run_convergence_study(cell: CellGeometry, species, xi1, xi2, alpha, beta, et
     m_values = [int(m) for m in m_values]
     if any(m2 <= m1 for m1, m2 in zip(m_values, m_values[1:])):
         raise ConfigError("m_values must be strictly increasing (eps strictly decreasing)")
-    mode = "coupled" if alpha == beta else "decoupled"
+    mode = limit_mode(alpha, beta)
     r = cell.resolution
     if macro_resolution is None:
         macro_resolution = r * max(m_values)
@@ -169,9 +171,8 @@ def run_convergence_study(cell: CellGeometry, species, xi1, xi2, alpha, beta, et
             macro_grid, macro_result.state.phi, tensor.correctors, grid)
         phi_corr.append(_mean_aligned_rms(phi_micro, reconstruction))
         max_conc.append(result.summary["max_c"])
-        energies = result.record.energy_series()
-        e0_list.append(float(energies[0]))
-        emax_list.append(float(np.max(energies)))
+        e0_list.append(result.record.energies[0])
+        emax_list.append(float(np.max(result.record.energies)))
 
     return ConvergenceReport(
         m_values=m_values,
@@ -208,22 +209,13 @@ def _hole_free_grid(resolution):
 
 def mms_poisson_micro(resolutions, poisson_tol=1e-11) -> dict:
     """phi = cos(pi x1) cos(pi x2) with matching bulk source and zero Neumann data."""
-    from .linalg import ZeroMeanDirect
-    from .micro import MicroSimulation
-
     errors = []
     for res in resolutions:
         grid = _hole_free_grid(res)
-        scaling = ScalingSpec(epsilon=1.0, alpha=0.0, beta=0.0, eta=1.0, p=4.0,
-                              final_time=0.0)
-        charges = surface_charge_on_facets(
-            grid, lambda x, y: np.zeros(x.shape[0]), lambda x: np.zeros(x.shape[0]))
-        spec = SpeciesSpec("mms", 1.0, 0, lambda pts: np.ones(pts.shape[0]))
-        sim = MicroSimulation(grid, scaling, [spec], charges, poisson_tol=poisson_tol)
         x = grid.centers
         exact = np.cos(np.pi * x[:, 0]) * np.cos(np.pi * x[:, 1])
         rhs = 2.0 * np.pi ** 2 * exact * grid.cell_volume
-        phi = ZeroMeanDirect(sim._poisson_matrix()).solve(rhs, tol=poisson_tol)
+        phi = ZeroMeanDirect(poisson_matrix(grid, np.eye(grid.dim))).solve(rhs, tol=poisson_tol)
         errors.append(_mean_aligned_rms(phi, exact))
     h_values = [1.0 / res for res in resolutions]
     return {"solver": "poisson_micro", "resolutions": list(resolutions),
@@ -232,9 +224,6 @@ def mms_poisson_micro(resolutions, poisson_tol=1e-11) -> dict:
 
 def mms_poisson_macro(resolutions, tensor=None, poisson_tol=1e-10) -> dict:
     """phi = cos(pi x1) cos(2 pi x2) against a full symmetric tensor with exact flux data."""
-    from .linalg import ZeroMeanDirect
-    from .macro import MacroSimulation
-
     if tensor is None:
         tensor = np.array([[1.0, 0.15], [0.15, 0.8]])
     tensor = np.asarray(tensor, dtype=float)
@@ -253,12 +242,9 @@ def mms_poisson_macro(resolutions, tensor=None, poisson_tol=1e-10) -> dict:
         ])
         flux = tensor @ grad
         normal_flux = np.where(grid.outer_axis == 0, flux[0], flux[1]) * grid.outer_sign
-        source = MacroSourceSpec(volumetric=np.zeros(grid.n_fluid), boundary=normal_flux)
-        spec = SpeciesSpec("mms", 1.0, 0, lambda pts: np.ones(pts.shape[0]))
-        sim = MacroSimulation(grid, tensor, [spec], source, eta=1.0, p=4.0,
-                              mode="coupled", poisson_tol=poisson_tol)
-        rhs = rho * grid.cell_volume + sim._boundary_rhs
-        phi = ZeroMeanDirect(sim._poisson_matrix()).solve(rhs, tol=poisson_tol)
+        boundary = FacetCharges(gamma_values=np.empty(0), outer_values=normal_flux)
+        rhs = rho * grid.cell_volume + boundary.cell_sums(grid)
+        phi = ZeroMeanDirect(poisson_matrix(grid, tensor)).solve(rhs, tol=poisson_tol)
         errors.append(_mean_aligned_rms(phi, exact))
     h_values = [1.0 / res for res in resolutions]
     return {"solver": "poisson_macro", "resolutions": list(resolutions),

@@ -79,16 +79,6 @@ def test_not_json_rejected():
         parse_and_validate("{broken")
 
 
-def test_macro_mode_consistency():
-    cfg = minimal_config(macro={"mode": "decoupled"})
-    with pytest.raises(ConfigError, match="alpha < beta"):
-        parse_and_validate(cfg)
-    cfg = minimal_config(macro={"mode": "coupled"})
-    cfg["scaling"] = dict(cfg["scaling"], beta=1.0)
-    with pytest.raises(ConfigError, match="alpha = beta"):
-        parse_and_validate(cfg)
-
-
 def test_auto_balance_shift_recorded():
     cfg = minimal_config(
         species=[{"name": "s", "D": 1.0, "z": 1, "c0": "1"}],
@@ -238,6 +228,23 @@ def test_explicit_time_flag_changes_stepper(tmp_path):
 
 def test_main_requires_existing_config(tmp_path):
     assert main(["micro", "--config", str(tmp_path / "missing.json")]) == 2
+
+
+@pytest.mark.parametrize("section,key,text,message", [
+    ("surface_charge", "auto_balance", '"false"', "must be true or false"),
+    ("scaling", "T", "NaN", "must be finite"),
+    ("scaling", "eta", "Infinity", "must be finite"),
+], ids=["string-bool", "nan", "infinity"])
+def test_main_rejects_malformed_values(tmp_path, capsys, section, key, text, message):
+    cfg = canonical_config(tmp_path / "out", T=0.01)
+    cfg[section][key] = "@"
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg).replace('"@"', text))
+    assert main(["micro", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"{section}.{key} {message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_runs_micro(tmp_path):

@@ -14,8 +14,9 @@ from porodrift import (
     run_macro,
     run_micro,
 )
-from porodrift.linalg import ZeroMeanDirect
+from porodrift.linalg import ZeroMeanDirect, face_laplacian
 from porodrift.macro import cell_centered_gradients, sample_macro_field
+from porodrift.transport import poisson_matrix
 
 from conftest import hole_free_grid, make_scaling, smooth_c0, zero_charges
 
@@ -75,33 +76,32 @@ def test_staircase_perimeter_tends_to_l1_limit():
 
 
 def test_identity_tensor_matches_micro_poisson():
+    # the identity tensor reduces to the micro model's two-point face Laplacian
     grid = hole_free_grid(32)
-    spec = [SpeciesSpec("s", 1.0, 1, smooth_c0)]
-    from porodrift import MicroSimulation
-
-    scaling = make_scaling(grid.eps)
     charge = smooth_c0(grid.centers)
-    charge = charge - charge.mean()
-    rhs = charge * grid.cell_volume
-
-    micro = MicroSimulation(grid, scaling, spec, zero_charges(grid))
-    macro = MacroSimulation(grid, np.eye(2), spec, _zero_source(grid), eta=1.0, p=4.0)
-    phi_micro = ZeroMeanDirect(micro._poisson_matrix()).solve(rhs, tol=1e-12)
-    phi_macro = ZeroMeanDirect(macro._poisson_matrix()).solve(rhs, tol=1e-12)
-    np.testing.assert_allclose(phi_macro, phi_micro, atol=1e-10)
+    rhs = (charge - charge.mean()) * grid.cell_volume
+    two_point = face_laplacian(grid.n_fluid, grid.face_lo, grid.face_hi,
+                               grid.facet_area / grid.h)
+    phi_two_point = ZeroMeanDirect(two_point).solve(rhs, tol=1e-12)
+    phi_tensor = ZeroMeanDirect(poisson_matrix(grid, np.eye(2))).solve(rhs, tol=1e-12)
+    np.testing.assert_allclose(phi_tensor, phi_two_point, atol=1e-10)
 
 
 def test_isotropic_tensor_scales_solution():
     grid = hole_free_grid(32)
-    spec = [SpeciesSpec("s", 1.0, 1, smooth_c0)]
     charge = smooth_c0(grid.centers)
     rhs = (charge - charge.mean()) * grid.cell_volume
     a = 0.37
-    iso = MacroSimulation(grid, a * np.eye(2), spec, _zero_source(grid), eta=1.0, p=4.0)
-    ref = MacroSimulation(grid, np.eye(2), spec, _zero_source(grid), eta=1.0, p=4.0)
-    phi_a = ZeroMeanDirect(iso._poisson_matrix()).solve(rhs, tol=1e-12)
-    phi_1 = ZeroMeanDirect(ref._poisson_matrix()).solve(rhs, tol=1e-12)
+    phi_a = ZeroMeanDirect(poisson_matrix(grid, a * np.eye(2))).solve(rhs, tol=1e-12)
+    phi_1 = ZeroMeanDirect(poisson_matrix(grid, np.eye(2))).solve(rhs, tol=1e-12)
     np.testing.assert_allclose(phi_a, phi_1 / a, atol=1e-9)
+
+
+def test_simulations_are_engine_data():
+    # micro and macro differ only in the data they hand the shared engine
+    from porodrift import MicroSimulation
+    for cls in (MicroSimulation, MacroSimulation):
+        assert [name for name, value in vars(cls).items() if callable(value)] == ["__init__"]
 
 
 def test_tensor_must_be_symmetric():
@@ -167,18 +167,6 @@ def test_constant_state_is_steady():
                        _zero_source(grid), 1.0, 4.0, 0.02, 1e-3, mode="coupled")
     np.testing.assert_allclose(result.state.conc, 2.0, atol=1e-12)
     assert result.summary["max_mass_drift_rel"] <= 1e-12
-
-
-def test_poisson_every_step_matches_lazy_output():
-    grid = hole_free_grid(16)
-    species = [SpeciesSpec("p", 1.0, 1, smooth_c0), SpeciesSpec("m", 0.5, -1, smooth_c0)]
-    lazy = run_macro(grid, np.eye(2), species, _zero_source(grid), 1.0, 4.0, 0.02,
-                     1e-3, mode="decoupled", output_interval=0.01)
-    eager = run_macro(grid, np.eye(2), species, _zero_source(grid), 1.0, 4.0, 0.02,
-                      1e-3, mode="decoupled", output_interval=0.01,
-                      poisson_every_step=True)
-    np.testing.assert_array_equal(lazy.state.conc, eager.state.conc)
-    np.testing.assert_allclose(lazy.state.phi, eager.state.phi, atol=1e-14)
 
 
 def test_full_tensor_mass_conservation():

@@ -307,6 +307,20 @@ def test_run_loop_aborts_below_dt_floor():
         sim.run(0.01, 1e-3)
 
 
+def test_energy_evaluated_once_per_accepted_state(monkeypatch):
+    import porodrift.transport as transport
+
+    calls = []
+    real = transport.energy_value
+    monkeypatch.setattr(transport, "energy_value",
+                        lambda *args: calls.append(args) or real(*args))
+    grid = hole_free_grid(8)
+    species = [SpeciesSpec("p", 1.0, 1, smooth_c0), SpeciesSpec("m", 0.5, -1, smooth_c0)]
+    result = _simple_sim(grid, species, T=0.01).run(0.01, 1e-3, output_interval=2e-3)
+    assert result.summary["steps"] == 10 and len(result.record) == 6
+    assert len(calls) == result.summary["steps"] + 1
+
+
 def test_three_dimensional_micro_run():
     from porodrift import InclusionShape, build_cell_geometry
 
