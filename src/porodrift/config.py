@@ -42,6 +42,9 @@ from .geometry import (
 from .micro import ScalingSpec, SpeciesSpec, balance_outer_charges, validate_compatibility
 
 
+_KIND_NAMES = {str: "a string", dict: "an object", list: "a list"}
+
+
 def _require(section, key, kind, where):
     if key not in section:
         raise ConfigError(f"missing required key {key!r} in {where} section")
@@ -55,7 +58,7 @@ def _optional(section, key, default, kind=None, where="config"):
 
 
 def _typed(value, kind, label):
-    """``value`` checked against ``kind`` (float, int, str, bool; None for any JSON value).
+    """``value`` checked against ``kind`` (float, int, str, bool, dict, list; None for any).
 
     Numbers must be finite, also inside lists: JSON parsing admits NaN and
     Infinity, and no input of a run means either.
@@ -67,16 +70,20 @@ def _typed(value, kind, label):
     elif kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{label} must be an integer, got {value!r}")
-    elif kind is str:
-        if not isinstance(value, str):
-            raise ConfigError(f"{label} must be a string, got {value!r}")
     elif kind is bool:
         if not isinstance(value, bool):
             raise ConfigError(f"{label} must be true or false, got {value!r}")
+    elif kind is not None and not isinstance(value, kind):
+        raise ConfigError(f"{label} must be {_KIND_NAMES[kind]}, got {value!r}")
     for item in value if isinstance(value, list) else (value,):
         if isinstance(item, float) and not math.isfinite(item):
             raise ConfigError(f"{label} must be finite, got {item!r}")
     return value
+
+
+def _int_list(section, key, default, where):
+    label = f"{where}.{key}"
+    return [_typed(v, int, label) for v in _optional(section, key, default, list, where)]
 
 
 def _inclusion_from_config(geo: dict, dim: int) -> InclusionShape:
@@ -248,12 +255,12 @@ def parse_and_validate(source) -> RunConfig:
         if section not in raw:
             raise ConfigError(f"missing required config section {section!r}")
 
-    geo = raw["geometry"]
+    geo = _typed(raw["geometry"], dict, "config.geometry")
     m = _require(geo, "m", int, "geometry")
     r = _require(geo, "r", int, "geometry")
     if m < 1:
         raise ConfigError(f"geometry.m must be >= 1 (eps = 1/m), got {m}")
-    dim = int(_optional(geo, "dim", 0))
+    dim = _optional(geo, "dim", 0, int, "geometry")
     if dim == 0:
         inc_raw = geo.get("inclusion", {})
         center = inc_raw.get("center") if isinstance(inc_raw, dict) else None
@@ -262,7 +269,7 @@ def parse_and_validate(source) -> RunConfig:
         raise ConfigError(f"dimension must be 2 or 3, got {dim}")
     inclusion = _inclusion_from_config(geo, dim)
 
-    sca = raw["scaling"]
+    sca = _typed(raw["scaling"], dict, "config.scaling")
     alpha = _require(sca, "alpha", float, "scaling")
     beta = _require(sca, "beta", float, "scaling")
     eta = _require(sca, "eta", float, "scaling")
@@ -283,6 +290,7 @@ def parse_and_validate(source) -> RunConfig:
     seen = set()
     for idx, entry in enumerate(species_raw):
         where = f"species[{idx}]"
+        entry = _typed(entry, dict, where)
         name = str(_optional(entry, "name", f"s{idx + 1}"))
         if name in seen:
             raise ConfigError(f"duplicate species name {name!r}")
@@ -299,19 +307,19 @@ def parse_and_validate(source) -> RunConfig:
             raise ConfigError(f"{where}.c0: {exc}") from exc
         species.append(SpeciesConfig(name, diffusivity, charge, c0_text, c0_expr))
 
-    charge_sec = _optional(raw, "surface_charge", {})
+    charge_sec = _optional(raw, "surface_charge", {}, dict)
     xi1_text = str(_optional(charge_sec, "xi1", "0"))
     xi2_text = str(_optional(charge_sec, "xi2", "0"))
     auto_balance = _optional(charge_sec, "auto_balance", False, bool, "surface_charge")
 
-    solver = _optional(raw, "solver", {})
+    solver = _optional(raw, "solver", {}, dict)
     poisson_tol = _optional(solver, "poisson_tol", 1e-10, float, "solver")
     cell_tol = _optional(solver, "cell_tol", 1e-12, float, "solver")
     if poisson_tol <= 0 or cell_tol <= 0:
         raise ConfigError("solver tolerances must be positive")
     explicit_time = _optional(solver, "explicit_time", False, bool, "solver")
 
-    output = _optional(raw, "output", {})
+    output = _optional(raw, "output", {}, dict)
     output_dir = str(_optional(output, "directory", "out"))
     output_interval = _optional(output, "interval", final_time / 10 if final_time > 0 else 0.0,
                                 float, "output")
@@ -321,29 +329,30 @@ def parse_and_validate(source) -> RunConfig:
         if t_snap < 0 or t_snap > final_time + 1e-12:
             raise ConfigError(f"snapshot time {t_snap} outside [0, T = {final_time}]")
 
-    macro_sec = _optional(raw, "macro", {})
-    macro_resolution = int(_optional(macro_sec, "resolution", m * r))
+    macro_sec = _optional(raw, "macro", {}, dict)
+    macro_resolution = _optional(macro_sec, "resolution", m * r, int, "macro")
 
-    cell_sec = _optional(raw, "cell", {})
-    cell_resolution = int(_optional(cell_sec, "resolution", r))
+    cell_sec = _optional(raw, "cell", {}, dict)
+    cell_resolution = _optional(cell_sec, "resolution", r, int, "cell")
     dump_correctors = _optional(cell_sec, "dump_correctors", False, bool, "cell")
 
-    conv = _optional(raw, "convergence", {})
-    conv_m_values = [int(v) for v in _optional(conv, "m_values", [4, 8, 16])]
+    conv = _optional(raw, "convergence", {}, dict)
+    conv_m_values = _int_list(conv, "m_values", [4, 8, 16], "convergence")
     conv_final_time = _optional(conv, "T", 0.05, float, "convergence")
     conv_dt_init = _optional(conv, "dt_init", 5e-4, float, "convergence")
-    conv_macro_resolution = int(_optional(conv, "macro_resolution",
-                                          r * max(conv_m_values) if conv_m_values else m * r))
+    conv_macro_resolution = _optional(conv, "macro_resolution",
+                                      r * max(conv_m_values) if conv_m_values else m * r,
+                                      int, "convergence")
 
-    eta_sec = _optional(raw, "eta_sweep", {})
+    eta_sec = _optional(raw, "eta_sweep", {}, dict)
     eta_values = [float(v) for v in _optional(eta_sec, "values", [0.5, 0.25, 0.125])]
     eta_final_time = _optional(eta_sec, "T", 0.05, float, "eta_sweep")
     eta_dt_init = _optional(eta_sec, "dt_init", dt_init, float, "eta_sweep")
 
-    mms_sec = _optional(raw, "mms", {})
+    mms_sec = _optional(raw, "mms", {}, dict)
     mms_solvers = list(_optional(mms_sec, "solvers",
                                  ["poisson_micro", "poisson_macro", "diffusion"]))
-    mms_resolutions = [int(v) for v in _optional(mms_sec, "resolutions", [32, 64, 128])]
+    mms_resolutions = _int_list(mms_sec, "resolutions", [32, 64, 128], "mms")
 
     config = RunConfig(
         raw=raw, dim=dim, inclusion=inclusion, m=m, r=r,

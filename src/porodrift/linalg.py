@@ -3,11 +3,12 @@
 All pure-Neumann and periodic operators here are singular with a constant
 nullspace and compatible right-hand sides.  Two strategies are used:
 
-* ``projected_cg`` pins the constant mode by mean-projecting the right-hand
-  side and the iterate each step -- no asymmetric pinning, the operator
-  stays symmetric.  Used for the periodic cell problems.
-* ``ZeroMeanDirect`` factorizes the Lagrange-augmented system
-  [[A, 1], [1^T, 0]] once and reuses it; the Poisson problem is re-solved
+* ``projected_cg`` removes the constant mode by mean-projecting the
+  right-hand side and the iterate each step.  Used for the periodic cell
+  problems.
+* ``ZeroMeanDirect`` pins one node to 0, factorizes the nonsingular block
+  ``A[1:, 1:]`` once (as sparse as ``A``, so the fill-reducing ordering
+  works) and mean-projects each solution.  The Poisson problem is re-solved
   every transport step with a constant matrix, so the factorization pays off.
 """
 
@@ -82,21 +83,25 @@ def projected_cg(matrix, rhs, tol=1e-10, max_iter=None):
 
 
 class ZeroMeanDirect:
-    """Cached LU of the augmented system for a singular operator with constant nullspace.
+    """Cached LU of a singular operator with constant nullspace, pinned at node 0.
 
-    The right-hand side is mean-projected before the solve (it must be
-    compatible up to rounding); the returned solution has exact zero mean.
+    For a connected operator the block ``A[1:, 1:]`` is nonsingular.  A solve
+    fixes the pinned value to 0 and mean-projects the result, so it returns
+    the zero-mean solution.  The right-hand side is mean-projected first (it
+    must be compatible up to rounding).
     """
 
     def __init__(self, matrix):
-        n = matrix.shape[0]
-        ones = np.ones((n, 1))
-        augmented = sparse.bmat(
-            [[matrix.tocsr(), ones], [ones.T, None]], format="csc"
-        )
-        self.n = n
+        self.n = matrix.shape[0]
         self.matrix = matrix.tocsr()
-        self._lu = splu(augmented)
+        try:
+            self._lu = splu(self.matrix[1:, 1:].tocsc())
+        except RuntimeError as exc:
+            raise SolverError(f"Poisson factorization failed (n = {self.n}): {exc}") from exc
+
+    def _pinned_solve(self, rhs):
+        phi = np.concatenate([[0.0], self._lu.solve(rhs[1:])])
+        return phi - phi.mean()
 
     def solve(self, rhs, tol=1e-10):
         """Zero-mean solution; iterative refinement until the residual meets ``tol``."""
@@ -104,21 +109,16 @@ class ZeroMeanDirect:
         b_norm = float(np.linalg.norm(b))
         if b_norm == 0.0:
             return np.zeros(self.n)
-        phi = self._lu.solve(np.concatenate([b, [0.0]]))[: self.n]
-        phi -= phi.mean()
-        rel = np.inf
+        phi = self._pinned_solve(b)
         for _ in range(MAX_REFINEMENTS + 1):
             residual = b - self.matrix @ phi
             residual -= residual.mean()
             rel = float(np.linalg.norm(residual)) / b_norm
             if np.isfinite(rel) and rel <= tol:
                 return phi
-            correction = self._lu.solve(np.concatenate([residual, [0.0]]))[: self.n]
-            phi = phi + correction
+            phi = phi + self._pinned_solve(residual)
             phi -= phi.mean()
-        if not np.isfinite(rel) or rel > tol:
-            raise SolverError(
-                f"direct Neumann solve residual {rel:.3e} exceeds tolerance {tol:.3e}",
-                residual=rel,
-            )
-        return phi
+        raise SolverError(
+            f"direct Neumann solve residual {rel:.3e} exceeds tolerance {tol:.3e}",
+            residual=rel,
+        )

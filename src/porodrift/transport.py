@@ -300,7 +300,10 @@ class TransportSim:
         matrix = matrix + sparse.identity(grid.n_fluid, format="csr") / dt
         rhs = c / dt + rhs_extra
         try:
-            return splu(matrix.tocsc()).solve(rhs)
+            # a symmetric, strictly diagonally dominant M-matrix: a symmetric
+            # ordering of A + A^T keeps the diagonal pivots, no pivoting needed
+            return splu(matrix.tocsc(), permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                        options={"SymmetricMode": True}).solve(rhs)
         except RuntimeError as exc:
             raise SolverError(f"implicit transport solve failed: {exc}") from exc
 

@@ -61,7 +61,8 @@ def test_alpha_above_beta_rejected():
     ({"species": []}, "non-empty"),
     ({"geometry": {"inclusion": {"kind": "blob"}, "m": 2, "r": 8}}, "kind"),
     ({"geometry": {"inclusion": {"kind": "none"}, "m": 0, "r": 8}}, "m must be >= 1"),
-], ids=["eta", "p", "D", "expr", "c0-sign", "species", "kind", "m"])
+    ({"species": ["s"]}, r"species\[0\] must be an object"),
+], ids=["eta", "p", "D", "expr", "c0-sign", "species", "kind", "m", "species-entry"])
 def test_invalid_configs_rejected(patch, match):
     cfg = minimal_config(**patch)
     with pytest.raises(ConfigError, match=match):
@@ -234,15 +235,42 @@ def test_main_requires_existing_config(tmp_path):
     ("surface_charge", "auto_balance", '"false"', "must be true or false"),
     ("scaling", "T", "NaN", "must be finite"),
     ("scaling", "eta", "Infinity", "must be finite"),
-], ids=["string-bool", "nan", "infinity"])
+    ("macro", "resolution", '"abc"', "must be an integer"),
+    ("cell", "resolution", "3.7", "must be an integer"),
+    ("convergence", "m_values", '[4, "abc"]', "must be an integer"),
+    ("convergence", "macro_resolution", "3.7", "must be an integer"),
+    ("mms", "resolutions", "[32, 64.5]", "must be an integer"),
+    ("geometry", "dim", '"abc"', "must be an integer"),
+], ids=["string-bool", "nan", "infinity", "macro-resolution", "cell-resolution",
+        "m-values", "convergence-macro-resolution", "mms-resolutions", "dim"])
 def test_main_rejects_malformed_values(tmp_path, capsys, section, key, text, message):
     cfg = canonical_config(tmp_path / "out", T=0.01)
-    cfg[section][key] = "@"
+    cfg.setdefault(section, {})[key] = "@"
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(cfg).replace('"@"', text))
     assert main(["micro", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert f"{section}.{key} {message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section,text", [
+    ("solver", '"fast"'), ("output", '"x"'), ("convergence", "[4, 8]"),
+    ("geometry", '"g"'), ("scaling", "[1]"),
+])
+def test_main_rejects_non_object_section(tmp_path, monkeypatch, capsys, section, text):
+    # `key in "fast"` is a substring test, so a string section read as an
+    # object would be silently ignored; a run that fell back to the default
+    # output directory would write ./out, which the chdir keeps in tmp_path
+    monkeypatch.chdir(tmp_path)
+    cfg = canonical_config(tmp_path / "out", T=0.01)
+    cfg[section] = "@"
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg).replace('"@"', text))
+    assert main(["micro", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"config.{section} must be an object" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 
