@@ -81,9 +81,29 @@ def _typed(value, kind, label):
     return value
 
 
-def _int_list(section, key, default, where):
+def _list(section, key, default, kind, where):
+    """Optional list whose every element is checked against ``kind``."""
     label = f"{where}.{key}"
-    return [_typed(v, int, label) for v in _optional(section, key, default, list, where)]
+    return [_typed(v, kind, label) for v in _optional(section, key, default, list, where)]
+
+
+def _compiled(text, variables, label):
+    try:
+        return compile_expression(text, variables)
+    except ExpressionError as exc:
+        raise ConfigError(f"{label}: {exc}") from exc
+
+
+def _coordinates(inc, key, default, dim):
+    """Per-axis inclusion vector, one number per dimension; required if ``default`` is None."""
+    where = "geometry.inclusion"
+    if default is None:
+        _require(inc, key, list, where)
+    values = tuple(_list(inc, key, default, float, where))
+    if len(values) != dim:
+        raise ConfigError(f"{where}.{key} has {len(values)} coordinates, "
+                          f"geometry has dim {dim}")
+    return values
 
 
 def _inclusion_from_config(geo: dict, dim: int) -> InclusionShape:
@@ -94,7 +114,7 @@ def _inclusion_from_config(geo: dict, dim: int) -> InclusionShape:
     try:
         if kind == "none":
             return InclusionShape("none", center=tuple([0.5] * dim))
-        center = tuple(float(v) for v in _optional(inc, "center", [0.5] * dim))
+        center = _coordinates(inc, "center", [0.5] * dim, dim)
         if kind == "disk":
             return InclusionShape("disk", center=center,
                                   radius=_require(inc, "radius", float, "geometry.inclusion"))
@@ -103,8 +123,7 @@ def _inclusion_from_config(geo: dict, dim: int) -> InclusionShape:
                                   half_width=_require(inc, "half_width", float,
                                                       "geometry.inclusion"))
         if kind == "super_ellipse":
-            axes = tuple(float(v) for v in _require(inc, "semi_axes", list,
-                                                    "geometry.inclusion"))
+            axes = _coordinates(inc, "semi_axes", None, dim)
             return InclusionShape("super_ellipse", center=center, semi_axes=axes,
                                   exponent=_optional(inc, "exponent", 4.0, float,
                                                      "geometry.inclusion"))
@@ -148,8 +167,8 @@ class RunConfig:
     dt_init: float
     cfl_fraction: float
     species: list
-    xi1_text: str
-    xi2_text: str
+    xi1_expr: object
+    xi2_expr: object
     auto_balance: bool
     poisson_tol: float
     cell_tol: float
@@ -184,9 +203,7 @@ class RunConfig:
         ]
 
     def xi1_callable(self):
-        expr = compile_expression(self.xi1_text,
-                                  [f"x{i + 1}" for i in range(self.dim)]
-                                  + [f"y{i + 1}" for i in range(self.dim)])
+        expr = self.xi1_expr
 
         def evaluate(x, y):
             env = {f"x{i + 1}": x[:, i] for i in range(self.dim)}
@@ -196,7 +213,7 @@ class RunConfig:
         return evaluate
 
     def xi2_callable(self):
-        expr = compile_expression(self.xi2_text, [f"x{i + 1}" for i in range(self.dim)])
+        expr = self.xi2_expr
 
         def evaluate(x):
             return expr({f"x{i + 1}": x[:, i] for i in range(self.dim)})
@@ -286,6 +303,7 @@ def parse_and_validate(source) -> RunConfig:
     species_raw = raw["species"]
     if not isinstance(species_raw, list) or not species_raw:
         raise ConfigError("species must be a non-empty list")
+    x_names = [f"x{i + 1}" for i in range(dim)]
     species = []
     seen = set()
     for idx, entry in enumerate(species_raw):
@@ -301,15 +319,13 @@ def parse_and_validate(source) -> RunConfig:
                               f"got {diffusivity}")
         charge = _require(entry, "z", int, where)
         c0_text = _require(entry, "c0", str, where)
-        try:
-            c0_expr = compile_expression(c0_text, [f"x{i + 1}" for i in range(dim)])
-        except ExpressionError as exc:
-            raise ConfigError(f"{where}.c0: {exc}") from exc
+        c0_expr = _compiled(c0_text, x_names, f"{where}.c0")
         species.append(SpeciesConfig(name, diffusivity, charge, c0_text, c0_expr))
 
     charge_sec = _optional(raw, "surface_charge", {}, dict)
-    xi1_text = str(_optional(charge_sec, "xi1", "0"))
-    xi2_text = str(_optional(charge_sec, "xi2", "0"))
+    xi1_expr = _compiled(str(_optional(charge_sec, "xi1", "0")),
+                         x_names + [f"y{i + 1}" for i in range(dim)], "surface_charge.xi1")
+    xi2_expr = _compiled(str(_optional(charge_sec, "xi2", "0")), x_names, "surface_charge.xi2")
     auto_balance = _optional(charge_sec, "auto_balance", False, bool, "surface_charge")
 
     solver = _optional(raw, "solver", {}, dict)
@@ -323,8 +339,8 @@ def parse_and_validate(source) -> RunConfig:
     output_dir = str(_optional(output, "directory", "out"))
     output_interval = _optional(output, "interval", final_time / 10 if final_time > 0 else 0.0,
                                 float, "output")
-    snapshot_times = [float(t) for t in _optional(output, "snapshot_times",
-                                                  [final_time] if final_time > 0 else [])]
+    snapshot_times = _list(output, "snapshot_times", [final_time] if final_time > 0 else [],
+                           float, "output")
     for t_snap in snapshot_times:
         if t_snap < 0 or t_snap > final_time + 1e-12:
             raise ConfigError(f"snapshot time {t_snap} outside [0, T = {final_time}]")
@@ -337,7 +353,7 @@ def parse_and_validate(source) -> RunConfig:
     dump_correctors = _optional(cell_sec, "dump_correctors", False, bool, "cell")
 
     conv = _optional(raw, "convergence", {}, dict)
-    conv_m_values = _int_list(conv, "m_values", [4, 8, 16], "convergence")
+    conv_m_values = _list(conv, "m_values", [4, 8, 16], int, "convergence")
     conv_final_time = _optional(conv, "T", 0.05, float, "convergence")
     conv_dt_init = _optional(conv, "dt_init", 5e-4, float, "convergence")
     conv_macro_resolution = _optional(conv, "macro_resolution",
@@ -345,20 +361,20 @@ def parse_and_validate(source) -> RunConfig:
                                       int, "convergence")
 
     eta_sec = _optional(raw, "eta_sweep", {}, dict)
-    eta_values = [float(v) for v in _optional(eta_sec, "values", [0.5, 0.25, 0.125])]
+    eta_values = _list(eta_sec, "values", [0.5, 0.25, 0.125], float, "eta_sweep")
     eta_final_time = _optional(eta_sec, "T", 0.05, float, "eta_sweep")
     eta_dt_init = _optional(eta_sec, "dt_init", dt_init, float, "eta_sweep")
 
     mms_sec = _optional(raw, "mms", {}, dict)
     mms_solvers = list(_optional(mms_sec, "solvers",
                                  ["poisson_micro", "poisson_macro", "diffusion"]))
-    mms_resolutions = _int_list(mms_sec, "resolutions", [32, 64, 128], "mms")
+    mms_resolutions = _list(mms_sec, "resolutions", [32, 64, 128], int, "mms")
 
     config = RunConfig(
         raw=raw, dim=dim, inclusion=inclusion, m=m, r=r,
         alpha=alpha, beta=beta, eta=eta, p=p, final_time=final_time,
         dt_init=dt_init, cfl_fraction=cfl_fraction, species=species,
-        xi1_text=xi1_text, xi2_text=xi2_text, auto_balance=auto_balance,
+        xi1_expr=xi1_expr, xi2_expr=xi2_expr, auto_balance=auto_balance,
         poisson_tol=poisson_tol, cell_tol=cell_tol,
         explicit_time=explicit_time,
         output_dir=output_dir, output_interval=output_interval,
@@ -375,10 +391,6 @@ def parse_and_validate(source) -> RunConfig:
     # constraint checks that need the scaling object (alpha <= beta, p >= 4, eta > 0)
     config.scaling()
 
-    # expressions for the surface charge must compile even if identically zero
-    xi1 = config.xi1_callable()
-    xi2 = config.xi2_callable()
-
     # geometry build, initial-data sign check, compatibility residual
     grid = config.grid
     specs = config.species_specs()
@@ -389,7 +401,7 @@ def parse_and_validate(source) -> RunConfig:
                 f"species {spec.name!r}: initial concentration must be nonnegative "
                 f"(min {float(np.min(values)):.6g} at a cell center)"
             )
-    charges = surface_charge_on_facets(grid, xi1, xi2)
+    charges = surface_charge_on_facets(grid, config.xi1_callable(), config.xi2_callable())
     residual = validate_compatibility(grid, specs, charges, raise_on_fail=False)
     config.compat_residual_raw = float(residual)
     if auto_balance:

@@ -241,8 +241,12 @@ def test_main_requires_existing_config(tmp_path):
     ("convergence", "macro_resolution", "3.7", "must be an integer"),
     ("mms", "resolutions", "[32, 64.5]", "must be an integer"),
     ("geometry", "dim", '"abc"', "must be an integer"),
+    ("output", "snapshot_times", '["a"]', "must be a number"),
+    ("eta_sweep", "values", '"abc"', "must be a list"),
+    ("eta_sweep", "values", '[0.5, "a"]', "must be a number"),
 ], ids=["string-bool", "nan", "infinity", "macro-resolution", "cell-resolution",
-        "m-values", "convergence-macro-resolution", "mms-resolutions", "dim"])
+        "m-values", "convergence-macro-resolution", "mms-resolutions", "dim",
+        "snapshot-times", "eta-values", "eta-value"])
 def test_main_rejects_malformed_values(tmp_path, capsys, section, key, text, message):
     cfg = canonical_config(tmp_path / "out", T=0.01)
     cfg.setdefault(section, {})[key] = "@"
@@ -251,6 +255,33 @@ def test_main_rejects_malformed_values(tmp_path, capsys, section, key, text, mes
     assert main(["micro", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert f"{section}.{key} {message}" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("patch,message", [
+    ({"surface_charge": {"xi1": "q"}}, "surface_charge.xi1: unknown name 'q'"),
+    ({"surface_charge": {"xi2": "y1"}}, "surface_charge.xi2: unknown name 'y1'"),
+    ({"geometry": {"dim": 3}}, "geometry.inclusion.center has 2 coordinates, geometry has dim 3"),
+    ({"geometry": {"inclusion": {"kind": "disk", "center": ["a", 0.5], "radius": 0.25}}},
+     "geometry.inclusion.center must be a number"),
+    ({"geometry": {"inclusion": {"kind": "super_ellipse", "semi_axes": "abc"}}},
+     "geometry.inclusion.semi_axes must be a list"),
+    ({"geometry": {"dim": 3, "inclusion": {"kind": "super_ellipse",
+                                           "center": [0.5, 0.5, 0.5],
+                                           "semi_axes": [0.2, 0.2]}}},
+     "geometry.inclusion.semi_axes has 2 coordinates, geometry has dim 3"),
+], ids=["xi1-name", "xi2-name", "dim-center", "center-string", "semi-axes-string",
+        "dim-semi-axes"])
+def test_main_rejects_malformed_data(tmp_path, capsys, patch, message):
+    cfg = canonical_config(tmp_path / "out", T=0.01)
+    for section, fields in patch.items():
+        cfg[section].update(fields)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["micro", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 

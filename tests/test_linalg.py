@@ -1,13 +1,39 @@
 import numpy as np
 import pytest
 import scipy.sparse as sparse
-from scipy.sparse.linalg import spsolve
+from scipy.sparse.linalg import splu, spsolve
 
-from porodrift import MicroSimulation, SolverError, build_masked_grid
-from porodrift.linalg import ZeroMeanDirect, face_laplacian
+import porodrift.linalg as linalg
+import porodrift.transport as transport
+from porodrift import (
+    InclusionShape,
+    MicroSimulation,
+    SolverError,
+    SpeciesSpec,
+    build_cell_geometry,
+    build_masked_grid,
+    run_micro,
+)
+from porodrift.linalg import (
+    SUPERLU_NATURAL,
+    SUPERNODES,
+    OrderedFaceSystem,
+    ZeroMeanDirect,
+    face_laplacian,
+)
 from porodrift.transport import poisson_matrix
 
 from conftest import hole_free_grid, make_scaling, smooth_c0, zero_charges
+
+
+def _perforated_grid(dim):
+    cell = build_cell_geometry(InclusionShape("disk", center=(0.5,) * dim, radius=0.25), 8)
+    return build_masked_grid(cell, 2, 8)
+
+
+def _transport_matrix(grid, kappa, dt):
+    matrix = face_laplacian(grid.n_fluid, grid.face_lo, grid.face_hi, kappa)
+    return (matrix + sparse.identity(grid.n_fluid) / dt).tocsc()
 
 
 def _zero_mean_reference(matrix, rhs):
@@ -40,9 +66,8 @@ def test_singular_factorization_raises_solver_error():
         ZeroMeanDirect(face_laplacian(6, face_lo, face_hi, 1.0))
 
 
-def test_implicit_solve_matches_spsolve(disk_cell_8, canonical_species):
-    grid = build_masked_grid(disk_cell_8, 2, 8)
-    sim = MicroSimulation(grid, make_scaling(grid.eps), canonical_species, zero_charges(grid))
+def _check_implicit_solve(grid, species):
+    sim = MicroSimulation(grid, make_scaling(grid.eps), species, zero_charges(grid))
     rng = np.random.default_rng(11)
     c = rng.uniform(0.5, 1.5, grid.n_fluid)
     rhs_extra = rng.uniform(-1.0, 1.0, grid.n_fluid)
@@ -51,8 +76,55 @@ def test_implicit_solve_matches_spsolve(disk_cell_8, canonical_species):
     diffusivity = 0.7
     solution = sim._implicit_solve(c, diffusivity, face_h, dt, rhs_extra)
     # micro transport tensor is the identity
-    kappa = diffusivity * face_h / grid.h ** 2
-    matrix = face_laplacian(grid.n_fluid, grid.face_lo, grid.face_hi, kappa)
-    matrix = matrix + sparse.identity(grid.n_fluid) / dt
-    reference = spsolve(matrix.tocsc(), c / dt + rhs_extra)
+    matrix = _transport_matrix(grid, diffusivity * face_h / grid.h ** 2, dt)
+    reference = spsolve(matrix, c / dt + rhs_extra)
     assert np.max(np.abs(solution - reference)) <= 1e-12 * np.max(np.abs(reference))
+
+
+def test_implicit_solve_matches_spsolve(disk_cell_8, canonical_species):
+    _check_implicit_solve(build_masked_grid(disk_cell_8, 2, 8), canonical_species)
+
+
+def test_implicit_solve_matches_spsolve_3d():
+    _check_implicit_solve(_perforated_grid(3), [SpeciesSpec("s", 1.0, 0, smooth_c0)])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_cached_order_matches_symmetric_mmd_lu(dim):
+    grid = _perforated_grid(dim)
+    rng = np.random.default_rng(5)
+    kappa = rng.uniform(0.1, 10.0, grid.face_lo.size) / grid.h ** 2
+    dt = 1e-3
+    system = OrderedFaceSystem(grid.n_fluid, grid.face_lo, grid.face_hi)
+    ordered = system.assemble(kappa, 1.0 / dt)
+    # the in-place matrix is the reference matrix with rows and columns permuted
+    reference = _transport_matrix(grid, kappa, dt)
+    inverse = np.argsort(system.perm)
+    difference = ordered - reference[inverse][:, inverse]
+    assert abs(difference).max() <= 1e-14 * abs(reference).max()
+    lu = splu(ordered, **SUPERLU_NATURAL)
+    mmd = splu(reference, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+               options={"SymmetricMode": True}, **SUPERNODES)
+    assert lu.nnz == mmd.nnz
+    np.testing.assert_array_equal(system.perm, mmd.perm_c)
+
+
+def test_ordering_computed_once_per_simulation(monkeypatch):
+    calls = {"ordering": 0, "lu": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(linalg, "symmetric_ordering",
+                        counted("ordering", linalg.symmetric_ordering))
+    monkeypatch.setattr(transport, "splu", counted("lu", transport.splu))
+    grid = hole_free_grid(8)
+    species = [SpeciesSpec("p", 1.0, 1, smooth_c0), SpeciesSpec("m", 0.5, -1, smooth_c0)]
+    result = run_micro(grid, make_scaling(grid.eps, T=0.005), species, zero_charges(grid),
+                       dt_init=1e-3)
+    attempts = result.summary["steps"] + result.summary["rejections"]
+    assert attempts >= 5
+    assert calls == {"ordering": 1, "lu": 2 * attempts}
