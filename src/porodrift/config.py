@@ -33,6 +33,7 @@ import numpy as np
 from .errors import ConfigError, GeometryError
 from .expressions import ExpressionError, compile_expression
 from .geometry import (
+    MIN_RESOLUTION,
     FacetCharges,
     InclusionShape,
     build_cell_geometry,
@@ -40,6 +41,7 @@ from .geometry import (
     surface_charge_on_facets,
 )
 from .micro import ScalingSpec, SpeciesSpec, balance_outer_charges, validate_compatibility
+from .verification import MMS_SOLVERS
 
 
 _KIND_NAMES = {str: "a string", dict: "an object", list: "a list"}
@@ -85,6 +87,19 @@ def _list(section, key, default, kind, where):
     """Optional list whose every element is checked against ``kind``."""
     label = f"{where}.{key}"
     return [_typed(v, kind, label) for v in _optional(section, key, default, list, where)]
+
+
+def _nonempty_list(section, key, default, kind, where):
+    values = _list(section, key, default, kind, where)
+    if not values:
+        raise ConfigError(f"{where}.{key} must be a non-empty list")
+    return values
+
+
+def _at_least(value, low, label):
+    if value < low:
+        raise ConfigError(f"{label} must be >= {low}, got {value}")
+    return value
 
 
 def _compiled(text, variables, label):
@@ -275,8 +290,8 @@ def parse_and_validate(source) -> RunConfig:
     geo = _typed(raw["geometry"], dict, "config.geometry")
     m = _require(geo, "m", int, "geometry")
     r = _require(geo, "r", int, "geometry")
-    if m < 1:
-        raise ConfigError(f"geometry.m must be >= 1 (eps = 1/m), got {m}")
+    _at_least(m, 1, "geometry.m")
+    _at_least(r, MIN_RESOLUTION, "geometry.r")
     dim = _optional(geo, "dim", 0, int, "geometry")
     if dim == 0:
         inc_raw = geo.get("inclusion", {})
@@ -346,19 +361,25 @@ def parse_and_validate(source) -> RunConfig:
             raise ConfigError(f"snapshot time {t_snap} outside [0, T = {final_time}]")
 
     macro_sec = _optional(raw, "macro", {}, dict)
-    macro_resolution = _optional(macro_sec, "resolution", m * r, int, "macro")
+    macro_resolution = _at_least(_optional(macro_sec, "resolution", m * r, int, "macro"),
+                                 MIN_RESOLUTION, "macro.resolution")
 
     cell_sec = _optional(raw, "cell", {}, dict)
-    cell_resolution = _optional(cell_sec, "resolution", r, int, "cell")
+    cell_resolution = _at_least(_optional(cell_sec, "resolution", r, int, "cell"),
+                                MIN_RESOLUTION, "cell.resolution")
     dump_correctors = _optional(cell_sec, "dump_correctors", False, bool, "cell")
 
     conv = _optional(raw, "convergence", {}, dict)
-    conv_m_values = _list(conv, "m_values", [4, 8, 16], int, "convergence")
+    conv_m_values = [_at_least(value, 1, "convergence.m_values") for value in
+                     _nonempty_list(conv, "m_values", [4, 8, 16], int, "convergence")]
+    if any(m2 <= m1 for m1, m2 in zip(conv_m_values, conv_m_values[1:])):
+        raise ConfigError("convergence.m_values must be strictly increasing "
+                          "(eps strictly decreasing)")
     conv_final_time = _optional(conv, "T", 0.05, float, "convergence")
     conv_dt_init = _optional(conv, "dt_init", 5e-4, float, "convergence")
-    conv_macro_resolution = _optional(conv, "macro_resolution",
-                                      r * max(conv_m_values) if conv_m_values else m * r,
-                                      int, "convergence")
+    conv_macro_resolution = _at_least(
+        _optional(conv, "macro_resolution", r * max(conv_m_values), int, "convergence"),
+        MIN_RESOLUTION, "convergence.macro_resolution")
 
     eta_sec = _optional(raw, "eta_sweep", {}, dict)
     eta_values = _list(eta_sec, "values", [0.5, 0.25, 0.125], float, "eta_sweep")
@@ -366,9 +387,16 @@ def parse_and_validate(source) -> RunConfig:
     eta_dt_init = _optional(eta_sec, "dt_init", dt_init, float, "eta_sweep")
 
     mms_sec = _optional(raw, "mms", {}, dict)
-    mms_solvers = list(_optional(mms_sec, "solvers",
-                                 ["poisson_micro", "poisson_macro", "diffusion"]))
-    mms_resolutions = _list(mms_sec, "resolutions", [32, 64, 128], int, "mms")
+    mms_solvers = _nonempty_list(mms_sec, "solvers", list(MMS_SOLVERS), str, "mms")
+    for name in mms_solvers:
+        if name not in MMS_SOLVERS:
+            raise ConfigError(f"mms.solvers has unknown solver {name!r}; "
+                              f"expected some of {list(MMS_SOLVERS)}")
+    mms_resolutions = [_at_least(res, MIN_RESOLUTION, "mms.resolutions") for res in
+                       _list(mms_sec, "resolutions", [32, 64, 128], int, "mms")]
+    if len(set(mms_resolutions)) < 2:
+        raise ConfigError("mms.resolutions must hold at least two distinct resolutions "
+                          "(an order is fitted over them)")
 
     config = RunConfig(
         raw=raw, dim=dim, inclusion=inclusion, m=m, r=r,

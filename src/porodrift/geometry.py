@@ -25,6 +25,7 @@ from scipy.sparse.csgraph import connected_components
 from .errors import GeometryError
 
 _KINDS = ("none", "disk", "square", "super_ellipse")
+MIN_RESOLUTION = 4  # cells per unit-cell edge
 
 
 @dataclass(frozen=True)
@@ -206,8 +207,8 @@ def build_cell_geometry(shape: InclusionShape, resolution: int) -> CellGeometry:
     cell boundary, and disconnected fluid regions (both break the periodic
     cell problems downstream).
     """
-    if resolution < 4:
-        raise GeometryError(f"resolution must be >= 4, got {resolution}")
+    if resolution < MIN_RESOLUTION:
+        raise GeometryError(f"resolution must be >= {MIN_RESOLUTION}, got {resolution}")
     dim = len(shape.center)
     if dim not in (2, 3):
         raise GeometryError(f"dimension must be 2 or 3, got {dim}")

@@ -16,10 +16,10 @@ both sides of a convergence comparison share one geometry model.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.interpolate import RegularGridInterpolator
 
 from .errors import GeometryError
 from .geometry import CellGeometry, FacetCharges, MaskedGrid
@@ -89,15 +89,26 @@ def cell_centered_gradients(grid: MaskedGrid, values: np.ndarray) -> np.ndarray:
 def sample_macro_field(grid: MaskedGrid, values: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Multilinear interpolation of a macro cell field at arbitrary points.
 
-    Linear extrapolation outside the cell-center hull (only the half-cell rim).
+    The nodes are the cell centers (k + 1/2) h of the hole-free grid, whose
+    cells are numbered in C order with n_side >= 2 per axis.  Per axis, a
+    point takes the lower node index floor(x/h - 1/2) clipped to
+    [0, n_side - 2] and the hat weights 1 - t and t of that node and the next;
+    the value is the sum over the 2^dim corners of the node value times the
+    product of its weights.  The clip lets t leave [0, 1] only on the
+    half-cell rim outside the cell-center hull, where the sampler
+    extrapolates linearly.
     """
     n_side = grid.n_cells_per_edge
-    axis = (np.arange(n_side) + 0.5) * grid.h
-    interp = RegularGridInterpolator(
-        (axis,) * grid.dim, values.reshape((n_side,) * grid.dim),
-        method="linear", bounds_error=False, fill_value=None,
-    )
-    return np.asarray(interp(points), dtype=float)
+    s = np.asarray(points, dtype=float) / grid.h - 0.5
+    lower = np.clip(np.floor(s), 0, n_side - 2).astype(np.intp)
+    hats = [(1.0 - t, t) for t in (s - lower).T]
+    strides = n_side ** np.arange(grid.dim - 1, -1, -1)
+    base = lower @ strides
+    result = np.zeros(s.shape[0])
+    for corner in np.ndindex(*(2,) * grid.dim):
+        weight = math.prod(hat[c] for hat, c in zip(hats, corner))
+        result += weight * values[base + np.dot(corner, strides)]
+    return result
 
 
 class MacroSimulation(TransportSim):

@@ -325,8 +325,10 @@ MMS_THRESHOLDS = {
 }
 
 
-def run_mms_verification(solvers=("poisson_micro", "poisson_macro", "diffusion"),
-                         resolutions=(32, 64, 128)) -> dict:
+MMS_SOLVERS = ("poisson_micro", "poisson_macro", "diffusion")
+
+
+def run_mms_verification(solvers=MMS_SOLVERS, resolutions=(32, 64, 128)) -> dict:
     """Run the requested manufactured-solution studies and grade the orders."""
     reports = []
     chosen = set(solvers)

@@ -61,8 +61,9 @@ def test_alpha_above_beta_rejected():
     ({"species": []}, "non-empty"),
     ({"geometry": {"inclusion": {"kind": "blob"}, "m": 2, "r": 8}}, "kind"),
     ({"geometry": {"inclusion": {"kind": "none"}, "m": 0, "r": 8}}, "m must be >= 1"),
+    ({"geometry": {"inclusion": {"kind": "none"}, "m": 2, "r": 3}}, "geometry.r must be >= 4"),
     ({"species": ["s"]}, r"species\[0\] must be an object"),
-], ids=["eta", "p", "D", "expr", "c0-sign", "species", "kind", "m", "species-entry"])
+], ids=["eta", "p", "D", "expr", "c0-sign", "species", "kind", "m", "r", "species-entry"])
 def test_invalid_configs_rejected(patch, match):
     cfg = minimal_config(**patch)
     with pytest.raises(ConfigError, match=match):
@@ -244,9 +245,26 @@ def test_main_requires_existing_config(tmp_path):
     ("output", "snapshot_times", '["a"]', "must be a number"),
     ("eta_sweep", "values", '"abc"', "must be a list"),
     ("eta_sweep", "values", '[0.5, "a"]', "must be a number"),
+    ("convergence", "m_values", "[]", "must be a non-empty list"),
+    ("convergence", "m_values", "[0, 4]", "must be >= 1, got 0"),
+    ("convergence", "m_values", "[8, 4]", "must be strictly increasing"),
+    ("mms", "solvers", "[]", "must be a non-empty list"),
+    ("mms", "solvers", '["poisson_micro", "poisson"]', "has unknown solver 'poisson'"),
+    ("mms", "solvers", "[1]", "must be a string"),
+    ("mms", "solvers", '"diffusion"', "must be a list"),
+    ("mms", "resolutions", "[]", "must hold at least two distinct resolutions"),
+    ("mms", "resolutions", "[32, 32]", "must hold at least two distinct resolutions"),
+    ("mms", "resolutions", "[2, 32]", "must be >= 4, got 2"),
+    ("macro", "resolution", "2", "must be >= 4, got 2"),
+    ("cell", "resolution", "3", "must be >= 4, got 3"),
+    ("convergence", "macro_resolution", "3", "must be >= 4, got 3"),
 ], ids=["string-bool", "nan", "infinity", "macro-resolution", "cell-resolution",
         "m-values", "convergence-macro-resolution", "mms-resolutions", "dim",
-        "snapshot-times", "eta-values", "eta-value"])
+        "snapshot-times", "eta-values", "eta-value", "m-values-empty", "m-values-zero",
+        "m-values-order", "mms-solvers-empty", "mms-solvers-unknown", "mms-solvers-type",
+        "mms-solvers-string", "mms-resolutions-empty", "mms-resolutions-single",
+        "mms-resolutions-range", "macro-resolution-range", "cell-resolution-range",
+        "convergence-macro-resolution-range"])
 def test_main_rejects_malformed_values(tmp_path, capsys, section, key, text, message):
     cfg = canonical_config(tmp_path / "out", T=0.01)
     cfg.setdefault(section, {})[key] = "@"

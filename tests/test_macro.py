@@ -178,6 +178,52 @@ def test_full_tensor_mass_conservation():
     assert result.summary["min_c"] >= -1e-12
 
 
+# -- sampling -------------------------------------------------------------------
+
+
+def _hole_free(dim, resolution):
+    cell = build_cell_geometry(InclusionShape("none", center=(0.5,) * dim), resolution)
+    return build_masked_grid(cell, 1, resolution)
+
+
+@pytest.mark.parametrize("dim,resolution", [(2, 8), (3, 6)])
+def test_sampler_reproduces_affine_fields(dim, resolution):
+    grid = _hole_free(dim, resolution)
+    slope = np.array([0.7, -1.3, 2.1])[:dim]
+
+    def affine(x):
+        return 0.4 + x @ slope
+
+    rng = np.random.default_rng(dim)
+    h = grid.h
+    interior = rng.uniform(0.5 * h, 1.0 - 0.5 * h, size=(200, dim))
+    # the half-cell rim outside the cell-center hull, corners included
+    rim = rng.uniform(0.0, 1.0, size=(200, dim))
+    axes = rng.integers(0, dim, size=200)
+    rim[np.arange(200), axes] = rng.choice([0.0, 0.2 * h, 0.5 * h, 1.0 - 0.3 * h, 1.0], 200)
+    rim = np.vstack([rim, np.zeros(dim), np.ones(dim)])
+    for points in (interior, grid.centers, rim):
+        np.testing.assert_allclose(sample_macro_field(grid, affine(grid.centers), points),
+                                   affine(points), rtol=0, atol=1e-13)
+
+
+@pytest.mark.parametrize("dim,resolution", [(2, 8), (3, 6)])
+def test_sampler_matches_scipy_linear_interpolation(dim, resolution):
+    from scipy.interpolate import RegularGridInterpolator
+
+    grid = _hole_free(dim, resolution)
+    rng = np.random.default_rng(10 + dim)
+    values = rng.standard_normal(grid.n_fluid)
+    points = np.vstack([rng.uniform(0.0, 1.0, size=(500, dim)), grid.centers,
+                        np.zeros(dim), np.ones(dim)])
+    axis = (np.arange(resolution) + 0.5) * grid.h
+    oracle = RegularGridInterpolator((axis,) * dim, values.reshape((resolution,) * dim),
+                                     method="linear", bounds_error=False, fill_value=None)
+    expected = oracle(points)
+    sampled = sample_macro_field(grid, values, points)
+    assert np.max(np.abs(sampled - expected)) <= 1e-14 * np.max(np.abs(expected))
+
+
 # -- corrector reconstruction -----------------------------------------------------
 
 
