@@ -72,12 +72,10 @@ def _macro_inputs(config):
                             config.macro_resolution),
         1, config.macro_resolution)
     tensor = compute_effective_tensor(config.cell, tol=config.cell_tol)
-    source = build_macro_source(config.cell, macro_grid,
-                                config.xi1_callable(), config.xi2_callable())
-    specs = config.species_specs()
+    source = build_macro_source(config.cell, macro_grid, config.xi1, config.xi2)
     if config.auto_balance:
-        source = balance_macro_source(macro_grid, specs, source)
-    return macro_grid, tensor.a_hom, tensor.porosity, source, specs
+        source = balance_macro_source(macro_grid, config.species, source)
+    return macro_grid, tensor.a_hom, tensor.porosity, source, config.species
 
 
 def dispatch(subcommand: str, config, out_dir=None, explicit_time=None,
@@ -122,7 +120,7 @@ def dispatch(subcommand: str, config, out_dir=None, explicit_time=None,
         elif subcommand == "micro":
             grid, conc_name, phi_name, extra = config.grid, "c", "phi", {}
             result = run_micro(
-                grid, config.scaling(), config.species_specs(), config.charges,
+                grid, config.scaling(), config.species, config.charges,
                 dt_init=config.dt_init, cfl_fraction=config.cfl_fraction,
                 output_interval=config.output_interval or None,
                 snapshot_times=config.snapshot_times,
@@ -146,8 +144,8 @@ def dispatch(subcommand: str, config, out_dir=None, explicit_time=None,
 
         elif subcommand == "converge":
             report = run_convergence_study(
-                config.cell, config.species_specs(), config.xi1_callable(),
-                config.xi2_callable(), config.alpha, config.beta, config.eta, config.p,
+                config.cell, config.species, config.xi1, config.xi2,
+                config.alpha, config.beta, config.eta, config.p,
                 config.convergence_m_values, config.convergence_final_time,
                 config.convergence_dt_init, cfl_fraction=config.cfl_fraction,
                 macro_resolution=config.convergence_macro_resolution,

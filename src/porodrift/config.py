@@ -10,7 +10,7 @@ Sections (see README for the full schema):
 
     geometry        inclusion {kind, params}, m, r, optional dim
     scaling         alpha, beta, eta, p, T, dt_init, cfl_fraction
-    species         list of {name, D, z, c0}
+    species         list of {name, D, z, c0(x)}
     surface_charge  xi1(x, y), xi2(x), auto_balance
     solver          poisson_tol, cell_tol, explicit_time
     output          directory, interval, snapshot_times
@@ -41,10 +41,11 @@ from .geometry import (
     surface_charge_on_facets,
 )
 from .micro import ScalingSpec, SpeciesSpec, balance_outer_charges, validate_compatibility
-from .verification import MMS_SOLVERS
+from .verification import MMS_SOLVERS, check_mms_request
 
 
 _KIND_NAMES = {str: "a string", dict: "an object", list: "a list"}
+MAX_OUTPUT_TIMES = 10**5  # output.interval may not split T finer than this
 
 
 def _require(section, key, kind, where):
@@ -102,11 +103,18 @@ def _at_least(value, low, label):
     return value
 
 
-def _compiled(text, variables, label):
+def _compiled(text, dim, label, letters="x"):
     try:
-        return compile_expression(text, variables)
+        return compile_expression(text, dim, letters)
     except ExpressionError as exc:
         raise ConfigError(f"{label}: {exc}") from exc
+
+
+def _finite_samples(values, label):
+    """Data sampled on the grid must be finite: overflow and 0/0 end here, not in a solve."""
+    bad = values[~np.isfinite(values)]
+    if bad.size:
+        raise ConfigError(f"{label} must be finite on the grid, got {float(bad[0])}")
 
 
 def _coordinates(inc, key, default, dim):
@@ -148,26 +156,8 @@ def _inclusion_from_config(geo: dict, dim: int) -> InclusionShape:
 
 
 @dataclass
-class SpeciesConfig:
-    name: str
-    diffusivity: float
-    charge: int
-    c0_text: str
-    c0_expr: object
-
-    def profile(self, dim):
-        expr = self.c0_expr
-
-        def evaluate(points):
-            env = {f"x{i + 1}": points[:, i] for i in range(dim)}
-            return expr(env)
-
-        return evaluate
-
-
-@dataclass
 class RunConfig:
-    """Typed, validated configuration with compiled data expressions."""
+    """Typed, validated configuration; the data expressions are compiled callables."""
 
     raw: dict
     dim: int
@@ -182,8 +172,8 @@ class RunConfig:
     dt_init: float
     cfl_fraction: float
     species: list
-    xi1_expr: object
-    xi2_expr: object
+    xi1: object
+    xi2: object
     auto_balance: bool
     poisson_tol: float
     cell_tol: float
@@ -208,32 +198,6 @@ class RunConfig:
     _cell: object = field(default=None, repr=False)
     _grid: object = field(default=None, repr=False)
     _charges: object = field(default=None, repr=False)
-
-    # -- compiled data -------------------------------------------------------
-
-    def species_specs(self):
-        return [
-            SpeciesSpec(s.name, s.diffusivity, s.charge, s.profile(self.dim))
-            for s in self.species
-        ]
-
-    def xi1_callable(self):
-        expr = self.xi1_expr
-
-        def evaluate(x, y):
-            env = {f"x{i + 1}": x[:, i] for i in range(self.dim)}
-            env.update({f"y{i + 1}": y[:, i] for i in range(self.dim)})
-            return expr(env)
-
-        return evaluate
-
-    def xi2_callable(self):
-        expr = self.xi2_expr
-
-        def evaluate(x):
-            return expr({f"x{i + 1}": x[:, i] for i in range(self.dim)})
-
-        return evaluate
 
     # -- built geometry / data ------------------------------------------------
 
@@ -318,7 +282,6 @@ def parse_and_validate(source) -> RunConfig:
     species_raw = raw["species"]
     if not isinstance(species_raw, list) or not species_raw:
         raise ConfigError("species must be a non-empty list")
-    x_names = [f"x{i + 1}" for i in range(dim)]
     species = []
     seen = set()
     for idx, entry in enumerate(species_raw):
@@ -333,14 +296,12 @@ def parse_and_validate(source) -> RunConfig:
             raise ConfigError(f"{where}.D must be positive (diffusivities D_i > 0), "
                               f"got {diffusivity}")
         charge = _require(entry, "z", int, where)
-        c0_text = _require(entry, "c0", str, where)
-        c0_expr = _compiled(c0_text, x_names, f"{where}.c0")
-        species.append(SpeciesConfig(name, diffusivity, charge, c0_text, c0_expr))
+        c0 = _compiled(_require(entry, "c0", str, where), dim, f"{where}.c0")
+        species.append(SpeciesSpec(name, diffusivity, charge, c0))
 
     charge_sec = _optional(raw, "surface_charge", {}, dict)
-    xi1_expr = _compiled(str(_optional(charge_sec, "xi1", "0")),
-                         x_names + [f"y{i + 1}" for i in range(dim)], "surface_charge.xi1")
-    xi2_expr = _compiled(str(_optional(charge_sec, "xi2", "0")), x_names, "surface_charge.xi2")
+    xi1 = _compiled(str(_optional(charge_sec, "xi1", "0")), dim, "surface_charge.xi1", "xy")
+    xi2 = _compiled(str(_optional(charge_sec, "xi2", "0")), dim, "surface_charge.xi2")
     auto_balance = _optional(charge_sec, "auto_balance", False, bool, "surface_charge")
 
     solver = _optional(raw, "solver", {}, dict)
@@ -354,6 +315,10 @@ def parse_and_validate(source) -> RunConfig:
     output_dir = str(_optional(output, "directory", "out"))
     output_interval = _optional(output, "interval", final_time / 10 if final_time > 0 else 0.0,
                                 float, "output")
+    _at_least(output_interval, 0, "output.interval")
+    if output_interval and final_time / output_interval > MAX_OUTPUT_TIMES:
+        raise ConfigError(f"output.interval {output_interval} splits T = {final_time} into "
+                          f"more than {MAX_OUTPUT_TIMES} output times")
     snapshot_times = _list(output, "snapshot_times", [final_time] if final_time > 0 else [],
                            float, "output")
     for t_snap in snapshot_times:
@@ -387,22 +352,15 @@ def parse_and_validate(source) -> RunConfig:
     eta_dt_init = _optional(eta_sec, "dt_init", dt_init, float, "eta_sweep")
 
     mms_sec = _optional(raw, "mms", {}, dict)
-    mms_solvers = _nonempty_list(mms_sec, "solvers", list(MMS_SOLVERS), str, "mms")
-    for name in mms_solvers:
-        if name not in MMS_SOLVERS:
-            raise ConfigError(f"mms.solvers has unknown solver {name!r}; "
-                              f"expected some of {list(MMS_SOLVERS)}")
-    mms_resolutions = [_at_least(res, MIN_RESOLUTION, "mms.resolutions") for res in
-                       _list(mms_sec, "resolutions", [32, 64, 128], int, "mms")]
-    if len(set(mms_resolutions)) < 2:
-        raise ConfigError("mms.resolutions must hold at least two distinct resolutions "
-                          "(an order is fitted over them)")
+    mms_solvers = _list(mms_sec, "solvers", list(MMS_SOLVERS), str, "mms")
+    mms_resolutions = _list(mms_sec, "resolutions", [32, 64, 128], int, "mms")
+    check_mms_request(mms_solvers, mms_resolutions)
 
     config = RunConfig(
         raw=raw, dim=dim, inclusion=inclusion, m=m, r=r,
         alpha=alpha, beta=beta, eta=eta, p=p, final_time=final_time,
         dt_init=dt_init, cfl_fraction=cfl_fraction, species=species,
-        xi1_expr=xi1_expr, xi2_expr=xi2_expr, auto_balance=auto_balance,
+        xi1=xi1, xi2=xi2, auto_balance=auto_balance,
         poisson_tol=poisson_tol, cell_tol=cell_tol,
         explicit_time=explicit_time,
         output_dir=output_dir, output_interval=output_interval,
@@ -419,23 +377,25 @@ def parse_and_validate(source) -> RunConfig:
     # constraint checks that need the scaling object (alpha <= beta, p >= 4, eta > 0)
     config.scaling()
 
-    # geometry build, initial-data sign check, compatibility residual
+    # geometry build, sampled-data checks, compatibility residual
     grid = config.grid
-    specs = config.species_specs()
-    for spec in specs:
-        values = np.asarray(spec.initial_profile(grid.centers), dtype=float)
+    for spec in species:
+        values = spec.initial_profile(grid.centers)
+        _finite_samples(values, f"species {spec.name!r}: initial concentration")
         if np.min(values) < 0:
             raise ConfigError(
                 f"species {spec.name!r}: initial concentration must be nonnegative "
                 f"(min {float(np.min(values)):.6g} at a cell center)"
             )
-    charges = surface_charge_on_facets(grid, config.xi1_callable(), config.xi2_callable())
-    residual = validate_compatibility(grid, specs, charges, raise_on_fail=False)
+    charges = surface_charge_on_facets(grid, xi1, xi2)
+    _finite_samples(charges.gamma_values, "surface_charge.xi1")
+    _finite_samples(charges.outer_values, "surface_charge.xi2")
+    residual = validate_compatibility(grid, species, charges, raise_on_fail=False)
     config.compat_residual_raw = float(residual)
     if auto_balance:
-        charges, shift = balance_outer_charges(grid, specs, charges)
+        charges, shift = balance_outer_charges(grid, species, charges)
         config.balance_shift = shift
     else:
-        validate_compatibility(grid, specs, charges)
+        validate_compatibility(grid, species, charges)
     config._charges = charges
     return config

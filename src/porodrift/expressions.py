@@ -1,183 +1,110 @@
-"""Tiny arithmetic expression language for closed-form input data.
+"""Closed-form input data: arithmetic expressions compiled to point functions.
 
 Initial profiles and surface charge densities enter run configs as strings
-over a deliberately small grammar:
+over a deliberately small grammar: decimal numbers, ``+ - * /``, the power
+``^`` (right-associative and binding tighter than a unary sign on its left,
+so ``-2^2`` is -4 and ``2^-1`` is 0.5), unary ``+ -``, parentheses, the
+functions sin, cos and exp of one argument, the constants pi and e, and the
+variables ``x1..xn`` (plus ``y1..yn`` where the caller allows them).
 
-    expr   := term (('+'|'-') term)*
-    term   := unary (('*'|'/') unary)*
-    unary  := ('-'|'+') unary | power
-    power  := atom ('^' unary)?          # right-associative
-    atom   := NUMBER | FUNC '(' expr ')' | NAME | '(' expr ')'
+``^`` is rewritten to ``**`` and the text is parsed with ``ast`` in eval
+mode; one walk checks the tree against a node whitelist and lowers it to
+closures over numpy, so nothing is passed to ``eval``, ``exec`` or
+``compile``.  A literal ``**``, a non-decimal literal (``0x10``, ``1_0``,
+``1j``, ``True``) and a tree nested deeper than ``MAX_DEPTH`` are rejected.
+Literals and constants are ``np.float64``, so constant arithmetic follows
+numpy: ``1/0`` is inf and ``(-1)^0.5`` is nan, never a Python exception.
 
-Functions: sin, cos, exp.  Constants: pi, e.  Variables are whatever the
-caller allows (typically x1..xn and, for interface charges, y1..yn).
-Everything evaluates vectorized over numpy arrays; there is no eval() and
-no access to anything outside the grammar.
+The compiled expression is the callable the model calls: one (k, n) array
+of points per variable letter (``f(x)``, or ``f(x, y)`` for interface
+charges), returning shape (k,).
 """
 
 from __future__ import annotations
 
-import re
+import ast
+import operator
 
 import numpy as np
 
-_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
-_CONSTANTS = {"pi": np.pi, "e": np.e}
+MAX_DEPTH = 200  # the nesting depth Python's parser allows for parentheses
 
-_TOKEN_RE = re.compile(
-    r"\s*(?:(?P<num>\d+\.\d*(?:[eE][+-]?\d+)?|\.\d+(?:[eE][+-]?\d+)?|\d+(?:[eE][+-]?\d+)?)"
-    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)"
-    r"|(?P<op>[-+*/^()]))"
-)
+_FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp}
+_CONSTANTS = {"pi": np.float64(np.pi), "e": np.float64(np.e)}
+_BINARY = {ast.Add: operator.add, ast.Sub: operator.sub, ast.Mult: operator.mul,
+           ast.Div: operator.truediv, ast.Pow: operator.pow}
+_UNARY = {ast.UAdd: operator.pos, ast.USub: operator.neg}
+_DECIMAL = set("0123456789.eE+-")
 
 
 class ExpressionError(ValueError):
     """Raised for syntax errors or references to names outside the grammar."""
 
 
-def _tokenize(text):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN_RE.match(text, pos)
-        if match is None or match.end() == pos:
-            rest = text[pos:].strip()
-            if not rest:
-                break
-            raise ExpressionError(f"unexpected character {rest[0]!r} in expression {text!r}")
-        if match.group("num") is not None:
-            tokens.append(("num", float(match.group("num"))))
-        elif match.group("name") is not None:
-            tokens.append(("name", match.group("name")))
-        else:
-            tokens.append(("op", match.group("op")))
-        pos = match.end()
-    tokens.append(("end", None))
-    return tokens
+def _lower(node, source, variables, depth):
+    """A closure ``f(points) -> value`` for a whitelisted ``node``; raises ExpressionError."""
+    if depth > MAX_DEPTH:
+        raise ExpressionError(f"expression nested deeper than {MAX_DEPTH} levels")
+
+    def lower(child):
+        return _lower(child, source, variables, depth + 1)
+
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        op, left, right = _BINARY[type(node.op)], lower(node.left), lower(node.right)
+        return lambda points: op(left(points), right(points))
+    if isinstance(node, ast.UnaryOp) and type(node.op) in _UNARY:
+        op, operand = _UNARY[type(node.op)], lower(node.operand)
+        return lambda points: op(operand(points))
+    if (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+            and node.func.id in _FUNCTIONS and len(node.args) == 1 and not node.keywords):
+        func, arg = _FUNCTIONS[node.func.id], lower(node.args[0])
+        return lambda points: func(arg(points))
+    if isinstance(node, ast.Name) and node.id in _CONSTANTS:
+        value = _CONSTANTS[node.id]
+        return lambda points: value
+    if isinstance(node, ast.Name):
+        if node.id not in variables:
+            raise ExpressionError(f"unknown name {node.id!r}; "
+                                  f"allowed variables: {', '.join(variables)}")
+        arg, axis = variables[node.id]
+        return lambda points: points[arg][:, axis]
+    segment = ast.get_source_segment(source, node)
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float) \
+            and set(segment) <= _DECIMAL:
+        value = np.float64(segment)
+        return lambda points: value
+    raise ExpressionError(f"unsupported syntax {segment!r}")
 
 
-class Expression:
-    """A compiled expression; callable on a dict of name -> ndarray."""
+def compile_expression(text, dim, letters="x"):
+    """Compile ``text`` into ``f(*points)``, one (k, dim) array per variable letter.
 
-    def __init__(self, text, variables):
-        self.text = text
-        self.variables = tuple(variables)
-        self._tokens = _tokenize(text)
-        self._pos = 0
-        self._ast = self._parse_expr()
-        if self._peek() != ("end", None):
-            kind, value = self._peek()
-            raise ExpressionError(f"trailing input near {value!r} in expression {text!r}")
-
-    # -- parser -------------------------------------------------------------
-
-    def _peek(self):
-        return self._tokens[self._pos]
-
-    def _next(self):
-        token = self._tokens[self._pos]
-        self._pos += 1
-        return token
-
-    def _parse_expr(self):
-        node = self._parse_term()
-        while self._peek() == ("op", "+") or self._peek() == ("op", "-"):
-            op = self._next()[1]
-            node = (op, node, self._parse_term())
-        return node
-
-    def _parse_term(self):
-        node = self._parse_unary()
-        while self._peek() == ("op", "*") or self._peek() == ("op", "/"):
-            op = self._next()[1]
-            node = (op, node, self._parse_unary())
-        return node
-
-    def _parse_unary(self):
-        if self._peek() == ("op", "-"):
-            self._next()
-            return ("neg", self._parse_unary())
-        if self._peek() == ("op", "+"):
-            self._next()
-            return self._parse_unary()
-        return self._parse_power()
-
-    def _parse_power(self):
-        base = self._parse_atom()
-        if self._peek() == ("op", "^"):
-            self._next()
-            return ("^", base, self._parse_unary())
-        return base
-
-    def _parse_atom(self):
-        kind, value = self._next()
-        if kind == "num":
-            return ("const", value)
-        if kind == "name":
-            if value in _FUNCTIONS:
-                if self._next() != ("op", "("):
-                    raise ExpressionError(f"expected '(' after function {value!r}")
-                arg = self._parse_expr()
-                if self._next() != ("op", ")"):
-                    raise ExpressionError(f"missing ')' after argument of {value!r}")
-                return ("call", value, arg)
-            if value in _CONSTANTS:
-                return ("const", _CONSTANTS[value])
-            if value in self.variables:
-                return ("var", value)
-            raise ExpressionError(
-                f"unknown name {value!r}; allowed variables: {', '.join(self.variables) or 'none'}"
-            )
-        if (kind, value) == ("op", "("):
-            node = self._parse_expr()
-            if self._next() != ("op", ")"):
-                raise ExpressionError(f"missing ')' in expression {self.text!r}")
-            return node
-        raise ExpressionError(f"unexpected token {value!r} in expression {self.text!r}")
-
-    # -- evaluation ---------------------------------------------------------
-
-    def _eval(self, node, env):
-        tag = node[0]
-        if tag == "const":
-            return node[1]
-        if tag == "var":
-            return env[node[1]]
-        if tag == "neg":
-            return -self._eval(node[1], env)
-        if tag == "call":
-            return _FUNCTIONS[node[1]](self._eval(node[2], env))
-        left = self._eval(node[1], env)
-        right = self._eval(node[2], env)
-        if tag == "+":
-            return left + right
-        if tag == "-":
-            return left - right
-        if tag == "*":
-            return left * right
-        if tag == "/":
-            return left / right
-        if tag == "^":
-            return left ** right
-        raise AssertionError(f"corrupt AST node {tag!r}")
-
-    def __call__(self, env):
-        value = self._eval(self._ast, env)
-        shape = None
-        for array in env.values():
-            shape = np.shape(array)
-            break
-        value = np.asarray(value, dtype=float)
-        if shape is not None and value.shape != shape:
-            value = np.broadcast_to(value, shape).copy()
-        return value
-
-    def __repr__(self):
-        return f"Expression({self.text!r})"
-
-
-def compile_expression(text, variables):
-    """Compile ``text`` over the allowed ``variables``; raises ExpressionError."""
+    The variables are ``<letter><axis>`` for each of ``letters`` and axes
+    1..dim.  Raises ExpressionError for anything outside the grammar.
+    """
     if not isinstance(text, str) or not text.strip():
         raise ExpressionError("expression must be a non-empty string")
-    return Expression(text, variables)
+    if not text.isascii():
+        raise ExpressionError(f"non-ASCII character in expression {text!r}")
+    if "**" in text:
+        raise ExpressionError(f"'**' in expression {text!r}; write powers with '^'")
+    # eval mode rejects leading indentation and line breaks; any whitespace separates tokens
+    source = " ".join(text.split()).replace("^", "**")
+    variables = {f"{letter}{axis + 1}": (arg, axis)
+                 for arg, letter in enumerate(letters) for axis in range(dim)}
+    try:
+        body = _lower(ast.parse(source, mode="eval").body, source, variables, 0)
+    except (SyntaxError, RecursionError) as exc:
+        detail = getattr(exc, "msg", "nested too deeply")
+        raise ExpressionError(f"invalid expression {text!r}: {detail}") from None
+    except ExpressionError as exc:
+        raise ExpressionError(f"{exc} in expression {text!r}") from None
+
+    def evaluate(*points):
+        with np.errstate(all="ignore"):  # non-finite data is the caller's to reject
+            value = body(points)
+        if np.shape(value) != (len(points[0]),):  # constant: broadcast to the points
+            value = np.full(len(points[0]), value)
+        return value
+
+    return evaluate

@@ -25,6 +25,7 @@ import numpy as np
 from .cell_problem import compute_effective_tensor
 from .errors import ConfigError
 from .geometry import (
+    MIN_RESOLUTION,
     CellGeometry,
     FacetCharges,
     InclusionShape,
@@ -328,8 +329,25 @@ MMS_THRESHOLDS = {
 MMS_SOLVERS = ("poisson_micro", "poisson_macro", "diffusion")
 
 
+def check_mms_request(solvers, resolutions) -> None:
+    """Raise ConfigError unless ``solvers`` are known studies and ``resolutions`` fit an order."""
+    if not solvers:
+        raise ConfigError("mms.solvers must be a non-empty list")
+    for name in solvers:
+        if name not in MMS_SOLVERS:
+            raise ConfigError(f"mms.solvers has unknown solver {name!r}; "
+                              f"expected some of {list(MMS_SOLVERS)}")
+    for res in resolutions:
+        if res < MIN_RESOLUTION:
+            raise ConfigError(f"mms.resolutions must be >= {MIN_RESOLUTION}, got {res}")
+    if len(set(resolutions)) < 2:
+        raise ConfigError("mms.resolutions must hold at least two distinct resolutions "
+                          "(an order is fitted over them)")
+
+
 def run_mms_verification(solvers=MMS_SOLVERS, resolutions=(32, 64, 128)) -> dict:
     """Run the requested manufactured-solution studies and grade the orders."""
+    check_mms_request(solvers, resolutions)
     reports = []
     chosen = set(solvers)
     if "poisson_micro" in chosen:

@@ -63,7 +63,11 @@ def test_alpha_above_beta_rejected():
     ({"geometry": {"inclusion": {"kind": "none"}, "m": 0, "r": 8}}, "m must be >= 1"),
     ({"geometry": {"inclusion": {"kind": "none"}, "m": 2, "r": 3}}, "geometry.r must be >= 4"),
     ({"species": ["s"]}, r"species\[0\] must be an object"),
-], ids=["eta", "p", "D", "expr", "c0-sign", "species", "kind", "m", "r", "species-entry"])
+    # parse-only: a run would build about 1e7 output events
+    ({"output": {"interval": 1e-9}}, "more than 100000 output times"),
+    ({"output": {"interval": -0.001}}, "output.interval must be >= 0, got -0.001"),
+], ids=["eta", "p", "D", "expr", "c0-sign", "species", "kind", "m", "r", "species-entry",
+        "interval-fine", "interval-negative"])
 def test_invalid_configs_rejected(patch, match):
     cfg = minimal_config(**patch)
     with pytest.raises(ConfigError, match=match):
@@ -92,7 +96,7 @@ def test_auto_balance_shift_recorded():
     assert config.compat_residual_raw == pytest.approx(grid.fluid_volume)
     # balanced charges satisfy the constraint exactly
     from porodrift import validate_compatibility
-    assert abs(validate_compatibility(grid, config.species_specs(), config.charges,
+    assert abs(validate_compatibility(grid, config.species, config.charges,
                                       raise_on_fail=False)) <= 1e-13
 
 
@@ -295,6 +299,33 @@ def test_main_rejects_malformed_data(tmp_path, capsys, patch, message):
     cfg = canonical_config(tmp_path / "out", T=0.01)
     for section, fields in patch.items():
         cfg[section].update(fields)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["micro", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("section,key,text,message", [
+    ("species", "c0", "1/0", "species 'cation': initial concentration must be finite"),
+    ("species", "c0", "0^-1", "species 'cation': initial concentration must be finite"),
+    ("species", "c0", "(-1)^0.5", "species 'cation': initial concentration must be finite"),
+    ("species", "c0", "(0-1)^0.5 + x1",
+     "species 'cation': initial concentration must be finite"),
+    ("species", "c0", "exp(1000)", "species 'cation': initial concentration must be finite"),
+    ("surface_charge", "xi1", "exp(1000)", "surface_charge.xi1 must be finite"),
+    ("surface_charge", "xi2", "exp(1000)", "surface_charge.xi2 must be finite"),
+    ("species", "c0", "-" * 2000 + "1", "species[0].c0: "),
+    ("species", "c0", "x1**2", "species[0].c0: '**' in expression"),
+], ids=["divide-by-zero", "zero-power", "constant-root", "root-plus-x1", "c0-overflow",
+        "xi1-overflow", "xi2-overflow", "deep-nesting", "double-star"])
+def test_main_rejects_non_finite_or_unparsable_data(tmp_path, capsys, section, key, text,
+                                                      message):
+    cfg = canonical_config(tmp_path / "out", T=0.01)
+    entry = cfg["species"][0] if section == "species" else cfg[section]
+    entry[key] = text
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(cfg))
     assert main(["micro", "--config", str(cfg_path)]) == 2

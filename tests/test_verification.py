@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from porodrift import (
+    ConfigError,
     MacroSourceSpec,
     SpeciesSpec,
     balance_outer_charges,
@@ -9,6 +10,7 @@ from porodrift import (
     surface_charge_on_facets,
     validate_compatibility,
 )
+from porodrift import verification
 from porodrift.verification import (
     mms_poisson_macro,
     mms_poisson_micro,
@@ -44,6 +46,21 @@ def test_mms_report_structure():
     assert entry["solver"] == "poisson_micro"
     assert entry["threshold"] == [1.8, 2.2]
     assert len(entry["errors"]) == 2
+
+
+@pytest.mark.parametrize("solvers,resolutions,message", [
+    (("poisson_micro",), (16,), "at least two distinct resolutions"),
+    (("poisson_micro",), (16, 16), "at least two distinct resolutions"),
+    (("poisson_micro", "poisson"), (16, 32), "unknown solver 'poisson'"),
+    ((), (16, 32), "must be a non-empty list"),
+    (("diffusion",), (2, 16), "must be >= 4, got 2"),
+], ids=["one-resolution", "repeated-resolution", "unknown-solver", "no-solver", "floor"])
+def test_mms_request_checked_before_any_solve(monkeypatch, solvers, resolutions, message):
+    for study in ("mms_poisson_micro", "mms_poisson_macro", "mms_diffusion_spatial",
+                  "mms_diffusion_temporal"):
+        monkeypatch.setattr(verification, study, lambda *args: pytest.fail("a study ran"))
+    with pytest.raises(ConfigError, match=message):
+        run_mms_verification(solvers=solvers, resolutions=resolutions)
 
 
 def test_mini_convergence_study_runs_and_is_deterministic(disk_cell_8, canonical_species):
