@@ -56,9 +56,10 @@ def _write_snapshot(path: Path, coord: str, centers, columns: dict) -> None:
     """Per-cell CSV: the cell index, its center ``<coord>1..n`` and one column per field."""
     header = ["cell"] + [f"{coord}{i + 1}" for i in range(centers.shape[1])] + list(columns)
     fields = [map(repr, values.tolist()) for values in (*centers.T, *columns.values())]
-    lines = [",".join(header)]
-    lines += [",".join(row) for row in zip(map(str, range(centers.shape[0])), *fields)]
-    path.write_text("\n".join(lines) + "\n")
+    with path.open("w") as handle:
+        handle.write(",".join(header) + "\n")
+        handle.writelines(",".join(row) + "\n"
+                          for row in zip(map(str, range(centers.shape[0])), *fields))
 
 
 def _sha256(path: Path) -> str:

@@ -7,9 +7,11 @@ nullspace and compatible right-hand sides.  Two strategies are used:
   right-hand side and the iterate each step.  Used for the periodic cell
   problems.
 * ``ZeroMeanDirect`` pins one node to 0, factorizes the nonsingular block
-  ``A[1:, 1:]`` once (as sparse as ``A``, so the fill-reducing ordering
-  works) and mean-projects each solution.  The Poisson problem is re-solved
-  every transport step with a constant matrix, so the factorization pays off.
+  ``A[1:, 1:]`` once and mean-projects each solution.  The Poisson problem
+  is re-solved every transport step with a constant matrix, so the
+  factorization pays off.  The block is as sparse as ``A`` and its pattern
+  is symmetric, so it is factored in the symmetric minimum-degree order
+  ``MMD_AT_PLUS_A``, with SuperLU's partial pivoting.
 
 The implicit transport matrices ``face_laplacian + I/dt`` change every step
 but keep their sparsity pattern.  ``OrderedFaceSystem`` computes their
@@ -18,6 +20,13 @@ CSC matrix laid out in that order in place; the caller factorizes it with the
 ``NATURAL`` column order (``SUPERLU_NATURAL``).  Every SuperLU factorization
 here uses the supernode settings ``SUPERNODES``: on one thread the 5- and
 7-point systems factor faster without relaxed supernodes or column panels.
+
+The Poisson block computes its own order rather than reusing the transport's
+cached one.  With a full tensor its pattern is the 9-point one, not the
+transport's 5-point pattern.  On the pinned 64^2 full-tensor block, partial
+pivoting in the cached 5-point order filled the LU to 7.5M nonzeros in
+3.6 s, against 0.33M in 29 ms with the default ``COLAMD`` order and 0.24M
+in 12 ms with ``MMD_AT_PLUS_A`` of the block's own pattern (one thread).
 """
 
 from __future__ import annotations
@@ -169,13 +178,20 @@ class ZeroMeanDirect:
     fixes the pinned value to 0 and mean-projects the result, so it returns
     the zero-mean solution.  The right-hand side is mean-projected first (it
     must be compatible up to rounding).
+
+    The block is factored once, in the symmetric minimum-degree order
+    ``MMD_AT_PLUS_A`` with SuperLU's default partial pivoting: on the 52k-cell
+    ``micro_large`` grid its LU holds 1.77M nonzeros, against 2.85M in the
+    default ``COLAMD`` order.  It does not reuse the transport's cached face
+    order, which is computed for the 5-point pattern (see the module notes).
     """
 
     def __init__(self, matrix):
         self.n = matrix.shape[0]
         self.matrix = matrix.tocsr()
         try:
-            self._lu = splu(self.matrix[1:, 1:].tocsc(), **SUPERNODES)
+            self._lu = splu(self.matrix[1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A",
+                            **SUPERNODES)
         except RuntimeError as exc:
             raise SolverError(f"Poisson factorization failed (n = {self.n}): {exc}") from exc
 

@@ -26,9 +26,9 @@ from porodrift.transport import poisson_matrix
 from conftest import hole_free_grid, make_scaling, smooth_c0, zero_charges
 
 
-def _perforated_grid(dim):
+def _perforated_grid(dim, m=2):
     cell = build_cell_geometry(InclusionShape("disk", center=(0.5,) * dim, radius=0.25), 8)
-    return build_masked_grid(cell, 2, 8)
+    return build_masked_grid(cell, m, 8)
 
 
 def _transport_matrix(grid, kappa, dt):
@@ -42,11 +42,14 @@ def _zero_mean_reference(matrix, rhs):
     return np.linalg.lstsq(dense, rhs - rhs.mean(), rcond=None)[0]
 
 
-@pytest.mark.parametrize("case", ["perforated-identity", "full-tensor"])
+@pytest.mark.parametrize("case", ["perforated-identity", "perforated-3d", "full-tensor"])
 def test_zero_mean_direct_matches_dense_reference(disk_cell_8, case):
     if case == "perforated-identity":
         grid = build_masked_grid(disk_cell_8, 2, 8)
         matrix = poisson_matrix(grid, np.eye(2))
+    elif case == "perforated-3d":
+        grid = _perforated_grid(3, m=1)
+        matrix = poisson_matrix(grid, np.eye(3))
     else:
         grid = hole_free_grid(16)
         matrix = poisson_matrix(grid, [[1.0, 0.1], [0.1, 0.7]])
@@ -56,6 +59,25 @@ def test_zero_mean_direct_matches_dense_reference(disk_cell_8, case):
     reference = _zero_mean_reference(matrix, rhs)
     assert np.max(np.abs(phi - reference)) <= 1e-10 * np.max(np.abs(reference))
     assert abs(phi.mean()) <= 1e-14
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_poisson_lu_fills_like_the_symmetric_mmd_transport_lu(dim):
+    grid = _perforated_grid(dim)
+    poisson = ZeroMeanDirect(poisson_matrix(grid, np.eye(dim)))._lu
+    system = OrderedFaceSystem(grid.n_fluid, grid.face_lo, grid.face_hi)
+    transport_lu = splu(system.assemble(np.ones(grid.face_lo.size), 1.0), **SUPERLU_NATURAL)
+    # minimum degree breaks ties differently without node 0: 0.4 % apart in 2-D,
+    # 2.0 % in 3-D, where the default COLAMD order fills 32 % and 109 % more
+    assert poisson.nnz == pytest.approx(transport_lu.nnz, rel=0.025)
+    # partial pivoting never leaves the diagonal of the M-matrix block
+    np.testing.assert_array_equal(poisson.perm_r, poisson.perm_c)
+
+
+def test_full_tensor_poisson_lu_fills_less_than_colamd():
+    matrix = poisson_matrix(hole_free_grid(64), [[1.0, 0.15], [0.15, 0.8]])
+    colamd = splu(matrix.tocsc()[1:, 1:], permc_spec="COLAMD", **SUPERNODES)
+    assert ZeroMeanDirect(matrix)._lu.nnz < colamd.nnz
 
 
 def test_singular_factorization_raises_solver_error():
