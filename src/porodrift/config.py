@@ -46,6 +46,8 @@ from .verification import MMS_SOLVERS, check_mms_request
 
 _KIND_NAMES = {str: "a string", dict: "an object", list: "a list"}
 MAX_OUTPUT_TIMES = 10**5  # output.interval may not split T finer than this
+MAX_INTEGER = 2**53       # integers are exact floats up to this magnitude
+MAX_GRID_CELLS = 2**24    # cells of the largest grid a config may ask for, solid ones included
 
 
 def _require(section, key, kind, where):
@@ -73,6 +75,8 @@ def _typed(value, kind, label):
     elif kind is int:
         if isinstance(value, bool) or not isinstance(value, int):
             raise ConfigError(f"{label} must be an integer, got {value!r}")
+        if abs(value) > MAX_INTEGER:
+            raise ConfigError(f"{label} must be at most {MAX_INTEGER} in magnitude, got {value}")
     elif kind is bool:
         if not isinstance(value, bool):
             raise ConfigError(f"{label} must be true or false, got {value!r}")
@@ -101,6 +105,12 @@ def _at_least(value, low, label):
     if value < low:
         raise ConfigError(f"{label} must be >= {low}, got {value}")
     return value
+
+
+def _grid_bound(n_side, dim, label):
+    """An ``n_side``^``dim`` grid is built from this config; refuse one past MAX_GRID_CELLS."""
+    if n_side ** dim > MAX_GRID_CELLS:
+        raise ConfigError(f"{label} grid has {n_side}^{dim} cells, more than {MAX_GRID_CELLS}")
 
 
 def _compiled(text, dim, label, letters="x"):
@@ -263,6 +273,7 @@ def parse_and_validate(source) -> RunConfig:
         dim = len(center) if center is not None else 2
     if dim not in (2, 3):
         raise ConfigError(f"dimension must be 2 or 3, got {dim}")
+    _grid_bound(m * r, dim, "geometry")
     inclusion = _inclusion_from_config(geo, dim)
 
     sca = _typed(raw["scaling"], dict, "config.scaling")
@@ -328,10 +339,12 @@ def parse_and_validate(source) -> RunConfig:
     macro_sec = _optional(raw, "macro", {}, dict)
     macro_resolution = _at_least(_optional(macro_sec, "resolution", m * r, int, "macro"),
                                  MIN_RESOLUTION, "macro.resolution")
+    _grid_bound(macro_resolution, dim, "macro")
 
     cell_sec = _optional(raw, "cell", {}, dict)
     cell_resolution = _at_least(_optional(cell_sec, "resolution", r, int, "cell"),
                                 MIN_RESOLUTION, "cell.resolution")
+    _grid_bound(cell_resolution, dim, "cell")
     dump_correctors = _optional(cell_sec, "dump_correctors", False, bool, "cell")
 
     conv = _optional(raw, "convergence", {}, dict)
@@ -345,6 +358,8 @@ def parse_and_validate(source) -> RunConfig:
     conv_macro_resolution = _at_least(
         _optional(conv, "macro_resolution", r * max(conv_m_values), int, "convergence"),
         MIN_RESOLUTION, "convergence.macro_resolution")
+    _grid_bound(r * conv_m_values[-1], dim, "convergence")
+    _grid_bound(conv_macro_resolution, dim, "convergence macro")
 
     eta_sec = _optional(raw, "eta_sweep", {}, dict)
     eta_values = _list(eta_sec, "values", [0.5, 0.25, 0.125], float, "eta_sweep")
@@ -355,6 +370,8 @@ def parse_and_validate(source) -> RunConfig:
     mms_solvers = _list(mms_sec, "solvers", list(MMS_SOLVERS), str, "mms")
     mms_resolutions = _list(mms_sec, "resolutions", [32, 64, 128], int, "mms")
     check_mms_request(mms_solvers, mms_resolutions)
+    for res in mms_resolutions:
+        _grid_bound(res, 2, "mms")
 
     config = RunConfig(
         raw=raw, dim=dim, inclusion=inclusion, m=m, r=r,
@@ -378,7 +395,10 @@ def parse_and_validate(source) -> RunConfig:
     config.scaling()
 
     # geometry build, sampled-data checks, compatibility residual
-    grid = config.grid
+    try:
+        grid = config.grid
+    except GeometryError as exc:
+        raise ConfigError(str(exc)) from exc
     for spec in species:
         values = spec.initial_profile(grid.centers)
         _finite_samples(values, f"species {spec.name!r}: initial concentration")
@@ -391,6 +411,8 @@ def parse_and_validate(source) -> RunConfig:
     _finite_samples(charges.gamma_values, "surface_charge.xi1")
     _finite_samples(charges.outer_values, "surface_charge.xi2")
     residual = validate_compatibility(grid, species, charges, raise_on_fail=False)
+    if not math.isfinite(residual):
+        raise ConfigError(f"the total charge of the initial and surface data is {residual}")
     config.compat_residual_raw = float(residual)
     if auto_balance:
         charges, shift = balance_outer_charges(grid, species, charges)

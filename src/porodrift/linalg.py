@@ -14,19 +14,26 @@ nullspace and compatible right-hand sides.  Two strategies are used:
   ``MMD_AT_PLUS_A``, with SuperLU's partial pivoting.
 
 The implicit transport matrices ``face_laplacian + I/dt`` change every step
-but keep their sparsity pattern.  ``OrderedFaceSystem`` computes their
-symmetric fill-reducing ordering once, from the pattern alone, and refills a
-CSC matrix laid out in that order in place; the caller factorizes it with the
-``NATURAL`` column order (``SUPERLU_NATURAL``).  Every SuperLU factorization
-here uses the supernode settings ``SUPERNODES``: on one thread the 5- and
-7-point systems factor faster without relaxed supernodes or column panels.
+but keep their sparsity pattern, and every face joins two cells of opposite
+grid-index parity.  ``ReducedFaceSystem`` eliminates the larger parity class
+exactly (its block is diagonal) and keeps the Schur complement on the other
+class: an SPD M-matrix on half the cells with a 9-point (2-D) or 19-point
+(3-D) stencil.  It computes the complement's pattern and its symmetric
+fill-reducing ordering once and refills a CSC matrix laid out in that order
+in place; the caller factorizes it with the ``NATURAL`` column order
+(``SUPERLU_NATURAL``).  On the 52k-cell ``micro_large`` grid the LU holds
+1.47M nonzeros, against 1.77M for the full system in its own order.  Every
+SuperLU factorization here, the incomplete one that computes the order
+included, uses the supernode settings ``SUPERNODES``: on one thread these
+systems factor faster without relaxed supernodes or column panels.
 
 The Poisson block computes its own order rather than reusing the transport's
-cached one.  With a full tensor its pattern is the 9-point one, not the
-transport's 5-point pattern.  On the pinned 64^2 full-tensor block, partial
-pivoting in the cached 5-point order filled the LU to 7.5M nonzeros in
-3.6 s, against 0.33M in 29 ms with the default ``COLAMD`` order and 0.24M
-in 12 ms with ``MMD_AT_PLUS_A`` of the block's own pattern (one thread).
+cached one, which belongs to the reduced system of half the cells.  With a
+full tensor the Poisson pattern is the 9-point one: on the pinned 64^2
+full-tensor block, partial pivoting in the 5-point face order filled the LU
+to 7.5M nonzeros in 3.6 s, against 0.33M in 29 ms with the default
+``COLAMD`` order and 0.24M in 12 ms with ``MMD_AT_PLUS_A`` of the block's
+own pattern (one thread).
 """
 
 from __future__ import annotations
@@ -64,66 +71,146 @@ def face_laplacian(n_cells, face_lo, face_hi, coeff):
     return mat.tocsr()
 
 
-def symmetric_ordering(n_cells, face_lo, face_hi):
-    """SuperLU's ``MMD_AT_PLUS_A`` column order of face Laplacians plus a diagonal.
+def symmetric_ordering(pattern):
+    """SuperLU's ``MMD_AT_PLUS_A`` column order of a matrix with a symmetric pattern.
 
-    Cell ``i`` goes to position ``perm[i]``.  The order depends only on the
-    sparsity pattern, so the no-fill incomplete LU of the unit-coefficient
-    matrix yields the same permutation as a full symmetric-mode LU, at a
-    fraction of its cost.
+    Row and column ``i`` go to position ``perm[i]``.  The order depends only
+    on the sparsity pattern, so the no-fill incomplete LU of a diagonally
+    dominant matrix with that pattern yields the same permutation as a full
+    symmetric-mode LU, at a fraction of its cost.
     """
-    unit = face_laplacian(n_cells, face_lo, face_hi, 1.0) + sparse.identity(n_cells)
-    return spilu(unit.tocsc(), drop_tol=1.0, fill_factor=1.0, permc_spec="MMD_AT_PLUS_A",
-                 **_SYMMETRIC).perm_c
+    return spilu(pattern.tocsc(), drop_tol=1.0, fill_factor=1.0, permc_spec="MMD_AT_PLUS_A",
+                 **_SYMMETRIC, **SUPERNODES).perm_c
 
 
-class OrderedFaceSystem:
-    """``face_laplacian(kappa) + diag(shift)`` assembled in place in its fill-reducing order.
+def _couplings(face_red, face_black, n_red, n_black):
+    """The entries that eliminating the red cells adds between black cells.
 
-    The CSC pattern (int32 indices) is built once; ``assemble`` rewrites only
-    its values.  ``to_order`` and ``from_order`` move a cell vector into and
-    out of the permuted numbering.
+    Faces ``first[k]`` and ``second[k]`` meet at a red cell, so their black
+    cells are coupled: the pair adds to entry ``entry[k]``, which joins the
+    black cells ``upper[entry[k]] < lower[entry[k]]``.  Temporaries end here,
+    before the order's incomplete LU and the first factorization allocate.
+    """
+    by_red = np.argsort(face_red, kind="stable").astype(np.int32)
+    degree = np.bincount(face_red, minlength=n_red)
+    start = np.cumsum(degree) - degree
+    firsts, seconds = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int32)]
+    max_degree = int(degree.max(initial=0))
+    for i in range(max_degree):
+        for j in range(i + 1, max_degree):
+            at = start[degree > j]
+            firsts.append(by_red[at + i])
+            seconds.append(by_red[at + j])
+    first, second = np.concatenate(firsts), np.concatenate(seconds)
+    b_first = face_black[first].astype(np.int64)
+    b_second = face_black[second].astype(np.int64)
+    if np.any(b_first == b_second):
+        raise ValueError("face lists repeat a pair of cells")
+    keys, entry = np.unique(np.minimum(b_first, b_second) * n_black
+                            + np.maximum(b_first, b_second), return_inverse=True)
+    upper, lower = np.divmod(keys, n_black)
+    return (first, second, entry.ravel().astype(np.int32),
+            upper.astype(np.int32), lower.astype(np.int32))
+
+
+def _pattern_order(upper, lower, n):
+    """``symmetric_ordering`` of the pattern with off-diagonal entries (upper, lower), both ways."""
+    diagonal = np.arange(n, dtype=np.int32)
+    unit = np.concatenate([-np.ones(2 * upper.size),
+                           1.0 + np.bincount(upper, minlength=n) + np.bincount(lower, minlength=n)])
+    pattern = sparse.csc_matrix((unit, (np.concatenate([upper, lower, diagonal]),
+                                        np.concatenate([lower, upper, diagonal]))), shape=(n, n))
+    return symmetric_ordering(pattern).astype(np.int32)
+
+
+class ReducedFaceSystem:
+    """``face_laplacian(kappa) + shift I`` with one colour of cells eliminated exactly.
+
+    ``colour`` is a 0/1 label per cell (the parity of its grid index) and
+    every face must join two cells of opposite colour, else ``ValueError``.
+    The cells of the larger colour ("red", colour 1 on a tie) are coupled
+    only to the others ("black"), so their block is diagonal, ``d_r = shift
+    + sum_f kappa_f``, and the black unknowns solve the Schur complement
+    ``S = D_bb - A_br D_rr^-1 A_rb``: an SPD M-matrix on about half the
+    cells, with a 9-point stencil in 2-D and 19 points in 3-D.  Two black
+    cells are coupled in ``S`` through every red cell next to both of them.
+
+    The pattern of ``S``, its symmetric fill-reducing order and the CSC
+    layout in that order (int32 indices and slots) are built once;
+    ``assemble`` rewrites only the values.  ``to_order`` reduces a right-hand
+    side ``f`` to ``f_b + sum_f (kappa_f / d_r) f_r`` in the permuted black
+    numbering, and ``from_order`` back-substitutes
+    ``x_r = (f_r + sum_f kappa_f x_b) / d_r`` to return the cell vector; both
+    use the coefficients of the last ``assemble``.
     """
 
-    def __init__(self, n_cells, face_lo, face_hi):
-        self.face_lo = face_lo
-        self.face_hi = face_hi
-        perm = symmetric_ordering(n_cells, face_lo, face_hi).astype(np.int32)
-        # entries: (lo, hi) per face, (hi, lo) per face, then the diagonal
-        rows = np.concatenate([perm[face_lo], perm[face_hi], perm])
-        cols = np.concatenate([perm[face_hi], perm[face_lo], perm])
+    def __init__(self, colour, face_lo, face_hi):
+        colour = np.asarray(colour) % 2 == 1
+        if np.any(colour[face_lo] == colour[face_hi]):
+            raise ValueError("a face joins two cells of the same colour")
+        red = colour if 2 * np.count_nonzero(colour) >= colour.size else ~colour
+        self._red = np.flatnonzero(red).astype(np.int32)
+        black = np.flatnonzero(~red).astype(np.int32)
+        n_black = black.size
+        local = np.empty(colour.size, dtype=np.int32)
+        local[self._red] = np.arange(self._red.size)
+        local[black] = np.arange(n_black)
+        red_lo = red[face_lo]
+        self._face_red = local[np.where(red_lo, face_lo, face_hi)]
+        face_black = local[np.where(red_lo, face_hi, face_lo)]
+        self._pair_first, self._pair_second, self._pair_entry, upper, lower = _couplings(
+            self._face_red, face_black, self._red.size, n_black)
+        perm = _pattern_order(upper, lower, n_black)
+
+        # CSC layout in that order: (upper, lower) per coupling, (lower, upper), the diagonal
+        rows = np.concatenate([perm[upper], perm[lower], np.arange(n_black, dtype=np.int32)])
+        cols = np.concatenate([perm[lower], perm[upper], np.arange(n_black, dtype=np.int32)])
         order = np.lexsort((rows, cols))
         slots = np.empty(order.size, dtype=np.int32)
         slots[order] = np.arange(order.size, dtype=np.int32)
-        indptr = np.zeros(n_cells + 1, dtype=np.int32)
-        np.cumsum(np.bincount(cols, minlength=n_cells), out=indptr[1:])
+        indptr = np.zeros(n_black + 1, dtype=np.int32)
+        np.cumsum(np.bincount(cols, minlength=n_black), out=indptr[1:])
         self.matrix = sparse.csc_matrix(
-            (np.zeros(order.size), rows[order], indptr), shape=(n_cells, n_cells))
-        if not self.matrix.has_canonical_format:
-            raise ValueError("face lists repeat a pair of cells")
-        n_faces = face_lo.size
-        self._lo_slots = slots[:n_faces]
-        self._hi_slots = slots[n_faces:2 * n_faces]
-        self._diag_slots = slots[2 * n_faces:]
+            (np.zeros(order.size), rows[order], indptr), shape=(n_black, n_black))
+        n_pairs = upper.size
+        self._upper_slots = slots[:n_pairs]
+        self._lower_slots = slots[n_pairs:2 * n_pairs]
+        self._diag_slots = slots[2 * n_pairs:]
         self.perm = perm
+        self._face_black = perm[face_black]
+        self._black = np.empty_like(black)
+        self._black[perm] = black
+        self._kappa = self._weight = self._red_diag = None
 
     def assemble(self, kappa, shift):
-        """The matrix with face coefficients ``kappa`` and diagonal shift ``shift``."""
+        """``S`` for face coefficients ``kappa`` and diagonal shift ``shift``, in place."""
+        red_diag = shift + np.bincount(self._face_red, kappa, self._red.size)
+        weight = kappa / red_diag[self._face_red]
+        coupling = np.bincount(self._pair_entry,
+                               kappa[self._pair_first] * weight[self._pair_second],
+                               self._upper_slots.size)
         data = self.matrix.data
-        n = self.perm.size
-        data[self._lo_slots] = -kappa
-        data[self._hi_slots] = -kappa
-        data[self._diag_slots] = (shift + np.bincount(self.face_lo, kappa, n)
-                                  + np.bincount(self.face_hi, kappa, n))
+        data[self._upper_slots] = -coupling
+        data[self._lower_slots] = -coupling
+        data[self._diag_slots] = shift + np.bincount(self._face_black, kappa * (1.0 - weight),
+                                                     self._black.size)
+        self._kappa, self._weight, self._red_diag = kappa, weight, red_diag
         return self.matrix
 
     def to_order(self, values):
-        ordered = np.empty_like(values)
-        ordered[self.perm] = values
-        return ordered
+        """The reduced right-hand side of cell vector ``values``, in the order of ``S``."""
+        red_values = values[self._red][self._face_red]
+        return values[self._black] + np.bincount(self._face_black, self._weight * red_values,
+                                                 self._black.size)
 
-    def from_order(self, ordered):
-        return ordered[self.perm]
+    def from_order(self, ordered, values):
+        """The cell vector whose black part is ``ordered``; ``values`` is the full right-hand side."""
+        solution = np.empty_like(values)
+        solution[self._black] = ordered
+        solution[self._red] = (values[self._red] + np.bincount(
+            self._face_red, self._kappa * ordered[self._face_black], self._red.size)
+        ) / self._red_diag
+        return solution
 
 
 def projected_cg(matrix, rhs, tol=1e-10, max_iter=None):
@@ -182,8 +269,8 @@ class ZeroMeanDirect:
     The block is factored once, in the symmetric minimum-degree order
     ``MMD_AT_PLUS_A`` with SuperLU's default partial pivoting: on the 52k-cell
     ``micro_large`` grid its LU holds 1.77M nonzeros, against 2.85M in the
-    default ``COLAMD`` order.  It does not reuse the transport's cached face
-    order, which is computed for the 5-point pattern (see the module notes).
+    default ``COLAMD`` order.  It does not reuse the transport's cached
+    order, which is computed for the reduced system (see the module notes).
     """
 
     def __init__(self, matrix):

@@ -12,11 +12,13 @@ two-point coefficient (implicit) and through its off-diagonal entries as
 four-point averaged tangential differences (explicit).
 
 The implicit matrix of each species and step is a fresh SuperLU
-factorization, but its pattern is fixed: the simulation computes the
-symmetric fill-reducing ordering once (``linalg.OrderedFaceSystem``),
-refills the matrix in that order in place and factorizes it with the
-``NATURAL`` column order, in symmetric mode and with the supernode settings
-``linalg.SUPERNODES``.
+factorization, but its pattern is fixed and every face joins cells of
+opposite grid-index parity.  The simulation builds a
+``linalg.ReducedFaceSystem`` once: the cells of one parity are eliminated
+exactly, and the Schur complement on the others is refilled in place in its
+symmetric fill-reducing order and factorized with the ``NATURAL`` column
+order, in symmetric mode and with the supernode settings
+``linalg.SUPERNODES``; the eliminated cells follow by back-substitution.
 
 A fully explicit mode (exact h_p face differences, diffusive CFL) exists for
 cross-validation at small time steps.
@@ -33,7 +35,7 @@ from scipy.sparse.linalg import splu
 
 from .diagnostics import DiagnosticsRecord, energy_value, face_gradient_l2, lp_norm_pth_power
 from .errors import ConfigError, GeometryError, SolverError, TimeStepError
-from .linalg import SUPERLU_NATURAL, OrderedFaceSystem, ZeroMeanDirect, face_laplacian
+from .linalg import SUPERLU_NATURAL, ReducedFaceSystem, ZeroMeanDirect, face_laplacian
 
 NEG_TOLERANCE = 1e-12     # accepted round-off undershoot of concentrations
 DT_FLOOR = 1e-10          # abort threshold for the step-halving loop
@@ -210,7 +212,7 @@ class TransportSim:
         self._volumetric = np.asarray(volumetric_charge, dtype=float)
         self._boundary_rhs = facet_charges.cell_sums(grid)
         self._poisson = None
-        self._ordered = None
+        self._reduced = None
         self._charges = np.array([s.charge for s in self.species], dtype=float)
         self._diffusivities = np.array([s.diffusivity for s in self.species], dtype=float)
 
@@ -304,20 +306,23 @@ class TransportSim:
     def _implicit_solve(self, c, diffusivity, face_h, dt, rhs_extra):
         """Solve (face_laplacian(kappa) + I/dt) c* = c/dt + rhs_extra.
 
-        A symmetric, strictly diagonally dominant M-matrix, factorized in the
-        symmetric fill-reducing order the simulation computes once.
+        A symmetric, strictly diagonally dominant M-matrix.  One parity of
+        cells is eliminated exactly and the reduced system is factorized in
+        the symmetric fill-reducing order the simulation computes once.
         """
         grid = self.grid
-        if self._ordered is None:
-            self._ordered = OrderedFaceSystem(grid.n_fluid, grid.face_lo, grid.face_hi)
-        system = self._ordered
+        if self._reduced is None:
+            parity = np.indices(grid.fluid_mask.shape).sum(axis=0)[grid.fluid_mask]
+            self._reduced = ReducedFaceSystem(parity, grid.face_lo, grid.face_hi)
+        system = self._reduced
         kappa = diffusivity * self._face_diag * face_h / grid.h ** 2
         matrix = system.assemble(kappa, 1.0 / dt)
         try:
             lu = splu(matrix, **SUPERLU_NATURAL)
         except RuntimeError as exc:
             raise SolverError(f"implicit transport solve failed: {exc}") from exc
-        return system.from_order(lu.solve(system.to_order(c / dt + rhs_extra)))
+        rhs = c / dt + rhs_extra
+        return system.from_order(lu.solve(system.to_order(rhs)), rhs)
 
     def step(self, state: SimState, dt: float, source=None) -> SimState:
         """One IMEX (or fully explicit) step of size dt; raises on dt rejection.

@@ -1,11 +1,18 @@
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+import porodrift.config as config_module
 from porodrift import ConfigError
 from porodrift.cli import dispatch, main
-from porodrift.config import parse_and_validate
+from porodrift.config import RunConfig, parse_and_validate
 
 
 def minimal_config(**overrides):
@@ -353,6 +360,76 @@ def test_main_rejects_non_object_section(tmp_path, monkeypatch, capsys, section,
     assert f"config.{section} must be an object" in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def _full_canonical_config(out_dir):
+    """The canonical config with every optional section spelled out."""
+    cfg = canonical_config(out_dir, T=0.01)
+    cfg.update({
+        "solver": {"poisson_tol": 1e-10, "cell_tol": 1e-12, "explicit_time": False},
+        "macro": {"resolution": 32},
+        "cell": {"resolution": 8, "dump_correctors": False},
+        "convergence": {"m_values": [2, 4], "T": 0.01, "dt_init": 1e-3,
+                        "macro_resolution": 32},
+        "eta_sweep": {"values": [0.5, 0.25], "T": 0.01, "dt_init": 1e-3},
+        "mms": {"solvers": ["poisson_micro"], "resolutions": [8, 16]},
+    })
+    cfg["geometry"]["dim"] = 2
+    return cfg
+
+
+def _field_paths(value, path=()):
+    """Every section, key and list entry of a JSON document, as key paths."""
+    items = (value.items() if isinstance(value, dict)
+             else enumerate(value) if isinstance(value, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from _field_paths(child, path + (key,))
+
+
+_CANONICAL_PATHS = list(_field_paths(_full_canonical_config("out")))
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=12),
+    lambda children: (st.lists(children, max_size=4)
+                      | st.dictionaries(st.text(max_size=8), children, max_size=4)),
+    max_leaves=8)
+# numbers of the canonical fields' size pass the type checks and reach the model's checks
+_FIELD_VALUES = st.integers(-3, 40) | st.floats(-1.0, 2.0) | _JSON_VALUES
+
+
+@settings(max_examples=300, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(path=st.sampled_from(_CANONICAL_PATHS), value=_FIELD_VALUES)
+def test_any_json_field_is_a_run_config_or_a_config_error(monkeypatch, path, value):
+    # a grid this size builds in milliseconds; the bound is checked before any grid is built
+    monkeypatch.setattr(config_module, "MAX_GRID_CELLS", 2**15)
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = _full_canonical_config(Path(tmp) / "out")
+        parent = cfg
+        for key in path[:-1]:
+            parent = parent[key]
+        parent[path[-1]] = value
+        text = json.dumps(cfg)
+        try:
+            assert isinstance(parse_and_validate(text), RunConfig)
+            return
+        except ConfigError:
+            pass
+        cfg_path = Path(tmp) / "run.json"
+        cfg_path.write_text(text)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err):
+            assert main(["micro", "--config", str(cfg_path)]) == 2
+        assert "porodrift: invalid config" in err.getvalue()
+        assert not (Path(tmp) / "out").exists()
+
+
+def test_grid_beyond_the_cell_bound_rejected():
+    cfg = canonical_config("out")
+    cfg["geometry"]["m"] = 10**6
+    with pytest.raises(ConfigError, match=r"geometry grid has 8000000\^2 cells"):
+        parse_and_validate(cfg)
 
 
 def test_main_runs_micro(tmp_path):

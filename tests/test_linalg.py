@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 import scipy.sparse as sparse
-from scipy.sparse.linalg import splu, spsolve
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.sparse.linalg import spilu, splu, spsolve
 
 import porodrift.linalg as linalg
 import porodrift.transport as transport
@@ -17,9 +19,10 @@ from porodrift import (
 from porodrift.linalg import (
     SUPERLU_NATURAL,
     SUPERNODES,
-    OrderedFaceSystem,
+    ReducedFaceSystem,
     ZeroMeanDirect,
     face_laplacian,
+    symmetric_ordering,
 )
 from porodrift.transport import poisson_matrix
 
@@ -34,6 +37,19 @@ def _perforated_grid(dim, m=2):
 def _transport_matrix(grid, kappa, dt):
     matrix = face_laplacian(grid.n_fluid, grid.face_lo, grid.face_hi, kappa)
     return (matrix + sparse.identity(grid.n_fluid) / dt).tocsc()
+
+
+def _parity(grid):
+    return np.indices(grid.fluid_mask.shape).sum(axis=0)[grid.fluid_mask] % 2
+
+
+def _reduced_system(grid):
+    return ReducedFaceSystem(_parity(grid), grid.face_lo, grid.face_hi)
+
+
+def _symmetric_mmd_lu(matrix):
+    return splu(matrix, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
+                options={"SymmetricMode": True}, **SUPERNODES)
 
 
 def _zero_mean_reference(matrix, rhs):
@@ -65,8 +81,7 @@ def test_zero_mean_direct_matches_dense_reference(disk_cell_8, case):
 def test_poisson_lu_fills_like_the_symmetric_mmd_transport_lu(dim):
     grid = _perforated_grid(dim)
     poisson = ZeroMeanDirect(poisson_matrix(grid, np.eye(dim)))._lu
-    system = OrderedFaceSystem(grid.n_fluid, grid.face_lo, grid.face_hi)
-    transport_lu = splu(system.assemble(np.ones(grid.face_lo.size), 1.0), **SUPERLU_NATURAL)
+    transport_lu = _symmetric_mmd_lu(_transport_matrix(grid, 1.0, 1.0))
     # minimum degree breaks ties differently without node 0: 0.4 % apart in 2-D,
     # 2.0 % in 3-D, where the default COLAMD order fills 32 % and 109 % more
     assert poisson.nnz == pytest.approx(transport_lu.nnz, rel=0.025)
@@ -111,24 +126,83 @@ def test_implicit_solve_matches_spsolve_3d():
     _check_implicit_solve(_perforated_grid(3), [SpeciesSpec("s", 1.0, 0, smooth_c0)])
 
 
+def _explicit_schur_complement(grid, kappa, dt):
+    """The reference: eliminate the larger parity class (parity 1 on a tie) with scipy."""
+    matrix = _transport_matrix(grid, kappa, dt).tocsr()
+    parity = _parity(grid) == 1
+    red = parity if 2 * np.count_nonzero(parity) >= parity.size else ~parity
+    r, b = np.flatnonzero(red), np.flatnonzero(~red)
+    inverse_red = sparse.diags(1.0 / matrix.diagonal()[r])
+    schur = matrix[b][:, b] - matrix[b][:, r] @ inverse_red @ matrix[r][:, b]
+    return schur.tocsc()
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_cached_order_matches_symmetric_mmd_lu(dim):
     grid = _perforated_grid(dim)
     rng = np.random.default_rng(5)
     kappa = rng.uniform(0.1, 10.0, grid.face_lo.size) / grid.h ** 2
     dt = 1e-3
-    system = OrderedFaceSystem(grid.n_fluid, grid.face_lo, grid.face_hi)
+    system = _reduced_system(grid)
     ordered = system.assemble(kappa, 1.0 / dt)
-    # the in-place matrix is the reference matrix with rows and columns permuted
-    reference = _transport_matrix(grid, kappa, dt)
+    # the in-place matrix is the explicit Schur complement with rows and columns permuted
+    reference = _explicit_schur_complement(grid, kappa, dt)
     inverse = np.argsort(system.perm)
     difference = ordered - reference[inverse][:, inverse]
     assert abs(difference).max() <= 1e-14 * abs(reference).max()
     lu = splu(ordered, **SUPERLU_NATURAL)
-    mmd = splu(reference, permc_spec="MMD_AT_PLUS_A", diag_pivot_thresh=0.0,
-               options={"SymmetricMode": True}, **SUPERNODES)
+    mmd = _symmetric_mmd_lu(reference)
     assert lu.nnz == mmd.nnz
     np.testing.assert_array_equal(system.perm, mmd.perm_c)
+
+
+@pytest.mark.parametrize("shape", [("disk", 2, 8, 8), ("disk", 3, 2, 8), ("none", 2, 1, 128)])
+def test_ordering_with_supernode_settings_is_the_symmetric_mmd_order(shape):
+    kind, dim, m, r = shape
+    cell = build_cell_geometry(InclusionShape(kind, center=(0.5,) * dim, radius=0.25), r)
+    grid = build_masked_grid(cell, m, r)
+    unit = _transport_matrix(grid, 1.0, 1.0)
+    order = symmetric_ordering(unit)
+    # SUPERNODES leaves the order alone: the incomplete LU without it, and the full LU
+    default = spilu(unit, drop_tol=1.0, fill_factor=1.0, permc_spec="MMD_AT_PLUS_A",
+                    diag_pivot_thresh=0.0, options={"SymmetricMode": True})
+    np.testing.assert_array_equal(order, default.perm_c)
+    np.testing.assert_array_equal(order, _symmetric_mmd_lu(unit).perm_c)
+
+
+@st.composite
+def _small_grids(draw):
+    dim = draw(st.sampled_from([2, 3]))
+    r = draw(st.integers(4, 8))
+    kind = draw(st.sampled_from(["none", "disk", "square"]))
+    # the inclusion keeps the margin 2/r to the cell boundary that build_cell_geometry asks
+    size = draw(st.floats(0.05, 1.0)) * (0.5 - 2.0 / r)
+    if size <= 0.0:
+        kind = "none"
+    shape = InclusionShape(kind, center=(0.5,) * dim, radius=size, half_width=size)
+    return build_masked_grid(build_cell_geometry(shape, r), draw(st.integers(1, 3)), r)
+
+
+@settings(max_examples=25, deadline=None)
+@given(grid=_small_grids(), seed=st.integers(0, 2**32 - 1),
+       log_dt=st.floats(-6.0, 0.0))
+def test_reduced_solve_matches_spsolve_of_the_full_matrix(grid, seed, log_dt):
+    rng = np.random.default_rng(seed)
+    kappa = rng.uniform(0.1, 10.0, grid.face_lo.size) / grid.h ** 2
+    dt = 10.0 ** log_dt
+    rhs = rng.uniform(-1.0, 1.0, grid.n_fluid)
+    system = _reduced_system(grid)
+    lu = splu(system.assemble(kappa, 1.0 / dt), **SUPERLU_NATURAL)
+    solution = system.from_order(lu.solve(system.to_order(rhs)), rhs)
+    reference = spsolve(_transport_matrix(grid, kappa, dt), rhs)
+    assert np.max(np.abs(solution - reference)) <= 1e-12 * np.max(np.abs(reference))
+    # a face between two cells of one parity breaks the elimination
+    parity = _parity(grid)
+    same = np.flatnonzero(parity == parity[0])
+    if same.size > 1:
+        extra = same[rng.integers(1, same.size)]
+        with pytest.raises(ValueError, match="same colour"):
+            ReducedFaceSystem(parity, np.append(grid.face_lo, 0), np.append(grid.face_hi, extra))
 
 
 def test_ordering_computed_once_per_simulation(monkeypatch):
