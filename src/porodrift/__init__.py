@@ -18,14 +18,14 @@ from .geometry import (
     FacetCharges,
     InclusionShape,
     MaskedGrid,
+    balance_outer_charges,
     build_cell_geometry,
     build_masked_grid,
     surface_charge_on_facets,
+    validate_compatibility,
 )
 from .macro import (
     MacroSimulation,
-    MacroSourceSpec,
-    balance_macro_source,
     build_macro_source,
     reconstruct_corrector_potential,
     run_macro,
@@ -34,11 +34,9 @@ from .micro import (
     MicroSimulation,
     ScalingSpec,
     SpeciesSpec,
-    balance_outer_charges,
     h_p_eval,
     h_p_prime,
     run_micro,
-    validate_compatibility,
 )
 from .transport import RunResult, SimState
 from .verification import (

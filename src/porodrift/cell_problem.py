@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import SolverError
 from .geometry import CellGeometry
-from .linalg import face_laplacian, projected_cg
+from .linalg import face_divergence, face_laplacian, projected_cg
 
 DEFAULT_TOL = 1e-10
 
@@ -35,16 +35,12 @@ class CorrectorField:
 
 
 def _rhs_for_direction(cell: CellGeometry, k: int) -> np.ndarray:
-    area = cell.facet_area
     sel = cell.face_axis == k
-    rhs = np.zeros(cell.n_fluid)
-    np.add.at(rhs, cell.face_lo[sel], area)
-    np.add.at(rhs, cell.face_hi[sel], -area)
-    return rhs
+    flux = np.full(int(np.count_nonzero(sel)), -cell.facet_area)
+    return face_divergence(cell.n_fluid, cell.face_lo[sel], cell.face_hi[sel], flux)
 
 
-def solve_cell_problem(cell: CellGeometry, k: int, tol: float = DEFAULT_TOL,
-                       max_iter=None) -> CorrectorField:
+def solve_cell_problem(cell: CellGeometry, k: int, tol: float = DEFAULT_TOL) -> CorrectorField:
     """Solve for the direction-k corrector with mean-projected CG.
 
     The right-hand side is the masked-face divergence of the constant field
@@ -61,7 +57,7 @@ def solve_cell_problem(cell: CellGeometry, k: int, tol: float = DEFAULT_TOL,
         raise SolverError(f"cell-problem RHS is incompatible (sum {total:.3e})")
     coeff = cell.facet_area / cell.h
     matrix = face_laplacian(cell.n_fluid, cell.face_lo, cell.face_hi, coeff)
-    values, residual, iterations = projected_cg(matrix, rhs, tol=tol, max_iter=max_iter)
+    values, residual, iterations = projected_cg(matrix, rhs, tol=tol)
     return CorrectorField(k=k, values=values, rel_residual=residual, iterations=iterations)
 
 
@@ -80,10 +76,7 @@ def corrector_residual(cell: CellGeometry, corrector: CorrectorField) -> float:
     w = corrector.values
     g = (w[cell.face_hi] - w[cell.face_lo]) / cell.h
     g += (cell.face_axis == corrector.k).astype(float)
-    div = np.zeros(cell.n_fluid)
-    flux = g * cell.facet_area
-    np.add.at(div, cell.face_lo, -flux)
-    np.add.at(div, cell.face_hi, flux)
+    div = face_divergence(cell.n_fluid, cell.face_lo, cell.face_hi, g * cell.facet_area)
     return float(np.max(np.abs(div))) / cell.h ** cell.dim
 
 
@@ -107,12 +100,9 @@ class EffectiveTensor:
         return self.a_hom.shape[0]
 
 
-def compute_effective_tensor(cell: CellGeometry, tol: float = DEFAULT_TOL,
-                             max_iter=None) -> EffectiveTensor:
+def compute_effective_tensor(cell: CellGeometry, tol: float = DEFAULT_TOL) -> EffectiveTensor:
     """Solve the n cell problems and assemble both tensor expressions."""
-    correctors = tuple(
-        solve_cell_problem(cell, k, tol=tol, max_iter=max_iter) for k in range(cell.dim)
-    )
+    correctors = tuple(solve_cell_problem(cell, k, tol=tol) for k in range(cell.dim))
     grads = corrected_gradients(cell, correctors)
     a_hom = np.empty((cell.dim, cell.dim))
     for k in range(cell.dim):

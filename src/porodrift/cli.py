@@ -22,8 +22,13 @@ from . import __version__
 from .cell_problem import compute_effective_tensor
 from .config import parse_and_validate
 from .errors import PorodriftError
-from .geometry import InclusionShape, build_cell_geometry, build_masked_grid
-from .macro import balance_macro_source, build_macro_source, limit_mode, run_macro
+from .geometry import (
+    InclusionShape,
+    balance_outer_charges,
+    build_cell_geometry,
+    build_masked_grid,
+)
+from .macro import build_macro_source, limit_mode, run_macro
 from .micro import run_micro
 from .verification import (
     run_convergence_study,
@@ -67,16 +72,16 @@ def _sha256(path: Path) -> str:
 
 
 def _macro_inputs(config):
-    """Macro grid, effective tensor, balanced sources, and species for a config."""
+    """Macro grid, effective tensor, porosity, (balanced) charges and species for a config."""
     macro_grid = build_masked_grid(
         build_cell_geometry(InclusionShape("none", center=(0.5,) * config.dim),
                             config.macro_resolution),
         1, config.macro_resolution)
     tensor = compute_effective_tensor(config.cell, tol=config.cell_tol)
-    source = build_macro_source(config.cell, macro_grid, config.xi1, config.xi2)
+    charges = build_macro_source(config.cell, macro_grid, config.xi1, config.xi2)
     if config.auto_balance:
-        source = balance_macro_source(macro_grid, config.species, source)
-    return macro_grid, tensor.a_hom, tensor.porosity, source, config.species
+        charges, _ = balance_outer_charges(macro_grid, config.species, charges)
+    return macro_grid, tensor.a_hom, tensor.porosity, charges, config.species
 
 
 def dispatch(subcommand: str, config, out_dir=None, explicit_time=None,
@@ -130,12 +135,12 @@ def dispatch(subcommand: str, config, out_dir=None, explicit_time=None,
 
         elif subcommand == "macro":
             mode = limit_mode(config.alpha, config.beta)
-            grid, tensor_matrix, porosity, source, specs = _macro_inputs(config)
+            grid, tensor_matrix, porosity, charges, specs = _macro_inputs(config)
             conc_name, phi_name = "c0", "phi0"
             extra = {"mode": mode, "a_hom": tensor_matrix, "porosity": porosity,
                      "macro_resolution": config.macro_resolution}
             result = run_macro(
-                grid, tensor_matrix, specs, source, config.eta, config.p,
+                grid, tensor_matrix, specs, charges, config.eta, config.p,
                 config.final_time, config.dt_init, mode=mode,
                 cfl_fraction=config.cfl_fraction,
                 output_interval=config.output_interval or None,
@@ -172,8 +177,8 @@ def dispatch(subcommand: str, config, out_dir=None, explicit_time=None,
         elif subcommand == "eta-sweep":
             if limit_mode(config.alpha, config.beta) != "coupled":
                 raise PorodriftError("eta-sweep requires the coupled regime (alpha = beta)")
-            macro_grid, tensor_matrix, _, source, specs = _macro_inputs(config)
-            report = run_eta_sweep(macro_grid, tensor_matrix, specs, source, config.p,
+            macro_grid, tensor_matrix, _, charges, specs = _macro_inputs(config)
+            report = run_eta_sweep(macro_grid, tensor_matrix, specs, charges, config.p,
                                    config.eta_values, config.eta_final_time,
                                    config.eta_dt_init, cfl_fraction=config.cfl_fraction,
                                    poisson_tol=config.poisson_tol)

@@ -36,11 +36,13 @@ from .geometry import (
     MIN_RESOLUTION,
     FacetCharges,
     InclusionShape,
+    balance_outer_charges,
     build_cell_geometry,
     build_masked_grid,
     surface_charge_on_facets,
+    validate_compatibility,
 )
-from .micro import ScalingSpec, SpeciesSpec, balance_outer_charges, validate_compatibility
+from .micro import ScalingSpec, SpeciesSpec
 from .verification import MMS_SOLVERS, check_mms_request
 
 

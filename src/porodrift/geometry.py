@@ -16,13 +16,13 @@ boundary of the domain is always adjacent to fluid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sparse
 from scipy.sparse.csgraph import connected_components
 
-from .errors import GeometryError
+from .errors import ConfigError, GeometryError
 
 _KINDS = ("none", "disk", "square", "super_ellipse")
 MIN_RESOLUTION = 4  # cells per unit-cell edge
@@ -356,27 +356,75 @@ def build_masked_grid(cell: CellGeometry, m: int, r: int) -> MaskedGrid:
 
 @dataclass
 class FacetCharges:
-    """Surface charge samples on the boundary facets of a masked grid.
+    """The fixed Poisson charge data of a masked grid, at either scale.
 
-    ``gamma_values`` carry the eps-scaled interface density eps*xi1(x, x/eps mod 1);
-    ``outer_values`` carry xi2(x).
+    ``gamma_values`` carry the charge density per interface facet: the
+    eps-scaled eps*xi1(x, x/eps mod 1) on the micro grid, none on the macro
+    grid.  ``outer_values`` carry the Neumann charge per outer facet: xi2(x)
+    (micro) or g = xi2(x)/|Y^f| (macro).  ``volumetric`` is the charge
+    density per fluid cell: 0 (micro) or the cell-averaged interface charge
+    s(x) (macro).
     """
 
     gamma_values: np.ndarray
     outer_values: np.ndarray
-
-    def total_charge(self, grid: MaskedGrid) -> float:
-        return float(
-            np.sum(self.gamma_values) * grid.facet_area
-            + np.sum(self.outer_values) * grid.facet_area
-        )
+    volumetric: np.ndarray | float = 0.0
 
     def cell_sums(self, grid: MaskedGrid) -> np.ndarray:
-        """Charge times facet area, summed into the fluid cell behind each facet."""
+        """Facet charge times facet area, summed into the fluid cell behind each facet."""
         sums = np.zeros(grid.n_fluid)
         np.add.at(sums, grid.gamma_cell, self.gamma_values * grid.facet_area)
         np.add.at(sums, grid.outer_cell, self.outer_values * grid.facet_area)
         return sums
+
+
+COMPAT_REL_TOL = 1e-12   # |R| allowed relative to the charge scale
+
+
+def validate_compatibility(grid: MaskedGrid, species, charges: FacetCharges,
+                           raise_on_fail: bool = True) -> float:
+    """Discrete charge balance R = sum_i z_i int c_i^0 + int s + int_boundary xi dS.
+
+    The pure-Neumann Poisson problem is solvable iff R = 0.  Returns R, which
+    is inf or nan when the data's total overflows; when ``raise_on_fail`` and
+    |R| exceeds COMPAT_REL_TOL times the charge scale, a ConfigError carrying
+    R is raised.
+    """
+    bulk = 0.0
+    scale = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for spec in species:
+            c0 = np.asarray(spec.initial_profile(grid.centers), dtype=float)
+            mass = float(np.sum(c0)) * grid.cell_volume
+            bulk += spec.charge * mass
+            scale += abs(spec.charge) * abs(mass)
+        volumetric = np.broadcast_to(charges.volumetric, grid.n_fluid)
+        bulk += float(np.sum(volumetric)) * grid.cell_volume
+        scale += float(np.sum(np.abs(volumetric))) * grid.cell_volume
+        boundary = float(np.sum(charges.gamma_values) * grid.facet_area
+                         + np.sum(charges.outer_values) * grid.facet_area)
+        scale += float(np.sum(np.abs(charges.gamma_values)) * grid.facet_area)
+        scale += float(np.sum(np.abs(charges.outer_values)) * grid.facet_area)
+    residual = bulk + boundary
+    if raise_on_fail and abs(residual) > COMPAT_REL_TOL * max(1.0, scale):
+        raise ConfigError(
+            f"incompatible charge data: residual {residual:.6e} violates the "
+            f"solvability condition (total bulk + boundary charge must vanish); "
+            "enable auto_balance or adjust the data",
+            residual=residual,
+        )
+    return residual
+
+
+def balance_outer_charges(grid: MaskedGrid, species, charges: FacetCharges):
+    """Shift the outer-boundary charge by a constant so the discrete balance is exact.
+
+    Returns (balanced charges, shift).  The shift -R/|outer boundary| is the
+    unique constant correction supported on the outer boundary.
+    """
+    residual = validate_compatibility(grid, species, charges, raise_on_fail=False)
+    shift = -residual / grid.outer_area_total
+    return replace(charges, outer_values=charges.outer_values + shift), float(shift)
 
 
 def surface_charge_on_facets(grid: MaskedGrid, xi1, xi2) -> FacetCharges:

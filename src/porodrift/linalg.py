@@ -71,6 +71,13 @@ def face_laplacian(n_cells, face_lo, face_hi, coeff):
     return mat.tocsr()
 
 
+def face_divergence(n_cells, face_lo, face_hi, flux):
+    """Net inflow per cell of the face fluxes ``flux`` (positive flows lo -> hi)."""
+    gain = np.bincount(face_hi, weights=flux, minlength=n_cells)
+    loss = np.bincount(face_lo, weights=flux, minlength=n_cells)
+    return gain - loss
+
+
 def symmetric_ordering(pattern):
     """SuperLU's ``MMD_AT_PLUS_A`` column order of a matrix with a symmetric pattern.
 

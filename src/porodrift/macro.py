@@ -11,13 +11,15 @@ Two limit regimes share one stepper:
 
 The volumetric source s(x) is the cell-averaged interface charge; it is
 computed with the same staircase facet measure as the microscopic model so
-both sides of a convergence comparison share one geometry model.
+both sides of a convergence comparison share one geometry model.  The
+sources are a ``geometry.FacetCharges`` with no interface facets: s is its
+``volumetric`` part and g its ``outer_values``, and the micro model's
+compatibility check and balancing apply to it unchanged.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,18 +28,9 @@ from .geometry import CellGeometry, FacetCharges, MaskedGrid
 from .transport import RunResult, TransportSim, gradient_matrices
 
 __all__ = [
-    "MacroSourceSpec", "MacroSimulation", "build_macro_source", "balance_macro_source",
-    "limit_mode", "run_macro", "reconstruct_corrector_potential", "cell_centered_gradients",
-    "sample_macro_field",
+    "MacroSimulation", "build_macro_source", "limit_mode", "run_macro",
+    "reconstruct_corrector_potential", "cell_centered_gradients", "sample_macro_field",
 ]
-
-
-@dataclass
-class MacroSourceSpec:
-    """Homogenized charge sources: volumetric per cell and Neumann flux per outer facet."""
-
-    volumetric: np.ndarray
-    boundary: np.ndarray
 
 
 def limit_mode(alpha: float, beta: float) -> str:
@@ -45,11 +38,12 @@ def limit_mode(alpha: float, beta: float) -> str:
     return "coupled" if alpha == beta else "decoupled"
 
 
-def build_macro_source(cell: CellGeometry, grid: MaskedGrid, xi1, xi2) -> MacroSourceSpec:
+def build_macro_source(cell: CellGeometry, grid: MaskedGrid, xi1, xi2) -> FacetCharges:
     """Average the interface charge over the unit cell per macro cell center.
 
     s(x) = (1/|Y^f|) * sum over staircase interface facets of xi1(x, y) dS(y),
-    g(x) = xi2(x) / |Y^f| on the outer boundary.
+    g(x) = xi2(x) / |Y^f| on the outer boundary; returned as charges with no
+    interface facets.
     """
     porosity = cell.porosity
     n_cells = grid.n_fluid
@@ -62,23 +56,7 @@ def build_macro_source(cell: CellGeometry, grid: MaskedGrid, xi1, xi2) -> MacroS
         values = np.asarray(xi1(x_rep, y_rep), dtype=float).reshape(n_cells, n_facets)
         volumetric = values.sum(axis=1) * cell.facet_area / porosity
     boundary = np.asarray(xi2(grid.outer_center), dtype=float) / porosity
-    return MacroSourceSpec(volumetric=volumetric, boundary=boundary)
-
-
-def balance_macro_source(grid: MaskedGrid, species, source: MacroSourceSpec) -> MacroSourceSpec:
-    """Shift the Neumann flux by a constant so the discrete macro charge balance is exact.
-
-    The macro counterpart of ``balance_outer_charges``: the residual of
-    sum_i z_i c_i^0 + s over the cells plus g over the outer boundary is
-    removed by the constant -R/|outer boundary| on g.
-    """
-    rho0 = np.zeros(grid.n_fluid)
-    for spec in species:
-        rho0 += spec.charge * np.asarray(spec.initial_profile(grid.centers), dtype=float)
-    residual = (float(np.sum(rho0 + source.volumetric)) * grid.cell_volume
-                + float(np.sum(source.boundary)) * grid.facet_area)
-    return MacroSourceSpec(volumetric=source.volumetric,
-                           boundary=source.boundary - residual / grid.outer_area_total)
+    return FacetCharges(gamma_values=np.empty(0), outer_values=boundary, volumetric=volumetric)
 
 
 def cell_centered_gradients(grid: MaskedGrid, values: np.ndarray) -> np.ndarray:
@@ -116,7 +94,7 @@ class MacroSimulation(TransportSim):
     and potential, drift 1 (coupled) or 0 (decoupled), the cell-averaged source."""
 
     def __init__(self, grid: MaskedGrid, tensor: np.ndarray, species,
-                 source: MacroSourceSpec, eta: float, p: float,
+                 charges: FacetCharges, eta: float, p: float,
                  mode: str = "coupled", poisson_tol: float = 1e-11,
                  explicit_time: bool = False):
         if mode not in ("coupled", "decoupled"):
@@ -125,25 +103,22 @@ class MacroSimulation(TransportSim):
             raise GeometryError("the homogenized model lives on the unperforated domain")
         super().__init__(
             grid, species, eta, p, transport_tensor=tensor, poisson_tensor=tensor,
-            drift_scale=1.0 if mode == "coupled" else 0.0,
-            volumetric_charge=source.volumetric,
-            facet_charges=FacetCharges(gamma_values=np.empty(0), outer_values=source.boundary),
+            drift_scale=1.0 if mode == "coupled" else 0.0, charges=charges,
             energy_prefactor=1.0, grad_scale=1.0,
             poisson_tol=poisson_tol, explicit_time=explicit_time,
         )
 
 
-def run_macro(grid: MaskedGrid, tensor: np.ndarray, species, source: MacroSourceSpec,
+def run_macro(grid: MaskedGrid, tensor: np.ndarray, species, charges: FacetCharges,
               eta: float, p: float, final_time: float, dt_init: float,
               mode: str = "coupled", cfl_fraction: float = 0.5, output_interval=None,
-              snapshot_times=(), poisson_tol: float = 1e-11, explicit_time: bool = False,
-              source_term=None) -> RunResult:
+              snapshot_times=(), poisson_tol: float = 1e-11,
+              explicit_time: bool = False) -> RunResult:
     """Integrate the homogenized model to ``final_time``."""
-    sim = MacroSimulation(grid, tensor, species, source, eta, p, mode=mode,
+    sim = MacroSimulation(grid, tensor, species, charges, eta, p, mode=mode,
                           poisson_tol=poisson_tol, explicit_time=explicit_time)
     return sim.run(final_time, dt_init, cfl_fraction=cfl_fraction,
-                   output_interval=output_interval, snapshot_times=snapshot_times,
-                   source=source_term)
+                   output_interval=output_interval, snapshot_times=snapshot_times)
 
 
 def reconstruct_corrector_potential(macro_grid: MaskedGrid, phi0: np.ndarray,

@@ -35,7 +35,13 @@ from scipy.sparse.linalg import splu
 
 from .diagnostics import DiagnosticsRecord, energy_value, face_gradient_l2, lp_norm_pth_power
 from .errors import ConfigError, GeometryError, SolverError, TimeStepError
-from .linalg import SUPERLU_NATURAL, ReducedFaceSystem, ZeroMeanDirect, face_laplacian
+from .linalg import (
+    SUPERLU_NATURAL,
+    ReducedFaceSystem,
+    ZeroMeanDirect,
+    face_divergence,
+    face_laplacian,
+)
 
 NEG_TOLERANCE = 1e-12     # accepted round-off undershoot of concentrations
 DT_FLOOR = 1e-10          # abort threshold for the step-halving loop
@@ -185,15 +191,15 @@ class TransportSim:
       transport_tensor   A, constant symmetric (dim, dim)
       poisson_tensor     B, constant symmetric (dim, dim)
       drift_scale        mobility factor; 0.0 drops the drift from transport
-      volumetric_charge  s, fixed charge density per cell
-      facet_charges      FacetCharges: charge density per interface and outer facet
+      charges            FacetCharges: charge density per interface and outer
+                         facet, and s, the fixed charge density per cell
       energy_prefactor   weight of (1/2)|grad phi|^2 in the energy
       grad_scale         factor on the logged |grad phi|
     """
 
     def __init__(self, grid, species, eta, p, *, transport_tensor, poisson_tensor,
-                 drift_scale, volumetric_charge, facet_charges, energy_prefactor,
-                 grad_scale, poisson_tol=1e-11, explicit_time=False):
+                 drift_scale, charges, energy_prefactor, grad_scale,
+                 poisson_tol=1e-11, explicit_time=False):
         self.grid = grid
         self.species = list(species)
         self.eta = float(eta)
@@ -209,8 +215,8 @@ class TransportSim:
         self._cross_terms = cross_operators(grid, transport_tensor)
         self._cross_magnitude = max(
             (float(np.max(np.abs(coef))) for coef, _ in self._cross_terms), default=0.0)
-        self._volumetric = np.asarray(volumetric_charge, dtype=float)
-        self._boundary_rhs = facet_charges.cell_sums(grid)
+        self._volumetric = np.asarray(charges.volumetric, dtype=float)
+        self._boundary_rhs = charges.cell_sums(grid)
         self._poisson = None
         self._reduced = None
         self._charges = np.array([s.charge for s in self.species], dtype=float)
@@ -246,9 +252,8 @@ class TransportSim:
     def _rate(self, face_flux, source_row):
         """Divergence of the face fluxes (positive flows lo -> hi) plus the source row, if any."""
         grid = self.grid
-        gain = np.bincount(grid.face_hi, weights=face_flux, minlength=grid.n_fluid)
-        loss = np.bincount(grid.face_lo, weights=face_flux, minlength=grid.n_fluid)
-        rate = (gain - loss) * (grid.facet_area / grid.cell_volume)
+        rate = (face_divergence(grid.n_fluid, grid.face_lo, grid.face_hi, face_flux)
+                * (grid.facet_area / grid.cell_volume))
         return rate if source_row is None else rate + source_row
 
     def _normal_gradient_faces(self, values):

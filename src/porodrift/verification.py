@@ -29,27 +29,21 @@ from .geometry import (
     CellGeometry,
     FacetCharges,
     InclusionShape,
+    balance_outer_charges,
     build_cell_geometry,
     build_masked_grid,
     surface_charge_on_facets,
+    validate_compatibility,
 )
 from .linalg import ZeroMeanDirect
 from .macro import (
-    MacroSourceSpec,
-    balance_macro_source,
     build_macro_source,
     limit_mode,
     reconstruct_corrector_potential,
     run_macro,
     sample_macro_field,
 )
-from .micro import (
-    ScalingSpec,
-    SpeciesSpec,
-    balance_outer_charges,
-    run_micro,
-    validate_compatibility,
-)
+from .micro import ScalingSpec, SpeciesSpec, run_micro
 from .transport import poisson_matrix
 
 
@@ -130,13 +124,13 @@ def run_convergence_study(cell: CellGeometry, species, xi1, xi2, alpha, beta, et
     macro_cell = build_cell_geometry(InclusionShape("none", center=(0.5,) * cell.dim),
                                      macro_resolution)
     macro_grid = build_masked_grid(macro_cell, 1, macro_resolution)
-    source = build_macro_source(cell, macro_grid, xi1, xi2)
+    macro_charges = build_macro_source(cell, macro_grid, xi1, xi2)
     if auto_balance:
-        source = balance_macro_source(macro_grid, species, source)
+        macro_charges, _ = balance_outer_charges(macro_grid, species, macro_charges)
 
     t0 = time.perf_counter()
     macro_result = run_macro(
-        macro_grid, tensor.a_hom, species, source, eta, p, final_time, dt_init,
+        macro_grid, tensor.a_hom, species, macro_charges, eta, p, final_time, dt_init,
         mode=mode, cfl_fraction=cfl_fraction, poisson_tol=poisson_tol,
     )
     timings["macro"] = time.perf_counter() - t0
@@ -370,7 +364,7 @@ def run_mms_verification(solvers=MMS_SOLVERS, resolutions=(32, 64, 128)) -> dict
 # -- eta sweep ------------------------------------------------------------------
 
 
-def run_eta_sweep(grid, tensor, species, source: MacroSourceSpec, p, eta_values,
+def run_eta_sweep(grid, tensor, species, charges: FacetCharges, p, eta_values,
                   final_time, dt_init, cfl_fraction=0.5, poisson_tol=1e-11) -> dict:
     """Coupled macro runs for a decreasing list of eta; reports successive distances.
 
@@ -382,7 +376,7 @@ def run_eta_sweep(grid, tensor, species, source: MacroSourceSpec, p, eta_values,
         raise ConfigError("eta values must be positive")
     finals = []
     for eta in eta_values:
-        result = run_macro(grid, tensor, species, source, eta, p, final_time, dt_init,
+        result = run_macro(grid, tensor, species, charges, eta, p, final_time, dt_init,
                            mode="coupled", cfl_fraction=cfl_fraction,
                            poisson_tol=poisson_tol)
         finals.append(result.state)

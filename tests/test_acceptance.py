@@ -12,8 +12,8 @@ import numpy as np
 import pytest
 
 from porodrift import (
+    FacetCharges,
     InclusionShape,
-    MacroSourceSpec,
     SpeciesSpec,
     build_cell_geometry,
     build_masked_grid,
@@ -249,9 +249,10 @@ def test_acceptance_7_decoupling(disk_cell_8, canonical_species):
     # bitwise invariance of the decoupled concentration path under z and xi changes
     grid = build_masked_grid(build_cell_geometry(InclusionShape("none"), 8), 4, 8)
     tensor = np.eye(2)
-    source_a = MacroSourceSpec(np.zeros(grid.n_fluid), np.zeros(grid.outer_cell.size))
-    source_b = MacroSourceSpec(np.full(grid.n_fluid, 0.4),
-                               np.full(grid.outer_cell.size, -0.1))
+    source_a = FacetCharges(np.empty(0), np.zeros(grid.outer_cell.size),
+                            volumetric=np.zeros(grid.n_fluid))
+    source_b = FacetCharges(np.empty(0), np.full(grid.outer_cell.size, -0.1),
+                            volumetric=np.full(grid.n_fluid, 0.4))
     species_a = [SpeciesSpec("p", 1.0, 1, smooth_c0), SpeciesSpec("m", 0.5, -1, smooth_c0)]
     species_b = [SpeciesSpec("p", 1.0, 3, smooth_c0), SpeciesSpec("m", 0.5, -3, smooth_c0)]
     run_a = run_macro(grid, tensor, species_a, source_a, 1.0, 4.0, 0.02, 1e-3,

@@ -1,6 +1,9 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
+from porodrift import cell_problem, linalg
 from porodrift import (
     InclusionShape,
     SolverError,
@@ -52,9 +55,11 @@ def test_corrector_zero_mean_and_periodic_residual(disk_cell_64):
     assert corrector_residual(disk_cell_64, corr) <= max(bound, 1e-8)
 
 
-def test_unconverged_solve_flagged(disk_cell_64):
+def test_unconverged_solve_flagged(disk_cell_64, monkeypatch):
+    # one CG iteration cannot reach the tolerance
+    monkeypatch.setattr(cell_problem, "projected_cg", partial(linalg.projected_cg, max_iter=1))
     with pytest.raises(SolverError) as excinfo:
-        solve_cell_problem(disk_cell_64, 0, tol=1e-12, max_iter=1)
+        solve_cell_problem(disk_cell_64, 0, tol=1e-12)
     assert excinfo.value.residual > 1e-12
 
 

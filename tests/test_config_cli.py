@@ -2,6 +2,7 @@ import contextlib
 import io
 import json
 import tempfile
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -324,10 +325,13 @@ def test_main_rejects_malformed_data(tmp_path, capsys, patch, message):
     ("species", "c0", "exp(1000)", "species 'cation': initial concentration must be finite"),
     ("surface_charge", "xi1", "exp(1000)", "surface_charge.xi1 must be finite"),
     ("surface_charge", "xi2", "exp(1000)", "surface_charge.xi2 must be finite"),
+    # every sample is finite; only the total charge overflows
+    ("surface_charge", "xi1", "1e308",
+     "the total charge of the initial and surface data is inf"),
     ("species", "c0", "-" * 2000 + "1", "species[0].c0: "),
     ("species", "c0", "x1**2", "species[0].c0: '**' in expression"),
 ], ids=["divide-by-zero", "zero-power", "constant-root", "root-plus-x1", "c0-overflow",
-        "xi1-overflow", "xi2-overflow", "deep-nesting", "double-star"])
+        "xi1-overflow", "xi2-overflow", "xi1-total-overflow", "deep-nesting", "double-star"])
 def test_main_rejects_non_finite_or_unparsable_data(tmp_path, capsys, section, key, text,
                                                       message):
     cfg = canonical_config(tmp_path / "out", T=0.01)
@@ -335,9 +339,12 @@ def test_main_rejects_non_finite_or_unparsable_data(tmp_path, capsys, section, k
     entry[key] = text
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(cfg))
-    assert main(["micro", "--config", str(cfg_path)]) == 2
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["micro", "--config", str(cfg_path)]) == 2
     err = capsys.readouterr().err
     assert message in err
+    assert "Warning" not in err
     assert "Traceback" not in err
     assert not (tmp_path / "out").exists()
 

@@ -4,11 +4,16 @@ import pytest
 from porodrift import (
     GeometryError,
     InclusionShape,
+    SpeciesSpec,
+    balance_outer_charges,
     build_cell_geometry,
+    build_macro_source,
     build_masked_grid,
     surface_charge_on_facets,
+    validate_compatibility,
 )
 from porodrift.geometry import _check_connected
+from porodrift.transport import TransportSim
 
 from conftest import constant_xi1, constant_xi2, zero_xi1, zero_xi2
 
@@ -191,3 +196,50 @@ def test_oscillatory_interface_charge_matches_cell_quadrature(disk_cell_8):
         charges = surface_charge_on_facets(grid, xi1, zero_xi2)
         total = float(np.sum(charges.gamma_values) * grid.facet_area)
         assert total == pytest.approx(oracle, rel=1e-12, abs=1e-14)
+
+
+# -- charge balance --------------------------------------------------------------
+
+
+def _ball_cell(dim):
+    return build_cell_geometry(InclusionShape("disk", center=(0.5,) * dim, radius=0.25), 8)
+
+
+def _micro_charges(dim):
+    grid = build_masked_grid(_ball_cell(dim), 2, 8)
+    return grid, surface_charge_on_facets(grid, constant_xi1(0.2), zero_xi2)
+
+
+def _macro_charges(dim):
+    resolution = 12 if dim == 2 else 8
+    grid = build_masked_grid(
+        build_cell_geometry(InclusionShape("none", center=(0.5,) * dim), resolution),
+        1, resolution)
+
+    def xi1(x, y):
+        return 0.2 + 0.1 * x[:, 0] * np.cos(2 * np.pi * y[:, 1])
+
+    return grid, build_macro_source(_ball_cell(dim), grid, xi1, constant_xi2(0.05))
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+@pytest.mark.parametrize("build", [_micro_charges, _macro_charges], ids=["micro", "macro"])
+def test_one_balance_serves_both_scales(build, dim):
+    grid, charges = build(dim)
+    assert np.any(np.asarray(charges.volumetric) != 0.0) == (build is _macro_charges)
+    species = [SpeciesSpec("p", 1.0, 1, lambda x: 1.0 + 0.5 * np.cos(np.pi * x[:, 0])),
+               SpeciesSpec("m", 0.5, -2, lambda x: 0.3 + 0.1 * np.sin(3.0 * x[:, 1]))]
+    residual = validate_compatibility(grid, species, charges, raise_on_fail=False)
+    assert abs(residual) > 1e-3
+    balanced, shift = balance_outer_charges(grid, species, charges)
+    assert shift == -residual / grid.outer_area_total
+    np.testing.assert_array_equal(balanced.volumetric, charges.volumetric)
+
+    sim = TransportSim(grid, species, 1.0, 4.0, transport_tensor=np.eye(dim),
+                       poisson_tensor=np.eye(dim), drift_scale=1.0, charges=balanced,
+                       energy_prefactor=1.0, grad_scale=1.0)
+    c0 = np.stack([s.initial_profile(grid.centers) for s in species])
+    bulk = np.abs(np.array([s.charge for s in species])) @ c0 + np.abs(balanced.volumetric)
+    facets = np.concatenate([balanced.gamma_values, balanced.outer_values])
+    scale = bulk.sum() * grid.cell_volume + np.abs(facets).sum() * grid.facet_area
+    assert abs(sim.compat_residual(c0)) <= 1e-13 * scale

@@ -2,9 +2,9 @@ import numpy as np
 import pytest
 
 from porodrift import (
+    FacetCharges,
     InclusionShape,
     MacroSimulation,
-    MacroSourceSpec,
     SpeciesSpec,
     build_cell_geometry,
     build_macro_source,
@@ -22,7 +22,8 @@ from conftest import hole_free_grid, make_scaling, smooth_c0, zero_charges
 
 
 def _zero_source(grid):
-    return MacroSourceSpec(np.zeros(grid.n_fluid), np.zeros(grid.outer_cell.size))
+    return FacetCharges(np.empty(0), np.zeros(grid.outer_cell.size),
+                        volumetric=np.zeros(grid.n_fluid))
 
 
 # -- macro source -----------------------------------------------------------------
@@ -34,7 +35,7 @@ def test_macro_source_zero_interface_charge(disk_cell_8):
                                 lambda x, y: np.zeros(x.shape[0]),
                                 lambda x: np.zeros(x.shape[0]))
     np.testing.assert_array_equal(source.volumetric, 0.0)
-    np.testing.assert_array_equal(source.boundary, 0.0)
+    np.testing.assert_array_equal(source.outer_values, 0.0)
 
 
 def test_macro_source_constant_interface_charge(disk_cell_8):
@@ -118,8 +119,8 @@ def test_tensor_must_be_symmetric():
 def test_decoupled_concentrations_invariant_under_charge_data():
     grid = hole_free_grid(16)
     source_a = _zero_source(grid)
-    source_b = MacroSourceSpec(np.full(grid.n_fluid, 0.3),
-                               np.full(grid.outer_cell.size, -0.3 * 1.0 / 4.0))
+    source_b = FacetCharges(np.empty(0), np.full(grid.outer_cell.size, -0.3 * 1.0 / 4.0),
+                            volumetric=np.full(grid.n_fluid, 0.3))
     species_a = [SpeciesSpec("p", 1.0, 1, smooth_c0), SpeciesSpec("m", 0.5, -1, smooth_c0)]
     species_b = [SpeciesSpec("p", 1.0, 2, smooth_c0), SpeciesSpec("m", 0.5, -2, smooth_c0)]
     r1 = run_macro(grid, np.eye(2), species_a, source_a, 1.0, 4.0, 0.02, 1e-3,

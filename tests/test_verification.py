@@ -3,7 +3,7 @@ import pytest
 
 from porodrift import (
     ConfigError,
-    MacroSourceSpec,
+    FacetCharges,
     SpeciesSpec,
     balance_outer_charges,
     build_masked_grid,
@@ -110,8 +110,8 @@ def test_convergence_study_rejects_non_increasing_m(disk_cell_8, canonical_speci
 def _sweep_inputs():
     grid = hole_free_grid(16)
     species = [SpeciesSpec("p", 1.0, 1, smooth_c0), SpeciesSpec("m", 0.5, -1, smooth_c0)]
-    source = MacroSourceSpec(np.full(grid.n_fluid, 0.2),
-                             np.full(grid.outer_cell.size, -0.2 / 4.0))
+    source = FacetCharges(np.empty(0), np.full(grid.outer_cell.size, -0.2 / 4.0),
+                          volumetric=np.full(grid.n_fluid, 0.2))
     return grid, species, source
 
 
