@@ -30,15 +30,8 @@ from .macro import (
     reconstruct_corrector_potential,
     run_macro,
 )
-from .micro import (
-    MicroSimulation,
-    ScalingSpec,
-    SpeciesSpec,
-    h_p_eval,
-    h_p_prime,
-    run_micro,
-)
-from .transport import RunResult, SimState
+from .micro import MicroSimulation, ScalingSpec, SpeciesSpec, run_micro
+from .transport import RunResult, SimState, h_p_eval, h_p_prime
 from .verification import (
     ConvergenceReport,
     run_convergence_study,

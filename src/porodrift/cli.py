@@ -21,12 +21,13 @@ import numpy as np
 from . import __version__
 from .cell_problem import compute_effective_tensor
 from .config import parse_and_validate
-from .errors import PorodriftError
+from .errors import ConfigError, PorodriftError
 from .geometry import (
     InclusionShape,
     balance_outer_charges,
     build_cell_geometry,
     build_masked_grid,
+    validate_compatibility,
 )
 from .macro import build_macro_source, limit_mode, run_macro
 from .micro import run_micro
@@ -72,7 +73,7 @@ def _sha256(path: Path) -> str:
 
 
 def _macro_inputs(config):
-    """Macro grid, effective tensor, porosity, (balanced) charges and species for a config."""
+    """Macro grid, effective tensor, porosity, balanced or checked charges, species."""
     macro_grid = build_masked_grid(
         build_cell_geometry(InclusionShape("none", center=(0.5,) * config.dim),
                             config.macro_resolution),
@@ -81,20 +82,21 @@ def _macro_inputs(config):
     charges = build_macro_source(config.cell, macro_grid, config.xi1, config.xi2)
     if config.auto_balance:
         charges, _ = balance_outer_charges(macro_grid, config.species, charges)
+    else:
+        validate_compatibility(macro_grid, config.species, charges)
     return macro_grid, tensor.a_hom, tensor.porosity, charges, config.species
 
 
-def dispatch(subcommand: str, config, out_dir=None, explicit_time=None,
-             dump_correctors=None) -> int:
-    """Run one pipeline, write its artifacts and manifest; returns the exit status."""
+def dispatch(subcommand: str, config, out_dir=None) -> int:
+    """Run one pipeline as ``config`` sets it, write its artifacts and manifest.
+
+    Returns the exit status: 2 for a ConfigError only the run detects, 1 for
+    any other failure, else 0.
+    """
     if subcommand not in SUBCOMMANDS:
         raise PorodriftError(f"unknown subcommand {subcommand!r}; expected one of {SUBCOMMANDS}")
     run_dir = Path(out_dir if out_dir is not None else config.output_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
-    if explicit_time is None:
-        explicit_time = config.explicit_time
-    if dump_correctors is None:
-        dump_correctors = config.dump_correctors
 
     written = []
     timings = {}
@@ -118,7 +120,7 @@ def dispatch(subcommand: str, config, out_dir=None, explicit_time=None,
             }
             _write_json(run_dir / "report.json", report)
             written.append("report.json")
-            if dump_correctors:
+            if config.dump_correctors:
                 _write_snapshot(run_dir / "correctors.csv", "y", cell.centers,
                                 {f"w_{c.k + 1}": c.values for c in tensor.correctors})
                 written.append("correctors.csv")
@@ -130,7 +132,7 @@ def dispatch(subcommand: str, config, out_dir=None, explicit_time=None,
                 dt_init=config.dt_init, cfl_fraction=config.cfl_fraction,
                 output_interval=config.output_interval or None,
                 snapshot_times=config.snapshot_times,
-                poisson_tol=config.poisson_tol, explicit_time=explicit_time,
+                poisson_tol=config.poisson_tol,
             )
 
         elif subcommand == "macro":
@@ -145,7 +147,6 @@ def dispatch(subcommand: str, config, out_dir=None, explicit_time=None,
                 cfl_fraction=config.cfl_fraction,
                 output_interval=config.output_interval or None,
                 snapshot_times=config.snapshot_times, poisson_tol=config.poisson_tol,
-                explicit_time=explicit_time,
             )
 
         elif subcommand == "converge":
@@ -209,6 +210,9 @@ def dispatch(subcommand: str, config, out_dir=None, explicit_time=None,
             })
             written.append("report.json")
 
+    except ConfigError as exc:
+        status = 2
+        error_message = str(exc)
     except PorodriftError as exc:
         status = 1
         error_message = str(exc)
@@ -246,10 +250,9 @@ def main(argv=None) -> int:
     parser.add_argument("subcommand", choices=SUBCOMMANDS)
     parser.add_argument("--config", required=True, help="path to the JSON run config")
     parser.add_argument("--out", default=None, help="output directory (overrides config)")
-    parser.add_argument("--explicit-time", action="store_true", default=None,
-                        help="fully explicit stepping (cross-validation mode)")
-    parser.add_argument("--dump-correctors", action="store_true", default=None,
-                        help="write corrector fields as CSV (cell subcommand)")
+    parser.add_argument("--dump-correctors", action="store_true",
+                        help="write corrector fields as CSV (cell subcommand; "
+                             "sets cell.dump_correctors)")
     args = parser.parse_args(argv)
 
     try:
@@ -260,9 +263,8 @@ def main(argv=None) -> int:
     except PorodriftError as exc:
         print(f"porodrift: invalid config: {exc}", file=sys.stderr)
         return 2
-    return dispatch(args.subcommand, config, out_dir=args.out,
-                    explicit_time=args.explicit_time,
-                    dump_correctors=args.dump_correctors)
+    config.dump_correctors = config.dump_correctors or args.dump_correctors
+    return dispatch(args.subcommand, config, out_dir=args.out)
 
 
 if __name__ == "__main__":

@@ -6,19 +6,8 @@ grammar in :mod:`porodrift.expressions`; they are compiled here and every
 module-level precondition that is checkable at parse time is checked here,
 with messages naming the violated assumption.
 
-Sections (see README for the full schema):
-
-    geometry        inclusion {kind, params}, m, r, optional dim
-    scaling         alpha, beta, eta, p, T, dt_init, cfl_fraction
-    species         list of {name, D, z, c0(x)}
-    surface_charge  xi1(x, y), xi2(x), auto_balance
-    solver          poisson_tol, cell_tol, explicit_time
-    output          directory, interval, snapshot_times
-    macro           resolution
-    cell            resolution, dump_correctors
-    convergence     m_values, T, dt_init, macro_resolution
-    eta_sweep       values, T, dt_init
-    mms             solvers, resolutions
+``SECTION_KEYS`` lists the sections and the keys each may hold (see README
+for the full schema); any other key is an error, never a silent default.
 """
 
 from __future__ import annotations
@@ -50,6 +39,36 @@ _KIND_NAMES = {str: "a string", dict: "an object", list: "a list"}
 MAX_OUTPUT_TIMES = 10**5  # output.interval may not split T finer than this
 MAX_INTEGER = 2**53       # integers are exact floats up to this magnitude
 MAX_GRID_CELLS = 2**24    # cells of the largest grid a config may ask for, solid ones included
+
+# the keys of each section, of each species entry and of geometry.inclusion
+SECTION_KEYS = {
+    "geometry": ("inclusion", "m", "r", "dim"),
+    "scaling": ("alpha", "beta", "eta", "p", "T", "dt_init", "cfl_fraction"),
+    "species": None,  # a list of objects of SPECIES_KEYS
+    "surface_charge": ("xi1", "xi2", "auto_balance"),
+    "solver": ("poisson_tol", "cell_tol"),
+    "output": ("directory", "interval", "snapshot_times"),
+    "macro": ("resolution",),
+    "cell": ("resolution", "dump_correctors"),
+    "convergence": ("m_values", "T", "dt_init", "macro_resolution"),
+    "eta_sweep": ("values", "T", "dt_init"),
+    "mms": ("solvers", "resolutions"),
+}
+SPECIES_KEYS = ("name", "D", "z", "c0")
+INCLUSION_KEYS = ("kind", "center", "radius", "half_width", "semi_axes", "exponent")
+
+
+def _known(obj, keys, where):
+    """``obj`` itself, once every key it holds is one of ``keys``."""
+    for key in obj:
+        if key not in keys:
+            raise ConfigError(f"{where} has unknown key {key!r} (known: {', '.join(keys)})")
+    return obj
+
+
+def _section(raw, name):
+    """Config section ``name``: an object of known keys, empty when absent."""
+    return _known(_optional(raw, name, {}, dict), SECTION_KEYS[name], name)
 
 
 def _require(section, key, kind, where):
@@ -142,26 +161,25 @@ def _coordinates(inc, key, default, dim):
 
 
 def _inclusion_from_config(geo: dict, dim: int) -> InclusionShape:
+    where = "geometry.inclusion"
     inc = geo.get("inclusion", {"kind": "none"})
     if not isinstance(inc, dict):
-        raise ConfigError("geometry.inclusion must be an object with a 'kind'")
-    kind = _require(inc, "kind", str, "geometry.inclusion")
+        raise ConfigError(f"{where} must be an object with a 'kind'")
+    kind = _require(_known(inc, INCLUSION_KEYS, where), "kind", str, where)
     try:
         if kind == "none":
             return InclusionShape("none", center=tuple([0.5] * dim))
         center = _coordinates(inc, "center", [0.5] * dim, dim)
         if kind == "disk":
             return InclusionShape("disk", center=center,
-                                  radius=_require(inc, "radius", float, "geometry.inclusion"))
+                                  radius=_require(inc, "radius", float, where))
         if kind == "square":
             return InclusionShape("square", center=center,
-                                  half_width=_require(inc, "half_width", float,
-                                                      "geometry.inclusion"))
+                                  half_width=_require(inc, "half_width", float, where))
         if kind == "super_ellipse":
-            axes = _coordinates(inc, "semi_axes", None, dim)
-            return InclusionShape("super_ellipse", center=center, semi_axes=axes,
-                                  exponent=_optional(inc, "exponent", 4.0, float,
-                                                     "geometry.inclusion"))
+            return InclusionShape("super_ellipse", center=center,
+                                  semi_axes=_coordinates(inc, "semi_axes", None, dim),
+                                  exponent=_optional(inc, "exponent", 4.0, float, where))
     except GeometryError as exc:
         raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown inclusion kind {kind!r}")
@@ -189,7 +207,6 @@ class RunConfig:
     auto_balance: bool
     poisson_tol: float
     cell_tol: float
-    explicit_time: bool
     output_dir: str
     output_interval: float
     snapshot_times: list
@@ -258,12 +275,13 @@ def parse_and_validate(source) -> RunConfig:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
+    _known(raw, SECTION_KEYS, "config")
 
     for section in ("geometry", "scaling", "species"):
         if section not in raw:
             raise ConfigError(f"missing required config section {section!r}")
 
-    geo = _typed(raw["geometry"], dict, "config.geometry")
+    geo = _section(raw, "geometry")
     m = _require(geo, "m", int, "geometry")
     r = _require(geo, "r", int, "geometry")
     _at_least(m, 1, "geometry.m")
@@ -278,7 +296,7 @@ def parse_and_validate(source) -> RunConfig:
     _grid_bound(m * r, dim, "geometry")
     inclusion = _inclusion_from_config(geo, dim)
 
-    sca = _typed(raw["scaling"], dict, "config.scaling")
+    sca = _section(raw, "scaling")
     alpha = _require(sca, "alpha", float, "scaling")
     beta = _require(sca, "beta", float, "scaling")
     eta = _require(sca, "eta", float, "scaling")
@@ -299,7 +317,7 @@ def parse_and_validate(source) -> RunConfig:
     seen = set()
     for idx, entry in enumerate(species_raw):
         where = f"species[{idx}]"
-        entry = _typed(entry, dict, where)
+        entry = _known(_typed(entry, dict, where), SPECIES_KEYS, where)
         name = str(_optional(entry, "name", f"s{idx + 1}"))
         if name in seen:
             raise ConfigError(f"duplicate species name {name!r}")
@@ -312,19 +330,18 @@ def parse_and_validate(source) -> RunConfig:
         c0 = _compiled(_require(entry, "c0", str, where), dim, f"{where}.c0")
         species.append(SpeciesSpec(name, diffusivity, charge, c0))
 
-    charge_sec = _optional(raw, "surface_charge", {}, dict)
+    charge_sec = _section(raw, "surface_charge")
     xi1 = _compiled(str(_optional(charge_sec, "xi1", "0")), dim, "surface_charge.xi1", "xy")
     xi2 = _compiled(str(_optional(charge_sec, "xi2", "0")), dim, "surface_charge.xi2")
     auto_balance = _optional(charge_sec, "auto_balance", False, bool, "surface_charge")
 
-    solver = _optional(raw, "solver", {}, dict)
+    solver = _section(raw, "solver")
     poisson_tol = _optional(solver, "poisson_tol", 1e-10, float, "solver")
     cell_tol = _optional(solver, "cell_tol", 1e-12, float, "solver")
     if poisson_tol <= 0 or cell_tol <= 0:
         raise ConfigError("solver tolerances must be positive")
-    explicit_time = _optional(solver, "explicit_time", False, bool, "solver")
 
-    output = _optional(raw, "output", {}, dict)
+    output = _section(raw, "output")
     output_dir = str(_optional(output, "directory", "out"))
     output_interval = _optional(output, "interval", final_time / 10 if final_time > 0 else 0.0,
                                 float, "output")
@@ -338,18 +355,18 @@ def parse_and_validate(source) -> RunConfig:
         if t_snap < 0 or t_snap > final_time + 1e-12:
             raise ConfigError(f"snapshot time {t_snap} outside [0, T = {final_time}]")
 
-    macro_sec = _optional(raw, "macro", {}, dict)
+    macro_sec = _section(raw, "macro")
     macro_resolution = _at_least(_optional(macro_sec, "resolution", m * r, int, "macro"),
                                  MIN_RESOLUTION, "macro.resolution")
     _grid_bound(macro_resolution, dim, "macro")
 
-    cell_sec = _optional(raw, "cell", {}, dict)
+    cell_sec = _section(raw, "cell")
     cell_resolution = _at_least(_optional(cell_sec, "resolution", r, int, "cell"),
                                 MIN_RESOLUTION, "cell.resolution")
     _grid_bound(cell_resolution, dim, "cell")
     dump_correctors = _optional(cell_sec, "dump_correctors", False, bool, "cell")
 
-    conv = _optional(raw, "convergence", {}, dict)
+    conv = _section(raw, "convergence")
     conv_m_values = [_at_least(value, 1, "convergence.m_values") for value in
                      _nonempty_list(conv, "m_values", [4, 8, 16], int, "convergence")]
     if any(m2 <= m1 for m1, m2 in zip(conv_m_values, conv_m_values[1:])):
@@ -363,12 +380,12 @@ def parse_and_validate(source) -> RunConfig:
     _grid_bound(r * conv_m_values[-1], dim, "convergence")
     _grid_bound(conv_macro_resolution, dim, "convergence macro")
 
-    eta_sec = _optional(raw, "eta_sweep", {}, dict)
+    eta_sec = _section(raw, "eta_sweep")
     eta_values = _list(eta_sec, "values", [0.5, 0.25, 0.125], float, "eta_sweep")
     eta_final_time = _optional(eta_sec, "T", 0.05, float, "eta_sweep")
     eta_dt_init = _optional(eta_sec, "dt_init", dt_init, float, "eta_sweep")
 
-    mms_sec = _optional(raw, "mms", {}, dict)
+    mms_sec = _section(raw, "mms")
     mms_solvers = _list(mms_sec, "solvers", list(MMS_SOLVERS), str, "mms")
     mms_resolutions = _list(mms_sec, "resolutions", [32, 64, 128], int, "mms")
     check_mms_request(mms_solvers, mms_resolutions)
@@ -381,7 +398,6 @@ def parse_and_validate(source) -> RunConfig:
         dt_init=dt_init, cfl_fraction=cfl_fraction, species=species,
         xi1=xi1, xi2=xi2, auto_balance=auto_balance,
         poisson_tol=poisson_tol, cell_tol=cell_tol,
-        explicit_time=explicit_time,
         output_dir=output_dir, output_interval=output_interval,
         snapshot_times=snapshot_times,
         macro_resolution=macro_resolution,
@@ -409,6 +425,9 @@ def parse_and_validate(source) -> RunConfig:
                 f"species {spec.name!r}: initial concentration must be nonnegative "
                 f"(min {float(np.min(values)):.6g} at a cell center)"
             )
+        with np.errstate(over="ignore"):  # the largest c0^p, as c0 >= 0 here
+            _finite_samples(np.max(values, keepdims=True) ** p,
+                            f"species {spec.name!r}: initial concentration to the power p = {p:g}")
     charges = surface_charge_on_facets(grid, xi1, xi2)
     _finite_samples(charges.gamma_values, "surface_charge.xi1")
     _finite_samples(charges.outer_values, "surface_charge.xi2")

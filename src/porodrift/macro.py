@@ -95,8 +95,7 @@ class MacroSimulation(TransportSim):
 
     def __init__(self, grid: MaskedGrid, tensor: np.ndarray, species,
                  charges: FacetCharges, eta: float, p: float,
-                 mode: str = "coupled", poisson_tol: float = 1e-11,
-                 explicit_time: bool = False):
+                 mode: str = "coupled", poisson_tol: float = 1e-11):
         if mode not in ("coupled", "decoupled"):
             raise ValueError(f"mode must be 'coupled' or 'decoupled', got {mode!r}")
         if not grid.is_unperforated:
@@ -104,19 +103,17 @@ class MacroSimulation(TransportSim):
         super().__init__(
             grid, species, eta, p, transport_tensor=tensor, poisson_tensor=tensor,
             drift_scale=1.0 if mode == "coupled" else 0.0, charges=charges,
-            energy_prefactor=1.0, grad_scale=1.0,
-            poisson_tol=poisson_tol, explicit_time=explicit_time,
+            energy_prefactor=1.0, grad_scale=1.0, poisson_tol=poisson_tol,
         )
 
 
 def run_macro(grid: MaskedGrid, tensor: np.ndarray, species, charges: FacetCharges,
               eta: float, p: float, final_time: float, dt_init: float,
               mode: str = "coupled", cfl_fraction: float = 0.5, output_interval=None,
-              snapshot_times=(), poisson_tol: float = 1e-11,
-              explicit_time: bool = False) -> RunResult:
+              snapshot_times=(), poisson_tol: float = 1e-11) -> RunResult:
     """Integrate the homogenized model to ``final_time``."""
     sim = MacroSimulation(grid, tensor, species, charges, eta, p, mode=mode,
-                          poisson_tol=poisson_tol, explicit_time=explicit_time)
+                          poisson_tol=poisson_tol)
     return sim.run(final_time, dt_init, cfl_fraction=cfl_fraction,
                    output_interval=output_interval, snapshot_times=snapshot_times)
 

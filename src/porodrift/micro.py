@@ -17,11 +17,9 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import FacetCharges, MaskedGrid
-from .transport import RunResult, TransportSim, h_p_eval, h_p_prime
+from .transport import RunResult, TransportSim
 
-__all__ = [
-    "ScalingSpec", "SpeciesSpec", "MicroSimulation", "run_micro", "h_p_eval", "h_p_prime",
-]
+__all__ = ["ScalingSpec", "SpeciesSpec", "MicroSimulation", "run_micro"]
 
 
 @dataclass(frozen=True)
@@ -76,25 +74,22 @@ class MicroSimulation(TransportSim):
     permittivity eps^alpha, mobility eps^beta, the sampled facet charges."""
 
     def __init__(self, grid: MaskedGrid, scaling: ScalingSpec, species,
-                 charges: FacetCharges, poisson_tol: float = 1e-11,
-                 explicit_time: bool = False):
+                 charges: FacetCharges, poisson_tol: float = 1e-11):
         eps, alpha, beta = scaling.epsilon, scaling.alpha, scaling.beta
         identity = np.eye(grid.dim)
         super().__init__(
             grid, species, scaling.eta, scaling.p,
             transport_tensor=identity, poisson_tensor=eps ** alpha * identity,
             drift_scale=eps ** beta, charges=charges, energy_prefactor=eps ** (alpha + beta),
-            grad_scale=eps ** alpha, poisson_tol=poisson_tol, explicit_time=explicit_time,
+            grad_scale=eps ** alpha, poisson_tol=poisson_tol,
         )
 
 
 def run_micro(grid: MaskedGrid, scaling: ScalingSpec, species, charges: FacetCharges,
               dt_init: float, cfl_fraction: float = 0.5, output_interval=None,
-              snapshot_times=(), poisson_tol: float = 1e-11,
-              explicit_time: bool = False, source=None) -> RunResult:
+              snapshot_times=(), poisson_tol: float = 1e-11, source=None) -> RunResult:
     """Integrate the microscopic system to scaling.final_time."""
-    sim = MicroSimulation(grid, scaling, species, charges,
-                          poisson_tol=poisson_tol, explicit_time=explicit_time)
+    sim = MicroSimulation(grid, scaling, species, charges, poisson_tol=poisson_tol)
     return sim.run(scaling.final_time, dt_init, cfl_fraction=cfl_fraction,
                    output_interval=output_interval, snapshot_times=snapshot_times,
                    source=source)

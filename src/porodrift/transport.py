@@ -19,9 +19,6 @@ exactly, and the Schur complement on the others is refilled in place in its
 symmetric fill-reducing order and factorized with the ``NATURAL`` column
 order, in symmetric mode and with the supernode settings
 ``linalg.SUPERNODES``; the eliminated cells follow by back-substitution.
-
-A fully explicit mode (exact h_p face differences, diffusive CFL) exists for
-cross-validation at small time steps.
 """
 
 from __future__ import annotations
@@ -199,7 +196,7 @@ class TransportSim:
 
     def __init__(self, grid, species, eta, p, *, transport_tensor, poisson_tensor,
                  drift_scale, charges, energy_prefactor, grad_scale,
-                 poisson_tol=1e-11, explicit_time=False):
+                 poisson_tol=1e-11):
         self.grid = grid
         self.species = list(species)
         self.eta = float(eta)
@@ -208,7 +205,6 @@ class TransportSim:
         self._poisson_tensor = _checked_tensor(poisson_tensor, grid.dim)
         self.drift_scale = float(drift_scale)
         self.poisson_tol = float(poisson_tol)
-        self.explicit_time = bool(explicit_time)
         self.energy_prefactor = float(energy_prefactor)
         self.grad_scale = float(grad_scale)
         self._face_diag = transport_tensor[grid.face_axis, grid.face_axis]
@@ -286,7 +282,7 @@ class TransportSim:
     # -- time-step control -----------------------------------------------------
 
     def dt_limit(self, state: SimState) -> float:
-        """Largest admissible dt at this state (drift CFL, explicit-mode bounds)."""
+        """Largest admissible dt at this state (drift CFL, explicit cross-term bound)."""
         grid = self.grid
         limit = np.inf
         factors = np.abs(self.drift_scale * self._diffusivities * self._charges)
@@ -295,13 +291,9 @@ class TransportSim:
             vmax = float(np.max(factors)) * (float(np.max(grad)) if grad.size else 0.0)
             if vmax > 0:
                 limit = CFL_SAFETY * grid.h / vmax
-        h_max = h_p_prime(max(float(np.max(state.conc)), 0.0), self.eta, self.p)
-        d_max = float(np.max(self._diffusivities))
-        a_max = float(np.max(self._face_diag))
-        if self.explicit_time:
-            diff_limit = CFL_SAFETY * grid.h ** 2 / (2.0 * grid.dim * d_max * a_max * h_max)
-            limit = min(limit, diff_limit)
         if self._cross_magnitude > 0.0:
+            h_max = h_p_prime(max(float(np.max(state.conc)), 0.0), self.eta, self.p)
+            d_max = float(np.max(self._diffusivities))
             limit = min(limit, 0.25 * grid.h ** 2
                         / (grid.dim * d_max * self._cross_magnitude * h_max))
         return limit
@@ -330,7 +322,7 @@ class TransportSim:
         return system.from_order(lu.solve(system.to_order(rhs)), rhs)
 
     def step(self, state: SimState, dt: float, source=None) -> SimState:
-        """One IMEX (or fully explicit) step of size dt; raises on dt rejection.
+        """One IMEX step of size dt; raises on dt rejection.
 
         Nonnegativity guard: a result dipping below -1e-12 raises an internal
         rejection that the run loop converts into dt halving.
@@ -354,18 +346,14 @@ class TransportSim:
             flux = np.zeros(grid.face_lo.size)
             if drift is not None:
                 flux += drift[i]
-            if self.explicit_time:
-                flux += -d_i * self._normal_gradient_faces(h_p_eval(c_safe[i], self.eta, self.p))
-            else:
-                # explicit tangential part, then the implicit normal diffusive flux
-                if self._cross_terms:
-                    flux += -d_i * self._cross_flux(h_p_eval(c_safe[i], self.eta, self.p))
-                face_h = h_p_prime(0.5 * (c_safe[i][grid.face_lo] + c_safe[i][grid.face_hi]),
-                                   self.eta, self.p)
-                c_star = self._implicit_solve(conc[i], d_i, face_h, dt,
-                                              self._rate(flux, src_i))
-                flux += (-d_i * self._face_diag * face_h
-                         * (c_star[grid.face_hi] - c_star[grid.face_lo]) / grid.h)
+            # explicit tangential part, then the implicit normal diffusive flux
+            if self._cross_terms:
+                flux += -d_i * self._cross_flux(h_p_eval(c_safe[i], self.eta, self.p))
+            face_h = h_p_prime(0.5 * (c_safe[i][grid.face_lo] + c_safe[i][grid.face_hi]),
+                               self.eta, self.p)
+            c_star = self._implicit_solve(conc[i], d_i, face_h, dt, self._rate(flux, src_i))
+            flux += (-d_i * self._face_diag * face_h
+                     * (c_star[grid.face_hi] - c_star[grid.face_lo]) / grid.h)
             new_conc[i] = conc[i] + dt * self._rate(flux, src_i)
 
         if float(np.min(new_conc)) < -NEG_TOLERANCE:

@@ -127,6 +127,8 @@ def run_convergence_study(cell: CellGeometry, species, xi1, xi2, alpha, beta, et
     macro_charges = build_macro_source(cell, macro_grid, xi1, xi2)
     if auto_balance:
         macro_charges, _ = balance_outer_charges(macro_grid, species, macro_charges)
+    else:
+        validate_compatibility(macro_grid, species, macro_charges)
 
     t0 = time.perf_counter()
     macro_result = run_macro(

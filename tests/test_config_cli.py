@@ -223,21 +223,73 @@ def test_failed_dispatch_writes_manifest_with_status(tmp_path):
     assert "coupled" in manifest["error"]
 
 
-def test_explicit_time_flag_changes_stepper(tmp_path):
+def _micro_compatible_config(out_dir):
+    # the outer charge balances the micro data exactly; on the macro grid the
+    # anion's x1-dependent c0 integrates to a different total, so the macro
+    # charge balance fails
+    cfg = canonical_config(out_dir, T=0.01)
+    cfg["species"][1]["c0"] = "0.8 + 0.3*x1^2"
+    shift = parse_and_validate(cfg).balance_shift
+    cfg["surface_charge"] = {"xi1": "0.2", "xi2": repr(shift), "auto_balance": False}
+    cfg["macro"] = {"resolution": 64}
+    cfg["convergence"] = {"m_values": [2, 4], "macro_resolution": 64}
+    return cfg
+
+
+@pytest.mark.parametrize("subcommand,cfg_patch,message", [
+    ("macro", None, "incompatible charge data"),
+    ("converge", None, "incompatible charge data"),
+    ("eta-sweep", {"eta_sweep": {"values": [0.5, -1]}}, "eta values must be positive"),
+], ids=["macro-balance", "converge-balance", "eta-sweep-values"])
+def test_dispatch_config_error_exits_2(tmp_path, capsys, subcommand, cfg_patch, message):
+    cfg = (canonical_config(tmp_path / "out", T=0.01) if cfg_patch
+           else _micro_compatible_config(tmp_path / "out"))
+    cfg.update(cfg_patch or {})
     cfg_path = tmp_path / "run.json"
-    cfg = canonical_config(tmp_path / "out", T=0.005)
-    cfg["scaling"] = dict(cfg["scaling"], dt_init=1e-5)
     cfg_path.write_text(json.dumps(cfg))
-    assert main(["micro", "--config", str(cfg_path), "--explicit-time",
-                 "--out", str(tmp_path / "explicit")]) == 0
-    assert main(["micro", "--config", str(cfg_path),
-                 "--out", str(tmp_path / "implicit")]) == 0
-    explicit = (tmp_path / "explicit" / "diagnostics.csv").read_bytes()
-    implicit = (tmp_path / "implicit" / "diagnostics.csv").read_bytes()
-    assert explicit != implicit  # different schemes, same contract
-    for run in ("explicit", "implicit"):
-        report = json.loads((tmp_path / run / "report.json").read_text())
-        assert report["summary"]["max_mass_drift_rel"] <= 1e-9
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([subcommand, "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Warning" not in err
+    manifest = _manifest(tmp_path / "out")
+    assert manifest["exit_status"] == 2
+    assert message in manifest["error"]
+
+
+def test_dump_correctors_flag_writes_listed_correctors(tmp_path):
+    cfg = canonical_config(tmp_path / "out")
+    cfg["cell"] = {"resolution": 16}
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["cell", "--config", str(cfg_path), "--dump-correctors"]) == 0
+    header = (tmp_path / "out" / "correctors.csv").read_text().split("\n")[0]
+    assert header == "cell,y1,y2,w_1,w_2"
+    listed = {entry["path"] for entry in _manifest(tmp_path / "out")["files"]}
+    assert listed == {"report.json", "correctors.csv"}
+
+
+@pytest.mark.parametrize("patch,message", [
+    ({"solver": {"poisson_tl": 1e-3}}, "solver has unknown key 'poisson_tl'"),
+    ({"solver": {"explicit_time": True}}, "solver has unknown key 'explicit_time'"),
+    ({"solvers": {}}, "config has unknown key 'solvers'"),
+    ({"species": [{"name": "s", "D": 1.0, "z": 0, "c0": "1", "charge": 1}]},
+     "species[0] has unknown key 'charge'"),
+    ({"geometry": {"inclusion": {"kind": "disk", "radius": 0.25, "raduis": 0.2},
+                   "m": 4, "r": 8}},
+     "geometry.inclusion has unknown key 'raduis'"),
+], ids=["typo", "explicit-time", "section", "species", "inclusion"])
+def test_main_rejects_unknown_keys(tmp_path, capsys, patch, message):
+    cfg = canonical_config(tmp_path / "out", T=0.01)
+    cfg.update(patch)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["micro", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_main_requires_existing_config(tmp_path):
@@ -330,8 +382,12 @@ def test_main_rejects_malformed_data(tmp_path, capsys, patch, message):
      "the total charge of the initial and surface data is inf"),
     ("species", "c0", "-" * 2000 + "1", "species[0].c0: "),
     ("species", "c0", "x1**2", "species[0].c0: '**' in expression"),
+    # every sample is finite; c0^p, which the energy sums, overflows
+    ("species", "c0", "1e100",
+     "species 'cation': initial concentration to the power p = 4 must be finite"),
 ], ids=["divide-by-zero", "zero-power", "constant-root", "root-plus-x1", "c0-overflow",
-        "xi1-overflow", "xi2-overflow", "xi1-total-overflow", "deep-nesting", "double-star"])
+        "xi1-overflow", "xi2-overflow", "xi1-total-overflow", "deep-nesting", "double-star",
+        "c0-power-overflow"])
 def test_main_rejects_non_finite_or_unparsable_data(tmp_path, capsys, section, key, text,
                                                       message):
     cfg = canonical_config(tmp_path / "out", T=0.01)
@@ -373,7 +429,7 @@ def _full_canonical_config(out_dir):
     """The canonical config with every optional section spelled out."""
     cfg = canonical_config(out_dir, T=0.01)
     cfg.update({
-        "solver": {"poisson_tol": 1e-10, "cell_tol": 1e-12, "explicit_time": False},
+        "solver": {"poisson_tol": 1e-10, "cell_tol": 1e-12},
         "macro": {"resolution": 32},
         "cell": {"resolution": 8, "dump_correctors": False},
         "convergence": {"m_values": [2, 4], "T": 0.01, "dt_init": 1e-3,

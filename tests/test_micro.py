@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+import scipy.sparse as sparse
+from scipy.sparse.linalg import spsolve
 
 from porodrift import (
     ConfigError,
@@ -15,6 +17,7 @@ from porodrift import (
     surface_charge_on_facets,
     validate_compatibility,
 )
+from porodrift.linalg import face_laplacian
 from porodrift.transport import SimState, _StepRejected
 
 from conftest import (
@@ -112,40 +115,39 @@ def test_compatibility_rejects_unbalanced(disk_cell_8):
 # -- fluxes ------------------------------------------------------------------------
 
 
-def _simple_sim(grid, species, charges=None, alpha=0.0, beta=0.0, T=0.1,
-                explicit_time=False):
+def _simple_sim(grid, species, charges=None, alpha=0.0, beta=0.0, T=0.1):
     charges = charges if charges is not None else zero_charges(grid)
     scaling = make_scaling(grid.eps, alpha=alpha, beta=beta, T=T)
-    return MicroSimulation(grid, scaling, species, charges, explicit_time=explicit_time)
+    return MicroSimulation(grid, scaling, species, charges)
 
 
 def test_fluxes_vanish_for_uniform_state():
     grid = hole_free_grid(8)
     species = [SpeciesSpec(name, 1.0, z, lambda x: np.ones(x.shape[0]))
                for name, z in (("p", 1), ("m", -1))]
-    sim = _simple_sim(grid, species, explicit_time=True)
+    sim = _simple_sim(grid, species)
     state = SimState(0.0, np.ones((2, grid.n_fluid)), np.zeros(grid.n_fluid))
     new_state = sim.step(state, 1e-4)
     np.testing.assert_allclose(new_state.conc, 1.0, rtol=0.0, atol=1e-15)
 
 
-def test_diffusive_flux_is_h_p_difference():
+def test_imex_step_solves_frozen_coefficient_system():
+    # with z = 0 and the identity tensor one step is the linear solve
+    # (I/dt + L(D h_p'(c_face) / h^2)) c_new = c/dt, c_face the mean of the face's cells
     grid = hole_free_grid(8)
     diffusivity = 0.7
-    sim = _simple_sim(grid, [SpeciesSpec("s", diffusivity, 0, lambda x: x[:, 0])],
-                      explicit_time=True)
+    sim = _simple_sim(grid, [SpeciesSpec("s", diffusivity, 0, lambda x: x[:, 0])])
     conc = grid.centers[:, 0].copy()
     state = SimState(0.0, conc[None, :], np.zeros(grid.n_fluid))
-    dt = 1e-4
+    dt = 1e-2
     new_state = sim.step(state, dt)
-    hp = h_p_eval(conc, 1.0, 4.0)
-    flux = -diffusivity * (hp[grid.face_hi] - hp[grid.face_lo]) / grid.h
-    divergence = np.zeros(grid.n_fluid)
-    np.add.at(divergence, grid.face_hi, flux)
-    np.add.at(divergence, grid.face_lo, -flux)
-    divergence *= grid.facet_area / grid.cell_volume
-    np.testing.assert_allclose(new_state.conc[0], conc + dt * divergence, rtol=1e-13)
-    assert np.max(np.abs(divergence)) > 1.0
+    face_h = h_p_prime(0.5 * (conc[grid.face_lo] + conc[grid.face_hi]), 1.0, 4.0)
+    matrix = (sparse.identity(grid.n_fluid) / dt
+              + face_laplacian(grid.n_fluid, grid.face_lo, grid.face_hi,
+                               diffusivity * face_h / grid.h ** 2))
+    expected = spsolve(matrix.tocsc(), conc / dt)
+    np.testing.assert_allclose(new_state.conc[0], expected, rtol=1e-12)
+    assert np.max(np.abs(expected - conc)) > 1e-2
 
 
 def test_upwind_picks_donor_cell():
@@ -232,23 +234,6 @@ def test_dt_halving_self_convergence():
     err_fine = np.max(np.abs(final(1e-3) - reference))
     assert err_fine < err_coarse
     assert err_coarse / err_fine == pytest.approx(2.0, rel=0.35)
-
-
-def test_explicit_mode_cross_validates_imex():
-    grid = hole_free_grid(16)
-    species = [SpeciesSpec("s", 0.5, 0, smooth_c0)]
-    scaling = make_scaling(grid.eps, T=0.01)
-    charges = zero_charges(grid)
-    implicit = run_micro(grid, scaling, species, charges, dt_init=5e-5)
-    explicit = run_micro(grid, scaling, species, charges, dt_init=5e-5,
-                         explicit_time=True)
-    diff = np.max(np.abs(implicit.state.conc - explicit.state.conc))
-    assert diff < 5e-4
-    finer_i = run_micro(grid, scaling, species, charges, dt_init=2.5e-5)
-    finer_e = run_micro(grid, scaling, species, charges, dt_init=2.5e-5,
-                        explicit_time=True)
-    finer_diff = np.max(np.abs(finer_i.state.conc - finer_e.state.conc))
-    assert finer_diff < diff
 
 
 def test_poisson_linearity_in_charges():
