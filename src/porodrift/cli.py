@@ -59,13 +59,22 @@ def _write_json(path: Path, payload) -> None:
 
 
 def _write_snapshot(path: Path, coord: str, centers, columns: dict) -> None:
-    """Per-cell CSV: the cell index, its center ``<coord>1..n`` and one column per field."""
+    """Per-cell CSV: the cell index, its center ``<coord>1..n`` and one column per field.
+
+    Every value is written as its ``repr``.  A grid's centers take only
+    ``n_side`` values per axis, so each distinct coordinate is formatted once
+    and looked up per cell; distinct means distinct bits, so 0.0 and -0.0
+    keep their own text.
+    """
     header = ["cell"] + [f"{coord}{i + 1}" for i in range(centers.shape[1])] + list(columns)
-    fields = [map(repr, values.tolist()) for values in (*centers.T, *columns.values())]
-    with path.open("w") as handle:
-        handle.write(",".join(header) + "\n")
-        handle.writelines(",".join(row) + "\n"
-                          for row in zip(map(str, range(centers.shape[0])), *fields))
+    coordinates = []
+    for axis in centers.T:
+        distinct, index = np.unique(axis.view(np.int64), return_inverse=True)
+        text = list(map(repr, distinct.view(np.float64).tolist()))
+        coordinates.append(map(text.__getitem__, index.tolist()))
+    fields = [map(repr, values.tolist()) for values in columns.values()]
+    rows = map(",".join, zip(map(str, range(centers.shape[0])), *coordinates, *fields))
+    path.write_text("\n".join([",".join(header), *rows]) + "\n")
 
 
 def _sha256(path: Path) -> str:
@@ -99,9 +108,17 @@ def dispatch(subcommand: str, config, out_dir=None) -> int:
     run_dir.mkdir(parents=True, exist_ok=True)
 
     written = []
-    timings = {}
+    timings = {"write": 0.0}
     status = 0
     error_message = None
+
+    def emit(name, writer, *args):
+        """Write the listed output file ``name`` and add its time to ``timings["write"]``."""
+        t_write = time.perf_counter()
+        writer(run_dir / name, *args)
+        timings["write"] += time.perf_counter() - t_write
+        written.append(name)
+
     t_start = time.perf_counter()
     try:
         if subcommand == "cell":
@@ -118,12 +135,10 @@ def dispatch(subcommand: str, config, out_dir=None) -> int:
                 "iterations": [c.iterations for c in tensor.correctors],
                 "gamma_area": cell.gamma_area_total,
             }
-            _write_json(run_dir / "report.json", report)
-            written.append("report.json")
+            emit("report.json", _write_json, report)
             if config.dump_correctors:
-                _write_snapshot(run_dir / "correctors.csv", "y", cell.centers,
-                                {f"w_{c.k + 1}": c.values for c in tensor.correctors})
-                written.append("correctors.csv")
+                emit("correctors.csv", _write_snapshot, "y", cell.centers,
+                     {f"w_{c.k + 1}": c.values for c in tensor.correctors})
 
         elif subcommand == "micro":
             grid, conc_name, phi_name, extra = config.grid, "c", "phi", {}
@@ -159,8 +174,7 @@ def dispatch(subcommand: str, config, out_dir=None) -> int:
                 auto_balance=config.auto_balance, poisson_tol=config.poisson_tol,
                 cell_tol=config.cell_tol,
             )
-            _write_json(run_dir / "report.json", report.to_dict())
-            written.append("report.json")
+            emit("report.json", _write_json, report.to_dict())
             timings.update(report.runtimes)
             if not all(report.monotone_decreasing(n) for n in report.species_names):
                 status = 1
@@ -169,8 +183,7 @@ def dispatch(subcommand: str, config, out_dir=None) -> int:
         elif subcommand == "mms":
             report = run_mms_verification(config.mms_solvers,
                                           resolutions=config.mms_resolutions)
-            _write_json(run_dir / "report.json", report)
-            written.append("report.json")
+            emit("report.json", _write_json, report)
             if not report["passed"]:
                 status = 1
                 error_message = "mms verification: observed order outside threshold"
@@ -183,19 +196,15 @@ def dispatch(subcommand: str, config, out_dir=None) -> int:
                                    config.eta_values, config.eta_final_time,
                                    config.eta_dt_init, cfl_fraction=config.cfl_fraction,
                                    poisson_tol=config.poisson_tol)
-            _write_json(run_dir / "report.json", report)
-            written.append("report.json")
+            emit("report.json", _write_json, report)
 
         if subcommand in ("micro", "macro"):
-            result.record.to_csv(run_dir / "diagnostics.csv")
-            written.append("diagnostics.csv")
+            emit("diagnostics.csv", result.record.to_csv)
             for t_snap, state in sorted(result.snapshots.items()):
-                name = f"snapshot_{t_snap:.6f}.csv"
                 columns = {f"{conc_name}_{i + 1}": c for i, c in enumerate(state.conc)}
-                _write_snapshot(run_dir / name, "x", grid.centers,
-                                {**columns, phi_name: state.phi})
-                written.append(name)
-            _write_json(run_dir / "report.json", {
+                emit(f"snapshot_{t_snap:.6f}.csv", _write_snapshot, "x", grid.centers,
+                     {**columns, phi_name: state.phi})
+            emit("report.json", _write_json, {
                 "kind": subcommand,
                 "species": [s.name for s in config.species],
                 "final_time": config.final_time,
@@ -208,7 +217,6 @@ def dispatch(subcommand: str, config, out_dir=None) -> int:
                 "p": config.p,
                 **extra,
             })
-            written.append("report.json")
 
     except ConfigError as exc:
         status = 2

@@ -382,6 +382,9 @@ def parse_and_validate(source) -> RunConfig:
 
     eta_sec = _section(raw, "eta_sweep")
     eta_values = _list(eta_sec, "values", [0.5, 0.25, 0.125], float, "eta_sweep")
+    for value in eta_values:
+        if value <= 0:
+            raise ConfigError(f"eta_sweep.values must be positive, got {value}")
     eta_final_time = _optional(eta_sec, "T", 0.05, float, "eta_sweep")
     eta_dt_init = _optional(eta_sec, "dt_init", dt_init, float, "eta_sweep")
 

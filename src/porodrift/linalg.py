@@ -109,15 +109,17 @@ def _couplings(face_red, face_black, n_red, n_black):
             firsts.append(by_red[at + i])
             seconds.append(by_red[at + j])
     first, second = np.concatenate(firsts), np.concatenate(seconds)
-    b_first = face_black[first].astype(np.int64)
-    b_second = face_black[second].astype(np.int64)
+    b_first, b_second = face_black[first], face_black[second]
     if np.any(b_first == b_second):
         raise ValueError("face lists repeat a pair of cells")
-    keys, entry = np.unique(np.minimum(b_first, b_second) * n_black
-                            + np.maximum(b_first, b_second), return_inverse=True)
-    upper, lower = np.divmod(keys, n_black)
-    return (first, second, entry.ravel().astype(np.int32),
-            upper.astype(np.int32), lower.astype(np.int32))
+    # scipy's conversion merges the pairs into entries in (upper, lower) order; numbered
+    # 0..n-1 as values, the entries are read back at each pair
+    low, high = np.minimum(b_first, b_second), np.maximum(b_first, b_second)
+    coupled = sparse.csr_matrix((np.ones(low.size), (low, high)), shape=(n_black, n_black))
+    coupled.data = np.arange(float(coupled.nnz))
+    entry = np.asarray(coupled[low, high]).ravel().astype(np.int32)
+    upper = np.repeat(np.arange(n_black, dtype=np.int32), np.diff(coupled.indptr))
+    return first, second, entry, upper, coupled.indices
 
 
 def _pattern_order(upper, lower, n):
@@ -143,10 +145,13 @@ class ReducedFaceSystem:
     cells are coupled in ``S`` through every red cell next to both of them.
 
     The pattern of ``S``, its symmetric fill-reducing order and the CSC
-    layout in that order (int32 indices and slots) are built once;
-    ``assemble`` rewrites only the values.  ``to_order`` reduces a right-hand
-    side ``f`` to ``f_b + sum_f (kappa_f / d_r) f_r`` in the permuted black
-    numbering, and ``from_order`` back-substitutes
+    layout in that order (sorted int32 indices, and the slot of every entry)
+    are built once; ``assemble`` rewrites only the values.  The layout comes
+    from scipy's counting-sort COO to CSC conversion of the entries numbered
+    1..nnz, whose values then name each entry's slot; only the few entries
+    of each column are sorted among themselves.  ``to_order`` reduces a
+    right-hand side ``f`` to ``f_b + sum_f (kappa_f / d_r) f_r`` in the
+    permuted black numbering, and ``from_order`` back-substitutes
     ``x_r = (f_r + sum_f kappa_f x_b) / d_r`` to return the cell vector; both
     use the coefficients of the last ``assemble``.
     """
@@ -169,16 +174,17 @@ class ReducedFaceSystem:
             self._face_red, face_black, self._red.size, n_black)
         perm = _pattern_order(upper, lower, n_black)
 
-        # CSC layout in that order: (upper, lower) per coupling, (lower, upper), the diagonal
-        rows = np.concatenate([perm[upper], perm[lower], np.arange(n_black, dtype=np.int32)])
-        cols = np.concatenate([perm[lower], perm[upper], np.arange(n_black, dtype=np.int32)])
-        order = np.lexsort((rows, cols))
-        slots = np.empty(order.size, dtype=np.int32)
-        slots[order] = np.arange(order.size, dtype=np.int32)
-        indptr = np.zeros(n_black + 1, dtype=np.int32)
-        np.cumsum(np.bincount(cols, minlength=n_black), out=indptr[1:])
-        self.matrix = sparse.csc_matrix(
-            (np.zeros(order.size), rows[order], indptr), shape=(n_black, n_black))
+        # CSC layout in that order: (upper, lower) per coupling, (lower, upper), the diagonal;
+        # the entry numbers 1..nnz ride through the conversion as values and name the slots
+        diagonal = np.arange(n_black, dtype=np.int32)
+        rows = np.concatenate([perm[upper], perm[lower], diagonal])
+        cols = np.concatenate([perm[lower], perm[upper], diagonal])
+        self.matrix = sparse.csc_matrix((np.arange(1.0, rows.size + 1.0), (rows, cols)),
+                                        shape=(n_black, n_black))
+        self.matrix.sort_indices()
+        slots = np.empty(rows.size, dtype=np.int32)
+        slots[self.matrix.data.astype(np.int32) - 1] = np.arange(rows.size, dtype=np.int32)
+        self.matrix.data[:] = 0.0
         n_pairs = upper.size
         self._upper_slots = slots[:n_pairs]
         self._lower_slots = slots[n_pairs:2 * n_pairs]

@@ -11,7 +11,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import porodrift.config as config_module
-from porodrift import ConfigError
+from porodrift import ConfigError, InclusionShape, build_cell_geometry, build_masked_grid
 from porodrift.cli import dispatch, main
 from porodrift.config import RunConfig, parse_and_validate
 
@@ -157,6 +157,9 @@ def test_manifest_lists_every_written_file(tmp_path):
     for entry in manifest["files"]:
         digest = hashlib.sha256((tmp_path / entry["path"]).read_bytes()).hexdigest()
         assert digest == entry["sha256"]
+    # the share of the run spent writing the listed files
+    timings = manifest["timings_seconds"]
+    assert 0.0 < timings["write"] < timings["total"]
 
 
 def test_replay_determinism(tmp_path):
@@ -236,15 +239,11 @@ def _micro_compatible_config(out_dir):
     return cfg
 
 
-@pytest.mark.parametrize("subcommand,cfg_patch,message", [
-    ("macro", None, "incompatible charge data"),
-    ("converge", None, "incompatible charge data"),
-    ("eta-sweep", {"eta_sweep": {"values": [0.5, -1]}}, "eta values must be positive"),
-], ids=["macro-balance", "converge-balance", "eta-sweep-values"])
-def test_dispatch_config_error_exits_2(tmp_path, capsys, subcommand, cfg_patch, message):
-    cfg = (canonical_config(tmp_path / "out", T=0.01) if cfg_patch
-           else _micro_compatible_config(tmp_path / "out"))
-    cfg.update(cfg_patch or {})
+@pytest.mark.parametrize("subcommand", ["macro", "converge"],
+                         ids=["macro-balance", "converge-balance"])
+def test_dispatch_config_error_exits_2(tmp_path, capsys, subcommand):
+    message = "incompatible charge data"
+    cfg = _micro_compatible_config(tmp_path / "out")
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(cfg))
     with warnings.catch_warnings():
@@ -309,6 +308,8 @@ def test_main_requires_existing_config(tmp_path):
     ("output", "snapshot_times", '["a"]', "must be a number"),
     ("eta_sweep", "values", '"abc"', "must be a list"),
     ("eta_sweep", "values", '[0.5, "a"]', "must be a number"),
+    ("eta_sweep", "values", "[0.5, -1]", "must be positive, got -1.0"),
+    ("eta_sweep", "values", "[0]", "must be positive, got 0.0"),
     ("convergence", "m_values", "[]", "must be a non-empty list"),
     ("convergence", "m_values", "[0, 4]", "must be >= 1, got 0"),
     ("convergence", "m_values", "[8, 4]", "must be strictly increasing"),
@@ -324,7 +325,8 @@ def test_main_requires_existing_config(tmp_path):
     ("convergence", "macro_resolution", "3", "must be >= 4, got 3"),
 ], ids=["string-bool", "nan", "infinity", "macro-resolution", "cell-resolution",
         "m-values", "convergence-macro-resolution", "mms-resolutions", "dim",
-        "snapshot-times", "eta-values", "eta-value", "m-values-empty", "m-values-zero",
+        "snapshot-times", "eta-values", "eta-value", "eta-value-negative", "eta-value-zero",
+        "m-values-empty", "m-values-zero",
         "m-values-order", "mms-solvers-empty", "mms-solvers-unknown", "mms-solvers-type",
         "mms-solvers-string", "mms-resolutions-empty", "mms-resolutions-single",
         "mms-resolutions-range", "macro-resolution-range", "cell-resolution-range",
@@ -572,17 +574,28 @@ def test_snapshot_header_micro(tmp_path):
     assert header == "cell,x1,x2,c_1,c_2,phi"
 
 
-def test_snapshot_rows_match_per_cell_format(tmp_path):
+def _snapshot_centers(kind):
+    if kind == "random":
+        return np.random.default_rng(0).random((5, 2))
+    # lattice centers repeat per axis, so the writer formats each coordinate once
+    dim, m = {"grid-2d": (2, 2), "grid-3d": (3, 1)}[kind]
+    cell = build_cell_geometry(InclusionShape("disk", center=(0.5,) * dim, radius=0.25), 8)
+    return build_masked_grid(cell, m, 8).centers
+
+
+@pytest.mark.parametrize("kind", ["random", "grid-2d", "grid-3d"])
+def test_snapshot_rows_match_per_cell_format(tmp_path, kind):
     from porodrift.cli import _write_snapshot
 
+    centers = _snapshot_centers(kind)
+    n_cells, dim = centers.shape
     rng = np.random.default_rng(0)
-    centers = rng.random((5, 2))
-    conc = rng.random((2, 5)) * 1e-7
-    phi = rng.standard_normal(5)
+    conc = rng.random((2, n_cells)) * 1e-7
+    phi = rng.standard_normal(n_cells)
     _write_snapshot(tmp_path / "s.csv", "x", centers, {"c_1": conc[0], "c_2": conc[1],
                                                        "phi": phi})
-    lines = ["cell,x1,x2,c_1,c_2,phi"]
-    for j in range(5):
+    lines = [",".join(["cell"] + [f"x{i + 1}" for i in range(dim)] + ["c_1", "c_2", "phi"])]
+    for j in range(n_cells):
         row = [str(j)] + [repr(float(v)) for v in centers[j]]
         row += [repr(float(conc[i, j])) for i in range(2)] + [repr(float(phi[j]))]
         lines.append(",".join(row))
