@@ -6,12 +6,10 @@ nullspace and compatible right-hand sides.  Two strategies are used:
 * ``projected_cg`` removes the constant mode by mean-projecting the
   right-hand side and the iterate each step.  Used for the periodic cell
   problems.
-* ``ZeroMeanDirect`` pins one node to 0, factorizes the nonsingular block
-  ``A[1:, 1:]`` once and mean-projects each solution.  The Poisson problem
-  is re-solved every transport step with a constant matrix, so the
-  factorization pays off.  The block is as sparse as ``A`` and its pattern
-  is symmetric, so it is factored in the symmetric minimum-degree order
-  ``MMD_AT_PLUS_A``, with SuperLU's partial pivoting.
+* ``ZeroMeanDirect`` pins one unknown to 0, factorizes the nonsingular
+  rest once and mean-projects each solution.  The Poisson problem is
+  re-solved every transport step with a constant operator, so the
+  factorization pays off.
 
 The implicit transport matrices ``face_laplacian + I/dt`` change every step
 but keep their sparsity pattern, and every face joins two cells of opposite
@@ -21,22 +19,27 @@ class: an SPD M-matrix on half the cells with a 9-point (2-D) or 19-point
 (3-D) stencil.  It computes the complement's pattern and its symmetric
 fill-reducing ordering once and refills a CSC matrix laid out in that order
 in place; the caller factorizes it with the ``NATURAL`` column order
-(``SUPERLU_NATURAL``).  On the 52k-cell ``micro_large`` grid the LU holds
-1.47M nonzeros, against 1.77M for the full system in its own order.  Every
-SuperLU factorization here, the incomplete one that computes the order
-included, uses the supernode settings ``SUPERNODES``: on one thread these
-systems factor faster without relaxed supernodes or column panels.
+(``SUPERLU_NATURAL``).  Each fill returns the operator's own ``Elimination``
+blocks, so one system serves the transport matrices of every step and the
+two-point Poisson operator (shift 0, pinned at its last black cell).  On
+the 52k-cell ``micro_large`` grid the reduced LU holds 1.47M nonzeros,
+against 1.77M for the full system in its own order.  Every SuperLU
+factorization here, the incomplete one that computes the order included,
+uses the supernode settings ``SUPERNODES``: on one thread these systems
+factor faster without relaxed supernodes or column panels.
 
-The Poisson block computes its own order rather than reusing the transport's
-cached one, which belongs to the reduced system of half the cells.  With a
-full tensor the Poisson pattern is the 9-point one: on the pinned 64^2
-full-tensor block, partial pivoting in the 5-point face order filled the LU
-to 7.5M nonzeros in 3.6 s, against 0.33M in 29 ms with the default
-``COLAMD`` order and 0.24M in 12 ms with ``MMD_AT_PLUS_A`` of the block's
-own pattern (one thread).
+A full-tensor Poisson operator has cross terms, so it is neither two-point
+nor symmetric.  ``ZeroMeanDirect`` factors its block ``A[1:, 1:]`` pinned
+at node 0 with SuperLU's partial pivoting, in the symmetric minimum-degree
+order ``MMD_AT_PLUS_A`` of the block's own 9-point pattern: on the pinned
+64^2 full-tensor block, partial pivoting in the 5-point face order filled
+the LU to 7.5M nonzeros in 3.6 s, against 0.33M in 29 ms with the default
+``COLAMD`` order and 0.24M in 12 ms with ``MMD_AT_PLUS_A`` (one thread).
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sparse
@@ -90,16 +93,16 @@ def symmetric_ordering(pattern):
                  **_SYMMETRIC, **SUPERNODES).perm_c
 
 
-def _couplings(face_red, face_black, n_red, n_black):
+def _couplings(by_red, degree, face_black, n_black):
     """The entries that eliminating the red cells adds between black cells.
 
-    Faces ``first[k]`` and ``second[k]`` meet at a red cell, so their black
-    cells are coupled: the pair adds to entry ``entry[k]``, which joins the
-    black cells ``upper[entry[k]] < lower[entry[k]]``.  Temporaries end here,
-    before the order's incomplete LU and the first factorization allocate.
+    ``by_red`` lists the faces grouped by red cell and ``degree`` counts them
+    per red cell.  Faces ``first[k]`` and ``second[k]`` meet at a red cell, so
+    their black cells are coupled: the pair adds to entry ``entry[k]``, which
+    joins the black cells ``upper[entry[k]] < lower[entry[k]]``.  Temporaries
+    end here, before the order's incomplete LU and the first factorization
+    allocate.
     """
-    by_red = np.argsort(face_red, kind="stable").astype(np.int32)
-    degree = np.bincount(face_red, minlength=n_red)
     start = np.cumsum(degree) - degree
     firsts, seconds = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int32)]
     max_degree = int(degree.max(initial=0))
@@ -132,6 +135,19 @@ def _pattern_order(upper, lower, n):
     return symmetric_ordering(pattern).astype(np.int32)
 
 
+class Elimination(NamedTuple):
+    """The blocks of one operator on a ``ReducedFaceSystem`` that its elimination keeps.
+
+    ``coupling`` is the red-black block ``K = -A_rb`` (CSR, one entry
+    ``kappa_f`` per face, columns in the order of ``S``), ``coupling_t`` its
+    transpose and ``red_diag`` the diagonal ``d_r`` of the red block.
+    """
+
+    coupling: sparse.csr_matrix
+    coupling_t: sparse.csc_matrix
+    red_diag: np.ndarray
+
+
 class ReducedFaceSystem:
     """``face_laplacian(kappa) + shift I`` with one colour of cells eliminated exactly.
 
@@ -149,11 +165,14 @@ class ReducedFaceSystem:
     are built once; ``assemble`` rewrites only the values.  The layout comes
     from scipy's counting-sort COO to CSC conversion of the entries numbered
     1..nnz, whose values then name each entry's slot; only the few entries
-    of each column are sorted among themselves.  ``to_order`` reduces a
-    right-hand side ``f`` to ``f_b + sum_f (kappa_f / d_r) f_r`` in the
-    permuted black numbering, and ``from_order`` back-substitutes
-    ``x_r = (f_r + sum_f kappa_f x_b) / d_r`` to return the cell vector; both
-    use the coefficients of the last ``assemble``.
+    of each column are sorted among themselves.
+
+    Vectors of the system are in the order ``cells``: the black cells in the
+    order of ``S``, then the red cells (``u = values[cells]``).  With ``K =
+    -A_rb``, ``reduce`` turns a right-hand side ``f`` into ``f_b + K^T (f_r
+    / d_r)`` and ``back_substitute`` completes a black solution ``x_b`` with
+    ``x_r = (f_r + K x_b) / d_r``; both take the ``Elimination`` that
+    ``assemble`` returned for the operator.
     """
 
     def __init__(self, colour, face_lo, face_hi):
@@ -161,17 +180,19 @@ class ReducedFaceSystem:
         if np.any(colour[face_lo] == colour[face_hi]):
             raise ValueError("a face joins two cells of the same colour")
         red = colour if 2 * np.count_nonzero(colour) >= colour.size else ~colour
-        self._red = np.flatnonzero(red).astype(np.int32)
-        black = np.flatnonzero(~red).astype(np.int32)
-        n_black = black.size
+        red_cells = np.flatnonzero(red)
+        black = np.flatnonzero(~red)
+        n_red, n_black = red_cells.size, black.size
         local = np.empty(colour.size, dtype=np.int32)
-        local[self._red] = np.arange(self._red.size)
+        local[red_cells] = np.arange(n_red)
         local[black] = np.arange(n_black)
         red_lo = red[face_lo]
-        self._face_red = local[np.where(red_lo, face_lo, face_hi)]
+        face_red = local[np.where(red_lo, face_lo, face_hi)]
         face_black = local[np.where(red_lo, face_hi, face_lo)]
+        by_red = np.argsort(face_red, kind="stable").astype(np.int32)
+        degree = np.bincount(face_red, minlength=n_red)
         self._pair_first, self._pair_second, self._pair_entry, upper, lower = _couplings(
-            self._face_red, face_black, self._red.size, n_black)
+            by_red, degree, face_black, n_black)
         perm = _pattern_order(upper, lower, n_black)
 
         # CSC layout in that order: (upper, lower) per coupling, (lower, upper), the diagonal;
@@ -190,40 +211,52 @@ class ReducedFaceSystem:
         self._lower_slots = slots[n_pairs:2 * n_pairs]
         self._diag_slots = slots[2 * n_pairs:]
         self.perm = perm
-        self._face_black = perm[face_black]
-        self._black = np.empty_like(black)
-        self._black[perm] = black
-        self._kappa = self._weight = self._red_diag = None
+        # K row by row: the faces of each red cell, with their black cells as columns
+        self._coupling_indptr = np.concatenate([[0], np.cumsum(degree)]).astype(np.int32)
+        self._coupling_indices = perm[face_black][by_red]
+        # index arrays that numpy indexes and counts with on every assembly are intp, so
+        # that it does not convert them each time
+        self._face_red = face_red.astype(np.intp)
+        self._face_black = perm[face_black].astype(np.intp)
+        self._by_red = by_red.astype(np.intp)
+        self.cells = np.empty(colour.size, dtype=np.intp)
+        self.cells[perm] = black
+        self.cells[n_black:] = red_cells
 
-    def assemble(self, kappa, shift):
-        """``S`` for face coefficients ``kappa`` and diagonal shift ``shift``, in place."""
-        red_diag = shift + np.bincount(self._face_red, kappa, self._red.size)
+    def assemble(self, kappa, shift) -> Elimination:
+        """Write ``S`` for face coefficients ``kappa`` and diagonal shift ``shift`` into ``matrix``.
+
+        Returns the blocks that ``reduce`` and ``back_substitute`` take for
+        this operator; they stay valid when ``matrix`` is refilled.
+        """
+        n_red = self._coupling_indptr.size - 1
+        red_diag = shift + np.bincount(self._face_red, kappa, n_red)
         weight = kappa / red_diag[self._face_red]
-        coupling = np.bincount(self._pair_entry,
-                               kappa[self._pair_first] * weight[self._pair_second],
-                               self._upper_slots.size)
+        pairs = np.bincount(self._pair_entry,
+                            kappa[self._pair_first] * weight[self._pair_second],
+                            self._upper_slots.size)
         data = self.matrix.data
-        data[self._upper_slots] = -coupling
-        data[self._lower_slots] = -coupling
+        data[self._upper_slots] = -pairs
+        data[self._lower_slots] = -pairs
         data[self._diag_slots] = shift + np.bincount(self._face_black, kappa * (1.0 - weight),
-                                                     self._black.size)
-        self._kappa, self._weight, self._red_diag = kappa, weight, red_diag
-        return self.matrix
+                                                     self._diag_slots.size)
+        coupling = sparse.csr_matrix((kappa[self._by_red], self._coupling_indices,
+                                      self._coupling_indptr), shape=(n_red, self._diag_slots.size))
+        return Elimination(coupling, coupling.T, red_diag)
 
-    def to_order(self, values):
-        """The reduced right-hand side of cell vector ``values``, in the order of ``S``."""
-        red_values = values[self._red][self._face_red]
-        return values[self._black] + np.bincount(self._face_black, self._weight * red_values,
-                                                 self._black.size)
+    def reduce(self, values, elimination):
+        """The right-hand side of ``S`` for ``values`` given in the order ``cells``."""
+        n_black = self._diag_slots.size
+        return values[:n_black] + elimination.coupling_t @ (values[n_black:]
+                                                            / elimination.red_diag)
 
-    def from_order(self, ordered, values):
-        """The cell vector whose black part is ``ordered``; ``values`` is the full right-hand side."""
-        solution = np.empty_like(values)
-        solution[self._black] = ordered
-        solution[self._red] = (values[self._red] + np.bincount(
-            self._face_red, self._kappa * ordered[self._face_black], self._red.size)
-        ) / self._red_diag
-        return solution
+    def back_substitute(self, black, values, elimination):
+        """The solution in the order ``cells`` whose black part is ``black``.
+
+        ``values`` is the right-hand side in the order ``cells``.
+        """
+        red = (values[black.size:] + elimination.coupling @ black) / elimination.red_diag
+        return np.concatenate([black, red])
 
 
 def projected_cg(matrix, rhs, tol=1e-10, max_iter=None):
@@ -272,32 +305,72 @@ def projected_cg(matrix, rhs, tol=1e-10, max_iter=None):
 
 
 class ZeroMeanDirect:
-    """Cached LU of a singular operator with constant nullspace, pinned at node 0.
+    """Cached LU of a singular operator with constant nullspace; zero-mean solves.
 
-    For a connected operator the block ``A[1:, 1:]`` is nonsingular.  A solve
-    fixes the pinned value to 0 and mean-projects the result, so it returns
-    the zero-mean solution.  The right-hand side is mean-projected first (it
-    must be compatible up to rounding).
+    ``ZeroMeanDirect(system, kappa)`` takes the two-point operator
+    ``face_laplacian(kappa)`` on the faces of the ``ReducedFaceSystem``
+    ``system``.  It assembles the Schur complement with shift 0, which keeps
+    the constant nullspace on the black cells, pins the last black cell in
+    elimination order by dropping its row and column, and factors the rest in
+    the system's cached order with ``SUPERLU_NATURAL``.  A pinned solve
+    reduces the right-hand side, back-solves and back-substitutes the red
+    cells.  The blocks it keeps are its own, so refilling ``system.matrix``
+    afterwards changes nothing.  On the 52k-cell ``micro_large`` grid the LU
+    holds 1.47M nonzeros.
 
-    The block is factored once, in the symmetric minimum-degree order
-    ``MMD_AT_PLUS_A`` with SuperLU's default partial pivoting: on the 52k-cell
-    ``micro_large`` grid its LU holds 1.77M nonzeros, against 2.85M in the
-    default ``COLAMD`` order.  It does not reuse the transport's cached
-    order, which is computed for the reduced system (see the module notes).
+    ``ZeroMeanDirect(matrix)`` takes any sparse operator, such as the
+    full-tensor Poisson operator, which is not symmetric.  It factors the
+    block ``A[1:, 1:]`` pinned at node 0 in the symmetric minimum-degree
+    order ``MMD_AT_PLUS_A`` with SuperLU's partial pivoting (1.77M nonzeros
+    for the two-point operator of ``micro_large``).
+
+    For a connected operator the pinned block is nonsingular.  A solve
+    mean-projects the right-hand side (it must be compatible up to
+    rounding), fixes the pinned value to 0 and mean-projects the result, so
+    it returns the zero-mean solution.  Iterative refinement then applies at
+    most ``MAX_REFINEMENTS`` corrections, each followed by a check of the
+    residual of the whole operator against ``tol``: the matrix product, or
+    on the two-point path the net face flux ``sum_f kappa_f (phi_j -
+    phi_nb)`` of every cell, summed in the red-black blocks of the operator.
     """
 
-    def __init__(self, matrix):
-        self.n = matrix.shape[0]
-        self.matrix = matrix.tocsr()
+    def __init__(self, operator, kappa=None):
+        if isinstance(operator, ReducedFaceSystem):
+            self.n = operator.cells.size
+            # the reduced path works in the system's order
+            self._system, self._cells = operator, operator.cells
+            self._elimination = operator.assemble(kappa, 0.0)
+            # diagonal of the black rows: the sum of kappa over each black cell's faces
+            self._black_diag = self._elimination.coupling.sum(axis=0).A1
+            pinned, options = operator.matrix[:-1, :-1], SUPERLU_NATURAL
+        else:
+            self.matrix = operator.tocsr()
+            self.n = self.matrix.shape[0]
+            self._system, self._cells = None, slice(None)
+            pinned = self.matrix[1:, 1:].tocsc()
+            options = {"permc_spec": "MMD_AT_PLUS_A", **SUPERNODES}
         try:
-            self._lu = splu(self.matrix[1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A",
-                            **SUPERNODES)
+            self._lu = splu(pinned, **options)
         except RuntimeError as exc:
             raise SolverError(f"Poisson factorization failed (n = {self.n}): {exc}") from exc
 
     def _pinned_solve(self, rhs):
-        phi = np.concatenate([[0.0], self._lu.solve(rhs[1:])])
+        if self._system is None:
+            phi = np.concatenate([[0.0], self._lu.solve(rhs[1:])])
+        else:
+            black = self._system.reduce(rhs, self._elimination)
+            black[:-1] = self._lu.solve(black[:-1])
+            black[-1] = 0.0
+            phi = self._system.back_substitute(black, rhs, self._elimination)
         return phi - phi.mean()
+
+    def _apply(self, phi):
+        if self._system is None:
+            return self.matrix @ phi
+        coupling, coupling_t, red_diag = self._elimination
+        black, red = phi[:self._black_diag.size], phi[self._black_diag.size:]
+        return np.concatenate([self._black_diag * black - coupling_t @ red,
+                               red_diag * red - coupling @ black])
 
     def solve(self, rhs, tol=1e-10):
         """Zero-mean solution; iterative refinement until the residual meets ``tol``."""
@@ -305,15 +378,19 @@ class ZeroMeanDirect:
         b_norm = float(np.linalg.norm(b))
         if b_norm == 0.0:
             return np.zeros(self.n)
+        b = b[self._cells]
         phi = self._pinned_solve(b)
-        for _ in range(MAX_REFINEMENTS + 1):
-            residual = b - self.matrix @ phi
+        for corrections in range(MAX_REFINEMENTS + 1):
+            residual = b - self._apply(phi)
             residual -= residual.mean()
             rel = float(np.linalg.norm(residual)) / b_norm
             if np.isfinite(rel) and rel <= tol:
-                return phi
-            phi = phi + self._pinned_solve(residual)
-            phi -= phi.mean()
+                solution = np.empty(self.n)
+                solution[self._cells] = phi
+                return solution
+            if corrections < MAX_REFINEMENTS:
+                phi = phi + self._pinned_solve(residual)
+                phi -= phi.mean()
         raise SolverError(
             f"direct Neumann solve residual {rel:.3e} exceeds tolerance {tol:.3e}",
             residual=rel,

@@ -13,12 +13,18 @@ four-point averaged tangential differences (explicit).
 
 The implicit matrix of each species and step is a fresh SuperLU
 factorization, but its pattern is fixed and every face joins cells of
-opposite grid-index parity.  The simulation builds a
-``linalg.ReducedFaceSystem`` once: the cells of one parity are eliminated
-exactly, and the Schur complement on the others is refilled in place in its
-symmetric fill-reducing order and factorized with the ``NATURAL`` column
-order, in symmetric mode and with the supernode settings
-``linalg.SUPERNODES``; the eliminated cells follow by back-substitution.
+opposite grid-index parity.  The simulation builds one
+``linalg.ReducedFaceSystem`` when it is constructed: the cells of one
+parity are eliminated exactly, and the Schur complement on the others is
+refilled in place in its symmetric fill-reducing order and factorized with
+the ``NATURAL`` column order, in symmetric mode and with the supernode
+settings ``linalg.SUPERNODES``; the eliminated cells follow by
+back-substitution.
+
+The potential is factored once per simulation (``poisson_solver``).  A
+Poisson tensor without cross terms gives a two-point operator, factored on
+the same reduced system with its own coefficients; a full tensor keeps the
+pinned partial-pivot LU of ``poisson_matrix``.
 """
 
 from __future__ import annotations
@@ -102,6 +108,10 @@ def _face_incidence(grid):
     return s_lo, s_hi
 
 
+def _has_cross_terms(tensor) -> bool:
+    return bool(np.max(np.abs(tensor - np.diag(np.diag(tensor)))) > CROSS_TOL)
+
+
 def cross_operators(grid, tensor) -> list:
     """Tangential part of (tensor grad u) . n per face as (coef, matrix) pairs.
 
@@ -109,7 +119,7 @@ def cross_operators(grid, tensor) -> list:
     tangential cell-centered derivative averaged over the face's two cells.
     Empty when every off-diagonal entry is at most CROSS_TOL in magnitude.
     """
-    if np.max(np.abs(tensor - np.diag(np.diag(tensor)))) <= CROSS_TOL:
+    if not _has_cross_terms(tensor):
         return []
     grads = gradient_matrices(grid)
     s_lo, s_hi = _face_incidence(grid)
@@ -141,6 +151,27 @@ def poisson_matrix(grid, tensor):
         s_lo, s_hi = _face_incidence(grid)
         matrix = matrix + grid.facet_area * ((s_hi - s_lo).T.tocsr() @ t_cross)
     return matrix.tocsr()
+
+
+def reduced_face_system(grid):
+    """The grid's ``ReducedFaceSystem``, its cells coloured by grid-index parity."""
+    parity = np.indices(grid.fluid_mask.shape).sum(axis=0)[grid.fluid_mask]
+    return ReducedFaceSystem(parity, grid.face_lo, grid.face_hi)
+
+
+def poisson_solver(grid, tensor, reduced=None):
+    """The factored zero-mean solver of ``poisson_matrix(grid, tensor)``.
+
+    Without cross terms the operator is two-point and is factored on
+    ``reduced``, the grid's reduced system (built here when not given).  A
+    tensor with off-diagonal entries gets the pinned partial-pivot LU of the
+    assembled matrix.
+    """
+    tensor = np.asarray(tensor, dtype=float)
+    if _has_cross_terms(tensor):
+        return ZeroMeanDirect(poisson_matrix(grid, tensor))
+    kappa = tensor[grid.face_axis, grid.face_axis] * grid.facet_area / grid.h
+    return ZeroMeanDirect(reduced_face_system(grid) if reduced is None else reduced, kappa)
 
 
 def _checked_tensor(tensor, dim):
@@ -213,8 +244,8 @@ class TransportSim:
             (float(np.max(np.abs(coef))) for coef, _ in self._cross_terms), default=0.0)
         self._volumetric = np.asarray(charges.volumetric, dtype=float)
         self._boundary_rhs = charges.cell_sums(grid)
+        self._reduced = reduced_face_system(grid)
         self._poisson = None
-        self._reduced = None
         self._charges = np.array([s.charge for s in self.species], dtype=float)
         self._diffusivities = np.array([s.diffusivity for s in self.species], dtype=float)
 
@@ -240,7 +271,7 @@ class TransportSim:
                 residual=residual,
             )
         if self._poisson is None:
-            self._poisson = ZeroMeanDirect(poisson_matrix(self.grid, self._poisson_tensor))
+            self._poisson = poisson_solver(self.grid, self._poisson_tensor, self._reduced)
         return self._poisson.solve(rhs, tol=self.poisson_tol)
 
     # -- face kernels ----------------------------------------------------------
@@ -307,19 +338,18 @@ class TransportSim:
         cells is eliminated exactly and the reduced system is factorized in
         the symmetric fill-reducing order the simulation computes once.
         """
-        grid = self.grid
-        if self._reduced is None:
-            parity = np.indices(grid.fluid_mask.shape).sum(axis=0)[grid.fluid_mask]
-            self._reduced = ReducedFaceSystem(parity, grid.face_lo, grid.face_hi)
         system = self._reduced
-        kappa = diffusivity * self._face_diag * face_h / grid.h ** 2
-        matrix = system.assemble(kappa, 1.0 / dt)
+        kappa = diffusivity * self._face_diag * face_h / self.grid.h ** 2
+        elimination = system.assemble(kappa, 1.0 / dt)
         try:
-            lu = splu(matrix, **SUPERLU_NATURAL)
+            lu = splu(system.matrix, **SUPERLU_NATURAL)
         except RuntimeError as exc:
             raise SolverError(f"implicit transport solve failed: {exc}") from exc
-        rhs = c / dt + rhs_extra
-        return system.from_order(lu.solve(system.to_order(rhs)), rhs)
+        rhs = (c / dt + rhs_extra)[system.cells]
+        solution = np.empty_like(c)
+        solution[system.cells] = system.back_substitute(
+            lu.solve(system.reduce(rhs, elimination)), rhs, elimination)
+        return solution
 
     def step(self, state: SimState, dt: float, source=None) -> SimState:
         """One IMEX step of size dt; raises on dt rejection.

@@ -11,9 +11,11 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import porodrift.config as config_module
+import porodrift.transport as transport
 from porodrift import ConfigError, InclusionShape, build_cell_geometry, build_masked_grid
 from porodrift.cli import dispatch, main
 from porodrift.config import RunConfig, parse_and_validate
+from porodrift.linalg import ZeroMeanDirect
 
 
 def minimal_config(**overrides):
@@ -170,6 +172,27 @@ def test_replay_determinism(tmp_path):
         assert dispatch("micro", config, out_dir=run_dir) == 0
     for name in ("diagnostics.csv", "report.json", f"snapshot_{0.02:.6f}.csv"):
         assert (run_a / name).read_bytes() == (run_b / name).read_bytes()
+
+
+def test_factorization_counts_follow_the_benchmark_gate(tmp_path, monkeypatch):
+    # the benchmark gates a run's transport LUs (species x step attempts) and its
+    # Poisson factorizations (one per simulation) through these two names
+    calls = {"transport": 0, "poisson": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(transport, "splu", counted("transport", transport.splu))
+    monkeypatch.setattr(ZeroMeanDirect, "__init__", counted("poisson", ZeroMeanDirect.__init__))
+    config = parse_and_validate(canonical_config(tmp_path))
+    assert dispatch("micro", config, out_dir=tmp_path) == 0
+    summary = json.loads((tmp_path / "report.json").read_text())["summary"]
+    attempts = summary["steps"] + summary["rejections"]
+    assert attempts >= 10
+    assert calls == {"transport": 2 * attempts, "poisson": 1}
 
 
 def test_cell_dispatch_writes_tensor_report(tmp_path):

@@ -17,6 +17,7 @@ from porodrift import (
     run_micro,
 )
 from porodrift.linalg import (
+    MAX_REFINEMENTS,
     SUPERLU_NATURAL,
     SUPERNODES,
     ReducedFaceSystem,
@@ -24,7 +25,7 @@ from porodrift.linalg import (
     face_laplacian,
     symmetric_ordering,
 )
-from porodrift.transport import poisson_matrix
+from porodrift.transport import poisson_matrix, poisson_solver
 
 from conftest import hole_free_grid, make_scaling, smooth_c0, zero_charges
 
@@ -58,35 +59,66 @@ def _zero_mean_reference(matrix, rhs):
     return np.linalg.lstsq(dense, rhs - rhs.mean(), rcond=None)[0]
 
 
-@pytest.mark.parametrize("case", ["perforated-identity", "perforated-3d", "full-tensor"])
+@pytest.mark.parametrize("case", ["perforated-identity", "perforated-3d", "full-tensor",
+                                  "reduced-perforated", "reduced-3d", "reduced-hole-free"])
 def test_zero_mean_direct_matches_dense_reference(disk_cell_8, case):
-    if case == "perforated-identity":
+    tensor = np.eye(2)
+    if case in ("perforated-identity", "reduced-perforated"):
         grid = build_masked_grid(disk_cell_8, 2, 8)
-        matrix = poisson_matrix(grid, np.eye(2))
-    elif case == "perforated-3d":
+    elif case in ("perforated-3d", "reduced-3d"):
         grid = _perforated_grid(3, m=1)
-        matrix = poisson_matrix(grid, np.eye(3))
+        tensor = np.eye(3)
+    elif case == "reduced-hole-free":
+        grid = hole_free_grid(16)
+        tensor = np.diag([1.0, 0.7])
     else:
         grid = hole_free_grid(16)
-        matrix = poisson_matrix(grid, [[1.0, 0.1], [0.1, 0.7]])
+        tensor = [[1.0, 0.1], [0.1, 0.7]]
+    matrix = poisson_matrix(grid, tensor)
+    if case.startswith("reduced"):
+        direct = poisson_solver(grid, tensor)
+        assert isinstance(direct._system, ReducedFaceSystem)
+    else:
+        direct = ZeroMeanDirect(matrix)
     rng = np.random.default_rng(7)
     rhs = (smooth_c0(grid.centers) + rng.uniform(-1.0, 1.0, grid.n_fluid)) * grid.cell_volume
-    phi = ZeroMeanDirect(matrix).solve(rhs)
+    phi = direct.solve(rhs)
     reference = _zero_mean_reference(matrix, rhs)
     assert np.max(np.abs(phi - reference)) <= 1e-10 * np.max(np.abs(reference))
     assert abs(phi.mean()) <= 1e-14
 
 
 @pytest.mark.parametrize("dim", [2, 3])
-def test_poisson_lu_fills_like_the_symmetric_mmd_transport_lu(dim):
+def test_two_point_poisson_lu_fills_less_than_the_full_pinned_lu(dim):
     grid = _perforated_grid(dim)
-    poisson = ZeroMeanDirect(poisson_matrix(grid, np.eye(dim)))._lu
-    transport_lu = _symmetric_mmd_lu(_transport_matrix(grid, 1.0, 1.0))
-    # minimum degree breaks ties differently without node 0: 0.4 % apart in 2-D,
-    # 2.0 % in 3-D, where the default COLAMD order fills 32 % and 109 % more
-    assert poisson.nnz == pytest.approx(transport_lu.nnz, rel=0.025)
-    # partial pivoting never leaves the diagonal of the M-matrix block
-    np.testing.assert_array_equal(poisson.perm_r, poisson.perm_c)
+    two_point = poisson_solver(grid, np.eye(dim))._lu
+    full = ZeroMeanDirect(poisson_matrix(grid, np.eye(dim)))._lu
+    # 1,636 against 2,572 nonzeros in 2-D, 459,294 against 510,172 in 3-D
+    assert two_point.nnz < full.nnz
+
+
+@pytest.mark.parametrize("tensor", [np.eye(2), [[1.0, 0.1], [0.1, 0.7]]],
+                         ids=["reduced", "full-tensor"])
+def test_refinement_checks_every_correction(tensor):
+    grid = hole_free_grid(16)
+    direct = poisson_solver(grid, tensor)
+    iterates = []
+    pinned_solve = direct._pinned_solve
+    direct._pinned_solve = lambda rhs: iterates.append(pinned_solve(rhs)) or iterates[-1]
+    rhs = smooth_c0(grid.centers) * grid.cell_volume
+    with pytest.raises(SolverError, match="direct Neumann solve residual") as failure:
+        direct.solve(rhs, tol=1e-300)
+    # one back-solve per pinned solve
+    assert len(iterates) == 1 + MAX_REFINEMENTS
+    # the reported residual is that of the last iterate, which every correction built
+    phi = iterates[0]
+    for correction in iterates[1:]:
+        phi = phi + correction
+        phi -= phi.mean()
+    b = rhs - rhs.mean()
+    residual = b[direct._cells] - direct._apply(phi)
+    residual -= residual.mean()
+    assert failure.value.residual == np.linalg.norm(residual) / np.linalg.norm(b)
 
 
 def test_full_tensor_poisson_lu_fills_less_than_colamd():
@@ -101,6 +133,9 @@ def test_singular_factorization_raises_solver_error():
     face_hi = np.array([1, 2, 4, 5])
     with pytest.raises(SolverError, match=r"Poisson factorization.*n = 6"):
         ZeroMeanDirect(face_laplacian(6, face_lo, face_hi, 1.0))
+    system = ReducedFaceSystem(np.arange(6) % 2, face_lo, face_hi)
+    with pytest.raises(SolverError, match=r"Poisson factorization.*n = 6"):
+        ZeroMeanDirect(system, np.ones(face_lo.size))
 
 
 def _check_implicit_solve(grid, species):
@@ -148,7 +183,8 @@ def test_cached_order_matches_symmetric_mmd_lu(dim):
     assert system.matrix.indices.dtype == system.matrix.indptr.dtype == np.int32
     columns = np.split(system.matrix.indices, system.matrix.indptr[1:-1])
     assert all(np.all(np.diff(rows) > 0) for rows in columns)
-    ordered = system.assemble(kappa, 1.0 / dt)
+    system.assemble(kappa, 1.0 / dt)
+    ordered = system.matrix
     # the in-place matrix is the explicit Schur complement with rows and columns permuted
     reference = _explicit_schur_complement(grid, kappa, dt)
     inverse = np.argsort(system.perm)
@@ -198,8 +234,12 @@ def test_reduced_solve_matches_spsolve_of_the_full_matrix(grid, seed, log_dt):
     dt = 10.0 ** log_dt
     rhs = rng.uniform(-1.0, 1.0, grid.n_fluid)
     system = _reduced_system(grid)
-    lu = splu(system.assemble(kappa, 1.0 / dt), **SUPERLU_NATURAL)
-    solution = system.from_order(lu.solve(system.to_order(rhs)), rhs)
+    elimination = system.assemble(kappa, 1.0 / dt)
+    lu = splu(system.matrix, **SUPERLU_NATURAL)
+    ordered = rhs[system.cells]
+    solution = np.empty_like(rhs)
+    solution[system.cells] = system.back_substitute(
+        lu.solve(system.reduce(ordered, elimination)), ordered, elimination)
     reference = spsolve(_transport_matrix(grid, kappa, dt), rhs)
     assert np.max(np.abs(solution - reference)) <= 1e-12 * np.max(np.abs(reference))
     # a face between two cells of one parity breaks the elimination
@@ -212,7 +252,7 @@ def test_reduced_solve_matches_spsolve_of_the_full_matrix(grid, seed, log_dt):
 
 
 def test_ordering_computed_once_per_simulation(monkeypatch):
-    calls = {"ordering": 0, "lu": 0}
+    calls = {"system": 0, "ordering": 0, "lu": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -220,6 +260,8 @@ def test_ordering_computed_once_per_simulation(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    monkeypatch.setattr(ReducedFaceSystem, "__init__",
+                        counted("system", ReducedFaceSystem.__init__))
     monkeypatch.setattr(linalg, "symmetric_ordering",
                         counted("ordering", linalg.symmetric_ordering))
     monkeypatch.setattr(transport, "splu", counted("lu", transport.splu))
@@ -229,4 +271,21 @@ def test_ordering_computed_once_per_simulation(monkeypatch):
                        dt_init=1e-3)
     attempts = result.summary["steps"] + result.summary["rejections"]
     assert attempts >= 5
-    assert calls == {"ordering": 1, "lu": 2 * attempts}
+    # the transport and the Poisson share one reduced system and its order
+    assert calls == {"system": 1, "ordering": 1, "lu": 2 * attempts}
+
+
+def test_transport_assembly_leaves_the_poisson_solution_unchanged(disk_cell_8,
+                                                                   canonical_species):
+    grid = build_masked_grid(disk_cell_8, 2, 8)
+    sim = MicroSimulation(grid, make_scaling(grid.eps), canonical_species, zero_charges(grid))
+    rng = np.random.default_rng(3)
+    cation = rng.uniform(0.5, 1.5, grid.n_fluid)
+    excess = rng.uniform(-0.2, 0.2, grid.n_fluid)
+    conc = np.stack([cation, cation + excess - excess.mean()])
+    first = sim.solve_poisson(conc)
+    assert np.max(np.abs(first)) > 0.0
+    # the transport refills the shared reduced matrix with other coefficients
+    sim._implicit_solve(cation, 0.7, rng.uniform(0.1, 10.0, grid.face_lo.size), 1e-3,
+                        np.zeros(grid.n_fluid))
+    np.testing.assert_array_equal(sim.solve_poisson(conc), first)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sparse
 
 from porodrift import (
     ConfigError,
@@ -11,6 +12,7 @@ from porodrift import (
     validate_compatibility,
 )
 from porodrift import verification
+from porodrift.linalg import ReducedFaceSystem, ZeroMeanDirect
 from porodrift.verification import (
     mms_poisson_macro,
     mms_poisson_micro,
@@ -30,6 +32,24 @@ def test_balance_outer_charges(disk_cell_8):
     assert shift == pytest.approx(-grid.fluid_volume / grid.outer_area_total)
     assert abs(validate_compatibility(grid, species, balanced,
                                       raise_on_fail=False)) <= 1e-14
+
+
+def test_poisson_mms_uses_the_solver_of_the_runs(monkeypatch):
+    # identity tensor: the two-point factorization on the reduced system, as in every
+    # micro run; full tensor: the pinned LU of the assembled matrix
+    operators = []
+    init = ZeroMeanDirect.__init__
+
+    def recorded(self, operator, *args):
+        operators.append(type(operator))
+        init(self, operator, *args)
+
+    monkeypatch.setattr(ZeroMeanDirect, "__init__", recorded)
+    mms_poisson_micro((8, 16))
+    assert operators == [ReducedFaceSystem, ReducedFaceSystem]
+    operators.clear()
+    mms_poisson_macro((8, 16))
+    assert operators == [sparse.csr_matrix, sparse.csr_matrix]
 
 
 def test_poisson_mms_orders_are_second():
