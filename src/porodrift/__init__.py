@@ -14,7 +14,6 @@ from .cell_problem import (
 from .diagnostics import DiagnosticsRecord, energy_value, psi_eval
 from .errors import ConfigError, GeometryError, PorodriftError, SolverError, TimeStepError
 from .geometry import (
-    CellGeometry,
     FacetCharges,
     InclusionShape,
     MaskedGrid,

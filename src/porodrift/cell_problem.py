@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import SolverError
-from .geometry import CellGeometry
+from .geometry import MaskedGrid
 from .linalg import face_divergence, face_laplacian, projected_cg
 
 DEFAULT_TOL = 1e-10
@@ -34,13 +34,13 @@ class CorrectorField:
     iterations: int
 
 
-def _rhs_for_direction(cell: CellGeometry, k: int) -> np.ndarray:
+def _rhs_for_direction(cell: MaskedGrid, k: int) -> np.ndarray:
     sel = cell.face_axis == k
     flux = np.full(int(np.count_nonzero(sel)), -cell.facet_area)
     return face_divergence(cell.n_fluid, cell.face_lo[sel], cell.face_hi[sel], flux)
 
 
-def solve_cell_problem(cell: CellGeometry, k: int, tol: float = DEFAULT_TOL) -> CorrectorField:
+def solve_cell_problem(cell: MaskedGrid, k: int, tol: float = DEFAULT_TOL) -> CorrectorField:
     """Solve for the direction-k corrector with mean-projected CG.
 
     The right-hand side is the masked-face divergence of the constant field
@@ -61,7 +61,7 @@ def solve_cell_problem(cell: CellGeometry, k: int, tol: float = DEFAULT_TOL) -> 
     return CorrectorField(k=k, values=values, rel_residual=residual, iterations=iterations)
 
 
-def corrected_gradients(cell: CellGeometry, correctors) -> np.ndarray:
+def corrected_gradients(cell: MaskedGrid, correctors) -> np.ndarray:
     """Per-face normal components of (grad_y w_k + e_k), shape (n, n_faces)."""
     grads = np.empty((cell.dim, cell.face_lo.size))
     for k in range(cell.dim):
@@ -71,7 +71,7 @@ def corrected_gradients(cell: CellGeometry, correctors) -> np.ndarray:
     return grads
 
 
-def corrector_residual(cell: CellGeometry, corrector: CorrectorField) -> float:
+def corrector_residual(cell: MaskedGrid, corrector: CorrectorField) -> float:
     """Max norm of the discrete divergence of (grad_y w_k + e_k) over fluid cells."""
     w = corrector.values
     g = (w[cell.face_hi] - w[cell.face_lo]) / cell.h
@@ -93,14 +93,14 @@ class EffectiveTensor:
     energy_form: np.ndarray
     porosity: float
     correctors: tuple
-    resolution: int
+    r: int
 
     @property
     def dim(self) -> int:
         return self.a_hom.shape[0]
 
 
-def compute_effective_tensor(cell: CellGeometry, tol: float = DEFAULT_TOL) -> EffectiveTensor:
+def compute_effective_tensor(cell: MaskedGrid, tol: float = DEFAULT_TOL) -> EffectiveTensor:
     """Solve the n cell problems and assemble both tensor expressions."""
     correctors = tuple(solve_cell_problem(cell, k, tol=tol) for k in range(cell.dim))
     grads = corrected_gradients(cell, correctors)
@@ -115,5 +115,5 @@ def compute_effective_tensor(cell: CellGeometry, tol: float = DEFAULT_TOL) -> Ef
         energy_form=energy,
         porosity=cell.porosity,
         correctors=correctors,
-        resolution=cell.resolution,
+        r=cell.r,
     )

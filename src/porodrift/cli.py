@@ -85,8 +85,7 @@ def _macro_inputs(config):
     """Macro grid, effective tensor, porosity, balanced or checked charges, species."""
     macro_grid = build_masked_grid(
         build_cell_geometry(InclusionShape("none", center=(0.5,) * config.dim),
-                            config.macro_resolution),
-        1, config.macro_resolution)
+                            config.macro_resolution), 1)
     tensor = compute_effective_tensor(config.cell, tol=config.cell_tol)
     charges = build_macro_source(config.cell, macro_grid, config.xi1, config.xi2)
     if config.auto_balance:
@@ -127,7 +126,7 @@ def dispatch(subcommand: str, config, out_dir=None) -> int:
             tensor = compute_effective_tensor(cell, tol=config.cell_tol)
             report = {
                 "kind": "cell",
-                "resolution": cell.resolution,
+                "resolution": cell.r,
                 "porosity": tensor.porosity,
                 "a_hom": tensor.a_hom,
                 "energy_form": tensor.energy_form,
@@ -182,7 +181,8 @@ def dispatch(subcommand: str, config, out_dir=None) -> int:
 
         elif subcommand == "mms":
             report = run_mms_verification(config.mms_solvers,
-                                          resolutions=config.mms_resolutions)
+                                          resolutions=config.mms_resolutions,
+                                          poisson_tol=config.poisson_tol)
             emit("report.json", _write_json, report)
             if not report["passed"]:
                 status = 1

@@ -15,7 +15,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .geometry import (
     MIN_RESOLUTION,
     FacetCharges,
     InclusionShape,
+    MaskedGrid,
     balance_outer_charges,
     build_cell_geometry,
     build_masked_grid,
@@ -128,6 +129,12 @@ def _at_least(value, low, label):
     return value
 
 
+def _positive(value, label):
+    if value <= 0:
+        raise ConfigError(f"{label} must be positive, got {value}")
+    return value
+
+
 def _grid_bound(n_side, dim, label):
     """An ``n_side``^``dim`` grid is built from this config; refuse one past MAX_GRID_CELLS."""
     if n_side ** dim > MAX_GRID_CELLS:
@@ -222,32 +229,13 @@ class RunConfig:
     eta_dt_init: float
     mms_solvers: list
     mms_resolutions: list
+    # built by parse_and_validate: the unit cell, the micro grid and its facet
+    # charges (auto-balanced when enabled)
+    cell: MaskedGrid = None
+    grid: MaskedGrid = None
+    charges: FacetCharges = None
     compat_residual_raw: float = 0.0
     balance_shift: float = 0.0
-    _cell: object = field(default=None, repr=False)
-    _grid: object = field(default=None, repr=False)
-    _charges: object = field(default=None, repr=False)
-
-    # -- built geometry / data ------------------------------------------------
-
-    @property
-    def cell(self):
-        if self._cell is None:
-            self._cell = build_cell_geometry(self.inclusion, self.r)
-        return self._cell
-
-    @property
-    def grid(self):
-        if self._grid is None:
-            self._grid = build_masked_grid(self.cell, self.m, self.r)
-        return self._grid
-
-    @property
-    def charges(self) -> FacetCharges:
-        """Facet charges on the micro grid, auto-balanced when enabled."""
-        if self._charges is None:
-            raise ConfigError("charges are populated during parse_and_validate")
-        return self._charges
 
     def scaling(self) -> ScalingSpec:
         return ScalingSpec(epsilon=1.0 / self.m, alpha=self.alpha, beta=self.beta,
@@ -302,10 +290,8 @@ def parse_and_validate(source) -> RunConfig:
     eta = _require(sca, "eta", float, "scaling")
     p = _require(sca, "p", float, "scaling")
     final_time = _require(sca, "T", float, "scaling")
-    dt_init = _optional(sca, "dt_init", final_time / 100 if final_time > 0 else 1e-3,
-                        float, "scaling")
-    if dt_init <= 0:
-        raise ConfigError(f"scaling.dt_init must be positive, got {dt_init}")
+    dt_init = _positive(_optional(sca, "dt_init", final_time / 100 if final_time > 0 else 1e-3,
+                                  float, "scaling"), "scaling.dt_init")
     cfl_fraction = _optional(sca, "cfl_fraction", 0.5, float, "scaling")
     if not 0 < cfl_fraction <= 1:
         raise ConfigError(f"scaling.cfl_fraction must lie in (0, 1], got {cfl_fraction}")
@@ -372,8 +358,10 @@ def parse_and_validate(source) -> RunConfig:
     if any(m2 <= m1 for m1, m2 in zip(conv_m_values, conv_m_values[1:])):
         raise ConfigError("convergence.m_values must be strictly increasing "
                           "(eps strictly decreasing)")
-    conv_final_time = _optional(conv, "T", 0.05, float, "convergence")
-    conv_dt_init = _optional(conv, "dt_init", 5e-4, float, "convergence")
+    conv_final_time = _at_least(_optional(conv, "T", 0.05, float, "convergence"), 0,
+                                "convergence.T")
+    conv_dt_init = _positive(_optional(conv, "dt_init", 5e-4, float, "convergence"),
+                             "convergence.dt_init")
     conv_macro_resolution = _at_least(
         _optional(conv, "macro_resolution", r * max(conv_m_values), int, "convergence"),
         MIN_RESOLUTION, "convergence.macro_resolution")
@@ -381,12 +369,12 @@ def parse_and_validate(source) -> RunConfig:
     _grid_bound(conv_macro_resolution, dim, "convergence macro")
 
     eta_sec = _section(raw, "eta_sweep")
-    eta_values = _list(eta_sec, "values", [0.5, 0.25, 0.125], float, "eta_sweep")
-    for value in eta_values:
-        if value <= 0:
-            raise ConfigError(f"eta_sweep.values must be positive, got {value}")
-    eta_final_time = _optional(eta_sec, "T", 0.05, float, "eta_sweep")
-    eta_dt_init = _optional(eta_sec, "dt_init", dt_init, float, "eta_sweep")
+    eta_values = [_positive(value, "eta_sweep.values") for value in
+                  _list(eta_sec, "values", [0.5, 0.25, 0.125], float, "eta_sweep")]
+    eta_final_time = _at_least(_optional(eta_sec, "T", 0.05, float, "eta_sweep"), 0,
+                               "eta_sweep.T")
+    eta_dt_init = _positive(_optional(eta_sec, "dt_init", dt_init, float, "eta_sweep"),
+                            "eta_sweep.dt_init")
 
     mms_sec = _section(raw, "mms")
     mms_solvers = _list(mms_sec, "solvers", list(MMS_SOLVERS), str, "mms")
@@ -417,7 +405,8 @@ def parse_and_validate(source) -> RunConfig:
 
     # geometry build, sampled-data checks, compatibility residual
     try:
-        grid = config.grid
+        config.cell = build_cell_geometry(inclusion, r)
+        config.grid = grid = build_masked_grid(config.cell, m)
     except GeometryError as exc:
         raise ConfigError(str(exc)) from exc
     for spec in species:
@@ -443,5 +432,5 @@ def parse_and_validate(source) -> RunConfig:
         config.balance_shift = shift
     else:
         validate_compatibility(grid, species, charges)
-    config._charges = charges
+    config.charges = charges
     return config

@@ -6,7 +6,7 @@ class PorodriftError(Exception):
 
 
 class GeometryError(PorodriftError):
-    """Invalid unit-cell or grid geometry (margin violation, disconnected pores, misalignment)."""
+    """Invalid unit-cell or grid geometry (margin, disconnected pores, solid outer boundary)."""
 
 
 class ConfigError(PorodriftError):

@@ -5,13 +5,15 @@ staircase mask: a cell of the uniform grid is solid iff its center lies
 inside the inclusion.  The porous domain over Omega = (0,1)^n is the
 m x ... x m tiling of that mask with period eps = 1/m, so every eps-cell
 carries an identical copy of the pattern and facet areas are exact
-multiples of h^(n-1).
+multiples of h^(n-1).  Both are one grid type, ``MaskedGrid``: the unit
+cell is its periodic m = 1 case.
 
 Facets fall into four classes: interior fluid-fluid faces (where fluxes
 live), fluid-solid faces (the interior hole boundary), solid-solid faces
-(ignored), and outer-boundary faces adjacent to fluid cells.  Because the
-inclusion must keep a positive margin to the cell boundary, the outer
-boundary of the domain is always adjacent to fluid.
+(counted only), and outer-boundary faces adjacent to fluid cells;
+``_classify_faces`` sorts them for both grids.  Because the inclusion must
+keep a positive margin to the cell boundary, the outer boundary of the
+domain is always adjacent to fluid.
 """
 
 from __future__ import annotations
@@ -87,37 +89,97 @@ class InclusionShape:
 
 
 @dataclass
-class CellGeometry:
-    """Staircase discretization of the unit cell with periodic face lists."""
+class MaskedGrid:
+    """Uniform staircase grid over (0,1)^n with per-cell fluid flags and facet lists.
 
-    shape: InclusionShape
-    resolution: int
+    The periodic unit cell Y has ``cell`` None and m = 1: its faces wrap
+    around and it has no outer facets.  A domain grid over Omega tiles
+    ``cell`` m times per axis, so eps = 1/m and h = eps/r, and its outer
+    facets line the boundary of Omega.
+
+    Immutable once built; safe to share across concurrent solver runs.
+    """
+
+    cell: MaskedGrid | None       # the tiled unit cell; None on the unit cell itself
     dim: int
+    m: int
+    r: int                        # cells per unit-cell edge
     fluid_mask: np.ndarray
-    porosity: float
     n_fluid: int
     fluid_id: np.ndarray          # full-grid array, -1 on solid cells
-    centers: np.ndarray           # (n_fluid, dim) cell centers in Y
-    face_lo: np.ndarray           # periodic fluid-fluid faces, fluid ids
+    centers: np.ndarray           # (n_fluid, dim) cell centers
+    face_lo: np.ndarray           # fluid-fluid faces, fluid ids
     face_hi: np.ndarray
     face_axis: np.ndarray
     gamma_cell: np.ndarray        # fluid id adjacent to each fluid-solid facet
     gamma_axis: np.ndarray
     gamma_sign: np.ndarray        # +1 if the solid neighbor sits on the high side
-    gamma_center: np.ndarray      # (k, dim) facet midpoints in Y
+    gamma_center: np.ndarray      # (k, dim) facet midpoints
+    outer_cell: np.ndarray        # fluid id behind each outer-boundary facet
+    outer_axis: np.ndarray
+    outer_sign: np.ndarray        # +1 on the x = 1 side, -1 on the x = 0 side
+    outer_center: np.ndarray
+    n_solid_solid_faces: int
+    _unit_cell_ids: np.ndarray = field(default=None, repr=False)
+
+    @property
+    def eps(self) -> float:
+        return 1.0 / self.m
+
+    @property
+    def n_cells_per_edge(self) -> int:
+        return self.m * self.r
 
     @property
     def h(self) -> float:
-        return 1.0 / self.resolution
+        return 1.0 / (self.m * self.r)
+
+    @property
+    def cell_volume(self) -> float:
+        return self.h ** self.dim
 
     @property
     def facet_area(self) -> float:
         return self.h ** (self.dim - 1)
 
     @property
+    def porosity(self) -> float:
+        """Fluid fraction of the grid: |Y^f| on the unit cell, and the same on its tiling."""
+        return self.n_fluid / self.fluid_mask.size
+
+    @property
+    def fluid_volume(self) -> float:
+        """|Omega_eps| = total fluid volume."""
+        return self.n_fluid * self.cell_volume
+
+    @property
     def gamma_area_total(self) -> float:
-        """Staircase surface measure of the hole boundary inside one cell."""
+        """Staircase surface measure of the hole boundary."""
         return self.gamma_cell.size * self.facet_area
+
+    @property
+    def outer_area_total(self) -> float:
+        return self.outer_cell.size * self.facet_area
+
+    @property
+    def is_unperforated(self) -> bool:
+        return self.gamma_cell.size == 0 and self.n_fluid == self.fluid_mask.size
+
+    def unit_cell_ids(self) -> np.ndarray:
+        """For each fluid cell, the fluid id of its image in the unit cell.
+
+        Exact lookup: the grid tiles the cell pattern, so micro cell centers
+        land on unit-cell centers under y = (x / eps) mod 1.
+        """
+        if self._unit_cell_ids is None:
+            shape = self.fluid_mask.shape
+            multi = np.unravel_index(np.arange(self.fluid_mask.size), shape)
+            within = tuple(ix % self.r for ix in multi)
+            ids = self.cell.fluid_id[within]
+            self._unit_cell_ids = ids[self.fluid_mask.ravel()]
+            if np.any(self._unit_cell_ids < 0):
+                raise GeometryError("tiling mismatch: fluid cell maps to solid unit-cell cell")
+        return self._unit_cell_ids
 
 
 def _adjacent_flat_indices(shape, axis, periodic):
@@ -152,29 +214,39 @@ def _grid_points(n_side, dim):
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
-def _classify_faces(fluid_mask, points, periodic):
-    """Number the fluid cells and classify the faces between grid cells.
+def _classify_faces(fluid_mask, periodic):
+    """Number the fluid cells and classify every face of the grid.
 
-    Returns the fluid numbering, the fluid cell centers, the fluid-fluid faces
-    and the fluid-solid facets as keyword fields shared by ``CellGeometry``
-    and ``MaskedGrid``.  ``periodic`` adds the faces that wrap around the grid.
+    Returns the ``MaskedGrid`` fields the mask determines: the fluid numbering
+    and centers, the fluid-fluid faces, the fluid-solid facets, the number of
+    solid-solid faces and the outer facets.  ``periodic`` adds the faces that
+    wrap around the grid and leaves the outer facets empty.  Otherwise the
+    outer facets come axis by axis, the x = 0 side before the x = 1 side, and
+    a solid cell on the outer boundary is an error.
     """
     shape = fluid_mask.shape
-    h = 1.0 / shape[0]
+    dim = len(shape)
+    n_side = shape[0]
+    h = 1.0 / n_side
     n_fluid = int(np.count_nonzero(fluid_mask))
     fluid_id = -np.ones(shape, dtype=np.int64)
     fluid_id[fluid_mask] = np.arange(n_fluid)
     mask_flat = fluid_mask.ravel()
     id_flat = fluid_id.ravel()
+    idx = np.arange(fluid_mask.size).reshape(shape)
 
-    faces = {key: [] for key in ("face_lo", "face_hi", "face_axis", "gamma_cell",
-                                 "gamma_axis", "gamma_sign", "gamma_center")}
-    for axis in range(len(shape)):
+    faces = {key: [np.empty((0, dim)) if key.endswith("center") else np.empty(0, np.int64)]
+             for key in ("face_lo", "face_hi", "face_axis", "gamma_cell", "gamma_axis",
+                         "gamma_sign", "gamma_center", "outer_cell", "outer_axis",
+                         "outer_sign", "outer_center")}
+    n_ss = 0
+    for axis in range(dim):
         lo, hi = _adjacent_flat_indices(shape, axis, periodic)
         both = mask_flat[lo] & mask_flat[hi]
         faces["face_lo"].append(id_flat[lo[both]])
         faces["face_hi"].append(id_flat[hi[both]])
         faces["face_axis"].append(np.full(int(both.sum()), axis, dtype=np.int64))
+        n_ss += int(np.count_nonzero(~mask_flat[lo] & ~mask_flat[hi]))
         # the solid neighbour sits on the high side (+1), then on the low side (-1)
         for sign, only, fluid_side in ((1, mask_flat[lo] & ~mask_flat[hi], lo),
                                        (-1, ~mask_flat[lo] & mask_flat[hi], hi)):
@@ -183,9 +255,22 @@ def _classify_faces(fluid_mask, points, periodic):
             faces["gamma_axis"].append(np.full(sel_lo.size, axis, dtype=np.int64))
             faces["gamma_sign"].append(np.full(sel_lo.size, sign, dtype=np.int64))
             faces["gamma_center"].append(_face_centers(sel_lo, shape, axis, h, wrap=periodic))
+        # outer boundary facets at x_axis = 0 and x_axis = 1
+        for side, sign in () if periodic else ((0, -1), (n_side - 1, +1)):
+            cells = np.take(idx, side, axis=axis).ravel()
+            if np.any(~mask_flat[cells]):
+                raise GeometryError(
+                    "outer boundary adjacent to a solid cell; the inclusion must be interior"
+                )
+            faces["outer_cell"].append(id_flat[cells])
+            faces["outer_axis"].append(np.full(cells.size, axis, dtype=np.int64))
+            faces["outer_sign"].append(np.full(cells.size, sign, dtype=np.int64))
+            ctr = (np.stack(np.unravel_index(cells, shape), axis=1) + 0.5) * h
+            ctr[:, axis] = 0.0 if side == 0 else 1.0
+            faces["outer_center"].append(ctr)
     fields = {key: np.concatenate(parts) for key, parts in faces.items()}
     fields.update(fluid_mask=fluid_mask, n_fluid=n_fluid, fluid_id=fluid_id,
-                  centers=points[mask_flat])
+                  centers=_grid_points(n_side, dim)[mask_flat], n_solid_solid_faces=n_ss)
     return fields
 
 
@@ -199,159 +284,43 @@ def _check_connected(n_fluid, face_lo, face_hi):
         raise GeometryError(f"fluid region is disconnected ({n_comp} components)")
 
 
-def build_cell_geometry(shape: InclusionShape, resolution: int) -> CellGeometry:
-    """Rasterize the inclusion onto the unit-cell grid and classify faces.
+def build_cell_geometry(shape: InclusionShape, r: int) -> MaskedGrid:
+    """Rasterize the inclusion onto the periodic r^n unit-cell grid and classify faces.
 
     A grid cell is solid iff its center lies inside the inclusion.  Rejects
-    inclusions whose bounding box leaves a margin below 2/resolution to the
-    cell boundary, and disconnected fluid regions (both break the periodic
-    cell problems downstream).
+    inclusions whose bounding box leaves a margin below 2/r to the cell
+    boundary, and disconnected fluid regions (both break the periodic cell
+    problems downstream).
     """
-    if resolution < MIN_RESOLUTION:
-        raise GeometryError(f"resolution must be >= {MIN_RESOLUTION}, got {resolution}")
+    if r < MIN_RESOLUTION:
+        raise GeometryError(f"unit-cell resolution r must be >= {MIN_RESOLUTION}, got {r}")
     dim = len(shape.center)
     if dim not in (2, 3):
         raise GeometryError(f"dimension must be 2 or 3, got {dim}")
     if shape.kind != "none":
         margin = shape.margin(dim)
-        if margin < 2.0 / resolution:
+        if margin < 2.0 / r:
             raise GeometryError(
-                f"inclusion margin {margin:.6g} to the cell boundary is below 2/resolution = "
-                f"{2.0 / resolution:.6g}; the solid part must stay strictly inside the cell"
+                f"inclusion margin {margin:.6g} to the cell boundary is below 2/r = "
+                f"{2.0 / r:.6g}; the solid part must stay strictly inside the cell"
             )
-    points = _grid_points(resolution, dim)
-    fluid_mask = ~shape.contains(points).reshape((resolution,) * dim)
-    fields = _classify_faces(fluid_mask, points, periodic=True)
+    fluid_mask = ~shape.contains(_grid_points(r, dim)).reshape((r,) * dim)
+    fields = _classify_faces(fluid_mask, periodic=True)
     _check_connected(fields["n_fluid"], fields["face_lo"], fields["face_hi"])
-    return CellGeometry(shape=shape, resolution=resolution, dim=dim,
-                        porosity=fields["n_fluid"] / fluid_mask.size, **fields)
+    return MaskedGrid(cell=None, dim=dim, m=1, r=r, **fields)
 
 
-@dataclass
-class MaskedGrid:
-    """Uniform grid over Omega = (0,1)^n with per-cell fluid flags and facet lists.
-
-    Immutable once built; safe to share across concurrent solver runs.
-    """
-
-    cell: CellGeometry
-    dim: int
-    m: int
-    r: int
-    fluid_mask: np.ndarray
-    n_fluid: int
-    fluid_id: np.ndarray
-    centers: np.ndarray
-    face_lo: np.ndarray
-    face_hi: np.ndarray
-    face_axis: np.ndarray
-    gamma_cell: np.ndarray
-    gamma_axis: np.ndarray
-    gamma_sign: np.ndarray
-    gamma_center: np.ndarray
-    outer_cell: np.ndarray
-    outer_axis: np.ndarray
-    outer_sign: np.ndarray
-    outer_center: np.ndarray
-    n_solid_solid_faces: int = 0
-    _unit_cell_ids: np.ndarray = field(default=None, repr=False)
-
-    @property
-    def eps(self) -> float:
-        return 1.0 / self.m
-
-    @property
-    def n_cells_per_edge(self) -> int:
-        return self.m * self.r
-
-    @property
-    def h(self) -> float:
-        return 1.0 / (self.m * self.r)
-
-    @property
-    def cell_volume(self) -> float:
-        return self.h ** self.dim
-
-    @property
-    def facet_area(self) -> float:
-        return self.h ** (self.dim - 1)
-
-    @property
-    def fluid_volume(self) -> float:
-        """|Omega_eps| = total fluid volume."""
-        return self.n_fluid * self.cell_volume
-
-    @property
-    def gamma_area_total(self) -> float:
-        return self.gamma_cell.size * self.facet_area
-
-    @property
-    def outer_area_total(self) -> float:
-        return self.outer_cell.size * self.facet_area
-
-    @property
-    def is_unperforated(self) -> bool:
-        return self.gamma_cell.size == 0 and self.n_fluid == self.fluid_mask.size
-
-    def unit_cell_ids(self) -> np.ndarray:
-        """For each fluid cell, the fluid id of its image in the unit cell.
-
-        Exact lookup: the grid tiles the cell pattern, so micro cell centers
-        land on unit-cell centers under y = (x / eps) mod 1.
-        """
-        if self._unit_cell_ids is None:
-            shape = self.fluid_mask.shape
-            multi = np.unravel_index(np.arange(self.fluid_mask.size), shape)
-            within = tuple(ix % self.r for ix in multi)
-            ids = self.cell.fluid_id[within]
-            self._unit_cell_ids = ids[self.fluid_mask.ravel()]
-            if np.any(self._unit_cell_ids < 0):
-                raise GeometryError("tiling mismatch: fluid cell maps to solid unit-cell cell")
-        return self._unit_cell_ids
-
-
-def build_masked_grid(cell: CellGeometry, m: int, r: int) -> MaskedGrid:
+def build_masked_grid(cell: MaskedGrid, m: int) -> MaskedGrid:
     """Tile the unit-cell mask m times per axis over Omega = (0,1)^n.
 
-    ``r`` must equal ``cell.resolution`` so the eps-cells align exactly with
-    the grid; eps = 1/m and the spacing is h = eps/r.
+    The eps-cells align exactly with the grid: eps = 1/m and the spacing is
+    h = eps/r with r = ``cell.r``.
     """
     if m < 1:
         raise GeometryError(f"m must be >= 1, got {m}")
-    if r != cell.resolution:
-        raise GeometryError(
-            f"alignment error: r = {r} must equal the unit-cell resolution {cell.resolution}"
-        )
-    dim = cell.dim
-    fluid_mask = np.tile(cell.fluid_mask, (m,) * dim)
-    n_side = m * r
-    h = 1.0 / n_side
-    fields = _classify_faces(fluid_mask, _grid_points(n_side, dim), periodic=False)
-    mask_flat = fluid_mask.ravel()
-    id_flat = fields["fluid_id"].ravel()
-    idx = np.arange(fluid_mask.size).reshape(fluid_mask.shape)
-
-    n_ss = 0
-    outer = {key: [] for key in ("outer_cell", "outer_axis", "outer_sign", "outer_center")}
-    for axis in range(dim):
-        lo, hi = _adjacent_flat_indices(fluid_mask.shape, axis, periodic=False)
-        n_ss += int(np.count_nonzero(~mask_flat[lo] & ~mask_flat[hi]))
-        # outer boundary facets at x_axis = 0 and x_axis = 1
-        for side, sign in ((0, -1), (n_side - 1, +1)):
-            cells = np.take(idx, side, axis=axis).ravel()
-            if np.any(~mask_flat[cells]):
-                raise GeometryError(
-                    "outer boundary adjacent to a solid cell; the inclusion must be interior"
-                )
-            outer["outer_cell"].append(id_flat[cells])
-            outer["outer_axis"].append(np.full(cells.size, axis, dtype=np.int64))
-            outer["outer_sign"].append(np.full(cells.size, sign, dtype=np.int64))
-            ctr = (np.stack(np.unravel_index(cells, fluid_mask.shape), axis=1) + 0.5) * h
-            ctr[:, axis] = 0.0 if side == 0 else 1.0
-            outer["outer_center"].append(ctr)
-
-    fields.update({key: np.concatenate(parts) for key, parts in outer.items()})
-    return MaskedGrid(cell=cell, dim=dim, m=m, r=r, n_solid_solid_faces=n_ss, **fields)
+    fluid_mask = np.tile(cell.fluid_mask, (m,) * cell.dim)
+    return MaskedGrid(cell=cell, dim=cell.dim, m=m, r=cell.r,
+                      **_classify_faces(fluid_mask, periodic=False))
 
 
 @dataclass

@@ -24,7 +24,7 @@ import math
 import numpy as np
 
 from .errors import GeometryError
-from .geometry import CellGeometry, FacetCharges, MaskedGrid
+from .geometry import FacetCharges, MaskedGrid
 from .transport import RunResult, TransportSim, gradient_matrices
 
 __all__ = [
@@ -38,12 +38,12 @@ def limit_mode(alpha: float, beta: float) -> str:
     return "coupled" if alpha == beta else "decoupled"
 
 
-def build_macro_source(cell: CellGeometry, grid: MaskedGrid, xi1, xi2) -> FacetCharges:
+def build_macro_source(cell: MaskedGrid, grid: MaskedGrid, xi1, xi2) -> FacetCharges:
     """Average the interface charge over the unit cell per macro cell center.
 
     s(x) = (1/|Y^f|) * sum over staircase interface facets of xi1(x, y) dS(y),
     g(x) = xi2(x) / |Y^f| on the outer boundary; returned as charges with no
-    interface facets.
+    interface facets.  ``cell`` is the periodic unit cell, ``grid`` the macro grid.
     """
     porosity = cell.porosity
     n_cells = grid.n_fluid

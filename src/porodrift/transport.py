@@ -430,6 +430,8 @@ class TransportSim:
         """
         if final_time < 0:
             raise ValueError("final_time must be >= 0")
+        if dt_init <= 0:
+            raise ValueError("dt_init must be positive")
         events = {float(final_time)}
         if output_interval:
             count = int(np.floor(final_time / output_interval + 1e-9))

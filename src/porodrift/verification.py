@@ -26,9 +26,9 @@ from .cell_problem import compute_effective_tensor
 from .errors import ConfigError
 from .geometry import (
     MIN_RESOLUTION,
-    CellGeometry,
     FacetCharges,
     InclusionShape,
+    MaskedGrid,
     balance_outer_charges,
     build_cell_geometry,
     build_masked_grid,
@@ -98,7 +98,7 @@ class ConvergenceReport:
         }
 
 
-def run_convergence_study(cell: CellGeometry, species, xi1, xi2, alpha, beta, eta, p,
+def run_convergence_study(cell: MaskedGrid, species, xi1, xi2, alpha, beta, eta, p,
                           m_values, final_time, dt_init, cfl_fraction=0.5,
                           macro_resolution=None, auto_balance=True,
                           poisson_tol=1e-11, cell_tol=1e-12) -> ConvergenceReport:
@@ -111,18 +111,16 @@ def run_convergence_study(cell: CellGeometry, species, xi1, xi2, alpha, beta, et
     if any(m2 <= m1 for m1, m2 in zip(m_values, m_values[1:])):
         raise ConfigError("m_values must be strictly increasing (eps strictly decreasing)")
     mode = limit_mode(alpha, beta)
-    r = cell.resolution
     if macro_resolution is None:
-        macro_resolution = r * max(m_values)
+        macro_resolution = cell.r * max(m_values)
 
     timings = {}
     t0 = time.perf_counter()
     tensor = compute_effective_tensor(cell, tol=cell_tol)
     timings["cell_problem"] = time.perf_counter() - t0
 
-    macro_cell = build_cell_geometry(InclusionShape("none", center=(0.5,) * cell.dim),
-                                     macro_resolution)
-    macro_grid = build_masked_grid(macro_cell, 1, macro_resolution)
+    macro_grid = build_masked_grid(
+        build_cell_geometry(InclusionShape("none", center=(0.5,) * cell.dim), macro_resolution), 1)
     macro_charges = build_macro_source(cell, macro_grid, xi1, xi2)
     if auto_balance:
         macro_charges, _ = balance_outer_charges(macro_grid, species, macro_charges)
@@ -141,7 +139,7 @@ def run_convergence_study(cell: CellGeometry, species, xi1, xi2, alpha, beta, et
     phi_plain, phi_corr = [], []
     max_conc, e0_list, emax_list = [], [], []
     for m in m_values:
-        grid = build_masked_grid(cell, m, r)
+        grid = build_masked_grid(cell, m)
         charges = surface_charge_on_facets(grid, xi1, xi2)
         if auto_balance:
             charges, _ = balance_outer_charges(grid, species, charges)
@@ -199,8 +197,7 @@ def _least_squares_order(h_values, errors) -> float:
 
 
 def _hole_free_grid(resolution):
-    return build_masked_grid(build_cell_geometry(InclusionShape("none"), resolution),
-                             1, resolution)
+    return build_masked_grid(build_cell_geometry(InclusionShape("none"), resolution), 1)
 
 
 def mms_poisson_micro(resolutions, poisson_tol=1e-11) -> dict:
@@ -267,7 +264,7 @@ def _diffusion_mms_problem(eta, p, diffusivity):
 
 
 def mms_diffusion_spatial(resolutions, eta=1.0, p=4.0, diffusivity=0.5,
-                          final_time=0.01) -> dict:
+                          final_time=0.01, poisson_tol=1e-11) -> dict:
     """Spatial order of the IMEX nonlinear-diffusion step; dt scales with h^2."""
     exact, source = _diffusion_mms_problem(eta, p, diffusivity)
     errors = []
@@ -279,7 +276,8 @@ def mms_diffusion_spatial(resolutions, eta=1.0, p=4.0, diffusivity=0.5,
             grid, lambda x, y: np.zeros(x.shape[0]), lambda x: np.zeros(x.shape[0]))
         spec = SpeciesSpec("mms", diffusivity, 0, lambda pts: exact(0.0, pts))
         dt = 0.5 * grid.h ** 2
-        result = run_micro(grid, scaling, [spec], charges, dt_init=dt, source=source)
+        result = run_micro(grid, scaling, [spec], charges, dt_init=dt, source=source,
+                           poisson_tol=poisson_tol)
         errors.append(_rms(result.state.conc[0] - exact(final_time, grid.centers)))
     h_values = [1.0 / res for res in resolutions]
     return {"solver": "diffusion_spatial", "resolutions": list(resolutions),
@@ -288,7 +286,7 @@ def mms_diffusion_spatial(resolutions, eta=1.0, p=4.0, diffusivity=0.5,
 
 def mms_diffusion_temporal(resolution=64, dt_values=(2e-3, 1e-3, 5e-4),
                            reference_dt=6.25e-5, eta=1.0, p=4.0, diffusivity=0.5,
-                           final_time=0.02) -> dict:
+                           final_time=0.02, poisson_tol=1e-11) -> dict:
     """Temporal order on a fixed grid against a small-dt reference run.
 
     Self-referencing cancels the common spatial error, exposing the O(dt)
@@ -303,7 +301,8 @@ def mms_diffusion_temporal(resolution=64, dt_values=(2e-3, 1e-3, 5e-4),
     spec = SpeciesSpec("mms", diffusivity, 0, lambda pts: exact(0.0, pts))
 
     def final_conc(dt):
-        result = run_micro(grid, scaling, [spec], charges, dt_init=dt, source=source)
+        result = run_micro(grid, scaling, [spec], charges, dt_init=dt, source=source,
+                           poisson_tol=poisson_tol)
         return result.state.conc[0]
 
     reference = final_conc(reference_dt)
@@ -340,18 +339,23 @@ def check_mms_request(solvers, resolutions) -> None:
                           "(an order is fitted over them)")
 
 
-def run_mms_verification(solvers=MMS_SOLVERS, resolutions=(32, 64, 128)) -> dict:
-    """Run the requested manufactured-solution studies and grade the orders."""
+def run_mms_verification(solvers=MMS_SOLVERS, resolutions=(32, 64, 128),
+                         poisson_tol=1e-10) -> dict:
+    """Run the requested manufactured-solution studies and grade the orders.
+
+    Every Poisson solve of the studies, the diffusion runs' included, meets
+    ``poisson_tol``.
+    """
     check_mms_request(solvers, resolutions)
     reports = []
     chosen = set(solvers)
     if "poisson_micro" in chosen:
-        reports.append(mms_poisson_micro(resolutions))
+        reports.append(mms_poisson_micro(resolutions, poisson_tol=poisson_tol))
     if "poisson_macro" in chosen:
-        reports.append(mms_poisson_macro(resolutions))
+        reports.append(mms_poisson_macro(resolutions, poisson_tol=poisson_tol))
     if "diffusion" in chosen:
-        reports.append(mms_diffusion_spatial(resolutions))
-        reports.append(mms_diffusion_temporal())
+        reports.append(mms_diffusion_spatial(resolutions, poisson_tol=poisson_tol))
+        reports.append(mms_diffusion_temporal(poisson_tol=poisson_tol))
     passed = True
     for report in reports:
         lo, hi = MMS_THRESHOLDS[report["solver"]]

@@ -37,7 +37,7 @@ def smooth_c0(x):
 
 def hole_free_grid(resolution, m=1):
     cell = build_cell_geometry(InclusionShape("none"), resolution)
-    return build_masked_grid(cell, m, resolution)
+    return build_masked_grid(cell, m)
 
 
 def zero_charges(grid):

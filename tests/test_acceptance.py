@@ -247,7 +247,7 @@ def test_acceptance_7_decoupling(disk_cell_8, canonical_species):
         checks.append((strict, f"decoupled errors for {name} not decreasing: {errors}"))
 
     # bitwise invariance of the decoupled concentration path under z and xi changes
-    grid = build_masked_grid(build_cell_geometry(InclusionShape("none"), 8), 4, 8)
+    grid = build_masked_grid(build_cell_geometry(InclusionShape("none"), 8), 4)
     tensor = np.eye(2)
     source_a = FacetCharges(np.empty(0), np.zeros(grid.outer_cell.size),
                             volumetric=np.zeros(grid.n_fluid))

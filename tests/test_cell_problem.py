@@ -111,7 +111,7 @@ def test_variational_upper_bound(disk_cell_64):
 def test_swap_symmetry_of_correctors(disk_cell_64):
     w1 = solve_cell_problem(disk_cell_64, 0, tol=1e-12)
     w2 = solve_cell_problem(disk_cell_64, 1, tol=1e-12)
-    res = disk_cell_64.resolution
+    res = disk_cell_64.r
     full1 = np.full((res, res), np.nan)
     full2 = np.full((res, res), np.nan)
     full1[disk_cell_64.fluid_mask] = w1.values

@@ -227,6 +227,14 @@ def test_mms_dispatch(tmp_path):
     assert report["passed"] is True
 
 
+def test_mms_dispatch_meets_poisson_tol(tmp_path):
+    # no direct solve reaches a residual of 1e-300: the studies must use this setting
+    cfg = minimal_config(mms={"solvers": ["poisson_micro"], "resolutions": [8, 16]},
+                         solver={"poisson_tol": 1e-300})
+    assert dispatch("mms", parse_and_validate(cfg), out_dir=tmp_path) == 1
+    assert "exceeds tolerance 1.000e-300" in _manifest(tmp_path)["error"]
+
+
 def test_eta_sweep_dispatch(tmp_path):
     cfg = canonical_config(tmp_path, T=0.01)
     cfg["eta_sweep"] = {"values": [0.5, 0.25], "T": 0.005}
@@ -346,6 +354,12 @@ def test_main_requires_existing_config(tmp_path):
     ("macro", "resolution", "2", "must be >= 4, got 2"),
     ("cell", "resolution", "3", "must be >= 4, got 3"),
     ("convergence", "macro_resolution", "3", "must be >= 4, got 3"),
+    ("convergence", "dt_init", "0", "must be positive, got 0.0"),
+    ("convergence", "dt_init", "-1e-3", "must be positive, got -0.001"),
+    ("convergence", "T", "-0.01", "must be >= 0, got -0.01"),
+    ("eta_sweep", "dt_init", "0", "must be positive, got 0.0"),
+    ("eta_sweep", "dt_init", "-1e-3", "must be positive, got -0.001"),
+    ("eta_sweep", "T", "-0.01", "must be >= 0, got -0.01"),
 ], ids=["string-bool", "nan", "infinity", "macro-resolution", "cell-resolution",
         "m-values", "convergence-macro-resolution", "mms-resolutions", "dim",
         "snapshot-times", "eta-values", "eta-value", "eta-value-negative", "eta-value-zero",
@@ -353,7 +367,9 @@ def test_main_requires_existing_config(tmp_path):
         "m-values-order", "mms-solvers-empty", "mms-solvers-unknown", "mms-solvers-type",
         "mms-solvers-string", "mms-resolutions-empty", "mms-resolutions-single",
         "mms-resolutions-range", "macro-resolution-range", "cell-resolution-range",
-        "convergence-macro-resolution-range"])
+        "convergence-macro-resolution-range", "convergence-dt-zero",
+        "convergence-dt-negative", "convergence-t-negative", "eta-sweep-dt-zero",
+        "eta-sweep-dt-negative", "eta-sweep-t-negative"])
 def test_main_rejects_malformed_values(tmp_path, capsys, section, key, text, message):
     cfg = canonical_config(tmp_path / "out", T=0.01)
     cfg.setdefault(section, {})[key] = "@"
@@ -603,7 +619,7 @@ def _snapshot_centers(kind):
     # lattice centers repeat per axis, so the writer formats each coordinate once
     dim, m = {"grid-2d": (2, 2), "grid-3d": (3, 1)}[kind]
     cell = build_cell_geometry(InclusionShape("disk", center=(0.5,) * dim, radius=0.25), 8)
-    return build_masked_grid(cell, m, 8).centers
+    return build_masked_grid(cell, m).centers
 
 
 @pytest.mark.parametrize("kind", ["random", "grid-2d", "grid-3d"])

@@ -32,7 +32,7 @@ from conftest import hole_free_grid, make_scaling, smooth_c0, zero_charges
 
 def _perforated_grid(dim, m=2):
     cell = build_cell_geometry(InclusionShape("disk", center=(0.5,) * dim, radius=0.25), 8)
-    return build_masked_grid(cell, m, 8)
+    return build_masked_grid(cell, m)
 
 
 def _transport_matrix(grid, kappa, dt):
@@ -64,7 +64,7 @@ def _zero_mean_reference(matrix, rhs):
 def test_zero_mean_direct_matches_dense_reference(disk_cell_8, case):
     tensor = np.eye(2)
     if case in ("perforated-identity", "reduced-perforated"):
-        grid = build_masked_grid(disk_cell_8, 2, 8)
+        grid = build_masked_grid(disk_cell_8, 2)
     elif case in ("perforated-3d", "reduced-3d"):
         grid = _perforated_grid(3, m=1)
         tensor = np.eye(3)
@@ -154,7 +154,7 @@ def _check_implicit_solve(grid, species):
 
 
 def test_implicit_solve_matches_spsolve(disk_cell_8, canonical_species):
-    _check_implicit_solve(build_masked_grid(disk_cell_8, 2, 8), canonical_species)
+    _check_implicit_solve(build_masked_grid(disk_cell_8, 2), canonical_species)
 
 
 def test_implicit_solve_matches_spsolve_3d():
@@ -200,7 +200,7 @@ def test_cached_order_matches_symmetric_mmd_lu(dim):
 def test_ordering_with_supernode_settings_is_the_symmetric_mmd_order(shape):
     kind, dim, m, r = shape
     cell = build_cell_geometry(InclusionShape(kind, center=(0.5,) * dim, radius=0.25), r)
-    grid = build_masked_grid(cell, m, r)
+    grid = build_masked_grid(cell, m)
     unit = _transport_matrix(grid, 1.0, 1.0)
     order = symmetric_ordering(unit)
     # SUPERNODES leaves the order alone: the incomplete LU without it, and the full LU
@@ -222,7 +222,7 @@ def _small_grids(draw):
     if size <= 0.0:
         kind = "none"
     shape = InclusionShape(kind, center=(0.5,) * dim, radius=size, half_width=size)
-    return build_masked_grid(build_cell_geometry(shape, r), draw(st.integers(1, 3)), r)
+    return build_masked_grid(build_cell_geometry(shape, r), draw(st.integers(1, 3)))
 
 
 @settings(max_examples=25, deadline=None)
@@ -277,7 +277,7 @@ def test_ordering_computed_once_per_simulation(monkeypatch):
 
 def test_transport_assembly_leaves_the_poisson_solution_unchanged(disk_cell_8,
                                                                    canonical_species):
-    grid = build_masked_grid(disk_cell_8, 2, 8)
+    grid = build_masked_grid(disk_cell_8, 2)
     sim = MicroSimulation(grid, make_scaling(grid.eps), canonical_species, zero_charges(grid))
     rng = np.random.default_rng(3)
     cation = rng.uniform(0.5, 1.5, grid.n_fluid)

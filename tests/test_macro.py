@@ -184,7 +184,7 @@ def test_full_tensor_mass_conservation():
 
 def _hole_free(dim, resolution):
     cell = build_cell_geometry(InclusionShape("none", center=(0.5,) * dim), resolution)
-    return build_masked_grid(cell, 1, resolution)
+    return build_masked_grid(cell, 1)
 
 
 @pytest.mark.parametrize("dim,resolution", [(2, 8), (3, 6)])
@@ -231,7 +231,7 @@ def test_sampler_matches_scipy_linear_interpolation(dim, resolution):
 def test_reconstruction_without_inclusion_is_interpolation():
     macro_grid = hole_free_grid(16)
     cell = build_cell_geometry(InclusionShape("none"), 8)
-    micro_grid = build_masked_grid(cell, 2, 8)
+    micro_grid = build_masked_grid(cell, 2)
     tensor = compute_effective_tensor(cell)
     phi0 = np.cos(np.pi * macro_grid.centers[:, 0])
     rec = reconstruct_corrector_potential(macro_grid, phi0, tensor.correctors, micro_grid)
@@ -240,7 +240,7 @@ def test_reconstruction_without_inclusion_is_interpolation():
 
 
 def test_reconstruction_linear_macro_field(disk_cell_8):
-    micro_grid = build_masked_grid(disk_cell_8, 4, 8)
+    micro_grid = build_masked_grid(disk_cell_8, 4)
     macro_grid = hole_free_grid(32)
     tensor = compute_effective_tensor(disk_cell_8, tol=1e-12)
     phi0 = macro_grid.centers[:, 0].copy()
@@ -260,7 +260,7 @@ def test_cell_centered_gradients_exact_for_linear_fields():
 
 def test_three_dimensional_macro_run():
     cell = build_cell_geometry(InclusionShape("none", center=(0.5, 0.5, 0.5)), 6)
-    grid = build_masked_grid(cell, 1, 6)
+    grid = build_masked_grid(cell, 1)
 
     def c0(x):
         return 1.0 + 0.25 * np.cos(np.pi * x[:, 1])

@@ -89,7 +89,7 @@ def test_species_requires_positive_diffusivity():
 
 
 def test_compatibility_constant_balance(disk_cell_8):
-    grid = build_masked_grid(disk_cell_8, 4, 8)
+    grid = build_masked_grid(disk_cell_8, 4)
     xi2_value = -grid.fluid_volume / grid.outer_area_total
     charges = surface_charge_on_facets(grid, zero_xi1, constant_xi2(xi2_value))
     species = [SpeciesSpec("s", 1.0, 1, lambda x: np.ones(x.shape[0]))]
@@ -97,14 +97,14 @@ def test_compatibility_constant_balance(disk_cell_8):
 
 
 def test_compatibility_symmetric_species(disk_cell_8):
-    grid = build_masked_grid(disk_cell_8, 4, 8)
+    grid = build_masked_grid(disk_cell_8, 4)
     charges = zero_charges(grid)
     species = [SpeciesSpec("p", 1.0, 1, smooth_c0), SpeciesSpec("m", 1.0, -1, smooth_c0)]
     assert validate_compatibility(grid, species, charges) == 0.0
 
 
 def test_compatibility_rejects_unbalanced(disk_cell_8):
-    grid = build_masked_grid(disk_cell_8, 4, 8)
+    grid = build_masked_grid(disk_cell_8, 4)
     charges = zero_charges(grid)
     species = [SpeciesSpec("s", 1.0, 1, lambda x: np.ones(x.shape[0]))]
     with pytest.raises(ConfigError) as excinfo:
@@ -179,6 +179,17 @@ def test_uniform_state_is_stationary():
     assert np.sum(new.conc) * grid.cell_volume == pytest.approx(1.0, abs=1e-13)
 
 
+@pytest.mark.parametrize("final_time,dt_init,message", [
+    (-0.01, 1e-3, "final_time must be >= 0"),
+    (0.01, 0.0, "dt_init must be positive"),
+    (0.01, -1e-3, "dt_init must be positive"),
+])
+def test_run_rejects_negative_time_or_step(final_time, dt_init, message):
+    sim = _simple_sim(hole_free_grid(8), [SpeciesSpec("s", 1.0, 0, smooth_c0)])
+    with pytest.raises(ValueError, match=message):
+        sim.run(final_time, dt_init)
+
+
 def test_zero_species_is_fixed_point():
     grid = hole_free_grid(8)
     sim = _simple_sim(grid, [SpeciesSpec("s", 1.0, 0, lambda x: np.zeros(x.shape[0]))])
@@ -187,7 +198,7 @@ def test_zero_species_is_fixed_point():
 
 
 def test_mass_conserved_every_step(disk_cell_8, canonical_species):
-    grid = build_masked_grid(disk_cell_8, 4, 8)
+    grid = build_masked_grid(disk_cell_8, 4)
     charges = surface_charge_on_facets(grid, constant_xi1(0.2), zero_xi2)
     charges, _ = balance_outer_charges(grid, canonical_species, charges)
     scaling = make_scaling(grid.eps, T=0.02)
@@ -311,7 +322,7 @@ def test_three_dimensional_micro_run():
 
     cell = build_cell_geometry(InclusionShape("disk", center=(0.5, 0.5, 0.5),
                                               radius=0.2), 8)
-    grid = build_masked_grid(cell, 2, 8)
+    grid = build_masked_grid(cell, 2)
 
     def c0(x):
         return 1.0 + 0.25 * np.cos(np.pi * x[:, 0]) * np.cos(np.pi * x[:, 2])
@@ -332,7 +343,7 @@ def test_oscillatory_interface_charge_run(disk_cell_8, canonical_species):
     def xi1(x, y):
         return 0.1 * (1.0 + 0.5 * x[:, 0]) * np.cos(2 * np.pi * y[:, 0])
 
-    grid = build_masked_grid(disk_cell_8, 4, 8)
+    grid = build_masked_grid(disk_cell_8, 4)
     charges = surface_charge_on_facets(grid, xi1, zero_xi2)
     charges, _ = balance_outer_charges(grid, canonical_species, charges)
     scaling = make_scaling(grid.eps, T=0.01)
@@ -344,7 +355,7 @@ def test_oscillatory_interface_charge_run(disk_cell_8, canonical_species):
 
 
 def test_compatibility_persists_along_run(disk_cell_8, canonical_species):
-    grid = build_masked_grid(disk_cell_8, 4, 8)
+    grid = build_masked_grid(disk_cell_8, 4)
     charges = surface_charge_on_facets(grid, constant_xi1(0.2), zero_xi2)
     charges, _ = balance_outer_charges(grid, canonical_species, charges)
     scaling = make_scaling(grid.eps, T=0.02)

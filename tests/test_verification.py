@@ -25,7 +25,7 @@ from conftest import constant_xi1, hole_free_grid, smooth_c0, zero_xi2
 
 
 def test_balance_outer_charges(disk_cell_8):
-    grid = build_masked_grid(disk_cell_8, 4, 8)
+    grid = build_masked_grid(disk_cell_8, 4)
     species = [SpeciesSpec("s", 1.0, 1, lambda x: np.ones(x.shape[0]))]
     charges = surface_charge_on_facets(grid, constant_xi1(0.0), zero_xi2)
     balanced, shift = balance_outer_charges(grid, species, charges)
