@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .cell_problem import compute_effective_tensor
 from .config import parse_and_validate
-from .errors import ConfigError, PorodriftError
+from .errors import ConfigError, GeometryError, PorodriftError
 from .geometry import (
     InclusionShape,
     balance_outer_charges,
@@ -121,8 +121,11 @@ def dispatch(subcommand: str, config, out_dir=None) -> int:
     t_start = time.perf_counter()
     try:
         if subcommand == "cell":
-            cell = (config.cell if config.cell_resolution == config.r
-                    else build_cell_geometry(config.inclusion, config.cell_resolution))
+            try:
+                cell = (config.cell if config.cell_resolution == config.r
+                        else build_cell_geometry(config.inclusion, config.cell_resolution))
+            except GeometryError as exc:
+                raise ConfigError(f"cell.resolution {config.cell_resolution}: {exc}") from exc
             tensor = compute_effective_tensor(cell, tol=config.cell_tol)
             report = {
                 "kind": "cell",
@@ -271,7 +274,10 @@ def main(argv=None) -> int:
     except PorodriftError as exc:
         print(f"porodrift: invalid config: {exc}", file=sys.stderr)
         return 2
-    config.dump_correctors = config.dump_correctors or args.dump_correctors
+    if args.dump_correctors:
+        # recorded in the echoed config, so that replaying it writes the same files
+        config.raw.setdefault("cell", {})["dump_correctors"] = True
+        config.dump_correctors = True
     return dispatch(args.subcommand, config, out_dir=args.out)
 
 

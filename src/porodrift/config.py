@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .cell_problem import DEFAULT_TOL
 from .errors import ConfigError, GeometryError
 from .expressions import ExpressionError, compile_expression
 from .geometry import (
@@ -323,7 +324,7 @@ def parse_and_validate(source) -> RunConfig:
 
     solver = _section(raw, "solver")
     poisson_tol = _optional(solver, "poisson_tol", 1e-10, float, "solver")
-    cell_tol = _optional(solver, "cell_tol", 1e-12, float, "solver")
+    cell_tol = _optional(solver, "cell_tol", DEFAULT_TOL, float, "solver")
     if poisson_tol <= 0 or cell_tol <= 0:
         raise ConfigError("solver tolerances must be positive")
 

@@ -1,15 +1,11 @@
 """Sparse operators and solvers for the singular Neumann/periodic systems.
 
-All pure-Neumann and periodic operators here are singular with a constant
-nullspace and compatible right-hand sides.  Two strategies are used:
-
-* ``projected_cg`` removes the constant mode by mean-projecting the
-  right-hand side and the iterate each step.  Used for the periodic cell
-  problems.
-* ``ZeroMeanDirect`` pins one unknown to 0, factorizes the nonsingular
-  rest once and mean-projects each solution.  The Poisson problem is
-  re-solved every transport step with a constant operator, so the
-  factorization pays off.
+The pure-Neumann operators here are singular with a constant nullspace and
+compatible right-hand sides.  Their one solver, ``ZeroMeanDirect``, pins one
+unknown to 0, factorizes the nonsingular rest once and mean-projects each
+solution: the Poisson problem is re-solved every transport step with a
+constant operator, so the factorization pays off.  (The periodic cell
+problems are solved once each, with SciPy's ``cg``, in ``cell_problem``.)
 
 The implicit transport matrices ``face_laplacian + I/dt`` change every step
 but keep their sparsity pattern, and every face joins two cells of opposite
@@ -257,51 +253,6 @@ class ReducedFaceSystem:
         """
         red = (values[black.size:] + elimination.coupling @ black) / elimination.red_diag
         return np.concatenate([black, red])
-
-
-def projected_cg(matrix, rhs, tol=1e-10, max_iter=None):
-    """Solve the singular SPD system ``matrix x = rhs`` on the zero-mean subspace.
-
-    Returns ``(x, rel_residual, iterations)`` with mean(x) = 0.  Raises
-    SolverError (carrying the final relative residual) if the iteration does
-    not reach ``tol`` within ``max_iter`` (default 50 * sqrt(n)).
-    """
-    n = rhs.size
-    if max_iter is None:
-        max_iter = max(100, int(50 * np.sqrt(n)))
-    b = rhs - rhs.mean()
-    b_norm = float(np.linalg.norm(b))
-    if b_norm == 0.0:
-        return np.zeros(n), 0.0, 0
-    x = np.zeros(n)
-    r = b.copy()
-    p = r.copy()
-    rs = float(r @ r)
-    for iteration in range(1, max_iter + 1):
-        ap = matrix @ p
-        ap -= ap.mean()
-        denom = float(p @ ap)
-        if denom <= 0.0:
-            raise SolverError(
-                f"projected CG broke down at iteration {iteration} (curvature {denom:.3e})",
-                residual=float(np.sqrt(rs)) / b_norm,
-            )
-        alpha = rs / denom
-        x += alpha * p
-        r -= alpha * ap
-        x -= x.mean()
-        r -= r.mean()
-        rs_new = float(r @ r)
-        if np.sqrt(rs_new) <= tol * b_norm:
-            ax = matrix @ x
-            true_res = float(np.linalg.norm(b - (ax - ax.mean()))) / b_norm
-            return x, true_res, iteration
-        p = r + (rs_new / rs) * p
-        rs = rs_new
-    raise SolverError(
-        f"projected CG did not converge in {max_iter} iterations",
-        residual=float(np.sqrt(rs)) / b_norm,
-    )
 
 
 class ZeroMeanDirect:

@@ -29,7 +29,7 @@ from .transport import RunResult, TransportSim, gradient_matrices
 
 __all__ = [
     "MacroSimulation", "build_macro_source", "limit_mode", "run_macro",
-    "reconstruct_corrector_potential", "cell_centered_gradients", "sample_macro_field",
+    "reconstruct_corrector_potential", "sample_macro_field",
 ]
 
 
@@ -57,11 +57,6 @@ def build_macro_source(cell: MaskedGrid, grid: MaskedGrid, xi1, xi2) -> FacetCha
         volumetric = values.sum(axis=1) * cell.facet_area / porosity
     boundary = np.asarray(xi2(grid.outer_center), dtype=float) / porosity
     return FacetCharges(gamma_values=np.empty(0), outer_values=boundary, volumetric=volumetric)
-
-
-def cell_centered_gradients(grid: MaskedGrid, values: np.ndarray) -> np.ndarray:
-    grads = gradient_matrices(grid)
-    return np.stack([g @ values for g in grads])
 
 
 def sample_macro_field(grid: MaskedGrid, values: np.ndarray, points: np.ndarray) -> np.ndarray:
@@ -128,11 +123,10 @@ def reconstruct_corrector_potential(macro_grid: MaskedGrid, phi0: np.ndarray,
     """
     points = micro_grid.centers
     reconstruction = sample_macro_field(macro_grid, phi0, points)
-    grads = cell_centered_gradients(macro_grid, phi0)
     ids = micro_grid.unit_cell_ids()
     eps = micro_grid.eps
-    for k, corrector in enumerate(correctors):
+    for corrector, grad in zip(correctors, gradient_matrices(macro_grid)):
         w_vals = corrector.values[ids]
-        slope = sample_macro_field(macro_grid, grads[k], points)
+        slope = sample_macro_field(macro_grid, grad @ phi0, points)
         reconstruction += eps * slope * w_vals
     return reconstruction

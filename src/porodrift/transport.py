@@ -72,12 +72,9 @@ def h_p_prime(r, eta: float, p: float):
 
 def _derivative_matrix_1d(n: int, h: float):
     """Cell-centered first derivative: central interior, quadratic one-sided ends."""
-    mat = sparse.lil_matrix((n, n))
-    for i in range(1, n - 1):
-        mat[i, i - 1] = -0.5 / h
-        mat[i, i + 1] = 0.5 / h
-    mat[0, 0], mat[0, 1], mat[0, 2] = -1.5 / h, 2.0 / h, -0.5 / h
-    mat[n - 1, n - 1], mat[n - 1, n - 2], mat[n - 1, n - 3] = 1.5 / h, -2.0 / h, 0.5 / h
+    mat = sparse.diags([-0.5 / h, 0.5 / h], [-1, 1], shape=(n, n), format="lil")
+    mat[0, :3] = [-1.5 / h, 2.0 / h, -0.5 / h]
+    mat[n - 1, n - 3:] = [0.5 / h, -2.0 / h, 1.5 / h]
     return mat.tocsr()
 
 
@@ -108,28 +105,27 @@ def _face_incidence(grid):
     return s_lo, s_hi
 
 
-def _has_cross_terms(tensor) -> bool:
-    return bool(np.max(np.abs(tensor - np.diag(np.diag(tensor)))) > CROSS_TOL)
+def _off_diagonal_max(tensor) -> float:
+    """The largest off-diagonal entry of ``tensor`` in magnitude."""
+    return float(np.max(np.abs(tensor - np.diag(np.diag(tensor)))))
 
 
-def cross_operators(grid, tensor) -> list:
-    """Tangential part of (tensor grad u) . n per face as (coef, matrix) pairs.
+def cross_operator(grid, tensor):
+    """Tangential part of (tensor grad u) . n per face as one faces-by-cells CSR matrix.
 
-    The face value is coef * (matrix @ u): the off-diagonal entry times the
-    tangential cell-centered derivative averaged over the face's two cells.
-    Empty when every off-diagonal entry is at most CROSS_TOL in magnitude.
+    Row f sums, over the axes t other than the face's normal axis, the
+    off-diagonal entry tensor[axis_f, t] times the cell-centered t-derivative
+    averaged over the face's two cells.  None when every off-diagonal entry
+    is at most CROSS_TOL in magnitude.
     """
-    if not _has_cross_terms(tensor):
-        return []
-    grads = gradient_matrices(grid)
+    tensor = np.asarray(tensor, dtype=float)
+    if _off_diagonal_max(tensor) <= CROSS_TOL:
+        return None
     s_lo, s_hi = _face_incidence(grid)
     avg = 0.5 * (s_lo + s_hi)
-    terms = []
-    for t_axis in range(grid.dim):
-        coef = tensor[grid.face_axis, t_axis] * (grid.face_axis != t_axis)
-        if np.any(coef != 0.0):
-            terms.append((coef, (avg @ grads[t_axis]).tocsr()))
-    return terms
+    coef = tensor[grid.face_axis] * (grid.face_axis[:, None] != np.arange(grid.dim))
+    return sum(sparse.diags(coef[:, t]) @ (avg @ grad)
+               for t, grad in enumerate(gradient_matrices(grid))).tocsr()
 
 
 def poisson_matrix(grid, tensor):
@@ -142,14 +138,10 @@ def poisson_matrix(grid, tensor):
     face_diag = tensor[grid.face_axis, grid.face_axis]
     matrix = face_laplacian(grid.n_fluid, grid.face_lo, grid.face_hi,
                             face_diag * grid.facet_area / grid.h)
-    terms = cross_operators(grid, tensor)
-    if terms:
-        t_cross = None
-        for coef, mat in terms:
-            term = sparse.diags(coef) @ mat
-            t_cross = term if t_cross is None else t_cross + term
+    cross = cross_operator(grid, tensor)
+    if cross is not None:
         s_lo, s_hi = _face_incidence(grid)
-        matrix = matrix + grid.facet_area * ((s_hi - s_lo).T.tocsr() @ t_cross)
+        matrix = matrix + grid.facet_area * ((s_hi - s_lo).T.tocsr() @ cross)
     return matrix.tocsr()
 
 
@@ -168,7 +160,7 @@ def poisson_solver(grid, tensor, reduced=None):
     assembled matrix.
     """
     tensor = np.asarray(tensor, dtype=float)
-    if _has_cross_terms(tensor):
+    if _off_diagonal_max(tensor) > CROSS_TOL:
         return ZeroMeanDirect(poisson_matrix(grid, tensor))
     kappa = tensor[grid.face_axis, grid.face_axis] * grid.facet_area / grid.h
     return ZeroMeanDirect(reduced_face_system(grid) if reduced is None else reduced, kappa)
@@ -239,9 +231,8 @@ class TransportSim:
         self.energy_prefactor = float(energy_prefactor)
         self.grad_scale = float(grad_scale)
         self._face_diag = transport_tensor[grid.face_axis, grid.face_axis]
-        self._cross_terms = cross_operators(grid, transport_tensor)
-        self._cross_magnitude = max(
-            (float(np.max(np.abs(coef))) for coef, _ in self._cross_terms), default=0.0)
+        self._cross = cross_operator(grid, transport_tensor)
+        self._cross_magnitude = 0.0 if self._cross is None else _off_diagonal_max(transport_tensor)
         self._volumetric = np.asarray(charges.volumetric, dtype=float)
         self._boundary_rhs = charges.cell_sums(grid)
         self._reduced = reduced_face_system(grid)
@@ -287,16 +278,9 @@ class TransportSim:
         """(A grad u) . n per face: two-point normal part plus tangential terms."""
         grid = self.grid
         g = self._face_diag * (values[grid.face_hi] - values[grid.face_lo]) / grid.h
-        if self._cross_terms:
-            g = g + self._cross_flux(values)
+        if self._cross is not None:
+            g = g + self._cross @ values
         return g
-
-    def _cross_flux(self, values):
-        """Tangential (off-diagonal tensor) part of (A grad u) . n per face."""
-        total = np.zeros(self.grid.face_lo.size)
-        for coef, mat in self._cross_terms:
-            total += coef * (mat @ values)
-        return total
 
     def _drift_fluxes(self, conc, grad_phi_faces):
         """Upwinded drift flux per species, or None when drift is inactive."""
@@ -377,8 +361,8 @@ class TransportSim:
             if drift is not None:
                 flux += drift[i]
             # explicit tangential part, then the implicit normal diffusive flux
-            if self._cross_terms:
-                flux += -d_i * self._cross_flux(h_p_eval(c_safe[i], self.eta, self.p))
+            if self._cross is not None:
+                flux += -d_i * (self._cross @ h_p_eval(c_safe[i], self.eta, self.p))
             face_h = h_p_prime(0.5 * (c_safe[i][grid.face_lo] + c_safe[i][grid.face_hi]),
                                self.eta, self.p)
             c_star = self._implicit_solve(conc[i], d_i, face_h, dt, self._rate(flux, src_i))

@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .cell_problem import compute_effective_tensor
+from .cell_problem import DEFAULT_TOL, compute_effective_tensor
 from .errors import ConfigError
 from .geometry import (
     MIN_RESOLUTION,
@@ -101,7 +101,7 @@ class ConvergenceReport:
 def run_convergence_study(cell: MaskedGrid, species, xi1, xi2, alpha, beta, eta, p,
                           m_values, final_time, dt_init, cfl_fraction=0.5,
                           macro_resolution=None, auto_balance=True,
-                          poisson_tol=1e-11, cell_tol=1e-12) -> ConvergenceReport:
+                          poisson_tol=1e-11, cell_tol=DEFAULT_TOL) -> ConvergenceReport:
     """Micro runs over eps = 1/m against one macro reference run.
 
     The macro mode follows the scaling split: coupled when alpha == beta,

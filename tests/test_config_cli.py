@@ -300,6 +300,37 @@ def test_dump_correctors_flag_writes_listed_correctors(tmp_path):
     assert listed == {"report.json", "correctors.csv"}
 
 
+def test_dump_correctors_flag_is_recorded_in_the_manifest(tmp_path):
+    cfg = canonical_config(tmp_path / "out")
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["cell", "--config", str(cfg_path), "--dump-correctors"]) == 0
+    manifest = _manifest(tmp_path / "out")
+    assert manifest["config_echo"]["cell"] == {"dump_correctors": True}
+    # the echoed config alone writes the same files
+    replay_path = tmp_path / "replay.json"
+    replay_path.write_text(json.dumps(manifest["config_echo"]))
+    assert main(["cell", "--config", str(replay_path), "--out", str(tmp_path / "replay")]) == 0
+    replay = _manifest(tmp_path / "replay")
+    assert replay["files"] == manifest["files"]
+    assert replay["config_sha256"] == manifest["config_sha256"]
+
+
+def test_cell_resolution_too_coarse_for_the_inclusion_exits_2(tmp_path, capsys):
+    # margin 0.25 of the canonical disk is below 2 / 5
+    cfg = canonical_config(tmp_path / "out")
+    cfg["cell"] = {"resolution": 5}
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["cell", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "cell.resolution 5" in err
+    assert "Traceback" not in err
+    manifest = _manifest(tmp_path / "out")
+    assert manifest["exit_status"] == 2
+    assert manifest["files"] == []
+
+
 @pytest.mark.parametrize("patch,message", [
     ({"solver": {"poisson_tl": 1e-3}}, "solver has unknown key 'poisson_tl'"),
     ({"solver": {"explicit_time": True}}, "solver has unknown key 'explicit_time'"),

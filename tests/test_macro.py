@@ -15,8 +15,8 @@ from porodrift import (
     run_micro,
 )
 from porodrift.linalg import ZeroMeanDirect, face_laplacian
-from porodrift.macro import cell_centered_gradients, sample_macro_field
-from porodrift.transport import poisson_matrix
+from porodrift.macro import sample_macro_field
+from porodrift.transport import cross_operator, poisson_matrix
 
 from conftest import hole_free_grid, make_scaling, smooth_c0, zero_charges
 
@@ -250,12 +250,21 @@ def test_reconstruction_linear_macro_field(disk_cell_8):
     np.testing.assert_allclose(rec, expected, atol=1e-12)
 
 
-def test_cell_centered_gradients_exact_for_linear_fields():
-    grid = hole_free_grid(16)
-    values = 2.0 * grid.centers[:, 0] - 3.0 * grid.centers[:, 1]
-    grads = cell_centered_gradients(grid, values)
-    np.testing.assert_allclose(grads[0], 2.0, atol=1e-12)
-    np.testing.assert_allclose(grads[1], -3.0, atol=1e-12)
+@pytest.mark.parametrize("slope, tensor", [
+    ((2.0, -3.0), [[1.0, 0.3], [0.3, 0.7]]),
+    ((2.0, -3.0, 0.5), [[1.0, 0.3, -0.2], [0.3, 0.7, 0.1], [-0.2, 0.1, 0.9]]),
+], ids=["2d", "3d"])
+def test_cross_operator_exact_for_linear_fields(slope, tensor):
+    dim = len(slope)
+    cell = build_cell_geometry(InclusionShape("none", center=(0.5,) * dim), 16 if dim == 2 else 6)
+    grid = build_masked_grid(cell, 1)
+    slope, tensor = np.array(slope), np.array(tensor)
+    # the tangential part of (T grad u) . n on every face: sum over t != axis of T[axis, t] a_t
+    off_diagonal = tensor - np.diag(np.diag(tensor))
+    expected = (off_diagonal @ slope)[grid.face_axis]
+    np.testing.assert_allclose(cross_operator(grid, tensor) @ (grid.centers @ slope), expected,
+                               rtol=0.0, atol=1e-12)
+    assert cross_operator(grid, np.diag(np.diag(tensor))) is None
 
 
 def test_three_dimensional_macro_run():
