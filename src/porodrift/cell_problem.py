@@ -16,11 +16,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse.linalg import cg
 
 from .errors import SolverError
 from .geometry import MaskedGrid
-from .linalg import face_divergence, face_laplacian
+from .linalg import face_divergence, face_laplacian, zero_mean_cg
 
 DEFAULT_TOL = 1e-12
 
@@ -42,15 +41,12 @@ def _rhs_for_direction(cell: MaskedGrid, k: int) -> np.ndarray:
 
 
 def solve_cell_problem(cell: MaskedGrid, k: int, tol: float = DEFAULT_TOL) -> CorrectorField:
-    """Solve for the direction-k corrector with SciPy's ``cg``.
+    """Solve for the direction-k corrector with ``linalg.zero_mean_cg``.
 
     The right-hand side is the masked-face divergence of the constant field
     e_k (supported near the hole boundary) and sums to zero by construction;
-    this is asserted before solving.  CG from 0 on the mean-projected
-    right-hand side stays orthogonal to the constant nullspace; the result is
-    mean-projected and reports its true relative residual.  SolverError is
-    raised only when ``cg`` does not reach ``tol`` within max(100, 50 sqrt(n))
-    iterations.
+    this is asserted before solving.  The corrector is the zero-mean
+    solution and reports its true relative residual.
     """
     if not 0 <= k < cell.dim:
         raise ValueError(f"direction index {k} out of range for dimension {cell.dim}")
@@ -62,22 +58,10 @@ def solve_cell_problem(cell: MaskedGrid, k: int, tol: float = DEFAULT_TOL) -> Co
         raise SolverError(f"cell-problem RHS is incompatible (sum {total:.3e})")
     coeff = cell.facet_area / cell.h
     matrix = face_laplacian(cell.n_fluid, cell.face_lo, cell.face_hi, coeff)
-    b = rhs - rhs.mean()
-    iterations = 0
-
-    def count(_):
-        nonlocal iterations
-        iterations += 1
-
-    values, info = cg(matrix, b, rtol=tol, atol=0.0,
-                      maxiter=max(100, int(50 * np.sqrt(b.size))), callback=count)
-    values = values - values.mean()
-    b_norm = float(np.linalg.norm(b))
-    residual = float(np.linalg.norm(b - matrix @ values)) / b_norm if b_norm else 0.0
-    if info != 0:
-        raise SolverError(f"cell problem {k + 1}: CG stopped after {iterations} iterations "
-                          f"at relative residual {residual:.3e} (tol {tol:.3e})",
-                          residual=residual)
+    try:
+        values, residual, iterations = zero_mean_cg(matrix, rhs, tol)
+    except SolverError as exc:
+        raise SolverError(f"cell problem {k + 1}: {exc}", residual=exc.residual) from exc
     return CorrectorField(k=k, values=values, rel_residual=residual, iterations=iterations)
 
 
@@ -113,11 +97,6 @@ class EffectiveTensor:
     energy_form: np.ndarray
     porosity: float
     correctors: tuple
-    r: int
-
-    @property
-    def dim(self) -> int:
-        return self.a_hom.shape[0]
 
 
 def compute_effective_tensor(cell: MaskedGrid, tol: float = DEFAULT_TOL) -> EffectiveTensor:
@@ -135,5 +114,4 @@ def compute_effective_tensor(cell: MaskedGrid, tol: float = DEFAULT_TOL) -> Effe
         energy_form=energy,
         porosity=cell.porosity,
         correctors=correctors,
-        r=cell.r,
     )

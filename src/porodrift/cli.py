@@ -23,15 +23,13 @@ from .cell_problem import compute_effective_tensor
 from .config import parse_and_validate
 from .errors import ConfigError, GeometryError, PorodriftError
 from .geometry import (
-    InclusionShape,
-    balance_outer_charges,
     build_cell_geometry,
-    build_masked_grid,
-    validate_compatibility,
+    build_masked_grid,  # noqa: F401  (unused; perfbench's tracer wraps it by this name)
 )
-from .macro import build_macro_source, limit_mode, run_macro
+from .macro import limit_mode, run_macro
 from .micro import run_micro
 from .verification import (
+    homogenized_problem,
     run_convergence_study,
     run_eta_sweep,
     run_mms_verification,
@@ -79,20 +77,6 @@ def _write_snapshot(path: Path, coord: str, centers, columns: dict) -> None:
 
 def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
-
-
-def _macro_inputs(config):
-    """Macro grid, effective tensor, porosity, balanced or checked charges, species."""
-    macro_grid = build_masked_grid(
-        build_cell_geometry(InclusionShape("none", center=(0.5,) * config.dim),
-                            config.macro_resolution), 1)
-    tensor = compute_effective_tensor(config.cell, tol=config.cell_tol)
-    charges = build_macro_source(config.cell, macro_grid, config.xi1, config.xi2)
-    if config.auto_balance:
-        charges, _ = balance_outer_charges(macro_grid, config.species, charges)
-    else:
-        validate_compatibility(macro_grid, config.species, charges)
-    return macro_grid, tensor.a_hom, tensor.porosity, charges, config.species
 
 
 def dispatch(subcommand: str, config, out_dir=None) -> int:
@@ -154,12 +138,15 @@ def dispatch(subcommand: str, config, out_dir=None) -> int:
 
         elif subcommand == "macro":
             mode = limit_mode(config.alpha, config.beta)
-            grid, tensor_matrix, porosity, charges, specs = _macro_inputs(config)
+            grid, charges = homogenized_problem(config.cell, config.macro_resolution,
+                                                config.species, config.xi1, config.xi2,
+                                                config.auto_balance)
+            tensor = compute_effective_tensor(config.cell, tol=config.cell_tol)
             conc_name, phi_name = "c0", "phi0"
-            extra = {"mode": mode, "a_hom": tensor_matrix, "porosity": porosity,
+            extra = {"mode": mode, "a_hom": tensor.a_hom, "porosity": tensor.porosity,
                      "macro_resolution": config.macro_resolution}
             result = run_macro(
-                grid, tensor_matrix, specs, charges, config.eta, config.p,
+                grid, tensor.a_hom, config.species, charges, config.eta, config.p,
                 config.final_time, config.dt_init, mode=mode,
                 cfl_fraction=config.cfl_fraction,
                 output_interval=config.output_interval or None,
@@ -194,8 +181,11 @@ def dispatch(subcommand: str, config, out_dir=None) -> int:
         elif subcommand == "eta-sweep":
             if limit_mode(config.alpha, config.beta) != "coupled":
                 raise PorodriftError("eta-sweep requires the coupled regime (alpha = beta)")
-            macro_grid, tensor_matrix, _, charges, specs = _macro_inputs(config)
-            report = run_eta_sweep(macro_grid, tensor_matrix, specs, charges, config.p,
+            grid, charges = homogenized_problem(config.cell, config.macro_resolution,
+                                                config.species, config.xi1, config.xi2,
+                                                config.auto_balance)
+            tensor = compute_effective_tensor(config.cell, tol=config.cell_tol)
+            report = run_eta_sweep(grid, tensor.a_hom, config.species, charges, config.p,
                                    config.eta_values, config.eta_final_time,
                                    config.eta_dt_init, cfl_fraction=config.cfl_fraction,
                                    poisson_tol=config.poisson_tol)
@@ -234,7 +224,7 @@ def dispatch(subcommand: str, config, out_dir=None) -> int:
         "package_version": __version__,
         "config_echo": config.raw,
         "config_sha256": config.content_hash(),
-        "balance_shift": config.balance_shift if config.auto_balance else None,
+        "balance_shift": config.balance_shift,
         "compat_residual_raw": config.compat_residual_raw,
         "exit_status": status,
         "error": error_message,

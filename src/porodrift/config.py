@@ -27,20 +27,21 @@ from .geometry import (
     FacetCharges,
     InclusionShape,
     MaskedGrid,
-    balance_outer_charges,
+    balance_outer_charges,  # noqa: F401  (unused; perfbench's tracer wraps it by this name)
     build_cell_geometry,
     build_masked_grid,
     surface_charge_on_facets,
     validate_compatibility,
 )
 from .micro import ScalingSpec, SpeciesSpec
-from .verification import MMS_SOLVERS, check_mms_request
+from .verification import MMS_SOLVERS, balanced_charges, check_mms_request
 
 
 _KIND_NAMES = {str: "a string", dict: "an object", list: "a list"}
 MAX_OUTPUT_TIMES = 10**5  # output.interval may not split T finer than this
 MAX_INTEGER = 2**53       # integers are exact floats up to this magnitude
 MAX_GRID_CELLS = 2**24    # cells of the largest grid a config may ask for, solid ones included
+CSV_BREAKING = (",", '"', "\n", "\r")  # characters a species name may not hold
 
 # the keys of each section, of each species entry and of geometry.inclusion
 SECTION_KEYS = {
@@ -198,7 +199,6 @@ class RunConfig:
     """Typed, validated configuration; the data expressions are compiled callables."""
 
     raw: dict
-    dim: int
     inclusion: InclusionShape
     m: int
     r: int
@@ -231,12 +231,12 @@ class RunConfig:
     mms_solvers: list
     mms_resolutions: list
     # built by parse_and_validate: the unit cell, the micro grid and its facet
-    # charges (auto-balanced when enabled)
+    # charges (auto-balanced when enabled; balance_shift is the shift, else None)
     cell: MaskedGrid = None
     grid: MaskedGrid = None
     charges: FacetCharges = None
     compat_residual_raw: float = 0.0
-    balance_shift: float = 0.0
+    balance_shift: float | None = None
 
     def scaling(self) -> ScalingSpec:
         return ScalingSpec(epsilon=1.0 / self.m, alpha=self.alpha, beta=self.beta,
@@ -279,7 +279,7 @@ def parse_and_validate(source) -> RunConfig:
     if dim == 0:
         inc_raw = geo.get("inclusion", {})
         center = inc_raw.get("center") if isinstance(inc_raw, dict) else None
-        dim = len(center) if center is not None else 2
+        dim = len(_typed(center, list, "geometry.inclusion.center")) if center is not None else 2
     if dim not in (2, 3):
         raise ConfigError(f"dimension must be 2 or 3, got {dim}")
     _grid_bound(m * r, dim, "geometry")
@@ -306,6 +306,9 @@ def parse_and_validate(source) -> RunConfig:
         where = f"species[{idx}]"
         entry = _known(_typed(entry, dict, where), SPECIES_KEYS, where)
         name = str(_optional(entry, "name", f"s{idx + 1}"))
+        if any(char in name for char in CSV_BREAKING):
+            raise ConfigError(f"{where}.name {name!r} may not hold a comma, a double quote "
+                              "or a line break (it names diagnostics.csv columns)")
         if name in seen:
             raise ConfigError(f"duplicate species name {name!r}")
         seen.add(name)
@@ -385,7 +388,7 @@ def parse_and_validate(source) -> RunConfig:
         _grid_bound(res, 2, "mms")
 
     config = RunConfig(
-        raw=raw, dim=dim, inclusion=inclusion, m=m, r=r,
+        raw=raw, inclusion=inclusion, m=m, r=r,
         alpha=alpha, beta=beta, eta=eta, p=p, final_time=final_time,
         dt_init=dt_init, cfl_fraction=cfl_fraction, species=species,
         xi1=xi1, xi2=xi2, auto_balance=auto_balance,
@@ -428,10 +431,5 @@ def parse_and_validate(source) -> RunConfig:
     if not math.isfinite(residual):
         raise ConfigError(f"the total charge of the initial and surface data is {residual}")
     config.compat_residual_raw = float(residual)
-    if auto_balance:
-        charges, shift = balance_outer_charges(grid, species, charges)
-        config.balance_shift = shift
-    else:
-        validate_compatibility(grid, species, charges)
-    config.charges = charges
+    config.charges, config.balance_shift = balanced_charges(grid, species, charges, auto_balance)
     return config

@@ -61,7 +61,7 @@ def lp_norm_pth_power(grid, values: np.ndarray, p: float) -> float:
 
 @dataclass
 class DiagnosticsRecord:
-    """Per-output-time series written to diagnostics.csv.
+    """Per-output-time series written to diagnostics.csv, one list of floats per row.
 
     Columns: t, per-species mass, energy, per-species min/max, mean potential,
     compatibility residual, scaled potential-gradient norm, per-species
@@ -69,34 +69,17 @@ class DiagnosticsRecord:
     """
 
     species_names: tuple
-    times: list = field(default_factory=list)
-    masses: list = field(default_factory=list)
-    energies: list = field(default_factory=list)
-    mins: list = field(default_factory=list)
-    maxs: list = field(default_factory=list)
-    mean_phi: list = field(default_factory=list)
-    compat_residuals: list = field(default_factory=list)
-    grad_phi: list = field(default_factory=list)
-    grad_c: list = field(default_factory=list)
-    dts: list = field(default_factory=list)
+    rows: list = field(default_factory=list)
 
     def add_row(self, t, masses, energy, mins, maxs, mean_phi, compat, grad_phi,
                 grad_c, dt):
-        if self.times and t <= self.times[-1]:
+        if self.rows and t <= self.rows[-1][0]:
             raise ValueError("diagnostics timestamps must be strictly increasing")
-        self.times.append(float(t))
-        self.masses.append([float(v) for v in masses])
-        self.energies.append(float(energy))
-        self.mins.append([float(v) for v in mins])
-        self.maxs.append([float(v) for v in maxs])
-        self.mean_phi.append(float(mean_phi))
-        self.compat_residuals.append(float(compat))
-        self.grad_phi.append(float(grad_phi))
-        self.grad_c.append([float(v) for v in grad_c])
-        self.dts.append(float(dt))
+        row = [t, *masses, energy, *mins, *maxs, mean_phi, compat, grad_phi, *grad_c, dt]
+        self.rows.append([float(v) for v in row])
 
     def __len__(self):
-        return len(self.times)
+        return len(self.rows)
 
     def header(self):
         names = self.species_names
@@ -110,21 +93,13 @@ class DiagnosticsRecord:
         cols += ["dt"]
         return cols
 
-    def row_values(self, i):
-        return (
-            [self.times[i]]
-            + self.masses[i]
-            + [self.energies[i]]
-            + self.mins[i]
-            + self.maxs[i]
-            + [self.mean_phi[i], self.compat_residuals[i], self.grad_phi[i]]
-            + self.grad_c[i]
-            + [self.dts[i]]
-        )
+    def column(self, name):
+        """The values of column ``name`` (a ``header`` entry), one per row."""
+        index = self.header().index(name)
+        return [row[index] for row in self.rows]
 
     def to_csv(self, path):
         lines = [",".join(self.header())]
-        for i in range(len(self.times)):
-            lines.append(",".join(repr(float(v)) for v in self.row_values(i)))
+        lines += [",".join(map(repr, row)) for row in self.rows]
         with open(path, "w") as handle:
             handle.write("\n".join(lines) + "\n")

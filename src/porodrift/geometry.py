@@ -148,11 +148,6 @@ class MaskedGrid:
         return self.n_fluid / self.fluid_mask.size
 
     @property
-    def fluid_volume(self) -> float:
-        """|Omega_eps| = total fluid volume."""
-        return self.n_fluid * self.cell_volume
-
-    @property
     def gamma_area_total(self) -> float:
         """Staircase surface measure of the hole boundary."""
         return self.gamma_cell.size * self.facet_area

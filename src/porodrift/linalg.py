@@ -1,11 +1,12 @@
 """Sparse operators and solvers for the singular Neumann/periodic systems.
 
 The pure-Neumann operators here are singular with a constant nullspace and
-compatible right-hand sides.  Their one solver, ``ZeroMeanDirect``, pins one
-unknown to 0, factorizes the nonsingular rest once and mean-projects each
-solution: the Poisson problem is re-solved every transport step with a
-constant operator, so the factorization pays off.  (The periodic cell
-problems are solved once each, with SciPy's ``cg``, in ``cell_problem``.)
+compatible right-hand sides.  They have two zero-mean solvers.
+``ZeroMeanDirect`` pins one unknown to 0, factorizes the nonsingular rest
+once and mean-projects each solution: the Poisson problem is re-solved every
+transport step with a constant operator, so the factorization pays off.
+``zero_mean_cg`` runs SciPy's ``cg`` on an SPD operator that is solved only
+once, such as a periodic cell problem.
 
 The implicit transport matrices ``face_laplacian + I/dt`` change every step
 but keep their sparsity pattern, and every face joins two cells of opposite
@@ -39,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.sparse.linalg import spilu, splu
+from scipy.sparse.linalg import cg, spilu, splu
 
 from .errors import SolverError
 
@@ -75,6 +76,33 @@ def face_divergence(n_cells, face_lo, face_hi, flux):
     gain = np.bincount(face_hi, weights=flux, minlength=n_cells)
     loss = np.bincount(face_lo, weights=flux, minlength=n_cells)
     return gain - loss
+
+
+def zero_mean_cg(matrix, rhs, tol):
+    """Zero-mean solution of the SPD singular system ``matrix`` by SciPy's ``cg``.
+
+    CG from 0 on the mean-projected right-hand side stays orthogonal to the
+    constant nullspace.  Returns the mean-projected solution, its true
+    relative residual and the number of iterations.  SolverError (with that
+    residual) is raised only when ``cg`` does not reach ``tol`` within
+    max(100, 50 sqrt(n)) iterations; a zero right-hand side takes none.
+    """
+    b = rhs - rhs.mean()
+    iterations = 0
+
+    def count(_):
+        nonlocal iterations
+        iterations += 1
+
+    values, info = cg(matrix, b, rtol=tol, atol=0.0,
+                      maxiter=max(100, int(50 * np.sqrt(b.size))), callback=count)
+    values = values - values.mean()
+    b_norm = float(np.linalg.norm(b))
+    residual = float(np.linalg.norm(b - matrix @ values)) / b_norm if b_norm else 0.0
+    if info != 0:
+        raise SolverError(f"CG stopped after {iterations} iterations at relative residual "
+                          f"{residual:.3e} (tol {tol:.3e})", residual=residual)
+    return values, residual, iterations
 
 
 def symmetric_ordering(pattern):

@@ -457,7 +457,7 @@ class TransportSim:
             "initial_max_c": float(np.max(state.conc)),
             "max_mass_drift_rel": 0.0,
             "max_step_mass_drift_rel": 0.0,
-            "max_compat_residual": abs(record.compat_residuals[0]),
+            "max_compat_residual": abs(record.column("compat_residual")[0]),
             "max_energy_increase_rel": 0.0,
             "energy_initial": energy_0,
             "max_entropy_pnorm": entropy_pnorm(state.conc),

@@ -1,5 +1,9 @@
 """Verification harnesses: homogenization sweep, manufactured solutions, eta sweep.
 
+This module also holds the set-up that config, cli and the sweep share: the
+``auto_balance`` policy (``balanced_charges``) and the homogenized problem's
+grid and charges (``homogenized_problem``).
+
 The homogenization study integrates the microscopic system for a decreasing
 sequence eps = 1/m (grids tile exactly, r cells per eps-cell) and compares
 against one macro run with the effective tensor computed on the *same*
@@ -53,6 +57,36 @@ def _rms(values: np.ndarray) -> float:
 def _mean_aligned_rms(a: np.ndarray, b: np.ndarray) -> float:
     diff = (a - a.mean()) - (b - b.mean())
     return _rms(diff)
+
+
+def balanced_charges(grid: MaskedGrid, species, charges: FacetCharges, auto_balance):
+    """The charges of ``grid`` that the Poisson problem takes, and the shift they got.
+
+    With ``auto_balance`` the outer charge is shifted by the constant that
+    makes the discrete charge balance exact.  Otherwise the balance is
+    checked, a ConfigError raised if it fails, and the shift is None.
+    """
+    if auto_balance:
+        return balance_outer_charges(grid, species, charges)
+    validate_compatibility(grid, species, charges)
+    return charges, None
+
+
+def _hole_free_grid(resolution, dim=2):
+    shape = InclusionShape("none", center=(0.5,) * dim)
+    return build_masked_grid(build_cell_geometry(shape, resolution), 1)
+
+
+def homogenized_problem(cell: MaskedGrid, resolution, species, xi1, xi2, auto_balance):
+    """The macro grid of the homogenized problem and its balanced or checked charges.
+
+    The grid is the hole-free ``resolution``^n grid; its charges average the
+    interface charge over the unit cell ``cell`` (``macro.build_macro_source``).
+    """
+    grid = _hole_free_grid(resolution, cell.dim)
+    charges, _ = balanced_charges(grid, species, build_macro_source(cell, grid, xi1, xi2),
+                                  auto_balance)
+    return grid, charges
 
 
 @dataclass
@@ -119,13 +153,8 @@ def run_convergence_study(cell: MaskedGrid, species, xi1, xi2, alpha, beta, eta,
     tensor = compute_effective_tensor(cell, tol=cell_tol)
     timings["cell_problem"] = time.perf_counter() - t0
 
-    macro_grid = build_masked_grid(
-        build_cell_geometry(InclusionShape("none", center=(0.5,) * cell.dim), macro_resolution), 1)
-    macro_charges = build_macro_source(cell, macro_grid, xi1, xi2)
-    if auto_balance:
-        macro_charges, _ = balance_outer_charges(macro_grid, species, macro_charges)
-    else:
-        validate_compatibility(macro_grid, species, macro_charges)
+    macro_grid, macro_charges = homogenized_problem(cell, macro_resolution, species, xi1, xi2,
+                                                    auto_balance)
 
     t0 = time.perf_counter()
     macro_result = run_macro(
@@ -140,11 +169,8 @@ def run_convergence_study(cell: MaskedGrid, species, xi1, xi2, alpha, beta, eta,
     max_conc, e0_list, emax_list = [], [], []
     for m in m_values:
         grid = build_masked_grid(cell, m)
-        charges = surface_charge_on_facets(grid, xi1, xi2)
-        if auto_balance:
-            charges, _ = balance_outer_charges(grid, species, charges)
-        else:
-            validate_compatibility(grid, species, charges)
+        charges, _ = balanced_charges(grid, species, surface_charge_on_facets(grid, xi1, xi2),
+                                      auto_balance)
         scaling = ScalingSpec(epsilon=grid.eps, alpha=alpha, beta=beta, eta=eta, p=p,
                               final_time=final_time)
         t0 = time.perf_counter()
@@ -165,8 +191,9 @@ def run_convergence_study(cell: MaskedGrid, species, xi1, xi2, alpha, beta, eta,
             macro_grid, macro_result.state.phi, tensor.correctors, grid)
         phi_corr.append(_mean_aligned_rms(phi_micro, reconstruction))
         max_conc.append(result.summary["max_c"])
-        e0_list.append(result.record.energies[0])
-        emax_list.append(float(np.max(result.record.energies)))
+        energies = result.record.column("energy")
+        e0_list.append(energies[0])
+        emax_list.append(float(np.max(energies)))
 
     return ConvergenceReport(
         m_values=m_values,
@@ -196,8 +223,6 @@ def _least_squares_order(h_values, errors) -> float:
     return float(slope)
 
 
-def _hole_free_grid(resolution):
-    return build_masked_grid(build_cell_geometry(InclusionShape("none"), resolution), 1)
 
 
 def mms_poisson_micro(resolutions, poisson_tol=1e-11) -> dict:

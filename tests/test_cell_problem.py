@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from scipy.sparse.linalg import cg
 
-from porodrift import cell_problem
+from porodrift import linalg
 from porodrift import (
     InclusionShape,
     SolverError,
@@ -59,7 +59,7 @@ def test_corrector_zero_mean_and_periodic_residual(disk_cell_64):
 
 def test_unconverged_solve_flagged(disk_cell_64, monkeypatch):
     # one CG iteration cannot reach the tolerance
-    monkeypatch.setattr(cell_problem, "cg",
+    monkeypatch.setattr(linalg, "cg",
                         lambda *args, **kwargs: cg(*args, **{**kwargs, "maxiter": 1}))
     with pytest.raises(SolverError, match="after 1 iterations") as excinfo:
         solve_cell_problem(disk_cell_64, 0, tol=1e-12)

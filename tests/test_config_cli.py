@@ -50,7 +50,7 @@ def canonical_config(out_dir, T=0.02):
 
 def test_minimal_config_accepted():
     config = parse_and_validate(minimal_config())
-    assert config.dim == 2
+    assert config.grid.dim == 2
     assert config.m == 2 and config.r == 8
     assert config.scaling().epsilon == 0.5
 
@@ -102,8 +102,8 @@ def test_auto_balance_shift_recorded():
     )
     config = parse_and_validate(cfg)
     grid = config.grid
-    assert config.balance_shift == pytest.approx(-grid.fluid_volume / 4.0)
-    assert config.compat_residual_raw == pytest.approx(grid.fluid_volume)
+    assert config.balance_shift == pytest.approx(-grid.n_fluid * grid.cell_volume / 4.0)
+    assert config.compat_residual_raw == pytest.approx(grid.n_fluid * grid.cell_volume)
     # balanced charges satisfy the constraint exactly
     from porodrift import validate_compatibility
     assert abs(validate_compatibility(grid, config.species, config.charges,
@@ -270,8 +270,8 @@ def _micro_compatible_config(out_dir):
     return cfg
 
 
-@pytest.mark.parametrize("subcommand", ["macro", "converge"],
-                         ids=["macro-balance", "converge-balance"])
+@pytest.mark.parametrize("subcommand", ["macro", "converge", "eta-sweep"],
+                         ids=["macro-balance", "converge-balance", "eta-sweep-balance"])
 def test_dispatch_config_error_exits_2(tmp_path, capsys, subcommand):
     message = "incompatible charge data"
     cfg = _micro_compatible_config(tmp_path / "out")
@@ -353,6 +353,19 @@ def test_main_rejects_unknown_keys(tmp_path, capsys, patch, message):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("name", ["a,b", 'a"b', "a\nb", "a\rb"],
+                         ids=["comma", "quote", "newline", "carriage-return"])
+def test_species_name_that_breaks_the_csv_exits_2(tmp_path, capsys, name):
+    cfg = canonical_config(tmp_path / "out", T=0.01)
+    cfg["species"][0]["name"] = name
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["micro", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert f"species[0].name {name!r} may not hold a comma" in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_main_requires_existing_config(tmp_path):
     assert main(["micro", "--config", str(tmp_path / "missing.json")]) == 2
 
@@ -391,6 +404,8 @@ def test_main_requires_existing_config(tmp_path):
     ("eta_sweep", "dt_init", "0", "must be positive, got 0.0"),
     ("eta_sweep", "dt_init", "-1e-3", "must be positive, got -0.001"),
     ("eta_sweep", "T", "-0.01", "must be >= 0, got -0.01"),
+    # without geometry.dim the dimension is read off the center
+    ("geometry.inclusion", "center", "0.5", "must be a list, got 0.5"),
 ], ids=["string-bool", "nan", "infinity", "macro-resolution", "cell-resolution",
         "m-values", "convergence-macro-resolution", "mms-resolutions", "dim",
         "snapshot-times", "eta-values", "eta-value", "eta-value-negative", "eta-value-zero",
@@ -400,10 +415,13 @@ def test_main_requires_existing_config(tmp_path):
         "mms-resolutions-range", "macro-resolution-range", "cell-resolution-range",
         "convergence-macro-resolution-range", "convergence-dt-zero",
         "convergence-dt-negative", "convergence-t-negative", "eta-sweep-dt-zero",
-        "eta-sweep-dt-negative", "eta-sweep-t-negative"])
+        "eta-sweep-dt-negative", "eta-sweep-t-negative", "center-number"])
 def test_main_rejects_malformed_values(tmp_path, capsys, section, key, text, message):
     cfg = canonical_config(tmp_path / "out", T=0.01)
-    cfg.setdefault(section, {})[key] = "@"
+    entry = cfg
+    for part in section.split("."):
+        entry = entry.setdefault(part, {})
+    entry[key] = "@"
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(cfg).replace('"@"', text))
     assert main(["micro", "--config", str(cfg_path)]) == 2
@@ -591,7 +609,7 @@ def test_three_dimensional_config_dispatch(tmp_path):
         "convergence": {"m_values": [1, 2], "T": 0.004, "dt_init": 2e-3},
     }
     config = parse_and_validate(cfg)
-    assert config.dim == 3
+    assert config.grid.dim == 3
     assert dispatch("micro", config, out_dir=tmp_path) == 0
     header = (tmp_path / f"snapshot_{0.004:.6f}.csv").read_text().split("\n")[0]
     assert header == "cell,x1,x2,x3,c_1,c_2,phi"

@@ -52,7 +52,7 @@ def test_energy_constant_unit_concentration():
     phi = np.zeros(grid.n_fluid)
     eta, p = 1.0, 4.0
     value = energy_value(grid, conc, phi, eta, p, grad_prefactor=1.0)
-    expected = n_species * (eta / (p - 1.0)) * grid.fluid_volume
+    expected = n_species * (eta / (p - 1.0)) * grid.n_fluid * grid.cell_volume
     assert value == pytest.approx(expected, rel=1e-13)
 
 
@@ -61,7 +61,7 @@ def test_energy_zero_concentration():
     conc = np.zeros((2, grid.n_fluid))
     phi = np.zeros(grid.n_fluid)
     value = energy_value(grid, conc, phi, 1.0, 4.0, grad_prefactor=1.0)
-    assert value == pytest.approx(2.0 * grid.fluid_volume, rel=1e-13)
+    assert value == pytest.approx(2.0 * grid.n_fluid * grid.cell_volume, rel=1e-13)
 
 
 def test_energy_gradient_term_quadrature():
@@ -72,7 +72,7 @@ def test_energy_gradient_term_quadrature():
     value = energy_value(grid, conc, phi, 1.0, 4.0, grad_prefactor=2.0)
     n = grid.n_cells_per_edge
     expected_field = 0.5 * 2.0 * (n - 1) * n * grid.cell_volume
-    expected = expected_field + grid.fluid_volume  # Psi(0) = 1 per cell
+    expected = expected_field + grid.n_fluid * grid.cell_volume  # Psi(0) = 1 per cell
     assert value == pytest.approx(expected, rel=1e-13)
 
 
@@ -109,4 +109,4 @@ def test_record_csv_round_trip(tmp_path):
     assert lines[0].split(",") == record.header()
     assert len(lines) == 3
     first = [float(v) for v in lines[1].split(",")]
-    assert first == record.row_values(0)
+    assert first == record.rows[0]

@@ -24,6 +24,7 @@ from porodrift.linalg import (
     ZeroMeanDirect,
     face_laplacian,
     symmetric_ordering,
+    zero_mean_cg,
 )
 from porodrift.transport import poisson_matrix, poisson_solver
 
@@ -136,6 +137,18 @@ def test_singular_factorization_raises_solver_error():
     system = ReducedFaceSystem(np.arange(6) % 2, face_lo, face_hi)
     with pytest.raises(SolverError, match=r"Poisson factorization.*n = 6"):
         ZeroMeanDirect(system, np.ones(face_lo.size))
+
+
+def test_zero_mean_cg_matches_dense_reference(disk_cell_8):
+    grid = build_masked_grid(disk_cell_8, 2)
+    matrix = face_laplacian(grid.n_fluid, grid.face_lo, grid.face_hi, 1.0)
+    rhs = np.random.default_rng(5).uniform(-1.0, 1.0, grid.n_fluid)
+    values, residual, iterations = zero_mean_cg(matrix, rhs, 1e-12)
+    reference = _zero_mean_reference(matrix, rhs)
+    assert abs(values.mean()) <= 1e-14
+    assert np.max(np.abs(values - reference)) <= 1e-9 * np.max(np.abs(reference))
+    assert residual <= 1e-12 and 0 < iterations <= grid.n_fluid
+    assert zero_mean_cg(matrix, np.ones(grid.n_fluid), 1e-12)[1:] == (0.0, 0)
 
 
 def _check_implicit_solve(grid, species):

@@ -90,7 +90,7 @@ def test_species_requires_positive_diffusivity():
 
 def test_compatibility_constant_balance(disk_cell_8):
     grid = build_masked_grid(disk_cell_8, 4)
-    xi2_value = -grid.fluid_volume / grid.outer_area_total
+    xi2_value = -grid.n_fluid * grid.cell_volume / grid.outer_area_total
     charges = surface_charge_on_facets(grid, zero_xi1, constant_xi2(xi2_value))
     species = [SpeciesSpec("s", 1.0, 1, lambda x: np.ones(x.shape[0]))]
     assert validate_compatibility(grid, species, charges) == 0.0
@@ -109,7 +109,7 @@ def test_compatibility_rejects_unbalanced(disk_cell_8):
     species = [SpeciesSpec("s", 1.0, 1, lambda x: np.ones(x.shape[0]))]
     with pytest.raises(ConfigError) as excinfo:
         validate_compatibility(grid, species, charges)
-    assert excinfo.value.residual == pytest.approx(grid.fluid_volume)
+    assert excinfo.value.residual == pytest.approx(grid.n_fluid * grid.cell_volume)
 
 
 # -- fluxes ------------------------------------------------------------------------

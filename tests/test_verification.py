@@ -29,7 +29,7 @@ def test_balance_outer_charges(disk_cell_8):
     species = [SpeciesSpec("s", 1.0, 1, lambda x: np.ones(x.shape[0]))]
     charges = surface_charge_on_facets(grid, constant_xi1(0.0), zero_xi2)
     balanced, shift = balance_outer_charges(grid, species, charges)
-    assert shift == pytest.approx(-grid.fluid_volume / grid.outer_area_total)
+    assert shift == pytest.approx(-grid.n_fluid * grid.cell_volume / grid.outer_area_total)
     assert abs(validate_compatibility(grid, species, balanced,
                                       raise_on_fail=False)) <= 1e-14
 
