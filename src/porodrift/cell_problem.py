@@ -19,7 +19,7 @@ import numpy as np
 
 from .errors import SolverError
 from .geometry import MaskedGrid
-from .linalg import face_divergence, face_laplacian, zero_mean_cg
+from .linalg import cg_solve, face_divergence, face_laplacian
 
 DEFAULT_TOL = 1e-12
 
@@ -41,7 +41,7 @@ def _rhs_for_direction(cell: MaskedGrid, k: int) -> np.ndarray:
 
 
 def solve_cell_problem(cell: MaskedGrid, k: int, tol: float = DEFAULT_TOL) -> CorrectorField:
-    """Solve for the direction-k corrector with ``linalg.zero_mean_cg``.
+    """Solve for the direction-k corrector with ``linalg.cg_solve``.
 
     The right-hand side is the masked-face divergence of the constant field
     e_k (supported near the hole boundary) and sums to zero by construction;
@@ -59,9 +59,10 @@ def solve_cell_problem(cell: MaskedGrid, k: int, tol: float = DEFAULT_TOL) -> Co
     coeff = cell.facet_area / cell.h
     matrix = face_laplacian(cell.n_fluid, cell.face_lo, cell.face_hi, coeff)
     try:
-        values, residual, iterations = zero_mean_cg(matrix, rhs, tol)
+        values, residual, iterations = cg_solve(matrix, rhs, tol, zero_mean=True)
     except SolverError as exc:
-        raise SolverError(f"cell problem {k + 1}: {exc}", residual=exc.residual) from exc
+        raise SolverError(f"cell problem {k + 1}: {exc}", residual=exc.residual,
+                          iterations=exc.iterations) from exc
     return CorrectorField(k=k, values=values, rel_residual=residual, iterations=iterations)
 
 

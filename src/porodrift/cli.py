@@ -3,8 +3,10 @@
 Subcommands: cell, micro, macro, converge, mms, eta-sweep.  Every run writes
 a ``manifest.json`` listing each produced file with its SHA-256; numerical
 outputs (diagnostics.csv, snapshot_*.csv, report.json) are bit-reproducible
-for identical configs.  Wall-clock timings live only in the manifest, which
-is the one file exempt from byte-for-byte replay comparison.
+for identical configs.  Wall-clock timings and the transport solver counts
+(``transport_solves``: one ``transport.SolveCounts`` per simulation of a
+``micro``, ``macro`` or ``converge`` run) live only in the manifest, which is
+the one file exempt from byte-for-byte replay comparison.
 """
 
 from __future__ import annotations
@@ -92,6 +94,7 @@ def dispatch(subcommand: str, config, out_dir=None) -> int:
 
     written = []
     timings = {"write": 0.0}
+    solves = {}
     status = 0
     error_message = None
 
@@ -165,6 +168,7 @@ def dispatch(subcommand: str, config, out_dir=None) -> int:
             )
             emit("report.json", _write_json, report.to_dict())
             timings.update(report.runtimes)
+            solves = report.solves
             if not all(report.monotone_decreasing(n) for n in report.species_names):
                 status = 1
                 error_message = "convergence study: errors are not strictly decreasing"
@@ -192,6 +196,7 @@ def dispatch(subcommand: str, config, out_dir=None) -> int:
             emit("report.json", _write_json, report)
 
         if subcommand in ("micro", "macro"):
+            solves = {subcommand: result.solves}
             emit("diagnostics.csv", result.record.to_csv)
             for t_snap, state in sorted(result.snapshots.items()):
                 columns = {f"{conc_name}_{i + 1}": c for i, c in enumerate(state.conc)}
@@ -235,6 +240,7 @@ def dispatch(subcommand: str, config, out_dir=None) -> int:
             for name in written
         ],
         "timings_seconds": timings,
+        "transport_solves": solves,
     }
     _write_json(run_dir / "manifest.json", manifest)
     if error_message:

@@ -24,12 +24,14 @@ class ConfigError(PorodriftError):
 class SolverError(PorodriftError):
     """Linear solver failed to reach the requested tolerance.
 
-    ``residual`` holds the final relative residual.
+    ``residual`` holds the final relative residual and ``iterations`` the
+    iterations an iterative solver took.
     """
 
-    def __init__(self, message, residual=None):
+    def __init__(self, message, residual=None, iterations=None):
         super().__init__(message)
         self.residual = residual
+        self.iterations = iterations
 
 
 class TimeStepError(PorodriftError):

@@ -1,12 +1,13 @@
 """Sparse operators and solvers for the singular Neumann/periodic systems.
 
 The pure-Neumann operators here are singular with a constant nullspace and
-compatible right-hand sides.  They have two zero-mean solvers.
-``ZeroMeanDirect`` pins one unknown to 0, factorizes the nonsingular rest
-once and mean-projects each solution: the Poisson problem is re-solved every
-transport step with a constant operator, so the factorization pays off.
-``zero_mean_cg`` runs SciPy's ``cg`` on an SPD operator that is solved only
-once, such as a periodic cell problem.
+compatible right-hand sides.  ``ZeroMeanDirect`` pins one unknown to 0,
+factorizes the nonsingular rest once and mean-projects each solution: the
+Poisson problem is re-solved every transport step with a constant operator,
+so the factorization pays off.  ``cg_solve`` is the one CG helper: SciPy's
+``cg`` with an optional preconditioner, mean-projected for a singular
+operator that is solved only once, such as a periodic cell problem, and
+preconditioned by ``TwoLevel`` for the large transport systems.
 
 The implicit transport matrices ``face_laplacian + I/dt`` change every step
 but keep their sparsity pattern, and every face joins two cells of opposite
@@ -15,8 +16,11 @@ exactly (its block is diagonal) and keeps the Schur complement on the other
 class: an SPD M-matrix on half the cells with a 9-point (2-D) or 19-point
 (3-D) stencil.  It computes the complement's pattern and its symmetric
 fill-reducing ordering once and refills a CSC matrix laid out in that order
-in place; the caller factorizes it with the ``NATURAL`` column order
-(``SUPERLU_NATURAL``).  Each fill returns the operator's own ``Elimination``
+in place.  The caller either factorizes it with the ``NATURAL`` column order
+(``SUPERLU_NATURAL``) or solves it by CG with a ``TwoLevel`` preconditioner,
+whose coarse Galerkin operator is refilled the same way, in its own cached
+order, and factorized with the same options: either way a transport solve
+makes one factorization.  Each fill returns the operator's own ``Elimination``
 blocks, so one system serves the transport matrices of every step and the
 two-point Poisson operator (shift 0, pinned at its last black cell).  On
 the 52k-cell ``micro_large`` grid the reduced LU holds 1.47M nonzeros,
@@ -40,11 +44,12 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.sparse.linalg import cg, spilu, splu
+from scipy.sparse.linalg import LinearOperator, cg, spilu, splu
 
 from .errors import SolverError
 
 MAX_REFINEMENTS = 2   # iterative-refinement passes of ZeroMeanDirect.solve
+JACOBI_WEIGHT = 0.7   # damping of the Jacobi sweeps of TwoLevel.preconditioner
 
 # SuperLU supernode relaxation and panel size of every factorization
 SUPERNODES = {"relax": 1, "panel_size": 1}
@@ -78,30 +83,35 @@ def face_divergence(n_cells, face_lo, face_hi, flux):
     return gain - loss
 
 
-def zero_mean_cg(matrix, rhs, tol):
-    """Zero-mean solution of the SPD singular system ``matrix`` by SciPy's ``cg``.
+def cg_solve(matrix, rhs, tol, preconditioner=None, zero_mean=False):
+    """Solution of the SPD system ``matrix`` by SciPy's ``cg`` from 0.
 
-    CG from 0 on the mean-projected right-hand side stays orthogonal to the
-    constant nullspace.  Returns the mean-projected solution, its true
-    relative residual and the number of iterations.  SolverError (with that
-    residual) is raised only when ``cg`` does not reach ``tol`` within
-    max(100, 50 sqrt(n)) iterations; a zero right-hand side takes none.
+    ``preconditioner`` is an SPD approximation of the inverse, applied as
+    SciPy's ``M`` (None: plain CG).  With ``zero_mean`` the matrix is
+    singular with the constants as its nullspace: the right-hand side is
+    mean-projected, so that CG stays orthogonal to the nullspace, and so is
+    the solution.  Returns the solution, its true relative residual and the
+    number of iterations.  SolverError (with that residual and count) is
+    raised only when ``cg`` does not reach ``tol`` within max(100, 50 sqrt(n))
+    iterations; a zero right-hand side takes none.
     """
-    b = rhs - rhs.mean()
+    b = rhs - rhs.mean() if zero_mean else rhs
     iterations = 0
 
     def count(_):
         nonlocal iterations
         iterations += 1
 
-    values, info = cg(matrix, b, rtol=tol, atol=0.0,
+    values, info = cg(matrix, b, rtol=tol, atol=0.0, M=preconditioner,
                       maxiter=max(100, int(50 * np.sqrt(b.size))), callback=count)
-    values = values - values.mean()
+    if zero_mean:
+        values = values - values.mean()
     b_norm = float(np.linalg.norm(b))
     residual = float(np.linalg.norm(b - matrix @ values)) / b_norm if b_norm else 0.0
     if info != 0:
         raise SolverError(f"CG stopped after {iterations} iterations at relative residual "
-                          f"{residual:.3e} (tol {tol:.3e})", residual=residual)
+                          f"{residual:.3e} (tol {tol:.3e})", residual=residual,
+                          iterations=iterations)
     return values, residual, iterations
 
 
@@ -281,6 +291,63 @@ class ReducedFaceSystem:
         """
         red = (values[black.size:] + elimination.coupling @ black) / elimination.red_diag
         return np.concatenate([black, red])
+
+
+class TwoLevel:
+    """Two-level preconditioner of the Schur complement ``S`` of a ``ReducedFaceSystem``.
+
+    ``aggregate`` labels every black cell, in the order of ``S``; the cells
+    of one label make one coarse unknown (plain aggregation), so the
+    prolongation ``P`` is piecewise constant and the Galerkin operator ``C =
+    P^T S P`` sums the entries of ``S`` over each pair of aggregates.  The
+    pattern of ``C``, its symmetric fill-reducing order and the CSC slot
+    that every entry of ``S`` adds to are computed once; ``assemble`` refills
+    ``coarse`` from ``system.matrix``, and the caller factorizes it with
+    ``SUPERLU_NATURAL``.
+
+    ``preconditioner(lu)``, with ``lu`` that factorization, applies one
+    Jacobi sweep damped by ``JACOBI_WEIGHT``, the exact coarse correction
+    and a second sweep.  It is symmetric, and it is positive definite
+    because the damped sweep contracts in the energy norm of ``S``: ``S``
+    is symmetric and diagonally dominant with a positive diagonal ``D``, so
+    the eigenvalues of ``D^-1 S`` lie in (0, 2) and their multiples by
+    ``JACOBI_WEIGHT`` stay below 2.  So CG applies.
+    """
+
+    def __init__(self, system, aggregate):
+        matrix = system.matrix
+        _, aggregate = np.unique(aggregate, return_inverse=True)
+        n_coarse = int(aggregate.max(initial=-1)) + 1
+        rows = aggregate[matrix.indices]
+        cols = aggregate[np.repeat(np.arange(matrix.shape[1]), np.diff(matrix.indptr))]
+        coupled = np.unique(rows[rows < cols] * n_coarse + cols[rows < cols])
+        perm = _pattern_order(coupled // n_coarse, coupled % n_coarse, n_coarse).astype(np.intp)
+        # in the order of C, each entry of S falls on the slot of its key in CSC order
+        keys, self._slots = np.unique(perm[cols] * n_coarse + perm[rows], return_inverse=True)
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n_coarse,
+                                                            minlength=n_coarse))])
+        self.coarse = sparse.csc_matrix(
+            (np.zeros(keys.size), (keys % n_coarse).astype(np.int32), indptr.astype(np.int32)),
+            shape=(n_coarse, n_coarse))
+        self._aggregate = perm[aggregate].astype(np.intp)
+        self._matrix = matrix
+
+    def assemble(self):
+        """``coarse`` refilled from the current values of ``S``."""
+        self.coarse.data[:] = np.bincount(self._slots, self._matrix.data, self.coarse.nnz)
+        return self.coarse
+
+    def preconditioner(self, lu):
+        """The preconditioner as a ``LinearOperator``, ``lu`` solving with ``coarse``."""
+        matrix, aggregate, n_coarse = self._matrix, self._aggregate, self.coarse.shape[0]
+        weight = JACOBI_WEIGHT / matrix.diagonal()
+
+        def apply(residual):
+            x = weight * residual
+            x += lu.solve(np.bincount(aggregate, residual - matrix @ x, n_coarse))[aggregate]
+            return x + weight * (residual - matrix @ x)
+
+        return LinearOperator(matrix.shape, matvec=apply, dtype=float)
 
 
 class ZeroMeanDirect:

@@ -107,13 +107,14 @@ class ConvergenceReport:
     macro_resolution: int
     mode: str
     runtimes: dict = field(default_factory=dict)
+    solves: dict = field(default_factory=dict)
 
     def monotone_decreasing(self, name: str) -> bool:
         errors = self.conc_errors[name]
         return all(errors[i + 1] < errors[i] for i in range(len(errors) - 1))
 
     def to_dict(self) -> dict:
-        """The report.json payload; runtimes stay out so the bytes replay."""
+        """The report.json payload; runtimes and solver counts stay out so the bytes replay."""
         return {
             "m_values": list(self.m_values),
             "epsilons": list(self.epsilons),
@@ -162,6 +163,7 @@ def run_convergence_study(cell: MaskedGrid, species, xi1, xi2, alpha, beta, eta,
         mode=mode, cfl_fraction=cfl_fraction, poisson_tol=poisson_tol,
     )
     timings["macro"] = time.perf_counter() - t0
+    solves = {"macro": macro_result.solves}
 
     names = [s.name for s in species]
     conc_errors = {name: [] for name in names}
@@ -177,6 +179,7 @@ def run_convergence_study(cell: MaskedGrid, species, xi1, xi2, alpha, beta, eta,
         result = run_micro(grid, scaling, species, charges, dt_init,
                            cfl_fraction=cfl_fraction, poisson_tol=poisson_tol)
         timings[f"micro_m{m}"] = time.perf_counter() - t0
+        solves[f"micro_m{m}"] = result.solves
 
         for i, name in enumerate(names):
             macro_at_micro = sample_macro_field(macro_grid, macro_result.state.conc[i],
@@ -210,6 +213,7 @@ def run_convergence_study(cell: MaskedGrid, species, xi1, xi2, alpha, beta, eta,
         macro_resolution=macro_resolution,
         mode=mode,
         runtimes=timings,
+        solves=solves,
     )
 
 

@@ -195,6 +195,47 @@ def test_factorization_counts_follow_the_benchmark_gate(tmp_path, monkeypatch):
     assert calls == {"transport": 2 * attempts, "poisson": 1}
 
 
+def test_two_level_side_keeps_one_transport_lu_per_solve(tmp_path, monkeypatch):
+    # above the crossover the one transport LU of a solve is the coarse operator's
+    monkeypatch.setattr(transport, "TWO_LEVEL_MIN_BLACK", 0)
+    lus = []
+    real_splu = transport.splu
+    monkeypatch.setattr(transport, "splu", lambda *args, **kwargs: lus.append(args[0].shape)
+                        or real_splu(*args, **kwargs))
+    config = parse_and_validate(canonical_config(tmp_path))
+    assert dispatch("micro", config, out_dir=tmp_path) == 0
+    summary = json.loads((tmp_path / "report.json").read_text())["summary"]
+    attempts = summary["steps"] + summary["rejections"]
+    assert attempts >= 10
+    solves = _manifest(tmp_path)["transport_solves"]["micro"]
+    assert len(lus) == solves["two_level_solves"] == 2 * attempts
+    assert set(lus) == {(solves["coarse_size"],) * 2}
+    assert solves["direct_solves"] == 0
+    assert 0 < solves["max_cg_iterations"] <= solves["cg_iterations"]
+    assert 0.0 < solves["max_cg_residual"] <= transport.CG_TOL
+
+
+def test_manifest_records_the_transport_solves(tmp_path):
+    config = parse_and_validate(canonical_config(tmp_path / "micro"))
+    assert dispatch("micro", config, out_dir=tmp_path / "micro") == 0
+    summary = json.loads((tmp_path / "micro" / "report.json").read_text())["summary"]
+    attempts = summary["steps"] + summary["rejections"]
+    assert _manifest(tmp_path / "micro")["transport_solves"] == {"micro": {
+        "direct_solves": 2 * attempts, "two_level_solves": 0, "cg_iterations": 0,
+        "max_cg_iterations": 0, "max_cg_residual": 0.0, "coarse_size": 0}}
+
+    cfg = canonical_config(tmp_path / "converge")
+    cfg["convergence"] = {"m_values": [2, 4], "T": 0.004, "dt_init": 1e-3,
+                          "macro_resolution": 32}
+    assert dispatch("converge", parse_and_validate(cfg), out_dir=tmp_path / "converge") == 0
+    solves = _manifest(tmp_path / "converge")["transport_solves"]
+    assert sorted(solves) == ["macro", "micro_m2", "micro_m4"]
+    # two species, four steps, no rejection at this dt
+    assert all(counts["direct_solves"] == 8 for counts in solves.values())
+    # the counts stay out of the replayed report
+    assert "solves" not in (tmp_path / "converge" / "report.json").read_text()
+
+
 def test_cell_dispatch_writes_tensor_report(tmp_path):
     cfg = canonical_config(tmp_path)
     cfg["cell"] = {"resolution": 32, "dump_correctors": True}

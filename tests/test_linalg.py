@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -22,9 +24,9 @@ from porodrift.linalg import (
     SUPERNODES,
     ReducedFaceSystem,
     ZeroMeanDirect,
+    cg_solve,
     face_laplacian,
     symmetric_ordering,
-    zero_mean_cg,
 )
 from porodrift.transport import poisson_matrix, poisson_solver
 
@@ -143,12 +145,12 @@ def test_zero_mean_cg_matches_dense_reference(disk_cell_8):
     grid = build_masked_grid(disk_cell_8, 2)
     matrix = face_laplacian(grid.n_fluid, grid.face_lo, grid.face_hi, 1.0)
     rhs = np.random.default_rng(5).uniform(-1.0, 1.0, grid.n_fluid)
-    values, residual, iterations = zero_mean_cg(matrix, rhs, 1e-12)
+    values, residual, iterations = cg_solve(matrix, rhs, 1e-12, zero_mean=True)
     reference = _zero_mean_reference(matrix, rhs)
     assert abs(values.mean()) <= 1e-14
     assert np.max(np.abs(values - reference)) <= 1e-9 * np.max(np.abs(reference))
     assert residual <= 1e-12 and 0 < iterations <= grid.n_fluid
-    assert zero_mean_cg(matrix, np.ones(grid.n_fluid), 1e-12)[1:] == (0.0, 0)
+    assert cg_solve(matrix, np.ones(grid.n_fluid), 1e-12, zero_mean=True)[1:] == (0.0, 0)
 
 
 def _check_implicit_solve(grid, species):
@@ -164,6 +166,7 @@ def _check_implicit_solve(grid, species):
     matrix = _transport_matrix(grid, diffusivity * face_h / grid.h ** 2, dt)
     reference = spsolve(matrix, c / dt + rhs_extra)
     assert np.max(np.abs(solution - reference)) <= 1e-12 * np.max(np.abs(reference))
+    return sim
 
 
 def test_implicit_solve_matches_spsolve(disk_cell_8, canonical_species):
@@ -172,6 +175,72 @@ def test_implicit_solve_matches_spsolve(disk_cell_8, canonical_species):
 
 def test_implicit_solve_matches_spsolve_3d():
     _check_implicit_solve(_perforated_grid(3), [SpeciesSpec("s", 1.0, 0, smooth_c0)])
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_two_level_implicit_solve_matches_spsolve(monkeypatch, dim):
+    if dim == 2:
+        # 6,656 black cells: above the crossover as it stands
+        grid = _perforated_grid(2, m=16)
+    else:
+        grid = _perforated_grid(3)
+        monkeypatch.setattr(transport, "TWO_LEVEL_MIN_BLACK", 0)
+    sim = _check_implicit_solve(grid, [SpeciesSpec("s", 1.0, 0, smooth_c0)])
+    assert sim.solves.two_level_solves == 1 and sim.solves.direct_solves == 0
+    assert 0 < sim.solves.max_cg_residual <= transport.CG_TOL
+
+
+def test_two_level_side_is_taken_above_the_crossover(disk_cell_8):
+    species = [SpeciesSpec("s", 1.0, 0, smooth_c0)]
+    solves = {}
+    for m in (8, 16):
+        grid = build_masked_grid(disk_cell_8, m)
+        solves[m] = MicroSimulation(grid, make_scaling(grid.eps), species,
+                                    zero_charges(grid)).solves
+    # the canonical micro grid: 1,664 black cells, factorized directly
+    assert solves[8].coarse_size == 0
+    # 6,656 black cells, one coarse unknown per block of the 128^2 grid that holds any
+    assert 1664 <= transport.TWO_LEVEL_MIN_BLACK < 6656
+    blocks = math.ceil(16 * 8 / transport.AGGREGATE_WIDTH) ** 2
+    assert 0 < solves[16].coarse_size <= blocks
+
+
+def test_two_level_coarse_operator_and_preconditioner():
+    grid = _perforated_grid(2, m=4)
+    system = _reduced_system(grid)
+    two_level = transport.aggregated_two_level(grid, system)
+    rng = np.random.default_rng(4)
+    system.assemble(rng.uniform(0.1, 10.0, grid.face_lo.size) / grid.h ** 2, 1e3)
+    coarse = two_level.assemble()
+    # the refilled coarse operator is the Galerkin product P^T S P, P piecewise constant
+    n_black = system.matrix.shape[0]
+    prolongation = sparse.csr_matrix((np.ones(n_black), (np.arange(n_black),
+                                                         two_level._aggregate)))
+    reference = (prolongation.T @ system.matrix @ prolongation).toarray()
+    assert np.max(np.abs(coarse.toarray() - reference)) <= 1e-14 * np.max(np.abs(reference))
+    # the preconditioner is symmetric positive definite
+    preconditioner = two_level.preconditioner(splu(coarse, **SUPERLU_NATURAL))
+    inverse = np.array([preconditioner.matvec(unit) for unit in np.eye(n_black)]).T
+    assert np.max(np.abs(inverse - inverse.T)) <= 1e-14 * np.max(np.abs(inverse))
+    assert np.linalg.eigvalsh(0.5 * (inverse + inverse.T)).min() > 0.0
+
+
+def test_unconverged_two_level_solve_raises_with_iterations_and_residual(monkeypatch):
+    monkeypatch.setattr(transport, "TWO_LEVEL_MIN_BLACK", 0)
+    real_cg = linalg.cg
+    monkeypatch.setattr(linalg, "cg", lambda *args, **kwargs: real_cg(*args, **{**kwargs,
+                                                                               "maxiter": 3}))
+    grid = _perforated_grid(2)
+    sim = MicroSimulation(grid, make_scaling(grid.eps), [SpeciesSpec("s", 1.0, 0, smooth_c0)],
+                          zero_charges(grid))
+    rng = np.random.default_rng(2)
+    with pytest.raises(SolverError, match="implicit transport solve: CG stopped after 3 "
+                                          "iterations") as failure:
+        sim._implicit_solve(rng.uniform(0.5, 1.5, grid.n_fluid), 1.0,
+                            rng.uniform(0.1, 10.0, grid.face_lo.size), 1e-3,
+                            np.zeros(grid.n_fluid))
+    assert failure.value.iterations == 3
+    assert failure.value.residual > transport.CG_TOL
 
 
 def _explicit_schur_complement(grid, kappa, dt):
@@ -264,20 +333,20 @@ def test_reduced_solve_matches_spsolve_of_the_full_matrix(grid, seed, log_dt):
             ReducedFaceSystem(parity, np.append(grid.face_lo, 0), np.append(grid.face_hi, extra))
 
 
+def _counted(calls, name, fn):
+    def wrapper(*args, **kwargs):
+        calls[name] += 1
+        return fn(*args, **kwargs)
+    return wrapper
+
+
 def test_ordering_computed_once_per_simulation(monkeypatch):
     calls = {"system": 0, "ordering": 0, "lu": 0}
-
-    def counted(name, fn):
-        def wrapper(*args, **kwargs):
-            calls[name] += 1
-            return fn(*args, **kwargs)
-        return wrapper
-
     monkeypatch.setattr(ReducedFaceSystem, "__init__",
-                        counted("system", ReducedFaceSystem.__init__))
+                        _counted(calls, "system", ReducedFaceSystem.__init__))
     monkeypatch.setattr(linalg, "symmetric_ordering",
-                        counted("ordering", linalg.symmetric_ordering))
-    monkeypatch.setattr(transport, "splu", counted("lu", transport.splu))
+                        _counted(calls, "ordering", linalg.symmetric_ordering))
+    monkeypatch.setattr(transport, "splu", _counted(calls, "lu", transport.splu))
     grid = hole_free_grid(8)
     species = [SpeciesSpec("p", 1.0, 1, smooth_c0), SpeciesSpec("m", 0.5, -1, smooth_c0)]
     result = run_micro(grid, make_scaling(grid.eps, T=0.005), species, zero_charges(grid),
@@ -286,6 +355,27 @@ def test_ordering_computed_once_per_simulation(monkeypatch):
     assert attempts >= 5
     # the transport and the Poisson share one reduced system and its order
     assert calls == {"system": 1, "ordering": 1, "lu": 2 * attempts}
+    assert result.solves["direct_solves"] == 2 * attempts
+
+
+def test_one_coarse_lu_per_two_level_solve(monkeypatch):
+    monkeypatch.setattr(transport, "TWO_LEVEL_MIN_BLACK", 0)
+    calls = {"ordering": 0, "lu": 0}
+    monkeypatch.setattr(linalg, "symmetric_ordering",
+                        _counted(calls, "ordering", linalg.symmetric_ordering))
+    monkeypatch.setattr(transport, "splu", _counted(calls, "lu", transport.splu))
+    grid = hole_free_grid(16)
+    species = [SpeciesSpec("p", 1.0, 1, smooth_c0), SpeciesSpec("m", 0.5, -1, smooth_c0)]
+    result = run_micro(grid, make_scaling(grid.eps, T=0.005), species, zero_charges(grid),
+                       dt_init=1e-3)
+    attempts = result.summary["steps"] + result.summary["rejections"]
+    assert attempts >= 5
+    # the orders of S and of the coarse operator, each computed once
+    assert calls == {"ordering": 2, "lu": 2 * attempts}
+    assert result.solves["two_level_solves"] == 2 * attempts
+    assert result.solves["direct_solves"] == 0
+    assert result.solves["coarse_size"] == math.ceil(16 / transport.AGGREGATE_WIDTH) ** 2
+    assert 0 < result.solves["max_cg_iterations"] <= result.solves["cg_iterations"]
 
 
 def test_transport_assembly_leaves_the_poisson_solution_unchanged(disk_cell_8,

@@ -1,3 +1,6 @@
+import csv
+import json
+
 import numpy as np
 import pytest
 import scipy.sparse as sparse
@@ -12,6 +15,8 @@ from porodrift import (
     validate_compatibility,
 )
 from porodrift import verification
+from porodrift.cli import dispatch
+from porodrift.config import parse_and_validate
 from porodrift.linalg import ReducedFaceSystem, ZeroMeanDirect
 from porodrift.verification import (
     mms_poisson_macro,
@@ -157,3 +162,79 @@ def test_eta_sweep_decreasing_values_reports_distances():
     assert len(report["distances"]) == 2
     assert all(d["total"] > 0 for d in report["distances"])
     assert report["monotone_observed"] in (True, False)
+
+
+SHIFT_M = 4   # m of the micro run of _shift_config: eps = 1/4 scales by powers of 2 exactly
+
+
+def _shift_config(alpha, beta):
+    c0 = "1 + 0.5*cos(pi*x1)*cos(pi*x2)"
+    return {
+        "geometry": {"inclusion": {"kind": "disk", "center": [0.5, 0.5], "radius": 0.25},
+                     "m": SHIFT_M, "r": 8},
+        "scaling": {"alpha": alpha, "beta": beta, "eta": 1.0, "p": 4.0, "T": 0.01,
+                    "dt_init": 2e-3},
+        "species": [{"name": "cation", "D": 1.0, "z": 1, "c0": c0},
+                    {"name": "anion", "D": 0.5, "z": -1, "c0": c0}],
+        "surface_charge": {"xi1": "0.2", "xi2": "0", "auto_balance": True},
+        "output": {"interval": 0.005, "snapshot_times": [0.01]},
+        "convergence": {"m_values": [2, 4], "T": 0.004, "dt_init": 1e-3,
+                        "macro_resolution": 32},
+    }
+
+
+def _floats(value, path=()):
+    """(path, float) for every number in a report.json payload but the alpha and beta echo."""
+    if isinstance(value, dict):
+        for key, item in value.items():
+            if key not in ("alpha", "beta"):
+                yield from _floats(item, path + (key,))
+    elif isinstance(value, list):
+        for index, item in enumerate(value):
+            yield from _floats(item, path + (index,))
+    elif isinstance(value, (int, float)) and not isinstance(value, bool):
+        yield path, float(value)
+
+
+def _shift_outputs(tmp_path, alpha, beta):
+    """Every report float, diagnostics value and final snapshot column of micro and converge.
+
+    The potential's values (``mean_phi`` and the snapshot's ``phi``) are
+    multiplied by eps^alpha, which makes them independent of a shift.
+    """
+    values, columns = {}, {}
+    for subcommand in ("micro", "converge"):
+        out = tmp_path / f"{subcommand}-{alpha}-{beta}"
+        assert dispatch(subcommand, parse_and_validate(_shift_config(alpha, beta)),
+                        out_dir=out) == 0
+        report = json.loads((out / "report.json").read_text())
+        values.update({(subcommand,) + path: v for path, v in _floats(report)})
+    out = tmp_path / f"micro-{alpha}-{beta}"
+    phi_factor = (1.0 / SHIFT_M) ** alpha
+    with open(out / "diagnostics.csv") as handle:
+        for index, row in enumerate(csv.DictReader(handle)):
+            values.update({("diagnostics", index, key): float(v) for key, v in row.items()})
+            values["diagnostics", index, "mean_phi"] *= phi_factor
+    with open(out / f"snapshot_{0.01:.6f}.csv") as handle:
+        rows = list(csv.DictReader(handle))
+    for key in rows[0]:
+        columns[key] = np.array([float(row[key]) for row in rows])
+    columns["phi"] *= phi_factor
+    return values, columns
+
+
+@pytest.mark.parametrize("shifted,base", [((1.0, 1.0), (0.0, 0.0)), ((1.0, 2.0), (0.0, 1.0))],
+                         ids=["coupled", "decoupled"])
+def test_alpha_beta_shift_leaves_every_output_unchanged(tmp_path, shifted, base):
+    # the micro model depends on alpha and beta through beta - alpha only: a shift by s
+    # scales phi by eps^-s, which the permittivity, the mobility, the energy prefactor,
+    # the logged |grad phi| and the compared eps^alpha phi each undo
+    values, columns = _shift_outputs(tmp_path, *shifted)
+    reference, reference_columns = _shift_outputs(tmp_path, *base)
+    assert values.keys() == reference.keys()
+    moved = {key: (values[key], reference[key]) for key in reference
+             if abs(values[key] - reference[key]) > 1e-12 * abs(reference[key])}
+    assert not moved
+    assert columns.keys() == reference_columns.keys()
+    for name, column in reference_columns.items():
+        np.testing.assert_allclose(columns[name], column, rtol=1e-12, atol=0.0)
