@@ -59,7 +59,7 @@ def solve_cell_problem(cell: MaskedGrid, k: int, tol: float = DEFAULT_TOL) -> Co
     coeff = cell.facet_area / cell.h
     matrix = face_laplacian(cell.n_fluid, cell.face_lo, cell.face_hi, coeff)
     try:
-        values, residual, iterations = cg_solve(matrix, rhs, tol, zero_mean=True)
+        values, residual, iterations, _ = cg_solve(matrix, rhs, tol, zero_mean=True)
     except SolverError as exc:
         raise SolverError(f"cell problem {k + 1}: {exc}", residual=exc.residual,
                           iterations=exc.iterations) from exc

@@ -5,8 +5,9 @@ a ``manifest.json`` listing each produced file with its SHA-256; numerical
 outputs (diagnostics.csv, snapshot_*.csv, report.json) are bit-reproducible
 for identical configs.  Wall-clock timings and the transport solver counts
 (``transport_solves``: one ``transport.SolveCounts`` per simulation of a
-``micro``, ``macro`` or ``converge`` run) live only in the manifest, which is
-the one file exempt from byte-for-byte replay comparison.
+``micro``, ``macro``, ``converge``, ``eta-sweep`` or ``mms`` run) live only
+in the manifest, which is the one file exempt from byte-for-byte replay
+comparison.
 """
 
 from __future__ import annotations
@@ -176,7 +177,7 @@ def dispatch(subcommand: str, config, out_dir=None) -> int:
         elif subcommand == "mms":
             report = run_mms_verification(config.mms_solvers,
                                           resolutions=config.mms_resolutions,
-                                          poisson_tol=config.poisson_tol)
+                                          poisson_tol=config.poisson_tol, solves=solves)
             emit("report.json", _write_json, report)
             if not report["passed"]:
                 status = 1
@@ -192,7 +193,7 @@ def dispatch(subcommand: str, config, out_dir=None) -> int:
             report = run_eta_sweep(grid, tensor.a_hom, config.species, charges, config.p,
                                    config.eta_values, config.eta_final_time,
                                    config.eta_dt_init, cfl_fraction=config.cfl_fraction,
-                                   poisson_tol=config.poisson_tol)
+                                   poisson_tol=config.poisson_tol, solves=solves)
             emit("report.json", _write_json, report)
 
         if subcommand in ("micro", "macro"):

@@ -7,7 +7,10 @@ Poisson problem is re-solved every transport step with a constant operator,
 so the factorization pays off.  ``cg_solve`` is the one CG helper: SciPy's
 ``cg`` with an optional preconditioner, mean-projected for a singular
 operator that is solved only once, such as a periodic cell problem, and
-preconditioned by ``TwoLevel`` for the large transport systems.
+preconditioned by ``TwoLevel`` for the large transport systems.  It starts
+from an optional guess by solving for the correction from 0, and it accepts
+a result only on its true residual: CG restarts once when that misses the
+target which SciPy's recursively updated residual met.
 
 The implicit transport matrices ``face_laplacian + I/dt`` change every step
 but keep their sparsity pattern, and every face joins two cells of opposite
@@ -83,36 +86,57 @@ def face_divergence(n_cells, face_lo, face_hi, flux):
     return gain - loss
 
 
-def cg_solve(matrix, rhs, tol, preconditioner=None, zero_mean=False):
-    """Solution of the SPD system ``matrix`` by SciPy's ``cg`` from 0.
+def cg_solve(matrix, rhs, tol, preconditioner=None, zero_mean=False, x0=None):
+    """Solution of the SPD system ``matrix`` by SciPy's ``cg``, started from ``x0``.
 
     ``preconditioner`` is an SPD approximation of the inverse, applied as
     SciPy's ``M`` (None: plain CG).  With ``zero_mean`` the matrix is
     singular with the constants as its nullspace: the right-hand side is
     mean-projected, so that CG stays orthogonal to the nullspace, and so is
-    the solution.  Returns the solution, its true relative residual and the
-    number of iterations.  SolverError (with that residual and count) is
-    raised only when ``cg`` does not reach ``tol`` within max(100, 50 sqrt(n))
-    iterations; a zero right-hand side takes none.
+    the solution.  ``x0`` is an initial guess (None: 0).  CG runs from 0 on
+    the residual equation ``A d = b - A x0`` to the absolute target
+    ``tol ||b||``, so its stopping test means what it means for a solve from
+    0, and the solution is ``x0 + d``.
+
+    SciPy's ``cg`` stops on its recursively updated residual, so the true
+    relative residual ``||b - A x|| / ||b||`` of the result is computed and
+    compared with ``tol``: above it, CG restarts once from that iterate.
+    Returns the solution, its true relative residual, the number of
+    iterations and of restarts.  SolverError (with that residual and count)
+    is raised when ``cg`` does not reach its target within max(100, 50
+    sqrt(n)) iterations, or when the true residual is still above ``tol``
+    after the restart; a zero right-hand side takes no iteration.
     """
     b = rhs - rhs.mean() if zero_mean else rhs
+    b_norm = float(np.linalg.norm(b))
+    if b_norm == 0.0:
+        return np.zeros_like(b), 0.0, 0, 0
     iterations = 0
 
     def count(_):
         nonlocal iterations
         iterations += 1
 
-    values, info = cg(matrix, b, rtol=tol, atol=0.0, M=preconditioner,
-                      maxiter=max(100, int(50 * np.sqrt(b.size))), callback=count)
-    if zero_mean:
-        values = values - values.mean()
-    b_norm = float(np.linalg.norm(b))
-    residual = float(np.linalg.norm(b - matrix @ values)) / b_norm if b_norm else 0.0
-    if info != 0:
-        raise SolverError(f"CG stopped after {iterations} iterations at relative residual "
-                          f"{residual:.3e} (tol {tol:.3e})", residual=residual,
-                          iterations=iterations)
-    return values, residual, iterations
+    values, defect = x0, (b if x0 is None else b - matrix @ x0)
+    for restarts in range(2):
+        if zero_mean and values is not None:
+            defect = defect - defect.mean()
+        step, info = cg(matrix, defect, rtol=0.0, atol=tol * b_norm, M=preconditioner,
+                        maxiter=max(100, int(50 * np.sqrt(b.size))), callback=count)
+        values = step if values is None else values + step
+        if zero_mean:
+            values = values - values.mean()
+        defect = b - matrix @ values
+        residual = float(np.linalg.norm(defect)) / b_norm
+        if info != 0:
+            raise SolverError(f"CG stopped after {iterations} iterations at relative "
+                              f"residual {residual:.3e} (tol {tol:.3e})", residual=residual,
+                              iterations=iterations)
+        if residual <= tol:
+            return values, residual, iterations, restarts
+    raise SolverError(f"CG restarted once and stopped after {iterations} iterations at true "
+                      f"relative residual {residual:.3e} (tol {tol:.3e})", residual=residual,
+                      iterations=iterations)
 
 
 def symmetric_ordering(pattern):
@@ -307,7 +331,8 @@ class TwoLevel:
 
     ``preconditioner(lu)``, with ``lu`` that factorization, applies one
     Jacobi sweep damped by ``JACOBI_WEIGHT``, the exact coarse correction
-    and a second sweep.  It is symmetric, and it is positive definite
+    and a second sweep; its products with ``S`` go through ``S^T``, a CSR
+    view of the same arrays.  It is symmetric, and it is positive definite
     because the damped sweep contracts in the energy norm of ``S``: ``S``
     is symmetric and diagonally dominant with a positive diagonal ``D``, so
     the eigenvalues of ``D^-1 S`` lie in (0, 2) and their multiples by
@@ -330,7 +355,9 @@ class TwoLevel:
             (np.zeros(keys.size), (keys % n_coarse).astype(np.int32), indptr.astype(np.int32)),
             shape=(n_coarse, n_coarse))
         self._aggregate = perm[aggregate].astype(np.intp)
-        self._matrix = matrix
+        # S is symmetric, so its transpose is S as a CSR view that shares its arrays: it
+        # sees every refill, and its products are faster than the CSC ones
+        self._matrix = matrix.T
 
     def assemble(self):
         """``coarse`` refilled from the current values of ``S``."""

@@ -293,8 +293,12 @@ def _diffusion_mms_problem(eta, p, diffusivity):
 
 
 def mms_diffusion_spatial(resolutions, eta=1.0, p=4.0, diffusivity=0.5,
-                          final_time=0.01, poisson_tol=1e-11) -> dict:
-    """Spatial order of the IMEX nonlinear-diffusion step; dt scales with h^2."""
+                          final_time=0.01, poisson_tol=1e-11, solves=None) -> dict:
+    """Spatial order of the IMEX nonlinear-diffusion step; dt scales with h^2.
+
+    ``solves``, when given, receives each run's transport solve counts under
+    ``diffusion_spatial_r<resolution>``.
+    """
     exact, source = _diffusion_mms_problem(eta, p, diffusivity)
     errors = []
     for res in resolutions:
@@ -307,6 +311,8 @@ def mms_diffusion_spatial(resolutions, eta=1.0, p=4.0, diffusivity=0.5,
         dt = 0.5 * grid.h ** 2
         result = run_micro(grid, scaling, [spec], charges, dt_init=dt, source=source,
                            poisson_tol=poisson_tol)
+        if solves is not None:
+            solves[f"diffusion_spatial_r{res}"] = result.solves
         errors.append(_rms(result.state.conc[0] - exact(final_time, grid.centers)))
     h_values = [1.0 / res for res in resolutions]
     return {"solver": "diffusion_spatial", "resolutions": list(resolutions),
@@ -315,11 +321,12 @@ def mms_diffusion_spatial(resolutions, eta=1.0, p=4.0, diffusivity=0.5,
 
 def mms_diffusion_temporal(resolution=64, dt_values=(2e-3, 1e-3, 5e-4),
                            reference_dt=6.25e-5, eta=1.0, p=4.0, diffusivity=0.5,
-                           final_time=0.02, poisson_tol=1e-11) -> dict:
+                           final_time=0.02, poisson_tol=1e-11, solves=None) -> dict:
     """Temporal order on a fixed grid against a small-dt reference run.
 
     Self-referencing cancels the common spatial error, exposing the O(dt)
-    splitting error of the IMEX scheme.
+    splitting error of the IMEX scheme.  ``solves``, when given, receives
+    each run's transport solve counts under ``diffusion_temporal_dt<dt>``.
     """
     exact, source = _diffusion_mms_problem(eta, p, diffusivity)
     grid = _hole_free_grid(resolution)
@@ -332,6 +339,8 @@ def mms_diffusion_temporal(resolution=64, dt_values=(2e-3, 1e-3, 5e-4),
     def final_conc(dt):
         result = run_micro(grid, scaling, [spec], charges, dt_init=dt, source=source,
                            poisson_tol=poisson_tol)
+        if solves is not None:
+            solves[f"diffusion_temporal_dt{dt}"] = result.solves
         return result.state.conc[0]
 
     reference = final_conc(reference_dt)
@@ -369,11 +378,12 @@ def check_mms_request(solvers, resolutions) -> None:
 
 
 def run_mms_verification(solvers=MMS_SOLVERS, resolutions=(32, 64, 128),
-                         poisson_tol=1e-10) -> dict:
+                         poisson_tol=1e-10, solves=None) -> dict:
     """Run the requested manufactured-solution studies and grade the orders.
 
     Every Poisson solve of the studies, the diffusion runs' included, meets
-    ``poisson_tol``.
+    ``poisson_tol``.  ``solves``, when given, receives the transport solve
+    counts of every diffusion run, keyed by study and run.
     """
     check_mms_request(solvers, resolutions)
     reports = []
@@ -383,8 +393,9 @@ def run_mms_verification(solvers=MMS_SOLVERS, resolutions=(32, 64, 128),
     if "poisson_macro" in chosen:
         reports.append(mms_poisson_macro(resolutions, poisson_tol=poisson_tol))
     if "diffusion" in chosen:
-        reports.append(mms_diffusion_spatial(resolutions, poisson_tol=poisson_tol))
-        reports.append(mms_diffusion_temporal(poisson_tol=poisson_tol))
+        reports.append(mms_diffusion_spatial(resolutions, poisson_tol=poisson_tol,
+                                             solves=solves))
+        reports.append(mms_diffusion_temporal(poisson_tol=poisson_tol, solves=solves))
     passed = True
     for report in reports:
         lo, hi = MMS_THRESHOLDS[report["solver"]]
@@ -399,11 +410,14 @@ def run_mms_verification(solvers=MMS_SOLVERS, resolutions=(32, 64, 128),
 
 
 def run_eta_sweep(grid, tensor, species, charges: FacetCharges, p, eta_values,
-                  final_time, dt_init, cfl_fraction=0.5, poisson_tol=1e-11) -> dict:
+                  final_time, dt_init, cfl_fraction=0.5, poisson_tol=1e-11,
+                  solves=None) -> dict:
     """Coupled macro runs for a decreasing list of eta; reports successive distances.
 
     Exploratory: distances are logged, monotonicity is reported but nothing is
     asserted (the vanishing-regularization limit is outside the verified scope).
+    ``solves``, when given, receives each run's transport solve counts under
+    ``eta_<value>``.
     """
     eta_values = [float(v) for v in eta_values]
     if any(v <= 0 for v in eta_values):
@@ -413,6 +427,8 @@ def run_eta_sweep(grid, tensor, species, charges: FacetCharges, p, eta_values,
         result = run_macro(grid, tensor, species, charges, eta, p, final_time, dt_init,
                            mode="coupled", cfl_fraction=cfl_fraction,
                            poisson_tol=poisson_tol)
+        if solves is not None:
+            solves[f"eta_{eta}"] = result.solves
         finals.append(result.state)
     distances = []
     for a, b in zip(finals, finals[1:]):

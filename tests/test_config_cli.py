@@ -222,7 +222,7 @@ def test_manifest_records_the_transport_solves(tmp_path):
     attempts = summary["steps"] + summary["rejections"]
     assert _manifest(tmp_path / "micro")["transport_solves"] == {"micro": {
         "direct_solves": 2 * attempts, "two_level_solves": 0, "cg_iterations": 0,
-        "max_cg_iterations": 0, "max_cg_residual": 0.0, "coarse_size": 0}}
+        "max_cg_iterations": 0, "max_cg_residual": 0.0, "restarts": 0, "coarse_size": 0}}
 
     cfg = canonical_config(tmp_path / "converge")
     cfg["convergence"] = {"m_values": [2, 4], "T": 0.004, "dt_init": 1e-3,
@@ -234,6 +234,28 @@ def test_manifest_records_the_transport_solves(tmp_path):
     assert all(counts["direct_solves"] == 8 for counts in solves.values())
     # the counts stay out of the replayed report
     assert "solves" not in (tmp_path / "converge" / "report.json").read_text()
+
+
+def test_manifest_records_the_solves_of_eta_sweep_and_mms(tmp_path):
+    cfg = canonical_config(tmp_path / "eta", T=0.01)
+    cfg["eta_sweep"] = {"values": [0.5, 0.25], "T": 0.004, "dt_init": 1e-3}
+    cfg["macro"] = {"resolution": 16}
+    assert dispatch("eta-sweep", parse_and_validate(cfg), out_dir=tmp_path / "eta") == 0
+    solves = _manifest(tmp_path / "eta")["transport_solves"]
+    assert sorted(solves) == ["eta_0.25", "eta_0.5"]
+    # two species, four steps, no rejection at this dt
+    assert all(counts["direct_solves"] == 8 for counts in solves.values())
+    assert "solves" not in (tmp_path / "eta" / "report.json").read_text()
+
+    cfg = minimal_config(mms={"solvers": ["poisson_micro", "diffusion"], "resolutions": [8, 16]})
+    dispatch("mms", parse_and_validate(cfg), out_dir=tmp_path / "mms")
+    solves = _manifest(tmp_path / "mms")["transport_solves"]
+    # the Poisson studies make no transport solve; each diffusion run has its entry
+    assert sorted(solves) == ["diffusion_spatial_r16", "diffusion_spatial_r8",
+                              "diffusion_temporal_dt0.0005", "diffusion_temporal_dt0.001",
+                              "diffusion_temporal_dt0.002", "diffusion_temporal_dt6.25e-05"]
+    assert solves["diffusion_temporal_dt0.002"]["direct_solves"] == 10
+    assert "solves" not in (tmp_path / "mms" / "report.json").read_text()
 
 
 def test_cell_dispatch_writes_tensor_report(tmp_path):

@@ -145,12 +145,87 @@ def test_zero_mean_cg_matches_dense_reference(disk_cell_8):
     grid = build_masked_grid(disk_cell_8, 2)
     matrix = face_laplacian(grid.n_fluid, grid.face_lo, grid.face_hi, 1.0)
     rhs = np.random.default_rng(5).uniform(-1.0, 1.0, grid.n_fluid)
-    values, residual, iterations = cg_solve(matrix, rhs, 1e-12, zero_mean=True)
+    values, residual, iterations, restarts = cg_solve(matrix, rhs, 1e-12, zero_mean=True)
     reference = _zero_mean_reference(matrix, rhs)
     assert abs(values.mean()) <= 1e-14
     assert np.max(np.abs(values - reference)) <= 1e-9 * np.max(np.abs(reference))
-    assert residual <= 1e-12 and 0 < iterations <= grid.n_fluid
-    assert cg_solve(matrix, np.ones(grid.n_fluid), 1e-12, zero_mean=True)[1:] == (0.0, 0)
+    assert residual <= 1e-12 and 0 < iterations <= grid.n_fluid and restarts == 0
+    assert cg_solve(matrix, np.ones(grid.n_fluid), 1e-12, zero_mean=True)[1:] == (0.0, 0, 0)
+
+
+def _spd_system(seed):
+    grid = hole_free_grid(8)
+    rng = np.random.default_rng(seed)
+    matrix = _transport_matrix(grid, rng.uniform(0.1, 10.0, grid.face_lo.size), 1e-2)
+    return matrix, rng.uniform(-1.0, 1.0, grid.n_fluid), rng
+
+
+@pytest.mark.parametrize("zero_mean", [False, True], ids=["spd", "zero-mean"])
+def test_cg_from_a_guess_matches_dense_reference(disk_cell_8, zero_mean):
+    if zero_mean:
+        grid = build_masked_grid(disk_cell_8, 2)
+        matrix = face_laplacian(grid.n_fluid, grid.face_lo, grid.face_hi, 1.0)
+        rng = np.random.default_rng(6)
+        rhs = rng.uniform(-1.0, 1.0, grid.n_fluid)
+        reference = _zero_mean_reference(matrix, rhs)
+    else:
+        matrix, rhs, rng = _spd_system(6)
+        reference = np.linalg.solve(matrix.toarray(), rhs)
+    guess = reference + 1e-3 * rng.uniform(-1.0, 1.0, rhs.size)
+    values, residual, iterations, restarts = cg_solve(matrix, rhs, 1e-12, zero_mean=zero_mean,
+                                                      x0=guess)
+    assert np.max(np.abs(values - reference)) <= 1e-9 * np.max(np.abs(reference))
+    assert residual <= 1e-12 and 0 < iterations and restarts == 0
+    if zero_mean:
+        assert abs(values.mean()) <= 1e-14
+    # the target is relative to the right-hand side, not to the guess's residual: the
+    # solution itself as the guess takes no iteration
+    assert cg_solve(matrix, rhs, 1e-12, zero_mean=zero_mean, x0=values)[2:] == (0, 0)
+
+
+def _cg_missing_its_true_residual(monkeypatch, misses):
+    """SciPy's ``cg`` whose first ``misses`` results report convergence off the solution.
+
+    Each call appends its right-hand side and its iteration count to the returned list.
+    """
+    calls = []
+    real_cg = linalg.cg
+
+    def stub(matrix, rhs, callback, **kwargs):
+        steps = []
+        values, _ = real_cg(matrix, rhs, callback=lambda x: steps.append(1) or callback(x),
+                            **kwargs)
+        calls.append((rhs, len(steps)))
+        if len(calls) <= misses:
+            values = values + 1e-6 * np.linalg.norm(rhs) / np.sqrt(rhs.size)
+        return values, 0
+
+    monkeypatch.setattr(linalg, "cg", stub)
+    return calls
+
+
+def test_cg_restarts_once_when_the_true_residual_misses_tol(monkeypatch):
+    matrix, rhs, _ = _spd_system(8)
+    reference = np.linalg.solve(matrix.toarray(), rhs)
+    calls = _cg_missing_its_true_residual(monkeypatch, misses=1)
+    values, residual, iterations, restarts = cg_solve(matrix, rhs, 1e-12)
+    assert len(calls) == 2 and restarts == 1
+    # the restart solves for the defect of the first result, from 0
+    assert np.linalg.norm(calls[1][0]) > 1e-12 * np.linalg.norm(rhs)
+    assert iterations == calls[0][1] + calls[1][1]
+    assert residual <= 1e-12
+    assert np.max(np.abs(values - reference)) <= 1e-9 * np.max(np.abs(reference))
+
+
+def test_cg_raises_when_the_restart_misses_tol_too(monkeypatch):
+    matrix, rhs, _ = _spd_system(8)
+    calls = _cg_missing_its_true_residual(monkeypatch, misses=2)
+    with pytest.raises(SolverError, match=r"CG restarted once and stopped after \d+ "
+                                          r"iterations at true relative residual") as failure:
+        cg_solve(matrix, rhs, 1e-12)
+    assert len(calls) == 2
+    assert failure.value.iterations == calls[0][1] + calls[1][1] > 0
+    assert failure.value.residual > 1e-12
 
 
 def _check_implicit_solve(grid, species):
@@ -188,6 +263,21 @@ def test_two_level_implicit_solve_matches_spsolve(monkeypatch, dim):
     sim = _check_implicit_solve(grid, [SpeciesSpec("s", 1.0, 0, smooth_c0)])
     assert sim.solves.two_level_solves == 1 and sim.solves.direct_solves == 0
     assert 0 < sim.solves.max_cg_residual <= transport.CG_TOL
+
+
+def test_warm_and_cold_two_level_solves_agree(disk_cell_8):
+    # the first step of the m = 16 grid, above the crossover: the warm start from c^n
+    grid = build_masked_grid(disk_cell_8, 16)
+    sim = MicroSimulation(grid, make_scaling(grid.eps), [SpeciesSpec("s", 1.0, 0, smooth_c0)],
+                          zero_charges(grid))
+    c = smooth_c0(grid.centers)
+    face_h = transport.h_p_prime(0.5 * (c[grid.face_lo] + c[grid.face_hi]), 1.0, 4.0)
+    cold = sim._implicit_solve(c, 1.0, face_h, 5e-4, np.zeros(grid.n_fluid))
+    cold_iterations = sim.solves.cg_iterations
+    warm = sim._implicit_solve(c, 1.0, face_h, 5e-4, np.zeros(grid.n_fluid), c)
+    assert sim.solves.two_level_solves == 2
+    assert np.max(np.abs(warm - cold)) <= 1e-12 * np.max(np.abs(cold))
+    assert 0 < sim.solves.cg_iterations - cold_iterations < cold_iterations
 
 
 def test_two_level_side_is_taken_above_the_crossover(disk_cell_8):

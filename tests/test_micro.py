@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse as sparse
 from scipy.sparse.linalg import spsolve
 
+import porodrift.transport as transport
 from porodrift import (
     ConfigError,
     MicroSimulation,
@@ -207,7 +208,7 @@ def test_mass_conserved_every_step(disk_cell_8, canonical_species):
     assert result.summary["max_mass_drift_rel"] <= 1e-9
 
 
-def test_symmetric_species_stay_identical_and_phi_zero():
+def _check_symmetric_species():
     grid = hole_free_grid(16)
     species = [SpeciesSpec("p", 1.0, 1, smooth_c0), SpeciesSpec("m", 1.0, -1, smooth_c0)]
     scaling = make_scaling(grid.eps, T=0.02)
@@ -219,6 +220,18 @@ def test_symmetric_species_stay_identical_and_phi_zero():
     neutral = [SpeciesSpec("n", 1.0, 0, smooth_c0)]
     reference = run_micro(grid, scaling, neutral, zero_charges(grid), dt_init=1e-3)
     np.testing.assert_array_equal(result.state.conc[0], reference.state.conc[0])
+    return result
+
+
+def test_symmetric_species_stay_identical_and_phi_zero():
+    _check_symmetric_species()
+
+
+def test_symmetric_species_stay_identical_on_the_two_level_side(monkeypatch):
+    # every species starts its CG from its own extrapolated guess, computed the same way
+    monkeypatch.setattr(transport, "TWO_LEVEL_MIN_BLACK", 0)
+    result = _check_symmetric_species()
+    assert result.solves["direct_solves"] == 0 and result.solves["two_level_solves"] > 0
 
 
 def test_zero_time_run_echoes_initial_state():
@@ -276,11 +289,11 @@ def test_run_loop_halves_dt_on_rejection():
             super().__init__(*args, **kwargs)
             self.failures = 3
 
-        def step(self, state, dt, source=None):
+        def step(self, state, dt, **kwargs):
             if self.failures > 0:
                 self.failures -= 1
                 raise _StepRejected
-            return super().step(state, dt, source=source)
+            return super().step(state, dt, **kwargs)
 
     sim = Flaky(grid, scaling, species, zero_charges(grid))
     result = sim.run(0.01, 4e-3)
@@ -289,13 +302,49 @@ def test_run_loop_halves_dt_on_rejection():
     assert result.state.t == pytest.approx(0.01)
 
 
+def test_rejected_step_extrapolates_with_the_halved_dt(monkeypatch):
+    monkeypatch.setattr(transport, "TWO_LEVEL_MIN_BLACK", 0)
+    grid = hole_free_grid(16)
+    species = [SpeciesSpec("s", 1.0, 0, smooth_c0)]
+    scaling = make_scaling(grid.eps, T=0.005)
+
+    class RejectsSecond(MicroSimulation):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            self.steps, self.guesses = [], []
+
+        def step(self, state, dt, **kwargs):
+            self.steps.append((state, dt, kwargs["previous"]))
+            if len(self.steps) == 2:
+                raise _StepRejected
+            return super().step(state, dt, **kwargs)
+
+        def _implicit_solve(self, *args):
+            self.guesses.append(args[5])
+            return super()._implicit_solve(*args)
+
+    sim = RejectsSecond(grid, scaling, species, zero_charges(grid))
+    result = sim.run(0.005, 1e-3)
+    assert result.summary["rejections"] == 1
+    (first, _, none), (state, rejected_dt, previous), (retry, dt, retry_previous) = sim.steps[:3]
+    assert none is None and previous is first and retry is state and retry_previous is first
+    assert dt == 0.5 * rejected_dt
+    # the first step starts from c^n; the retry extrapolates over the halved dt
+    np.testing.assert_array_equal(sim.guesses[0], first.conc[0])
+    expected = state.conc + dt / (state.t - first.t) * (state.conc - first.conc)
+    np.testing.assert_array_equal(sim.guesses[1], expected[0])
+    assert result.solves["two_level_solves"] == len(sim.guesses) == result.summary["steps"]
+    # the flux form keeps the mass whatever the guess
+    assert result.summary["max_mass_drift_rel"] <= 1e-13
+
+
 def test_run_loop_aborts_below_dt_floor():
     grid = hole_free_grid(8)
     species = [SpeciesSpec("s", 1.0, 0, smooth_c0)]
     scaling = make_scaling(grid.eps, T=0.01)
 
     class AlwaysRejects(MicroSimulation):
-        def step(self, state, dt, source=None):
+        def step(self, state, dt, **kwargs):
             raise _StepRejected
 
     sim = AlwaysRejects(grid, scaling, species, zero_charges(grid))
