@@ -185,7 +185,7 @@ def dispatch(subcommand: str, config, out_dir=None) -> int:
 
         elif subcommand == "eta-sweep":
             if limit_mode(config.alpha, config.beta) != "coupled":
-                raise PorodriftError("eta-sweep requires the coupled regime (alpha = beta)")
+                raise ConfigError("eta-sweep requires the coupled regime (alpha = beta)")
             grid, charges = homogenized_problem(config.cell, config.macro_resolution,
                                                 config.species, config.xi1, config.xi2,
                                                 config.auto_balance)

@@ -374,7 +374,7 @@ def parse_and_validate(source) -> RunConfig:
 
     eta_sec = _section(raw, "eta_sweep")
     eta_values = [_positive(value, "eta_sweep.values") for value in
-                  _list(eta_sec, "values", [0.5, 0.25, 0.125], float, "eta_sweep")]
+                  _nonempty_list(eta_sec, "values", [0.5, 0.25, 0.125], float, "eta_sweep")]
     eta_final_time = _at_least(_optional(eta_sec, "T", 0.05, float, "eta_sweep"), 0,
                                "eta_sweep.T")
     eta_dt_init = _positive(_optional(eta_sec, "dt_init", dt_init, float, "eta_sweep"),

@@ -10,7 +10,7 @@ cell is its periodic m = 1 case.
 
 Facets fall into four classes: interior fluid-fluid faces (where fluxes
 live), fluid-solid faces (the interior hole boundary), solid-solid faces
-(counted only), and outer-boundary faces adjacent to fluid cells;
+(which carry nothing), and outer-boundary faces adjacent to fluid cells;
 ``_classify_faces`` sorts them for both grids.  Because the inclusion must
 keep a positive margin to the cell boundary, the outer boundary of the
 domain is always adjacent to fluid.
@@ -112,14 +112,11 @@ class MaskedGrid:
     face_hi: np.ndarray
     face_axis: np.ndarray
     gamma_cell: np.ndarray        # fluid id adjacent to each fluid-solid facet
-    gamma_axis: np.ndarray
-    gamma_sign: np.ndarray        # +1 if the solid neighbor sits on the high side
     gamma_center: np.ndarray      # (k, dim) facet midpoints
     outer_cell: np.ndarray        # fluid id behind each outer-boundary facet
     outer_axis: np.ndarray
     outer_sign: np.ndarray        # +1 on the x = 1 side, -1 on the x = 0 side
     outer_center: np.ndarray
-    n_solid_solid_faces: int
     _unit_cell_ids: np.ndarray = field(default=None, repr=False)
 
     @property
@@ -213,11 +210,11 @@ def _classify_faces(fluid_mask, periodic):
     """Number the fluid cells and classify every face of the grid.
 
     Returns the ``MaskedGrid`` fields the mask determines: the fluid numbering
-    and centers, the fluid-fluid faces, the fluid-solid facets, the number of
-    solid-solid faces and the outer facets.  ``periodic`` adds the faces that
-    wrap around the grid and leaves the outer facets empty.  Otherwise the
-    outer facets come axis by axis, the x = 0 side before the x = 1 side, and
-    a solid cell on the outer boundary is an error.
+    and centers, the fluid-fluid faces, the fluid-solid facets and the outer
+    facets.  ``periodic`` adds the faces that wrap around the grid and leaves
+    the outer facets empty.  Otherwise the outer facets come axis by axis, the
+    x = 0 side before the x = 1 side, and a solid cell on the outer boundary
+    is an error.
     """
     shape = fluid_mask.shape
     dim = len(shape)
@@ -231,25 +228,19 @@ def _classify_faces(fluid_mask, periodic):
     idx = np.arange(fluid_mask.size).reshape(shape)
 
     faces = {key: [np.empty((0, dim)) if key.endswith("center") else np.empty(0, np.int64)]
-             for key in ("face_lo", "face_hi", "face_axis", "gamma_cell", "gamma_axis",
-                         "gamma_sign", "gamma_center", "outer_cell", "outer_axis",
-                         "outer_sign", "outer_center")}
-    n_ss = 0
+             for key in ("face_lo", "face_hi", "face_axis", "gamma_cell", "gamma_center",
+                         "outer_cell", "outer_axis", "outer_sign", "outer_center")}
     for axis in range(dim):
         lo, hi = _adjacent_flat_indices(shape, axis, periodic)
         both = mask_flat[lo] & mask_flat[hi]
         faces["face_lo"].append(id_flat[lo[both]])
         faces["face_hi"].append(id_flat[hi[both]])
         faces["face_axis"].append(np.full(int(both.sum()), axis, dtype=np.int64))
-        n_ss += int(np.count_nonzero(~mask_flat[lo] & ~mask_flat[hi]))
-        # the solid neighbour sits on the high side (+1), then on the low side (-1)
-        for sign, only, fluid_side in ((1, mask_flat[lo] & ~mask_flat[hi], lo),
-                                       (-1, ~mask_flat[lo] & mask_flat[hi], hi)):
-            sel_lo = lo[only]
+        # the solid neighbour sits on the high side, then on the low side
+        for only, fluid_side in ((mask_flat[lo] & ~mask_flat[hi], lo),
+                                 (~mask_flat[lo] & mask_flat[hi], hi)):
             faces["gamma_cell"].append(id_flat[fluid_side[only]])
-            faces["gamma_axis"].append(np.full(sel_lo.size, axis, dtype=np.int64))
-            faces["gamma_sign"].append(np.full(sel_lo.size, sign, dtype=np.int64))
-            faces["gamma_center"].append(_face_centers(sel_lo, shape, axis, h, wrap=periodic))
+            faces["gamma_center"].append(_face_centers(lo[only], shape, axis, h, wrap=periodic))
         # outer boundary facets at x_axis = 0 and x_axis = 1
         for side, sign in () if periodic else ((0, -1), (n_side - 1, +1)):
             cells = np.take(idx, side, axis=axis).ravel()
@@ -265,7 +256,7 @@ def _classify_faces(fluid_mask, periodic):
             faces["outer_center"].append(ctr)
     fields = {key: np.concatenate(parts) for key, parts in faces.items()}
     fields.update(fluid_mask=fluid_mask, n_fluid=n_fluid, fluid_id=fluid_id,
-                  centers=_grid_points(n_side, dim)[mask_flat], n_solid_solid_faces=n_ss)
+                  centers=_grid_points(n_side, dim)[mask_flat])
     return fields
 
 

@@ -268,7 +268,6 @@ class ReducedFaceSystem:
         self._upper_slots = slots[:n_pairs]
         self._lower_slots = slots[n_pairs:2 * n_pairs]
         self._diag_slots = slots[2 * n_pairs:]
-        self.perm = perm
         # K row by row: the faces of each red cell, with their black cells as columns
         self._coupling_indptr = np.concatenate([[0], np.cumsum(degree)]).astype(np.int32)
         self._coupling_indices = perm[face_black][by_red]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 
 import porodrift.config as config_module
 import porodrift.transport as transport
+import porodrift.verification as verification
 from porodrift import ConfigError, InclusionShape, build_cell_geometry, build_masked_grid
 from porodrift.cli import dispatch, main
 from porodrift.config import RunConfig, parse_and_validate
@@ -309,15 +310,27 @@ def test_eta_sweep_dispatch(tmp_path):
 
 
 def test_failed_dispatch_writes_manifest_with_status(tmp_path):
-    # eta-sweep demands the coupled regime; alpha < beta must fail cleanly
+    # eta-sweep demands the coupled regime; alpha < beta is a config error only the run sees
     cfg = minimal_config()
     cfg["scaling"] = dict(cfg["scaling"], beta=1.0)
     config = parse_and_validate(cfg)
     status = dispatch("eta-sweep", config, out_dir=tmp_path)
-    assert status == 1
+    assert status == 2
+    manifest = _manifest(tmp_path)
+    assert manifest["exit_status"] == 2
+    assert "coupled" in manifest["error"]
+
+
+def test_mms_order_outside_threshold_exits_1_with_manifest(tmp_path, monkeypatch):
+    # a genuine run failure: the study runs, its order misses the bound
+    monkeypatch.setitem(verification.MMS_THRESHOLDS, "poisson_micro", (3.0, None))
+    cfg = minimal_config(mms={"solvers": ["poisson_micro"], "resolutions": [8, 16]})
+    assert dispatch("mms", parse_and_validate(cfg), out_dir=tmp_path) == 1
     manifest = _manifest(tmp_path)
     assert manifest["exit_status"] == 1
-    assert "coupled" in manifest["error"]
+    assert manifest["error"] == "mms verification: observed order outside threshold"
+    report = json.loads((tmp_path / "report.json").read_text())
+    assert report["passed"] is False
 
 
 def _micro_compatible_config(out_dir):
@@ -448,6 +461,7 @@ def test_main_requires_existing_config(tmp_path):
     ("eta_sweep", "values", '[0.5, "a"]', "must be a number"),
     ("eta_sweep", "values", "[0.5, -1]", "must be positive, got -1.0"),
     ("eta_sweep", "values", "[0]", "must be positive, got 0.0"),
+    ("eta_sweep", "values", "[]", "must be a non-empty list"),
     ("convergence", "m_values", "[]", "must be a non-empty list"),
     ("convergence", "m_values", "[0, 4]", "must be >= 1, got 0"),
     ("convergence", "m_values", "[8, 4]", "must be strictly increasing"),
@@ -472,6 +486,7 @@ def test_main_requires_existing_config(tmp_path):
 ], ids=["string-bool", "nan", "infinity", "macro-resolution", "cell-resolution",
         "m-values", "convergence-macro-resolution", "mms-resolutions", "dim",
         "snapshot-times", "eta-values", "eta-value", "eta-value-negative", "eta-value-zero",
+        "eta-values-empty",
         "m-values-empty", "m-values-zero",
         "m-values-order", "mms-solvers-empty", "mms-solvers-unknown", "mms-solvers-type",
         "mms-solvers-string", "mms-resolutions-empty", "mms-resolutions-single",

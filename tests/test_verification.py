@@ -81,9 +81,11 @@ def test_mms_report_structure():
     (("diffusion",), (2, 16), "must be >= 4, got 2"),
 ], ids=["one-resolution", "repeated-resolution", "unknown-solver", "no-solver", "floor"])
 def test_mms_request_checked_before_any_solve(monkeypatch, solvers, resolutions, message):
+    # every study reaches run_micro or poisson_solver, however the studies are factored
     for study in ("mms_poisson_micro", "mms_poisson_macro", "mms_diffusion_spatial",
-                  "mms_diffusion_temporal"):
-        monkeypatch.setattr(verification, study, lambda *args: pytest.fail("a study ran"))
+                  "mms_diffusion_temporal", "run_micro", "poisson_solver"):
+        monkeypatch.setattr(verification, study,
+                            lambda *args, **kwargs: pytest.fail("a study ran"))
     with pytest.raises(ConfigError, match=message):
         run_mms_verification(solvers=solvers, resolutions=resolutions)
 
@@ -153,6 +155,12 @@ def test_eta_sweep_single_entry_has_no_distances():
                            final_time=0.01, dt_init=1e-3)
     assert report["distances"] == []
     assert report["monotone_observed"] is None
+
+
+def test_eta_sweep_rejects_an_empty_list():
+    grid, species, source = _sweep_inputs()
+    with pytest.raises(ConfigError, match="non-empty list"):
+        run_eta_sweep(grid, np.eye(2), species, source, 4.0, [], final_time=0.01, dt_init=1e-3)
 
 
 def test_eta_sweep_decreasing_values_reports_distances():
