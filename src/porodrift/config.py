@@ -34,7 +34,7 @@ from .geometry import (
     validate_compatibility,
 )
 from .micro import ScalingSpec, SpeciesSpec
-from .verification import MMS_SOLVERS, balanced_charges, check_mms_request
+from .verification import MMS_SOLVERS, balanced_charges, check_m_values, check_mms_request
 
 
 _KIND_NAMES = {str: "a string", dict: "an object", list: "a list"}
@@ -357,11 +357,8 @@ def parse_and_validate(source) -> RunConfig:
     dump_correctors = _optional(cell_sec, "dump_correctors", False, bool, "cell")
 
     conv = _section(raw, "convergence")
-    conv_m_values = [_at_least(value, 1, "convergence.m_values") for value in
-                     _nonempty_list(conv, "m_values", [4, 8, 16], int, "convergence")]
-    if any(m2 <= m1 for m1, m2 in zip(conv_m_values, conv_m_values[1:])):
-        raise ConfigError("convergence.m_values must be strictly increasing "
-                          "(eps strictly decreasing)")
+    conv_m_values = _list(conv, "m_values", [4, 8, 16], int, "convergence")
+    check_m_values(conv_m_values)
     conv_final_time = _at_least(_optional(conv, "T", 0.05, float, "convergence"), 0,
                                 "convergence.T")
     conv_dt_init = _positive(_optional(conv, "dt_init", 5e-4, float, "convergence"),

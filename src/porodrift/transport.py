@@ -24,7 +24,7 @@ LU of the coarse operator of a ``linalg.TwoLevel`` preconditioner, whose
 aggregates are blocks of ``AGGREGATE_WIDTH`` grid cells per axis, and S is
 solved by CG to the true relative residual ``CG_TOL``.  That CG starts from
 each species' concentration extrapolated linearly from the last two
-accepted states, which the run loop passes to ``step``; on the 128^2 macro
+accepted states, which ``step`` builds for every solve; on the 128^2 macro
 grid of the convergence study this cuts the iterations per solve from 14.8
 to 11.3.  A restart, when the true residual misses ``CG_TOL``, reuses the
 solve's coarse LU, so the one factorization per solve stays.  Measured
@@ -33,16 +33,22 @@ up to 1,664 black cells and the two-level solve from 6,656 on, where 3
 cells per axis was the fastest aggregate width of 2, 3, 4, 6 and 8.
 ``SolveCounts`` records what the solves of one simulation did.
 
-The potential is factored once per simulation (``poisson_solver``).  A
-Poisson tensor without cross terms gives a two-point operator, factored on
-the same reduced system with its own coefficients; a full tensor keeps the
-pinned partial-pivot LU of ``poisson_matrix``.
+The potential is factored once per simulation, when it is built
+(``poisson_solver``).  A Poisson tensor without cross terms gives a
+two-point operator, factored on the same reduced system with its own
+coefficients; a full tensor keeps the pinned partial-pivot LU of
+``poisson_matrix``.
+
+The run loop measures each accepted state once (``_Stats``); the output rows
+read those measurements, the summary reduces all of them, and snapshots are
+the accepted states themselves.
 """
 
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
 from functools import reduce
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sparse
@@ -212,8 +218,17 @@ class SimState:
     conc: np.ndarray
     phi: np.ndarray
 
-    def copy(self):
-        return SimState(t=self.t, conc=self.conc.copy(), phi=self.phi.copy())
+
+class _Stats(NamedTuple):
+    """What the run loop measures of one accepted state, once."""
+
+    masses: np.ndarray    # per species, sum c_i times the cell volume
+    mins: list            # per species
+    maxs: list            # per species
+    compat: float         # compatibility residual
+    energy: float
+    pnorm: float          # eta/(p-1) max_i ||c_i||_p^p, bounded by the initial energy
+    dt: float             # the step that reached the state; 0.0 for the initial state
 
 
 @dataclass
@@ -233,8 +248,8 @@ class SolveCounts:
 class RunResult:
     """Trajectory handle: final state, per-output diagnostics, step summary.
 
-    ``solves`` holds the simulation's ``SolveCounts`` as a dict; it goes to
-    the manifest, not to the summary.
+    ``snapshots`` maps times to the accepted states themselves; ``solves``,
+    the simulation's ``SolveCounts`` as a dict, goes to the manifest.
     """
 
     state: SimState
@@ -268,7 +283,7 @@ class TransportSim:
         self.eta = float(eta)
         self.p = float(p)
         transport_tensor = _checked_tensor(transport_tensor, grid.dim)
-        self._poisson_tensor = _checked_tensor(poisson_tensor, grid.dim)
+        poisson_tensor = _checked_tensor(poisson_tensor, grid.dim)
         self.drift_scale = float(drift_scale)
         self.poisson_tol = float(poisson_tol)
         self.energy_prefactor = float(energy_prefactor)
@@ -283,7 +298,7 @@ class TransportSim:
                            if self._reduced.matrix.shape[0] > TWO_LEVEL_MIN_BLACK else None)
         self.solves = SolveCounts(
             coarse_size=0 if self._two_level is None else self._two_level.coarse.shape[0])
-        self._poisson = None
+        self._poisson = poisson_solver(grid, poisson_tensor, self._reduced)
         self._charges = np.array([s.charge for s in self.species], dtype=float)
         self._diffusivities = np.array([s.diffusivity for s in self.species], dtype=float)
 
@@ -308,8 +323,6 @@ class TransportSim:
                 f"1e-10 relative to charge scale {scale:.3e}",
                 residual=residual,
             )
-        if self._poisson is None:
-            self._poisson = poisson_solver(self.grid, self._poisson_tensor, self._reduced)
         return self._poisson.solve(rhs, tol=self.poisson_tol)
 
     # -- face kernels ----------------------------------------------------------
@@ -412,27 +425,23 @@ class TransportSim:
         """One IMEX step of size dt; raises on dt rejection.
 
         ``previous`` is the accepted state before ``state`` (None on the first
-        step).  On the two-level side each species' CG starts from the linear
-        extrapolation ``c^n + (dt / dt_prev)(c^n - c^{n-1})`` of the two, or
-        from ``c^n`` without ``previous``.
+        step).  Each species' solve gets the linear extrapolation
+        ``c^n + (dt / dt_prev)(c^n - c^{n-1})`` of the two, or ``c^n`` without
+        ``previous``, as its guess; only the two-level CG starts from it.
 
         Nonnegativity guard: a result dipping below -1e-12 raises an internal
         rejection that the run loop converts into dt halving.
         """
         grid = self.grid
         conc = state.conc
-        n_species = conc.shape[0]
         t_new = state.t + dt
 
-        grad_phi = self._normal_gradient_faces(state.phi)
-        drift = self._drift_fluxes(conc, grad_phi)
-        src = None
-        if source is not None:
-            src = np.asarray(source(t_new, grid.centers), dtype=float)
+        drift = self._drift_fluxes(conc, self._normal_gradient_faces(state.phi))
+        src = None if source is None else np.asarray(source(t_new, grid.centers), dtype=float)
 
         new_conc = np.empty_like(conc)
         c_safe = np.maximum(conc, 0.0)
-        for i in range(n_species):
+        for i in range(conc.shape[0]):
             d_i = self._diffusivities[i]
             src_i = None if src is None else src[i]
             flux = np.zeros(grid.face_lo.size)
@@ -444,12 +453,8 @@ class TransportSim:
             face_h = h_p_prime(0.5 * (c_safe[i][grid.face_lo] + c_safe[i][grid.face_hi]),
                                self.eta, self.p)
             # built per species, so that one guess at a time is held
-            if self._two_level is None:
-                guess = None
-            elif previous is None:
-                guess = conc[i]
-            else:
-                guess = conc[i] + dt / (state.t - previous.t) * (conc[i] - previous.conc[i])
+            guess = (conc[i] if previous is None else
+                     conc[i] + dt / (state.t - previous.t) * (conc[i] - previous.conc[i]))
             c_star = self._implicit_solve(conc[i], d_i, face_h, dt, self._rate(flux, src_i),
                                           guess)
             flux += (-d_i * self._face_diag * face_h
@@ -464,31 +469,32 @@ class TransportSim:
     # -- initialization and the run loop -------------------------------------------
 
     def initial_state(self) -> SimState:
-        conc = np.stack([
-            np.asarray(s.initial_profile(self.grid.centers), dtype=float)
-            for s in self.species
-        ])
+        conc = np.stack([np.asarray(s.initial_profile(self.grid.centers), dtype=float)
+                         for s in self.species])
         if float(np.min(conc)) < 0.0:
             raise ConfigError(f"initial concentrations must be nonnegative "
                               f"(min {float(np.min(conc)):.3e})")
-        phi = self.solve_poisson(conc)
-        return SimState(t=0.0, conc=conc, phi=phi)
+        return SimState(t=0.0, conc=conc, phi=self.solve_poisson(conc))
 
-    def _energy(self, state) -> float:
-        return energy_value(self.grid, state.conc, state.phi, self.eta, self.p,
-                            self.energy_prefactor)
+    def _statistics(self, state, dt) -> _Stats:
+        """``state``'s masses, extrema, residual, energy and p-norm term; ``dt`` reached it."""
+        grid, conc = self.grid, state.conc
+        return _Stats(
+            masses=np.array([np.sum(c) for c in conc]) * grid.cell_volume,
+            mins=[float(np.min(c)) for c in conc], maxs=[float(np.max(c)) for c in conc],
+            compat=self.compat_residual(conc),
+            energy=energy_value(grid, conc, state.phi, self.eta, self.p, self.energy_prefactor),
+            pnorm=(max(lp_norm_pth_power(grid, c, self.p) for c in conc)
+                   * self.eta / (self.p - 1.0)),
+            dt=dt)
 
-    def _record_row(self, record, state, dt, energy):
-        """One diagnostics row of ``state``; ``energy`` is its energy, computed once."""
+    def _record_row(self, record, state, stats):
+        """One diagnostics row of ``state``, read from its measurements ``stats``."""
         grid = self.grid
-        masses = [float(np.sum(c)) * grid.cell_volume for c in state.conc]
-        mins = [float(np.min(c)) for c in state.conc]
-        maxs = [float(np.max(c)) for c in state.conc]
         grad_phi = self.grad_scale * face_gradient_l2(grid, state.phi)
         grad_c = [face_gradient_l2(grid, c) for c in state.conc]
-        record.add_row(state.t, masses, energy, mins, maxs,
-                       float(np.mean(state.phi)), self.compat_residual(state.conc),
-                       grad_phi, grad_c, dt)
+        record.add_row(state.t, stats.masses, stats.energy, stats.mins, stats.maxs,
+                       float(np.mean(state.phi)), stats.compat, grad_phi, grad_c, stats.dt)
 
     def run(self, final_time, dt_init, cfl_fraction=0.5, output_interval=None,
             snapshot_times=(), source=None) -> RunResult:
@@ -502,110 +508,79 @@ class TransportSim:
             raise ValueError("final_time must be >= 0")
         if dt_init <= 0:
             raise ValueError("dt_init must be positive")
-        events = {float(final_time)}
+        times = [(float(final_time), False)]
         if output_interval:
             count = int(np.floor(final_time / output_interval + 1e-9))
-            events.update(float((k + 1) * output_interval) for k in range(count))
-        snap_set = []
-        for t_snap in snapshot_times:
-            t_snap = float(t_snap)
+            times += [(float((k + 1) * output_interval), False) for k in range(count)]
+        for t_snap in map(float, snapshot_times):
             if t_snap < -1e-12 or t_snap > final_time + 1e-12:
                 raise ValueError(f"snapshot time {t_snap} outside [0, T]")
-            events.add(t_snap)
-            snap_set.append(t_snap)
+            times.append((t_snap, True))
+        # [t, snapshot?] of t = 0 and each output time; a time near the last event joins it
         merge_tol = 1e-9 * max(1.0, final_time)
-        event_list = []
-        for event in sorted(events):
-            if event <= merge_tol:
-                continue
-            if not event_list or event - event_list[-1] > merge_tol:
-                event_list.append(event)
+        events = [[0.0, False]]
+        for t, snapshot in sorted(times):
+            if t - events[-1][0] <= merge_tol:
+                events[-1][1] |= snapshot
+            else:
+                events.append([t, snapshot])
 
         state = self.initial_state()
-        energy = energy_0 = self._energy(state)
+        stats = [self._statistics(state, 0.0)]
         record = DiagnosticsRecord(species_names=tuple(s.name for s in self.species))
-        self._record_row(record, state, 0.0, energy)
-        snapshots = {}
-        if any(abs(t_snap) <= merge_tol for t_snap in snap_set):
-            snapshots[0.0] = state.copy()
-
-        initial_masses = np.array([np.sum(c) for c in state.conc]) * self.grid.cell_volume
-        mass_scale = np.maximum(np.abs(initial_masses), 1e-300)
-
-        def entropy_pnorm(conc):
-            # eta/(p-1) max_i ||c_i||_p^p, the p-norm term bounded by the initial energy
-            return (max(lp_norm_pth_power(self.grid, c, self.p) for c in conc)
-                    * self.eta / (self.p - 1.0))
-
-        summary = {
-            "min_c": float(np.min(state.conc)),
-            "max_c": float(np.max(state.conc)),
-            "initial_max_c": float(np.max(state.conc)),
-            "max_mass_drift_rel": 0.0,
-            "max_step_mass_drift_rel": 0.0,
-            "max_compat_residual": abs(record.column("compat_residual")[0]),
-            "max_energy_increase_rel": 0.0,
-            "energy_initial": energy_0,
-            "max_entropy_pnorm": entropy_pnorm(state.conc),
-            "steps": 0,
-            "rejections": 0,
-            "dt_min_used": np.inf,
-            "dt_max_used": 0.0,
-            "source_active": source is not None,
-        }
-
-        prev_masses = initial_masses.copy()
-        last_dt = 0.0
+        self._record_row(record, state, stats[0])
+        snapshots = {0.0: state} if events[0][1] else {}
+        rejections = 0
         previous = None
         time_tol = 1e-12 * max(1.0, final_time)
-        for t_event in event_list:
+        for t_event, snapshot in events[1:]:
             while state.t < t_event - time_tol:
-                dt_policy = min(dt_init, cfl_fraction * self.dt_limit(state))
-                dt = min(dt_policy, t_event - state.t)
+                dt = min(dt_init, cfl_fraction * self.dt_limit(state), t_event - state.t)
                 while True:
                     try:
                         new_state = self.step(state, dt, source=source, previous=previous)
                         break
                     except _StepRejected:
                         dt *= 0.5
-                        summary["rejections"] += 1
+                        rejections += 1
                         if dt < DT_FLOOR:
-                            raise TimeStepError(
-                                f"time step fell below {DT_FLOOR:g} at t = {state.t:.6g} "
-                                "without restoring nonnegativity"
-                            )
-                if self._two_level is not None:
-                    previous = state      # the next step's CG extrapolates from it
-                state = new_state
-                if abs(state.t - t_event) <= time_tol:
-                    state.t = t_event
-                last_dt = dt
-                summary["steps"] += 1
-                summary["dt_min_used"] = min(summary["dt_min_used"], dt)
-                summary["dt_max_used"] = max(summary["dt_max_used"], dt)
-                summary["min_c"] = min(summary["min_c"], float(np.min(state.conc)))
-                summary["max_c"] = max(summary["max_c"], float(np.max(state.conc)))
-                summary["max_entropy_pnorm"] = max(summary["max_entropy_pnorm"],
-                                                   entropy_pnorm(state.conc))
-                masses = np.array([np.sum(c) for c in state.conc]) * self.grid.cell_volume
-                if source is None:
-                    drift = float(np.max(np.abs(masses - initial_masses) / mass_scale))
-                    step_drift = float(np.max(np.abs(masses - prev_masses) / mass_scale))
-                    summary["max_mass_drift_rel"] = max(summary["max_mass_drift_rel"], drift)
-                    summary["max_step_mass_drift_rel"] = max(
-                        summary["max_step_mass_drift_rel"], step_drift)
-                prev_masses = masses
-                summary["max_compat_residual"] = max(
-                    summary["max_compat_residual"], abs(self.compat_residual(state.conc)))
-                energy_prev, energy = energy, self._energy(state)
-                if energy_0 > 0:
-                    summary["max_energy_increase_rel"] = max(
-                        summary["max_energy_increase_rel"], (energy - energy_prev) / energy_0)
-            self._record_row(record, state, last_dt, energy)
-            if any(abs(t_event - ts) <= merge_tol for ts in snap_set):
-                snapshots[t_event] = state.copy()
+                            raise TimeStepError(f"time step fell below {DT_FLOOR:g} at t = "
+                                                f"{state.t:.6g} without restoring nonnegativity")
+                if abs(new_state.t - t_event) <= time_tol:
+                    new_state.t = t_event
+                previous, state = state, new_state
+                stats.append(self._statistics(state, dt))
+            self._record_row(record, state, stats[-1])
+            if snapshot:
+                snapshots[t_event] = state
 
-        if summary["steps"] == 0:
-            summary["dt_min_used"] = 0.0
-        return RunResult(state=state, record=record, summary=summary, snapshots=snapshots,
-                         solves=asdict(self.solves))
+        return RunResult(state=state, record=record,
+                         summary=_summary(stats, rejections, source is not None),
+                         snapshots=snapshots, solves=asdict(self.solves))
+
+
+def _summary(stats, rejections, source_active) -> dict:
+    """The run's summary: a reduction of every accepted state's ``_Stats``, initial first."""
+    first, steps = stats[0], stats[1:]
+    mass_scale = np.maximum(np.abs(first.masses), 1e-300)
+    drifted = [] if source_active else list(zip(stats, steps))
+    drifts = [float(np.max(np.abs(b.masses - first.masses) / mass_scale)) for _, b in drifted]
+    step_drifts = [float(np.max(np.abs(b.masses - a.masses) / mass_scale)) for a, b in drifted]
+    increases = ([(b.energy - a.energy) / first.energy for a, b in zip(stats, steps)]
+                 if first.energy > 0 else [])
+    return {
+        "min_c": min(min(s.mins) for s in stats),
+        "max_c": max(max(s.maxs) for s in stats),
+        "initial_max_c": max(first.maxs),
+        "max_mass_drift_rel": max([0.0] + drifts),
+        "max_step_mass_drift_rel": max([0.0] + step_drifts),
+        "max_compat_residual": max(abs(s.compat) for s in stats),
+        "max_energy_increase_rel": max([0.0] + increases),
+        "energy_initial": first.energy,
+        "max_entropy_pnorm": max(s.pnorm for s in stats),
+        "steps": len(steps),
+        "rejections": rejections,
+        "dt_min_used": min((s.dt for s in steps), default=0.0),
+        "dt_max_used": max((s.dt for s in steps), default=0.0),
+        "source_active": source_active,
+    }

@@ -127,6 +127,18 @@ class ConvergenceReport:
         return payload
 
 
+def check_m_values(m_values) -> None:
+    """Raise ConfigError unless ``m_values`` is a non-empty, strictly increasing list of m >= 1."""
+    if not m_values:
+        raise ConfigError("convergence.m_values must be a non-empty list")
+    for m in m_values:
+        if m < 1:
+            raise ConfigError(f"convergence.m_values must be >= 1, got {m}")
+    if any(m2 <= m1 for m1, m2 in zip(m_values, m_values[1:])):
+        raise ConfigError("convergence.m_values must be strictly increasing "
+                          "(eps strictly decreasing)")
+
+
 def run_convergence_study(cell: MaskedGrid, species, xi1, xi2, alpha, beta, eta, p,
                           m_values, final_time, dt_init, cfl_fraction=0.5,
                           macro_resolution=None, auto_balance=True,
@@ -137,8 +149,7 @@ def run_convergence_study(cell: MaskedGrid, species, xi1, xi2, alpha, beta, eta,
     decoupled (drift-free transport) when alpha < beta.
     """
     m_values = [int(m) for m in m_values]
-    if any(m2 <= m1 for m1, m2 in zip(m_values, m_values[1:])):
-        raise ConfigError("m_values must be strictly increasing (eps strictly decreasing)")
+    check_m_values(m_values)
     mode = limit_mode(alpha, beta)
     if macro_resolution is None:
         macro_resolution = cell.r * max(m_values)

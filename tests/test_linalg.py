@@ -280,6 +280,21 @@ def test_warm_and_cold_two_level_solves_agree(disk_cell_8):
     assert 0 < sim.solves.cg_iterations - cold_iterations < cold_iterations
 
 
+def test_direct_side_ignores_the_guess(disk_cell_8):
+    # below TWO_LEVEL_MIN_BLACK the reduced system is factorized itself: no CG starts
+    # from the guess, so a solve with one is the solve without
+    grid = build_masked_grid(disk_cell_8, 2)
+    sim = MicroSimulation(grid, make_scaling(grid.eps), [SpeciesSpec("s", 1.0, 0, smooth_c0)],
+                          zero_charges(grid))
+    assert sim.solves.coarse_size == 0
+    rng = np.random.default_rng(5)
+    args = (rng.uniform(0.5, 1.5, grid.n_fluid), 0.7, rng.uniform(0.1, 10.0, grid.face_lo.size),
+            1e-3, rng.uniform(-1.0, 1.0, grid.n_fluid))
+    with_guess = sim._implicit_solve(*args, rng.uniform(-5.0, 5.0, grid.n_fluid))
+    np.testing.assert_array_equal(with_guess, sim._implicit_solve(*args))
+    assert sim.solves.direct_solves == 2 and sim.solves.two_level_solves == 0
+
+
 def test_two_level_side_is_taken_above_the_crossover(disk_cell_8):
     species = [SpeciesSpec("s", 1.0, 0, smooth_c0)]
     solves = {}

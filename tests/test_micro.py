@@ -366,6 +366,70 @@ def test_energy_evaluated_once_per_accepted_state(monkeypatch):
     assert len(calls) == result.summary["steps"] + 1
 
 
+def _reduced_summary(record, names, source_active):
+    """The summary keys that reduce the output rows, computed from ``record``'s columns."""
+    rows = range(len(record))
+    mins = [min(record.column(f"min_{n}")[k] for n in names) for k in rows]
+    maxs = [max(record.column(f"max_{n}")[k] for n in names) for k in rows]
+    masses = [[record.column(f"mass_{n}")[k] for n in names] for k in rows]
+    scale = [max(abs(m), 1e-300) for m in masses[0]]
+    energy, dts = record.column("energy"), record.column("dt")[1:]
+    drifts, step_drifts = [0.0], [0.0]
+    if not source_active:
+        drifts += [max(abs(a - b) / s for a, b, s in zip(m, masses[0], scale))
+                   for m in masses[1:]]
+        step_drifts += [max(abs(a - b) / s for a, b, s in zip(m, before, scale))
+                        for before, m in zip(masses, masses[1:])]
+    return {
+        "min_c": min(mins),
+        "max_c": max(maxs),
+        "initial_max_c": maxs[0],
+        "max_mass_drift_rel": max(drifts),
+        "max_step_mass_drift_rel": max(step_drifts),
+        "max_compat_residual": max(abs(r) for r in record.column("compat_residual")),
+        "max_energy_increase_rel": max([0.0] + [(b - a) / energy[0]
+                                                for a, b in zip(energy, energy[1:])]),
+        "energy_initial": energy[0],
+        "steps": len(dts),
+        "dt_min_used": min(dts, default=0.0),
+        "dt_max_used": max(dts, default=0.0),
+    }
+
+
+@pytest.mark.parametrize("case", ["uncharged", "source", "zero-time"])
+def test_summary_is_a_reduction_of_the_accepted_states(case):
+    # uncharged species step by dt_init, so with output_interval = dt_init every
+    # accepted state is an output row
+    grid = hole_free_grid(8)
+    species = [SpeciesSpec("a", 1.0, 0, smooth_c0),
+               SpeciesSpec("b", 0.5, 0, lambda x: 2.0 - smooth_c0(x))]
+    final_time = 0.0 if case == "zero-time" else 0.01
+    source = None
+    if case == "source":
+        def source(t, x):
+            return np.stack([0.5 + np.cos(np.pi * x[:, 0]), np.full(x.shape[0], t)])
+    sim = _simple_sim(grid, species, T=final_time)
+    snapshot_times = (0.0,) if case == "zero-time" else (0.0, 4e-3, final_time)
+    result = sim.run(final_time, 1e-3, output_interval=1e-3, snapshot_times=snapshot_times,
+                     source=source)
+    summary, record = result.summary, result.record
+    assert len(record) == summary["steps"] + 1 == (1 if case == "zero-time" else 11)
+    expected = _reduced_summary(record, [s.name for s in species], source is not None)
+    assert {key: summary[key] for key in expected} == expected
+    assert summary["source_active"] == (source is not None)
+    if source is not None:
+        assert summary["max_mass_drift_rel"] == summary["max_step_mass_drift_rel"] == 0.0
+        assert record.column("mass_a")[-1] != record.column("mass_a")[0]
+    times = record.column("t")
+    assert sorted(result.snapshots) == list(snapshot_times)
+    for t, state in result.snapshots.items():
+        assert state.t == t
+        row = times.index(t)
+        masses = np.array([np.sum(c) for c in state.conc]) * grid.cell_volume
+        assert masses.tolist() == [record.column(f"mass_{s.name}")[row] for s in species]
+    assert result.snapshots[snapshot_times[-1]] is result.state
+
+
 def test_three_dimensional_micro_run():
     from porodrift import InclusionShape, build_cell_geometry
 

@@ -134,6 +134,22 @@ def test_convergence_study_rejects_non_increasing_m(disk_cell_8, canonical_speci
                               m_values=[4, 4], final_time=0.01, dt_init=1e-3)
 
 
+@pytest.mark.parametrize("m_values, macro_resolution, message", [
+    ([], 16, "must be a non-empty list"),
+    ([], None, "must be a non-empty list"),
+    ([0, 2], None, "must be >= 1, got 0"),
+])
+def test_convergence_study_checks_m_values_before_any_solve(monkeypatch, disk_cell_8,
+                                                            canonical_species, m_values,
+                                                            macro_resolution, message):
+    monkeypatch.setattr(verification, "compute_effective_tensor",
+                        lambda *args, **kwargs: pytest.fail("a cell problem was solved"))
+    with pytest.raises(ConfigError, match=message):
+        run_convergence_study(disk_cell_8, canonical_species, constant_xi1(0.1), zero_xi2,
+                              0.0, 0.0, 1.0, 4.0, m_values=m_values, final_time=0.01,
+                              dt_init=1e-3, macro_resolution=macro_resolution)
+
+
 def _sweep_inputs():
     grid = hole_free_grid(16)
     species = [SpeciesSpec("p", 1.0, 1, smooth_c0), SpeciesSpec("m", 0.5, -1, smooth_c0)]
