@@ -21,7 +21,8 @@ from .errors import SolverError
 from .geometry import MaskedGrid
 from .linalg import cg_solve, face_divergence, face_laplacian
 
-DEFAULT_TOL = 1e-12
+DEFAULT_TOL = 1e-12     # relative residual of the cell-problem CG (solver.cell_tol)
+RHS_SUM_TOL = 1e-12     # |sum of a right-hand side| relative to its scale: 0 up to rounding
 
 
 @dataclass
@@ -54,7 +55,7 @@ def solve_cell_problem(cell: MaskedGrid, k: int, tol: float = DEFAULT_TOL) -> Co
         raise ValueError("tol must be positive")
     rhs = _rhs_for_direction(cell, k)
     total = abs(float(np.sum(rhs)))
-    if total > 1e-12 * max(1.0, float(np.sum(np.abs(rhs)))):
+    if total > RHS_SUM_TOL * max(1.0, float(np.sum(np.abs(rhs)))):
         raise SolverError(f"cell-problem RHS is incompatible (sum {total:.3e})")
     coeff = cell.facet_area / cell.h
     matrix = face_laplacian(cell.n_fluid, cell.face_lo, cell.face_hi, coeff)

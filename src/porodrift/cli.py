@@ -3,11 +3,11 @@
 Subcommands: cell, micro, macro, converge, mms, eta-sweep.  Every run writes
 a ``manifest.json`` listing each produced file with its SHA-256; numerical
 outputs (diagnostics.csv, snapshot_*.csv, report.json) are bit-reproducible
-for identical configs.  Wall-clock timings and the transport solver counts
-(``transport_solves``: one ``transport.SolveCounts`` per simulation of a
-``micro``, ``macro``, ``converge``, ``eta-sweep`` or ``mms`` run) live only
-in the manifest, which is the one file exempt from byte-for-byte replay
-comparison.
+for identical configs.  Wall-clock timings and the solver counts of each
+simulation of a ``micro``, ``macro``, ``converge``, ``eta-sweep`` or ``mms``
+run (``transport_solves``: its ``transport.SolveCounts``; ``poisson_solves``:
+its ``linalg.PoissonCounts``) live only in the manifest, which is the one
+file exempt from byte-for-byte replay comparison.
 """
 
 from __future__ import annotations
@@ -197,7 +197,7 @@ def dispatch(subcommand: str, config, out_dir=None) -> int:
             emit("report.json", _write_json, report)
 
         if subcommand in ("micro", "macro"):
-            solves = {subcommand: result.solves}
+            solves = {subcommand: result.counts}
             emit("diagnostics.csv", result.record.to_csv)
             for t_snap, state in sorted(result.snapshots.items()):
                 columns = {f"{conc_name}_{i + 1}": c for i, c in enumerate(state.conc)}
@@ -241,7 +241,8 @@ def dispatch(subcommand: str, config, out_dir=None) -> int:
             for name in written
         ],
         "timings_seconds": timings,
-        "transport_solves": solves,
+        "transport_solves": {name: counts["transport"] for name, counts in solves.items()},
+        "poisson_solves": {name: counts["poisson"] for name, counts in solves.items()},
     }
     _write_json(run_dir / "manifest.json", manifest)
     if error_message:

@@ -33,6 +33,7 @@ from .geometry import (
     surface_charge_on_facets,
     validate_compatibility,
 )
+from .linalg import POISSON_TOL
 from .micro import ScalingSpec, SpeciesSpec
 from .verification import MMS_SOLVERS, balanced_charges, check_m_values, check_mms_request
 
@@ -326,7 +327,7 @@ def parse_and_validate(source) -> RunConfig:
     auto_balance = _optional(charge_sec, "auto_balance", False, bool, "surface_charge")
 
     solver = _section(raw, "solver")
-    poisson_tol = _optional(solver, "poisson_tol", 1e-10, float, "solver")
+    poisson_tol = _optional(solver, "poisson_tol", POISSON_TOL, float, "solver")
     cell_tol = _optional(solver, "cell_tol", DEFAULT_TOL, float, "solver")
     if poisson_tol <= 0 or cell_tol <= 0:
         raise ConfigError("solver tolerances must be positive")

@@ -25,6 +25,7 @@ import numpy as np
 
 from .errors import GeometryError
 from .geometry import FacetCharges, MaskedGrid
+from .linalg import POISSON_TOL
 from .transport import RunResult, TransportSim, gradient_matrices
 
 __all__ = [
@@ -90,7 +91,7 @@ class MacroSimulation(TransportSim):
 
     def __init__(self, grid: MaskedGrid, tensor: np.ndarray, species,
                  charges: FacetCharges, eta: float, p: float,
-                 mode: str = "coupled", poisson_tol: float = 1e-11):
+                 mode: str = "coupled", poisson_tol: float = POISSON_TOL):
         if mode not in ("coupled", "decoupled"):
             raise ValueError(f"mode must be 'coupled' or 'decoupled', got {mode!r}")
         if not grid.is_unperforated:
@@ -105,7 +106,7 @@ class MacroSimulation(TransportSim):
 def run_macro(grid: MaskedGrid, tensor: np.ndarray, species, charges: FacetCharges,
               eta: float, p: float, final_time: float, dt_init: float,
               mode: str = "coupled", cfl_fraction: float = 0.5, output_interval=None,
-              snapshot_times=(), poisson_tol: float = 1e-11) -> RunResult:
+              snapshot_times=(), poisson_tol: float = POISSON_TOL) -> RunResult:
     """Integrate the homogenized model to ``final_time``."""
     sim = MacroSimulation(grid, tensor, species, charges, eta, p, mode=mode,
                           poisson_tol=poisson_tol)

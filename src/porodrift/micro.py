@@ -17,6 +17,7 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import FacetCharges, MaskedGrid
+from .linalg import POISSON_TOL
 from .transport import RunResult, TransportSim
 
 __all__ = ["ScalingSpec", "SpeciesSpec", "MicroSimulation", "run_micro"]
@@ -74,7 +75,7 @@ class MicroSimulation(TransportSim):
     permittivity eps^alpha, mobility eps^beta, the sampled facet charges."""
 
     def __init__(self, grid: MaskedGrid, scaling: ScalingSpec, species,
-                 charges: FacetCharges, poisson_tol: float = 1e-11):
+                 charges: FacetCharges, poisson_tol: float = POISSON_TOL):
         eps, alpha, beta = scaling.epsilon, scaling.alpha, scaling.beta
         identity = np.eye(grid.dim)
         super().__init__(
@@ -87,7 +88,7 @@ class MicroSimulation(TransportSim):
 
 def run_micro(grid: MaskedGrid, scaling: ScalingSpec, species, charges: FacetCharges,
               dt_init: float, cfl_fraction: float = 0.5, output_interval=None,
-              snapshot_times=(), poisson_tol: float = 1e-11, source=None) -> RunResult:
+              snapshot_times=(), poisson_tol: float = POISSON_TOL, source=None) -> RunResult:
     """Integrate the microscopic system to scaling.final_time."""
     sim = MicroSimulation(grid, scaling, species, charges, poisson_tol=poisson_tol)
     return sim.run(scaling.final_time, dt_init, cfl_fraction=cfl_fraction,

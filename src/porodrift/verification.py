@@ -43,6 +43,7 @@ from .geometry import (
     surface_charge_on_facets,
     validate_compatibility,
 )
+from .linalg import POISSON_TOL
 from .macro import (
     build_macro_source,
     limit_mode,
@@ -142,7 +143,7 @@ def check_m_values(m_values) -> None:
 def run_convergence_study(cell: MaskedGrid, species, xi1, xi2, alpha, beta, eta, p,
                           m_values, final_time, dt_init, cfl_fraction=0.5,
                           macro_resolution=None, auto_balance=True,
-                          poisson_tol=1e-11, cell_tol=DEFAULT_TOL) -> ConvergenceReport:
+                          poisson_tol=POISSON_TOL, cell_tol=DEFAULT_TOL) -> ConvergenceReport:
     """Micro runs over eps = 1/m against one macro reference run.
 
     The macro mode follows the scaling split: coupled when alpha == beta,
@@ -168,7 +169,7 @@ def run_convergence_study(cell: MaskedGrid, species, xi1, xi2, alpha, beta, eta,
         mode=mode, cfl_fraction=cfl_fraction, poisson_tol=poisson_tol,
     )
     timings["macro"] = time.perf_counter() - t0
-    solves = {"macro": macro_result.solves}
+    solves = {"macro": macro_result.counts}
 
     names = [s.name for s in species]
     conc_errors = {name: [] for name in names}
@@ -184,7 +185,7 @@ def run_convergence_study(cell: MaskedGrid, species, xi1, xi2, alpha, beta, eta,
         result = run_micro(grid, scaling, species, charges, dt_init,
                            cfl_fraction=cfl_fraction, poisson_tol=poisson_tol)
         timings[f"micro_m{m}"] = time.perf_counter() - t0
-        solves[f"micro_m{m}"] = result.solves
+        solves[f"micro_m{m}"] = result.counts
 
         for i, name in enumerate(names):
             macro_at_micro = sample_macro_field(macro_grid, macro_result.state.conc[i],
@@ -258,7 +259,7 @@ def _order_report(solver, resolutions, errors) -> dict:
             "order": _least_squares_order([1.0 / res for res in resolutions], errors)}
 
 
-def mms_poisson_micro(resolutions, poisson_tol=1e-11) -> dict:
+def mms_poisson_micro(resolutions, poisson_tol=POISSON_TOL) -> dict:
     """phi = cos(pi x1) cos(pi x2) with matching bulk source and zero Neumann data."""
     errors = []
     for res in resolutions:
@@ -271,7 +272,7 @@ def mms_poisson_micro(resolutions, poisson_tol=1e-11) -> dict:
     return _order_report("poisson_micro", resolutions, errors)
 
 
-def mms_poisson_macro(resolutions, poisson_tol=1e-10) -> dict:
+def mms_poisson_macro(resolutions, poisson_tol=POISSON_TOL) -> dict:
     """phi = cos(pi x1) cos(2 pi x2) against MMS_TENSOR with exact flux data."""
     tensor = MMS_TENSOR
     errors = []
@@ -320,15 +321,15 @@ def _diffusion_run(grid, final_time, dt, poisson_tol, solves, key):
     result = run_micro(grid, scaling, [spec], charges, dt_init=dt, source=_diffusion_source,
                        poisson_tol=poisson_tol)
     if solves is not None:
-        solves[key] = result.solves
+        solves[key] = result.counts
     return result.state.conc[0]
 
 
-def mms_diffusion_spatial(resolutions, poisson_tol=1e-11, solves=None) -> dict:
+def mms_diffusion_spatial(resolutions, poisson_tol=POISSON_TOL, solves=None) -> dict:
     """Spatial order of the IMEX nonlinear-diffusion step; dt scales with h^2.
 
-    ``solves``, when given, receives each run's transport solve counts under
-    ``diffusion_spatial_r<resolution>``.
+    ``solves``, when given, receives each run's solve counts
+    (``RunResult.counts``) under ``diffusion_spatial_r<resolution>``.
     """
     errors = []
     for res in resolutions:
@@ -339,12 +340,12 @@ def mms_diffusion_spatial(resolutions, poisson_tol=1e-11, solves=None) -> dict:
     return _order_report("diffusion_spatial", resolutions, errors)
 
 
-def mms_diffusion_temporal(poisson_tol=1e-11, solves=None) -> dict:
+def mms_diffusion_temporal(poisson_tol=POISSON_TOL, solves=None) -> dict:
     """Temporal order on a fixed grid against a small-dt reference run.
 
     Self-referencing cancels the common spatial error, exposing the O(dt)
     splitting error of the IMEX scheme.  ``solves``, when given, receives
-    each run's transport solve counts under ``diffusion_temporal_dt<dt>``.
+    each run's solve counts under ``diffusion_temporal_dt<dt>``.
     """
     grid = _hole_free_grid(MMS_TEMPORAL_RESOLUTION)
     final = {dt: _diffusion_run(grid, MMS_TEMPORAL_T, dt, poisson_tol, solves,
@@ -373,12 +374,12 @@ def check_mms_request(solvers, resolutions) -> None:
 
 
 def run_mms_verification(solvers=MMS_SOLVERS, resolutions=(32, 64, 128),
-                         poisson_tol=1e-10, solves=None) -> dict:
+                         poisson_tol=POISSON_TOL, solves=None) -> dict:
     """Run the requested manufactured-solution studies and grade the orders.
 
     Every Poisson solve of the studies, the diffusion runs' included, meets
-    ``poisson_tol``.  ``solves``, when given, receives the transport solve
-    counts of every diffusion run, keyed by study and run.
+    ``poisson_tol``.  ``solves``, when given, receives the solve counts of
+    every diffusion run, keyed by study and run.
     """
     check_mms_request(solvers, resolutions)
     reports = []
@@ -401,13 +402,13 @@ def run_mms_verification(solvers=MMS_SOLVERS, resolutions=(32, 64, 128),
 
 
 def run_eta_sweep(grid, tensor, species, charges: FacetCharges, p, eta_values,
-                  final_time, dt_init, cfl_fraction=0.5, poisson_tol=1e-11,
+                  final_time, dt_init, cfl_fraction=0.5, poisson_tol=POISSON_TOL,
                   solves=None) -> dict:
     """Coupled macro runs for a decreasing list of eta; reports successive distances.
 
     Exploratory: distances are logged, monotonicity is reported but nothing is
     asserted (the vanishing-regularization limit is outside the verified scope).
-    ``solves``, when given, receives each run's transport solve counts under
+    ``solves``, when given, receives each run's solve counts under
     ``eta_<value>``.
     """
     eta_values = [float(v) for v in eta_values]
@@ -419,7 +420,7 @@ def run_eta_sweep(grid, tensor, species, charges: FacetCharges, p, eta_values,
                            mode="coupled", cfl_fraction=cfl_fraction,
                            poisson_tol=poisson_tol)
         if solves is not None:
-            solves[f"eta_{eta}"] = result.solves
+            solves[f"eta_{eta}"] = result.counts
         finals.append(result.state)
     distances = []
     for a, b in zip(finals, finals[1:]):

@@ -237,6 +237,27 @@ def test_manifest_records_the_transport_solves(tmp_path):
     assert "solves" not in (tmp_path / "converge" / "report.json").read_text()
 
 
+def test_manifest_records_the_poisson_solves(tmp_path):
+    config = parse_and_validate(canonical_config(tmp_path / "micro"))
+    assert dispatch("micro", config, out_dir=tmp_path / "micro") == 0
+    summary = json.loads((tmp_path / "micro" / "report.json").read_text())["summary"]
+    poisson = _manifest(tmp_path / "micro")["poisson_solves"]
+    assert list(poisson) == ["micro"]
+    # one solve for the initial state and one per accepted step, none refined
+    assert poisson["micro"]["solves"] == summary["steps"] + 1
+    assert poisson["micro"]["refinements"] == 0
+    assert 0.0 < poisson["micro"]["max_residual"] <= config.poisson_tol
+
+    cfg = canonical_config(tmp_path / "converge")
+    cfg["convergence"] = {"m_values": [2, 4], "T": 0.004, "dt_init": 1e-3,
+                          "macro_resolution": 32}
+    assert dispatch("converge", parse_and_validate(cfg), out_dir=tmp_path / "converge") == 0
+    manifest = _manifest(tmp_path / "converge")
+    assert sorted(manifest["poisson_solves"]) == sorted(manifest["transport_solves"])
+    # four steps, no rejection at this dt
+    assert all(counts["solves"] == 5 for counts in manifest["poisson_solves"].values())
+
+
 def test_manifest_records_the_solves_of_eta_sweep_and_mms(tmp_path):
     cfg = canonical_config(tmp_path / "eta", T=0.01)
     cfg["eta_sweep"] = {"values": [0.5, 0.25], "T": 0.004, "dt_init": 1e-3}

@@ -91,6 +91,20 @@ def test_zero_mean_direct_matches_dense_reference(disk_cell_8, case):
     assert abs(phi.mean()) <= 1e-14
 
 
+def test_poisson_counts_record_solves_refinements_and_residual():
+    grid = hole_free_grid(16)
+    direct = poisson_solver(grid, np.eye(2))
+    rhs = (smooth_c0(grid.centers) - 1.0) * grid.cell_volume
+    direct.solve(rhs)
+    direct.solve(np.zeros(grid.n_fluid))
+    assert direct.counts.solves == 2 and direct.counts.refinements == 0
+    assert 0.0 < direct.counts.max_residual <= linalg.POISSON_TOL
+    # a residual no solve reaches: every correction is counted before the failure
+    with pytest.raises(SolverError):
+        direct.solve(rhs, tol=1e-300)
+    assert direct.counts.solves == 3 and direct.counts.refinements == linalg.MAX_REFINEMENTS
+
+
 @pytest.mark.parametrize("dim", [2, 3])
 def test_two_point_poisson_lu_fills_less_than_the_full_pinned_lu(dim):
     grid = _perforated_grid(dim)
@@ -228,7 +242,7 @@ def test_cg_raises_when_the_restart_misses_tol_too(monkeypatch):
     assert failure.value.residual > 1e-12
 
 
-def _check_implicit_solve(grid, species):
+def _check_implicit_solve(grid, species, bound=1e-12):
     sim = MicroSimulation(grid, make_scaling(grid.eps), species, zero_charges(grid))
     rng = np.random.default_rng(11)
     c = rng.uniform(0.5, 1.5, grid.n_fluid)
@@ -240,7 +254,7 @@ def _check_implicit_solve(grid, species):
     # micro transport tensor is the identity
     matrix = _transport_matrix(grid, diffusivity * face_h / grid.h ** 2, dt)
     reference = spsolve(matrix, c / dt + rhs_extra)
-    assert np.max(np.abs(solution - reference)) <= 1e-12 * np.max(np.abs(reference))
+    assert np.max(np.abs(solution - reference)) <= bound * np.max(np.abs(reference))
     return sim
 
 
@@ -254,6 +268,8 @@ def test_implicit_solve_matches_spsolve_3d():
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_two_level_implicit_solve_matches_spsolve(monkeypatch, dim):
+    # the two-level machinery at a tight tolerance, so that the bound is the direct side's
+    monkeypatch.setattr(transport, "CG_TOL", 1e-13)
     if dim == 2:
         # 6,656 black cells: above the crossover as it stands
         grid = _perforated_grid(2, m=16)
@@ -265,8 +281,19 @@ def test_two_level_implicit_solve_matches_spsolve(monkeypatch, dim):
     assert 0 < sim.solves.max_cg_residual <= transport.CG_TOL
 
 
-def test_warm_and_cold_two_level_solves_agree(disk_cell_8):
-    # the first step of the m = 16 grid, above the crossover: the warm start from c^n
+def test_two_level_implicit_solve_meets_its_tolerance():
+    # at the default CG_TOL: the shift I/dt bounds the inverse of the reduced matrix by dt,
+    # so a true residual CG_TOL moves the solution by a few CG_TOL relative, not more
+    sim = _check_implicit_solve(_perforated_grid(2, m=16), [SpeciesSpec("s", 1.0, 0, smooth_c0)],
+                                bound=10 * transport.CG_TOL)
+    assert sim.solves.two_level_solves == 1
+    assert 0 < sim.solves.max_cg_residual <= transport.CG_TOL
+
+
+def test_warm_and_cold_two_level_solves_agree(disk_cell_8, monkeypatch):
+    # the first step of the m = 16 grid, above the crossover: the warm start from c^n,
+    # both solved at a tight tolerance, so that they agree to rounding
+    monkeypatch.setattr(transport, "CG_TOL", 1e-13)
     grid = build_masked_grid(disk_cell_8, 16)
     sim = MicroSimulation(grid, make_scaling(grid.eps), [SpeciesSpec("s", 1.0, 0, smooth_c0)],
                           zero_charges(grid))

@@ -234,6 +234,50 @@ def test_symmetric_species_stay_identical_on_the_two_level_side(monkeypatch):
     assert result.solves["direct_solves"] == 0 and result.solves["two_level_solves"] > 0
 
 
+# The tolerance rule (README, "Tolerances"): a solver moves an output by at most 1e-3 of
+# the smallest error of the converge budget (the macro reference's, 0.5 % of the finest
+# eps error) and a gated quantity by at most 1e-2 of its acceptance gate.
+BUDGET_SHARE = 1e-3 * 5e-3
+GATES = {"max_mass_drift_rel": 1e-9, "max_step_mass_drift_rel": 1e-9,
+         "max_compat_residual": 1e-10, "max_energy_increase_rel": 1e-8}
+
+
+def test_transport_cg_tolerance_meets_the_tolerance_rule(disk_cell_8, canonical_species,
+                                                         monkeypatch):
+    # 6,656 black cells: every solve takes the two-level CG
+    grid = build_masked_grid(disk_cell_8, 16)
+    charges, _ = balance_outer_charges(
+        grid, canonical_species, surface_charge_on_facets(grid, constant_xi1(0.2), zero_xi2))
+    scaling = make_scaling(grid.eps, T=2e-3)
+
+    def run():
+        return run_micro(grid, scaling, canonical_species, charges, dt_init=5e-4,
+                         output_interval=5e-4)
+
+    default = run()
+    monkeypatch.setattr(transport, "CG_TOL", 1e-13)
+    tight = run()
+    assert default.solves["direct_solves"] == 0 and default.solves["two_level_solves"] == 8
+    for key, value in tight.summary.items():
+        if key in GATES:
+            assert abs(default.summary[key] - value) <= 1e-2 * GATES[key]
+            assert default.summary[key] <= GATES[key]
+        else:
+            assert abs(default.summary[key] - value) <= BUDGET_SHARE * abs(value), key
+    assert default.summary["min_c"] >= -1e-12
+    # every output row; the mean potential and the residual are zero up to rounding
+    header = tight.record.header()
+    rows, reference = np.array(default.record.rows), np.array(tight.record.rows)
+    for i, name in enumerate(header):
+        bound = (1e-2 * GATES["max_compat_residual"] if name in ("mean_phi", "compat_residual")
+                 else BUDGET_SHARE * np.abs(reference[:, i]))
+        assert np.all(np.abs(rows[:, i] - reference[:, i]) <= bound), name
+    # each step's energy change, which the energy gate reads
+    energy = header.index("energy")
+    moves = np.abs(np.diff(rows[:, energy]) - np.diff(reference[:, energy]))
+    assert np.max(moves) <= 1e-2 * GATES["max_energy_increase_rel"] * reference[0, energy]
+
+
 def test_zero_time_run_echoes_initial_state():
     grid = hole_free_grid(8)
     species = [SpeciesSpec("s", 1.0, 0, smooth_c0)]
