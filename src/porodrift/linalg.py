@@ -5,12 +5,13 @@ compatible right-hand sides.  ``ZeroMeanDirect`` pins one unknown to 0,
 factorizes the nonsingular rest once and mean-projects each solution: the
 Poisson problem is re-solved every transport step with a constant operator,
 so the factorization pays off.  ``cg_solve`` is the one CG helper: SciPy's
-``cg`` with an optional preconditioner, mean-projected for a singular
-operator that is solved only once, such as a periodic cell problem, and
-preconditioned by ``TwoLevel`` for the large transport systems.  It starts
-from an optional guess by solving for the correction from 0, and it accepts
-a result only on its true residual: CG restarts once when that misses the
-target which SciPy's recursively updated residual met.
+CG recurrence, run here with its operations in its order, so that the
+iterates are bitwise SciPy's.  It is mean-projected for a singular operator
+that is solved only once, such as a periodic cell problem, and
+preconditioned by ``TwoLevel`` for the transport systems.  It starts from
+an optional guess by solving for the correction from 0, and it accepts a
+result only on its true residual: CG restarts once when that misses the
+target which the recursively updated residual met.
 
 The implicit transport matrices ``face_laplacian + I/dt`` change every step
 but keep their sparsity pattern, and every face joins two cells of opposite
@@ -19,18 +20,18 @@ exactly (its block is diagonal) and keeps the Schur complement on the other
 class: an SPD M-matrix on half the cells with a 9-point (2-D) or 19-point
 (3-D) stencil.  It computes the complement's pattern and its symmetric
 fill-reducing ordering once and refills a CSC matrix laid out in that order
-in place.  The caller either factorizes it with the ``NATURAL`` column order
-(``SUPERLU_NATURAL``) or solves it by CG with a ``TwoLevel`` preconditioner,
+in place.  The transport solves it by CG with a ``TwoLevel`` preconditioner,
 whose coarse Galerkin operator is refilled the same way, in its own cached
-order, and factorized with the same options: either way a transport solve
-makes one factorization.  Each fill returns the operator's own ``Elimination``
-blocks, so one system serves the transport matrices of every step and the
-two-point Poisson operator (shift 0, pinned at its last black cell).  On
-the 52k-cell ``micro_large`` grid the reduced LU holds 1.47M nonzeros,
-against 1.77M for the full system in its own order.  Every SuperLU
-factorization here, the incomplete one that computes the order included,
-uses the supernode settings ``SUPERNODES``: on one thread these systems
-factor faster without relaxed supernodes or column panels.
+order, and factorized with the ``NATURAL`` column order
+(``SUPERLU_NATURAL``), the one factorization of a transport solve.  Each
+fill returns the operator's own ``Elimination`` blocks, so one system serves
+the transport matrices of every step and the two-point Poisson operator
+(shift 0, pinned at its last black cell), whose LU uses the system's order:
+1.47M nonzeros on the 52k-cell ``micro_large`` grid, against 1.77M for the
+full system in its own order.  Every SuperLU factorization here, the
+incomplete one that computes the order included, uses the supernode
+settings ``SUPERNODES``: on one thread these systems factor faster without
+relaxed supernodes or column panels.
 
 A full-tensor Poisson operator has cross terms, so it is neither two-point
 nor symmetric.  ``ZeroMeanDirect`` factors its block ``A[1:, 1:]`` pinned
@@ -48,7 +49,7 @@ from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sparse
-from scipy.sparse.linalg import LinearOperator, cg, spilu, splu
+from scipy.sparse.linalg import spilu, splu
 
 from .errors import SolverError
 
@@ -88,49 +89,70 @@ def face_divergence(n_cells, face_lo, face_hi, flux):
     return gain - loss
 
 
-def cg_solve(matrix, rhs, tol, preconditioner=None, zero_mean=False, x0=None):
-    """Solution of the SPD system ``matrix`` by SciPy's ``cg``, started from ``x0``.
+def _cg_recurrence(matrix, b, atol, maxiter, preconditioner):
+    """SciPy's preconditioned CG from 0 until ``||r|| < atol``: its operations, in its order.
 
-    ``preconditioner`` is an SPD approximation of the inverse, applied as
-    SciPy's ``M`` (None: plain CG).  With ``zero_mean`` the matrix is
-    singular with the constants as its nullspace: the right-hand side is
+    Returns the iterate, the number of iterations and whether the norm test
+    passed within ``maxiter``.
+    """
+    x, r = np.zeros_like(b), b.copy()
+    for iteration in range(maxiter):
+        if np.linalg.norm(r) < atol:
+            return x, iteration, True
+        z = r if preconditioner is None else preconditioner(r)
+        rho = np.dot(r, z)
+        if iteration:
+            p *= rho / rho_prev
+            p += z
+        else:
+            p = z.copy()
+        q = matrix @ p
+        alpha = rho / np.dot(p, q)
+        x += alpha * p
+        r -= alpha * q
+        rho_prev = rho
+    return x, maxiter, False
+
+
+def cg_solve(matrix, rhs, tol, preconditioner=None, zero_mean=False, x0=None):
+    """Solution of the SPD system ``matrix`` by SciPy's CG recurrence, started from ``x0``.
+
+    ``preconditioner`` is a function applying an SPD approximation of the
+    inverse (None: plain CG).  With ``zero_mean`` the matrix is singular
+    with the constants as its nullspace: the right-hand side is
     mean-projected, so that CG stays orthogonal to the nullspace, and so is
     the solution.  ``x0`` is an initial guess (None: 0).  CG runs from 0 on
     the residual equation ``A d = b - A x0`` to the absolute target
     ``tol ||b||``, so its stopping test means what it means for a solve from
     0, and the solution is ``x0 + d``.
 
-    SciPy's ``cg`` stops on its recursively updated residual, so the true
-    relative residual ``||b - A x|| / ||b||`` of the result is computed and
-    compared with ``tol``: above it, CG restarts once from that iterate.
-    Returns the solution, its true relative residual, the number of
-    iterations and of restarts.  SolverError (with that residual and count)
-    is raised when ``cg`` does not reach its target within max(100, 50
-    sqrt(n)) iterations, or when the true residual is still above ``tol``
-    after the restart; a zero right-hand side takes no iteration.
+    CG stops on its recursively updated residual, so the true relative
+    residual ``||b - A x|| / ||b||`` of the result is computed and compared
+    with ``tol``: above it, CG restarts once from that iterate.  Returns the
+    solution, its true relative residual, the number of iterations and of
+    restarts.  SolverError (with that residual and count) is raised when CG
+    does not reach its target within max(100, 50 sqrt(n)) iterations, or
+    when the true residual is still above ``tol`` after the restart; a zero
+    right-hand side takes no iteration.
     """
     b = rhs - rhs.mean() if zero_mean else rhs
     b_norm = float(np.linalg.norm(b))
     if b_norm == 0.0:
         return np.zeros_like(b), 0.0, 0, 0
     iterations = 0
-
-    def count(_):
-        nonlocal iterations
-        iterations += 1
-
     values, defect = x0, (b if x0 is None else b - matrix @ x0)
     for restarts in range(2):
         if zero_mean and values is not None:
             defect = defect - defect.mean()
-        step, info = cg(matrix, defect, rtol=0.0, atol=tol * b_norm, M=preconditioner,
-                        maxiter=max(100, int(50 * np.sqrt(b.size))), callback=count)
+        step, steps, converged = _cg_recurrence(
+            matrix, defect, tol * b_norm, max(100, int(50 * np.sqrt(b.size))), preconditioner)
+        iterations += steps
         values = step if values is None else values + step
         if zero_mean:
             values = values - values.mean()
         defect = b - matrix @ values
         residual = float(np.linalg.norm(defect)) / b_norm
-        if info != 0:
+        if not converged:
             raise SolverError(f"CG stopped after {iterations} iterations at relative "
                               f"residual {residual:.3e} (tol {tol:.3e})", residual=residual,
                               iterations=iterations)
@@ -366,7 +388,7 @@ class TwoLevel:
         return self.coarse
 
     def preconditioner(self, lu):
-        """The preconditioner as a ``LinearOperator``, ``lu`` solving with ``coarse``."""
+        """The preconditioner as a function of the residual, ``lu`` solving with ``coarse``."""
         matrix, aggregate, n_coarse = self._matrix, self._aggregate, self.coarse.shape[0]
         weight = JACOBI_WEIGHT / matrix.diagonal()
 
@@ -375,7 +397,7 @@ class TwoLevel:
             x += lu.solve(np.bincount(aggregate, residual - matrix @ x, n_coarse))[aggregate]
             return x + weight * (residual - matrix @ x)
 
-        return LinearOperator(matrix.shape, matvec=apply, dtype=float)
+        return apply
 
 
 @dataclass

@@ -15,23 +15,19 @@ The implicit matrix of each species and step changes its values but not
 its pattern, and every face joins cells of opposite grid-index parity.  The
 simulation builds one ``linalg.ReducedFaceSystem`` when it is constructed:
 the cells of one parity are eliminated exactly, the Schur complement S on
-the others is refilled in place in its symmetric fill-reducing order, and
-the eliminated cells follow by back-substitution.  Every solve makes one
-SuperLU factorization with the ``NATURAL`` column order, in symmetric mode
-and with the supernode settings ``linalg.SUPERNODES``.  Up to
-``TWO_LEVEL_MIN_BLACK`` black cells that is the LU of S.  Above, it is the
-LU of the coarse operator of a ``linalg.TwoLevel`` preconditioner, whose
-aggregates are blocks of ``AGGREGATE_WIDTH`` grid cells per axis, and S is
-solved by CG to the true relative residual ``CG_TOL``.  That CG starts from
-each species' concentration extrapolated linearly from the last two
-accepted states, which ``step`` builds for every solve; on the 128^2 macro
-grid of the convergence study this cuts the iterations per solve from 11.1
-to 7.4.  A restart, when the true residual misses ``CG_TOL``, reuses the
-solve's coarse LU, so the one factorization per solve stays.  Measured
-per-solve times set both constants: on one thread the direct LU is faster
-up to 1,664 black cells and the two-level solve from 6,656 on, where 3
-cells per axis was the fastest aggregate width of 2, 3, 4, 6 and 8.
-``SolveCounts`` records what the solves of one simulation did.
+the others is refilled in place in its symmetric fill-reducing order (the
+Poisson LU uses it), and the eliminated cells follow by back-substitution.
+S is solved by CG to the true relative residual ``CG_TOL`` with a
+``linalg.TwoLevel`` preconditioner, whose aggregates are blocks of
+``AGGREGATE_WIDTH`` grid cells per axis (the fastest of 2, 3, 4, 6 and 8),
+and the solve's one SuperLU factorization is that of its coarse operator:
+``NATURAL`` column order, symmetric mode, ``linalg.SUPERNODES``.  The CG
+starts from each species' concentration extrapolated linearly from the last
+two accepted states, which ``step`` builds for every solve; on the 128^2
+macro grid of the convergence study this cuts the iterations per solve from
+11.1 to 7.4.  A restart, when the true residual misses ``CG_TOL``, reuses
+the solve's coarse LU.  ``SolveCounts`` records what the solves of one
+simulation did.
 
 ``CG_TOL`` follows the tolerance rule (README, "Tolerances"): a solver moves
 an output by at most 1e-3 of the smallest error of the convergence study's
@@ -86,7 +82,6 @@ NEG_TOLERANCE = 1e-12     # accepted round-off undershoot of concentrations
 DT_FLOOR = 1e-10          # abort threshold for the step-halving loop
 CFL_SAFETY = 0.4          # dt <= CFL_SAFETY * h / max face drift speed
 CROSS_TOL = 1e-14         # off-diagonal tensor entries up to this count as zero
-TWO_LEVEL_MIN_BLACK = 4000  # reduced systems with more black cells take two-level CG
 AGGREGATE_WIDTH = 3       # grid cells per axis of one aggregate of the two-level CG
 CG_TOL = 1e-10            # true relative residual of the two-level CG solves
 COMPAT_TOL = 1e-10        # compatibility residual, relative to the charge scale, of a state
@@ -257,13 +252,13 @@ class _Stats(NamedTuple):
 class SolveCounts:
     """What the implicit transport solves of one simulation did, rejected steps included."""
 
-    direct_solves: int = 0
-    two_level_solves: int = 0
+    solves: int = 0
     cg_iterations: int = 0
     max_cg_iterations: int = 0
     max_cg_residual: float = 0.0
     restarts: int = 0         # CG restarts after a true residual above CG_TOL
-    coarse_size: int = 0      # unknowns of the coarse operator; 0 on the direct side
+    coarse_size: int = 0      # unknowns of the coarse operator
+    rejections: int = 0       # steps the nonnegativity guard rejected
 
 
 @dataclass
@@ -323,10 +318,8 @@ class TransportSim:
         self._volumetric = np.asarray(charges.volumetric, dtype=float)
         self._boundary_rhs = charges.cell_sums(grid)
         self._reduced = reduced_face_system(grid)
-        self._two_level = (aggregated_two_level(grid, self._reduced)
-                           if self._reduced.matrix.shape[0] > TWO_LEVEL_MIN_BLACK else None)
-        self.solves = SolveCounts(
-            coarse_size=0 if self._two_level is None else self._two_level.coarse.shape[0])
+        self._two_level = aggregated_two_level(grid, self._reduced)
+        self.solves = SolveCounts(coarse_size=self._two_level.coarse.shape[0])
         self._poisson = poisson_solver(grid, poisson_tensor, self._reduced)
         self._charges = np.array([s.charge for s in self.species], dtype=float)
         self._diffusivities = np.array([s.diffusivity for s in self.species], dtype=float)
@@ -338,15 +331,7 @@ class TransportSim:
         rho = self._charges @ conc + self._volumetric
         return rho * self.grid.cell_volume + self._boundary_rhs
 
-    def compat_residual(self, conc) -> float:
-        """Discrete compatibility: total bulk charge plus total boundary charge."""
-        return float(np.sum(self._charge_rhs(conc)))
-
-    def solve_poisson(self, conc) -> np.ndarray:
-        """The zero-mean potential of ``conc``."""
-        return self._state(0.0, conc).phi
-
-    def _state(self, t, conc) -> SimState:
+    def state(self, t, conc) -> SimState:
         """The state of ``conc`` at ``t``: its potential and its guarded compatibility residual."""
         rhs = self._charge_rhs(conc)
         residual = float(np.sum(rhs))
@@ -415,43 +400,35 @@ class TransportSim:
 
         A symmetric, strictly diagonally dominant M-matrix.  One parity of
         cells is eliminated exactly, which leaves the Schur complement S on
-        the others, and each solve makes one SuperLU factorization in a
-        symmetric fill-reducing order the simulation computes once.  Up to
-        TWO_LEVEL_MIN_BLACK black cells it factorizes S itself; above, it
-        factorizes the coarse operator of the two-level preconditioner and
-        solves S by CG to the true relative residual CG_TOL, started from
-        the black cells of ``guess`` (None: from 0), which the direct side
-        ignores.
+        the others, in a symmetric fill-reducing order the simulation
+        computes once.  Each solve factorizes the coarse operator of the
+        two-level preconditioner, its one SuperLU factorization, and solves
+        S by CG to the true relative residual CG_TOL, started from the black
+        cells of ``guess`` (None: from 0).
         """
         system, two_level = self._reduced, self._two_level
         kappa = diffusivity * self._face_diag * face_h / self.grid.h ** 2
         elimination = system.assemble(kappa, 1.0 / dt)
         try:
-            lu = splu(system.matrix if two_level is None else two_level.assemble(),
-                      **SUPERLU_NATURAL)
+            lu = splu(two_level.assemble(), **SUPERLU_NATURAL)
         except RuntimeError as exc:
             raise SolverError(f"implicit transport solve failed: {exc}") from exc
         rhs = (c / dt + rhs_extra)[system.cells]
         reduced = system.reduce(rhs, elimination)
+        try:
+            # S is symmetric: its CSR view S^T multiplies faster than the CSC S
+            black, residual, iterations, restarts = cg_solve(
+                system.matrix.T, reduced, CG_TOL, preconditioner=two_level.preconditioner(lu),
+                x0=None if guess is None else guess[system.cells[:reduced.size]])
+        except SolverError as exc:
+            raise SolverError(f"implicit transport solve: {exc}", residual=exc.residual,
+                              iterations=exc.iterations) from exc
         counts = self.solves
-        if two_level is None:
-            black = lu.solve(reduced)
-            counts.direct_solves += 1
-        else:
-            x0 = None if guess is None else guess[system.cells[:reduced.size]]
-            try:
-                # S is symmetric: its CSR view S^T multiplies faster than the CSC S
-                black, residual, iterations, restarts = cg_solve(
-                    system.matrix.T, reduced, CG_TOL,
-                    preconditioner=two_level.preconditioner(lu), x0=x0)
-            except SolverError as exc:
-                raise SolverError(f"implicit transport solve: {exc}", residual=exc.residual,
-                                  iterations=exc.iterations) from exc
-            counts.two_level_solves += 1
-            counts.cg_iterations += iterations
-            counts.max_cg_iterations = max(counts.max_cg_iterations, iterations)
-            counts.max_cg_residual = max(counts.max_cg_residual, residual)
-            counts.restarts += restarts
+        counts.solves += 1
+        counts.cg_iterations += iterations
+        counts.max_cg_iterations = max(counts.max_cg_iterations, iterations)
+        counts.max_cg_residual = max(counts.max_cg_residual, residual)
+        counts.restarts += restarts
         solution = np.empty_like(c)
         solution[system.cells] = system.back_substitute(black, rhs, elimination)
         return solution
@@ -462,7 +439,7 @@ class TransportSim:
         ``previous`` is the accepted state before ``state`` (None on the first
         step).  Each species' solve gets the linear extrapolation
         ``c^n + (dt / dt_prev)(c^n - c^{n-1})`` of the two, or ``c^n`` without
-        ``previous``, as its guess; only the two-level CG starts from it.
+        ``previous``, as the start of its CG.
 
         Nonnegativity guard: a result dipping below -1e-12 raises an internal
         rejection that the run loop converts into dt halving.
@@ -499,7 +476,7 @@ class TransportSim:
         if float(np.min(new_conc)) < -NEG_TOLERANCE:
             raise _StepRejected
 
-        return self._state(t_new, new_conc)
+        return self.state(t_new, new_conc)
 
     # -- initialization and the run loop -------------------------------------------
 
@@ -509,7 +486,7 @@ class TransportSim:
         if float(np.min(conc)) < 0.0:
             raise ConfigError(f"initial concentrations must be nonnegative "
                               f"(min {float(np.min(conc)):.3e})")
-        return self._state(0.0, conc)
+        return self.state(0.0, conc)
 
     def _statistics(self, state, dt) -> _Stats:
         """``state``'s masses, extrema, residual, energy and p-norm term; ``dt`` reached it."""
@@ -588,6 +565,7 @@ class TransportSim:
             self._record_row(record, state, stats[-1])
             if snapshot:
                 snapshots[t_event] = state
+        self.solves.rejections += rejections
 
         return RunResult(state=state, record=record,
                          summary=_summary(stats, rejections, source is not None),

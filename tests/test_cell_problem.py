@@ -1,6 +1,5 @@
 import numpy as np
 import pytest
-from scipy.sparse.linalg import cg
 
 from porodrift import linalg
 from porodrift import (
@@ -59,8 +58,9 @@ def test_corrector_zero_mean_and_periodic_residual(disk_cell_64):
 
 def test_unconverged_solve_flagged(disk_cell_64, monkeypatch):
     # one CG iteration cannot reach the tolerance
-    monkeypatch.setattr(linalg, "cg",
-                        lambda *args, **kwargs: cg(*args, **{**kwargs, "maxiter": 1}))
+    recurrence = linalg._cg_recurrence
+    monkeypatch.setattr(linalg, "_cg_recurrence", lambda matrix, b, atol, maxiter, *args:
+                        recurrence(matrix, b, atol, 1, *args))
     with pytest.raises(SolverError, match="after 1 iterations") as excinfo:
         solve_cell_problem(disk_cell_64, 0, tol=1e-12)
     assert excinfo.value.residual > 1e-12

@@ -267,4 +267,4 @@ def test_one_balance_serves_both_scales(build, dim):
     bulk = np.abs(np.array([s.charge for s in species])) @ c0 + np.abs(balanced.volumetric)
     facets = np.concatenate([balanced.gamma_values, balanced.outer_values])
     scale = bulk.sum() * grid.cell_volume + np.abs(facets).sum() * grid.facet_area
-    assert abs(sim.compat_residual(c0)) <= 1e-13 * scale
+    assert abs(sim.state(0.0, c0).compat) <= 1e-13 * scale

@@ -198,23 +198,21 @@ def test_cg_from_a_guess_matches_dense_reference(disk_cell_8, zero_mean):
 
 
 def _cg_missing_its_true_residual(monkeypatch, misses):
-    """SciPy's ``cg`` whose first ``misses`` results report convergence off the solution.
+    """The CG recurrence whose first ``misses`` results report convergence off the solution.
 
     Each call appends its right-hand side and its iteration count to the returned list.
     """
     calls = []
-    real_cg = linalg.cg
+    real_recurrence = linalg._cg_recurrence
 
-    def stub(matrix, rhs, callback, **kwargs):
-        steps = []
-        values, _ = real_cg(matrix, rhs, callback=lambda x: steps.append(1) or callback(x),
-                            **kwargs)
-        calls.append((rhs, len(steps)))
+    def stub(matrix, rhs, *args):
+        values, steps, converged = real_recurrence(matrix, rhs, *args)
+        calls.append((rhs, steps))
         if len(calls) <= misses:
             values = values + 1e-6 * np.linalg.norm(rhs) / np.sqrt(rhs.size)
-        return values, 0
+        return values, steps, converged
 
-    monkeypatch.setattr(linalg, "cg", stub)
+    monkeypatch.setattr(linalg, "_cg_recurrence", stub)
     return calls
 
 
@@ -258,26 +256,25 @@ def _check_implicit_solve(grid, species, bound=1e-12):
     return sim
 
 
-def test_implicit_solve_matches_spsolve(disk_cell_8, canonical_species):
+def test_implicit_solve_matches_spsolve(disk_cell_8, canonical_species, monkeypatch):
+    # the CG at a tight tolerance, so that the bound is an LU's
+    monkeypatch.setattr(transport, "CG_TOL", 1e-13)
     _check_implicit_solve(build_masked_grid(disk_cell_8, 2), canonical_species)
 
 
-def test_implicit_solve_matches_spsolve_3d():
+def test_implicit_solve_matches_spsolve_3d(monkeypatch):
+    monkeypatch.setattr(transport, "CG_TOL", 1e-13)
     _check_implicit_solve(_perforated_grid(3), [SpeciesSpec("s", 1.0, 0, smooth_c0)])
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_two_level_implicit_solve_matches_spsolve(monkeypatch, dim):
-    # the two-level machinery at a tight tolerance, so that the bound is the direct side's
+    # the two-level machinery at a tight tolerance, so that the bound is an LU's
     monkeypatch.setattr(transport, "CG_TOL", 1e-13)
-    if dim == 2:
-        # 6,656 black cells: above the crossover as it stands
-        grid = _perforated_grid(2, m=16)
-    else:
-        grid = _perforated_grid(3)
-        monkeypatch.setattr(transport, "TWO_LEVEL_MIN_BLACK", 0)
+    # 6,656 black cells in 2-D
+    grid = _perforated_grid(2, m=16) if dim == 2 else _perforated_grid(3)
     sim = _check_implicit_solve(grid, [SpeciesSpec("s", 1.0, 0, smooth_c0)])
-    assert sim.solves.two_level_solves == 1 and sim.solves.direct_solves == 0
+    assert sim.solves.solves == 1
     assert 0 < sim.solves.max_cg_residual <= transport.CG_TOL
 
 
@@ -286,12 +283,12 @@ def test_two_level_implicit_solve_meets_its_tolerance():
     # so a true residual CG_TOL moves the solution by a few CG_TOL relative, not more
     sim = _check_implicit_solve(_perforated_grid(2, m=16), [SpeciesSpec("s", 1.0, 0, smooth_c0)],
                                 bound=10 * transport.CG_TOL)
-    assert sim.solves.two_level_solves == 1
+    assert sim.solves.solves == 1
     assert 0 < sim.solves.max_cg_residual <= transport.CG_TOL
 
 
 def test_warm_and_cold_two_level_solves_agree(disk_cell_8, monkeypatch):
-    # the first step of the m = 16 grid, above the crossover: the warm start from c^n,
+    # the first step of the m = 16 grid: the warm start from c^n,
     # both solved at a tight tolerance, so that they agree to rounding
     monkeypatch.setattr(transport, "CG_TOL", 1e-13)
     grid = build_masked_grid(disk_cell_8, 16)
@@ -302,66 +299,41 @@ def test_warm_and_cold_two_level_solves_agree(disk_cell_8, monkeypatch):
     cold = sim._implicit_solve(c, 1.0, face_h, 5e-4, np.zeros(grid.n_fluid))
     cold_iterations = sim.solves.cg_iterations
     warm = sim._implicit_solve(c, 1.0, face_h, 5e-4, np.zeros(grid.n_fluid), c)
-    assert sim.solves.two_level_solves == 2
+    assert sim.solves.solves == 2
     assert np.max(np.abs(warm - cold)) <= 1e-12 * np.max(np.abs(cold))
     assert 0 < sim.solves.cg_iterations - cold_iterations < cold_iterations
 
 
-def test_direct_side_ignores_the_guess(disk_cell_8):
-    # below TWO_LEVEL_MIN_BLACK the reduced system is factorized itself: no CG starts
-    # from the guess, so a solve with one is the solve without
-    grid = build_masked_grid(disk_cell_8, 2)
-    sim = MicroSimulation(grid, make_scaling(grid.eps), [SpeciesSpec("s", 1.0, 0, smooth_c0)],
-                          zero_charges(grid))
-    assert sim.solves.coarse_size == 0
-    rng = np.random.default_rng(5)
-    args = (rng.uniform(0.5, 1.5, grid.n_fluid), 0.7, rng.uniform(0.1, 10.0, grid.face_lo.size),
-            1e-3, rng.uniform(-1.0, 1.0, grid.n_fluid))
-    with_guess = sim._implicit_solve(*args, rng.uniform(-5.0, 5.0, grid.n_fluid))
-    np.testing.assert_array_equal(with_guess, sim._implicit_solve(*args))
-    assert sim.solves.direct_solves == 2 and sim.solves.two_level_solves == 0
-
-
-def test_two_level_side_is_taken_above_the_crossover(disk_cell_8):
-    species = [SpeciesSpec("s", 1.0, 0, smooth_c0)]
-    solves = {}
-    for m in (8, 16):
-        grid = build_masked_grid(disk_cell_8, m)
-        solves[m] = MicroSimulation(grid, make_scaling(grid.eps), species,
-                                    zero_charges(grid)).solves
-    # the canonical micro grid: 1,664 black cells, factorized directly
-    assert solves[8].coarse_size == 0
-    # 6,656 black cells, one coarse unknown per block of the 128^2 grid that holds any
-    assert 1664 <= transport.TWO_LEVEL_MIN_BLACK < 6656
-    blocks = math.ceil(16 * 8 / transport.AGGREGATE_WIDTH) ** 2
-    assert 0 < solves[16].coarse_size <= blocks
-
-
 def test_two_level_coarse_operator_and_preconditioner():
-    grid = _perforated_grid(2, m=4)
-    system = _reduced_system(grid)
-    two_level = transport.aggregated_two_level(grid, system)
-    rng = np.random.default_rng(4)
-    system.assemble(rng.uniform(0.1, 10.0, grid.face_lo.size) / grid.h ** 2, 1e3)
-    coarse = two_level.assemble()
-    # the refilled coarse operator is the Galerkin product P^T S P, P piecewise constant
-    n_black = system.matrix.shape[0]
-    prolongation = sparse.csr_matrix((np.ones(n_black), (np.arange(n_black),
-                                                         two_level._aggregate)))
-    reference = (prolongation.T @ system.matrix @ prolongation).toarray()
-    assert np.max(np.abs(coarse.toarray() - reference)) <= 1e-14 * np.max(np.abs(reference))
-    # the preconditioner is symmetric positive definite
-    preconditioner = two_level.preconditioner(splu(coarse, **SUPERLU_NATURAL))
-    inverse = np.array([preconditioner.matvec(unit) for unit in np.eye(n_black)]).T
-    assert np.max(np.abs(inverse - inverse.T)) <= 1e-14 * np.max(np.abs(inverse))
-    assert np.linalg.eigvalsh(0.5 * (inverse + inverse.T)).min() > 0.0
+    # the m = 4 disk grid, and the smallest grids: 2-D r = 4 without a hole (4 coarse
+    # unknowns) and the 3-D r = 8 disk (27)
+    for kind, dim, m, r, n_coarse in [("disk", 2, 4, 8, None), ("none", 2, 1, 4, 4),
+                                      ("disk", 3, 1, 8, 27)]:
+        cell = build_cell_geometry(InclusionShape(kind, center=(0.5,) * dim, radius=0.25), r)
+        grid = build_masked_grid(cell, m)
+        system = _reduced_system(grid)
+        two_level = transport.aggregated_two_level(grid, system)
+        rng = np.random.default_rng(4)
+        system.assemble(rng.uniform(0.1, 10.0, grid.face_lo.size) / grid.h ** 2, 1e3)
+        coarse = two_level.assemble()
+        assert n_coarse in (None, coarse.shape[0])
+        # the refilled coarse operator is the Galerkin product P^T S P, P piecewise constant
+        n_black = system.matrix.shape[0]
+        prolongation = sparse.csr_matrix((np.ones(n_black), (np.arange(n_black),
+                                                             two_level._aggregate)))
+        reference = (prolongation.T @ system.matrix @ prolongation).toarray()
+        assert np.max(np.abs(coarse.toarray() - reference)) <= 1e-14 * np.max(np.abs(reference))
+        # the preconditioner is symmetric positive definite
+        preconditioner = two_level.preconditioner(splu(coarse, **SUPERLU_NATURAL))
+        inverse = np.array([preconditioner(unit) for unit in np.eye(n_black)]).T
+        assert np.max(np.abs(inverse - inverse.T)) <= 1e-14 * np.max(np.abs(inverse))
+        assert np.linalg.eigvalsh(0.5 * (inverse + inverse.T)).min() > 0.0
 
 
 def test_unconverged_two_level_solve_raises_with_iterations_and_residual(monkeypatch):
-    monkeypatch.setattr(transport, "TWO_LEVEL_MIN_BLACK", 0)
-    real_cg = linalg.cg
-    monkeypatch.setattr(linalg, "cg", lambda *args, **kwargs: real_cg(*args, **{**kwargs,
-                                                                               "maxiter": 3}))
+    real_recurrence = linalg._cg_recurrence
+    monkeypatch.setattr(linalg, "_cg_recurrence", lambda matrix, b, atol, maxiter, *args:
+                        real_recurrence(matrix, b, atol, 3, *args))
     grid = _perforated_grid(2)
     sim = MicroSimulation(grid, make_scaling(grid.eps), [SpeciesSpec("s", 1.0, 0, smooth_c0)],
                           zero_charges(grid))
@@ -459,6 +431,13 @@ def test_reduced_solve_matches_spsolve_of_the_full_matrix(grid, seed, log_dt):
         lu.solve(system.reduce(ordered, elimination)), ordered, elimination)
     reference = spsolve(_transport_matrix(grid, kappa, dt), rhs)
     assert np.max(np.abs(solution - reference)) <= 1e-12 * np.max(np.abs(reference))
+    # the transport's two-level CG, at a tight tolerance, meets the same bound
+    two_level = transport.aggregated_two_level(grid, system)
+    black = cg_solve(system.matrix.T, system.reduce(ordered, elimination), 1e-13,
+                     preconditioner=two_level.preconditioner(
+                         splu(two_level.assemble(), **SUPERLU_NATURAL)))[0]
+    solution[system.cells] = system.back_substitute(black, ordered, elimination)
+    assert np.max(np.abs(solution - reference)) <= 1e-12 * np.max(np.abs(reference))
     # a face between two cells of one parity breaks the elimination
     parity = _parity(grid)
     same = np.flatnonzero(parity == parity[0])
@@ -475,27 +454,10 @@ def _counted(calls, name, fn):
     return wrapper
 
 
-def test_ordering_computed_once_per_simulation(monkeypatch):
+def test_one_coarse_lu_per_two_level_solve(monkeypatch):
     calls = {"system": 0, "ordering": 0, "lu": 0}
     monkeypatch.setattr(ReducedFaceSystem, "__init__",
                         _counted(calls, "system", ReducedFaceSystem.__init__))
-    monkeypatch.setattr(linalg, "symmetric_ordering",
-                        _counted(calls, "ordering", linalg.symmetric_ordering))
-    monkeypatch.setattr(transport, "splu", _counted(calls, "lu", transport.splu))
-    grid = hole_free_grid(8)
-    species = [SpeciesSpec("p", 1.0, 1, smooth_c0), SpeciesSpec("m", 0.5, -1, smooth_c0)]
-    result = run_micro(grid, make_scaling(grid.eps, T=0.005), species, zero_charges(grid),
-                       dt_init=1e-3)
-    attempts = result.summary["steps"] + result.summary["rejections"]
-    assert attempts >= 5
-    # the transport and the Poisson share one reduced system and its order
-    assert calls == {"system": 1, "ordering": 1, "lu": 2 * attempts}
-    assert result.solves["direct_solves"] == 2 * attempts
-
-
-def test_one_coarse_lu_per_two_level_solve(monkeypatch):
-    monkeypatch.setattr(transport, "TWO_LEVEL_MIN_BLACK", 0)
-    calls = {"ordering": 0, "lu": 0}
     monkeypatch.setattr(linalg, "symmetric_ordering",
                         _counted(calls, "ordering", linalg.symmetric_ordering))
     monkeypatch.setattr(transport, "splu", _counted(calls, "lu", transport.splu))
@@ -505,10 +467,10 @@ def test_one_coarse_lu_per_two_level_solve(monkeypatch):
                        dt_init=1e-3)
     attempts = result.summary["steps"] + result.summary["rejections"]
     assert attempts >= 5
-    # the orders of S and of the coarse operator, each computed once
-    assert calls == {"ordering": 2, "lu": 2 * attempts}
-    assert result.solves["two_level_solves"] == 2 * attempts
-    assert result.solves["direct_solves"] == 0
+    # the transport and the Poisson share one reduced system; the orders of S and of the
+    # coarse operator are each computed once
+    assert calls == {"system": 1, "ordering": 2, "lu": 2 * attempts}
+    assert result.solves["solves"] == 2 * attempts
     assert result.solves["coarse_size"] == math.ceil(16 / transport.AGGREGATE_WIDTH) ** 2
     assert 0 < result.solves["max_cg_iterations"] <= result.solves["cg_iterations"]
 
@@ -521,9 +483,9 @@ def test_transport_assembly_leaves_the_poisson_solution_unchanged(disk_cell_8,
     cation = rng.uniform(0.5, 1.5, grid.n_fluid)
     excess = rng.uniform(-0.2, 0.2, grid.n_fluid)
     conc = np.stack([cation, cation + excess - excess.mean()])
-    first = sim.solve_poisson(conc)
+    first = sim.state(0.0, conc).phi
     assert np.max(np.abs(first)) > 0.0
     # the transport refills the shared reduced matrix with other coefficients
     sim._implicit_solve(cation, 0.7, rng.uniform(0.1, 10.0, grid.face_lo.size), 1e-3,
                         np.zeros(grid.n_fluid))
-    np.testing.assert_array_equal(sim.solve_poisson(conc), first)
+    np.testing.assert_array_equal(sim.state(0.0, conc).phi, first)
