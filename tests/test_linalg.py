@@ -454,21 +454,33 @@ def _counted(calls, name, fn):
     return wrapper
 
 
-def test_one_coarse_lu_per_two_level_solve(monkeypatch):
+def _counted_run(monkeypatch, resolution):
+    """A short two-species run on the hole-free grid, counting systems, orders and LUs."""
     calls = {"system": 0, "ordering": 0, "lu": 0}
     monkeypatch.setattr(ReducedFaceSystem, "__init__",
                         _counted(calls, "system", ReducedFaceSystem.__init__))
     monkeypatch.setattr(linalg, "symmetric_ordering",
                         _counted(calls, "ordering", linalg.symmetric_ordering))
     monkeypatch.setattr(transport, "splu", _counted(calls, "lu", transport.splu))
-    grid = hole_free_grid(16)
+    grid = hole_free_grid(resolution)
     species = [SpeciesSpec("p", 1.0, 1, smooth_c0), SpeciesSpec("m", 0.5, -1, smooth_c0)]
     result = run_micro(grid, make_scaling(grid.eps, T=0.005), species, zero_charges(grid),
                        dt_init=1e-3)
     attempts = result.summary["steps"] + result.summary["rejections"]
     assert attempts >= 5
+    return calls, result, attempts
+
+
+def test_ordering_computed_once_per_simulation(monkeypatch):
+    calls, _, _ = _counted_run(monkeypatch, 8)
     # the transport and the Poisson share one reduced system; the orders of S and of the
-    # coarse operator are each computed once
+    # coarse operator are each computed once, however many steps the run takes
+    assert (calls["system"], calls["ordering"]) == (1, 2)
+
+
+def test_one_coarse_lu_per_two_level_solve(monkeypatch):
+    calls, result, attempts = _counted_run(monkeypatch, 16)
+    # one coarse LU per solve, and still one system and two orders
     assert calls == {"system": 1, "ordering": 2, "lu": 2 * attempts}
     assert result.solves["solves"] == 2 * attempts
     assert result.solves["coarse_size"] == math.ceil(16 / transport.AGGREGATE_WIDTH) ** 2
