@@ -18,28 +18,30 @@ but keep their sparsity pattern, and every face joins two cells of opposite
 grid-index parity.  ``ReducedFaceSystem`` eliminates the larger parity class
 exactly (its block is diagonal) and keeps the Schur complement on the other
 class: an SPD M-matrix on half the cells with a 9-point (2-D) or 19-point
-(3-D) stencil.  It computes the complement's pattern and its symmetric
-fill-reducing ordering once and refills a CSC matrix laid out in that order
-in place.  The transport solves it by CG with a ``TwoLevel`` preconditioner,
-whose coarse Galerkin operator is refilled the same way, in its own cached
-order, and factorized with the ``NATURAL`` column order
-(``SUPERLU_NATURAL``), the one factorization of a transport solve.  Each
-fill returns the operator's own ``Elimination`` blocks, so one system serves
-the transport matrices of every step and the two-point Poisson operator
-(shift 0, pinned at its last black cell), whose LU uses the system's order:
-1.47M nonzeros on the 52k-cell ``micro_large`` grid, against 1.77M for the
-full system in its own order.  Every SuperLU factorization here, the
-incomplete one that computes the order included, uses the supernode
-settings ``SUPERNODES``: on one thread these systems factor faster without
-relaxed supernodes or column panels.
+(3-D) stencil.  It computes the complement's pattern once and refills a CSR
+matrix in ascending cell order in place.  The transport solves it by CG with
+a ``TwoLevel`` preconditioner, whose coarse Galerkin operator is refilled
+the same way, in its own cached symmetric fill-reducing order, and
+factorized with the ``NATURAL`` column order (``SUPERLU_NATURAL``), the one
+factorization of a transport solve.  Each fill returns the operator's own
+``Elimination`` blocks, so one system serves the transport matrices of every
+step and the two-point Poisson operator (shift 0).
 
-A full-tensor Poisson operator has cross terms, so it is neither two-point
-nor symmetric.  ``ZeroMeanDirect`` factors its block ``A[1:, 1:]`` pinned
-at node 0 with SuperLU's partial pivoting, in the symmetric minimum-degree
-order ``MMD_AT_PLUS_A`` of the block's own 9-point pattern: on the pinned
-64^2 full-tensor block, partial pivoting in the 5-point face order filled
-the LU to 7.5M nonzeros in 3.6 s, against 0.33M in 29 ms with the default
-``COLAMD`` order and 0.24M in 12 ms with ``MMD_AT_PLUS_A`` (one thread).
+``ZeroMeanDirect`` factors both Poisson operators with one call: the Schur
+complement of the two-point operator, or an assembled operator such as the
+full-tensor one, pinned at unknown 0 (the first black cell, or node 0) and
+factored with SuperLU's partial pivoting in the symmetric minimum-degree
+order ``MMD_AT_PLUS_A`` of the pinned block.  The two-point LU holds 1.47M
+nonzeros on the 52k-cell ``micro_large`` grid and 0.57M on the 128^2 macro
+grid, against 1.77M and 0.66M for the pinned full operator; pinned at its
+last black cell instead, the 128^2 LU holds 0.67M.  A full-tensor operator
+has cross terms, so it is neither two-point nor symmetric: on its pinned
+64^2 block, partial pivoting in the 5-point face order filled the LU to 7.5M
+nonzeros in 3.6 s, against 0.33M in 29 ms with the default ``COLAMD`` order
+and 0.24M in 12 ms with ``MMD_AT_PLUS_A`` (one thread).  Every SuperLU
+factorization here, the incomplete one that computes the coarse order
+included, uses the supernode settings ``SUPERNODES``: on one thread these
+systems factor faster without relaxed supernodes or column panels.
 """
 
 from __future__ import annotations
@@ -182,8 +184,7 @@ def _couplings(by_red, degree, face_black, n_black):
     per red cell.  Faces ``first[k]`` and ``second[k]`` meet at a red cell, so
     their black cells are coupled: the pair adds to entry ``entry[k]``, which
     joins the black cells ``upper[entry[k]] < lower[entry[k]]``.  Temporaries
-    end here, before the order's incomplete LU and the first factorization
-    allocate.
+    end here, before the first factorization allocates.
     """
     start = np.cumsum(degree) - degree
     firsts, seconds = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int32)]
@@ -242,15 +243,17 @@ class ReducedFaceSystem:
     cells, with a 9-point stencil in 2-D and 19 points in 3-D.  Two black
     cells are coupled in ``S`` through every red cell next to both of them.
 
-    The pattern of ``S``, its symmetric fill-reducing order and the CSC
-    layout in that order (sorted int32 indices, and the slot of every entry)
-    are built once; ``assemble`` rewrites only the values.  The layout comes
-    from scipy's counting-sort COO to CSC conversion of the entries numbered
-    1..nnz, whose values then name each entry's slot; only the few entries
-    of each column are sorted among themselves.
+    ``S`` is a CSR matrix in ascending cell order.  Its pattern and layout
+    (sorted int32 indices, and the slot of every entry) are built once;
+    ``assemble`` rewrites only the values.  The layout comes from scipy's
+    counting-sort COO to CSR conversion of the entries numbered 1..nnz, whose
+    values then name each entry's slot; only the few entries of each row are
+    sorted among themselves.  Nothing here orders ``S`` for a factorization:
+    the CG multiplies by it, and the Poisson LU lets SuperLU order its pinned
+    block.
 
-    Vectors of the system are in the order ``cells``: the black cells in the
-    order of ``S``, then the red cells (``u = values[cells]``).  With ``K =
+    Vectors of the system are in the order ``cells``: the black cells
+    ascending, then the red cells ascending (``u = values[cells]``).  With ``K =
     -A_rb``, ``reduce`` turns a right-hand side ``f`` into ``f_b + K^T (f_r
     / d_r)`` and ``back_substitute`` completes a black solution ``x_b`` with
     ``x_r = (f_r + K x_b) / d_r``; both take the ``Elimination`` that
@@ -275,14 +278,13 @@ class ReducedFaceSystem:
         degree = np.bincount(face_red, minlength=n_red)
         self._pair_first, self._pair_second, self._pair_entry, upper, lower = _couplings(
             by_red, degree, face_black, n_black)
-        perm = _pattern_order(upper, lower, n_black)
 
-        # CSC layout in that order: (upper, lower) per coupling, (lower, upper), the diagonal;
-        # the entry numbers 1..nnz ride through the conversion as values and name the slots
+        # CSR layout: (upper, lower) per coupling, (lower, upper), the diagonal; the entry
+        # numbers 1..nnz ride through the conversion as values and name the slots
         diagonal = np.arange(n_black, dtype=np.int32)
-        rows = np.concatenate([perm[upper], perm[lower], diagonal])
-        cols = np.concatenate([perm[lower], perm[upper], diagonal])
-        self.matrix = sparse.csc_matrix((np.arange(1.0, rows.size + 1.0), (rows, cols)),
+        rows = np.concatenate([upper, lower, diagonal])
+        cols = np.concatenate([lower, upper, diagonal])
+        self.matrix = sparse.csr_matrix((np.arange(1.0, rows.size + 1.0), (rows, cols)),
                                         shape=(n_black, n_black))
         self.matrix.sort_indices()
         slots = np.empty(rows.size, dtype=np.int32)
@@ -294,15 +296,13 @@ class ReducedFaceSystem:
         self._diag_slots = slots[2 * n_pairs:]
         # K row by row: the faces of each red cell, with their black cells as columns
         self._coupling_indptr = np.concatenate([[0], np.cumsum(degree)]).astype(np.int32)
-        self._coupling_indices = perm[face_black][by_red]
+        self._coupling_indices = face_black[by_red]
         # index arrays that numpy indexes and counts with on every assembly are intp, so
         # that it does not convert them each time
         self._face_red = face_red.astype(np.intp)
-        self._face_black = perm[face_black].astype(np.intp)
+        self._face_black = face_black.astype(np.intp)
         self._by_red = by_red.astype(np.intp)
-        self.cells = np.empty(colour.size, dtype=np.intp)
-        self.cells[perm] = black
-        self.cells[n_black:] = red_cells
+        self.cells = np.concatenate([black, red_cells])
 
     def assemble(self, kappa, shift) -> Elimination:
         """Write ``S`` for face coefficients ``kappa`` and diagonal shift ``shift`` into ``matrix``.
@@ -354,8 +354,8 @@ class TwoLevel:
 
     ``preconditioner(lu)``, with ``lu`` that factorization, applies one
     Jacobi sweep damped by ``JACOBI_WEIGHT``, the exact coarse correction
-    and a second sweep; its products with ``S`` go through ``S^T``, a CSR
-    view of the same arrays.  It is symmetric, and it is positive definite
+    and a second sweep; its products with ``S`` read ``system.matrix``, so
+    they see every refill.  It is symmetric, and it is positive definite
     because the damped sweep contracts in the energy norm of ``S``: ``S``
     is symmetric and diagonally dominant with a positive diagonal ``D``, so
     the eigenvalues of ``D^-1 S`` lie in (0, 2) and their multiples by
@@ -366,8 +366,8 @@ class TwoLevel:
         matrix = system.matrix
         _, aggregate = np.unique(aggregate, return_inverse=True)
         n_coarse = int(aggregate.max(initial=-1)) + 1
-        rows = aggregate[matrix.indices]
-        cols = aggregate[np.repeat(np.arange(matrix.shape[1]), np.diff(matrix.indptr))]
+        cols = aggregate[matrix.indices]
+        rows = aggregate[np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))]
         coupled = np.unique(rows[rows < cols] * n_coarse + cols[rows < cols])
         perm = _pattern_order(coupled // n_coarse, coupled % n_coarse, n_coarse).astype(np.intp)
         # in the order of C, each entry of S falls on the slot of its key in CSC order
@@ -378,9 +378,7 @@ class TwoLevel:
             (np.zeros(keys.size), (keys % n_coarse).astype(np.int32), indptr.astype(np.int32)),
             shape=(n_coarse, n_coarse))
         self._aggregate = perm[aggregate].astype(np.intp)
-        # S is symmetric, so its transpose is S as a CSR view that shares its arrays: it
-        # sees every refill, and its products are faster than the CSC ones
-        self._matrix = matrix.T
+        self._matrix = matrix
 
     def assemble(self):
         """``coarse`` refilled from the current values of ``S``."""
@@ -414,20 +412,20 @@ class ZeroMeanDirect:
 
     ``ZeroMeanDirect(system, kappa)`` takes the two-point operator
     ``face_laplacian(kappa)`` on the faces of the ``ReducedFaceSystem``
-    ``system``.  It assembles the Schur complement with shift 0, which keeps
-    the constant nullspace on the black cells, pins the last black cell in
-    elimination order by dropping its row and column, and factors the rest in
-    the system's cached order with ``SUPERLU_NATURAL``.  A pinned solve
-    reduces the right-hand side, back-solves and back-substitutes the red
-    cells.  The blocks it keeps are its own, so refilling ``system.matrix``
-    afterwards changes nothing.  On the 52k-cell ``micro_large`` grid the LU
-    holds 1.47M nonzeros.
+    ``system`` and assembles its Schur complement ``S`` with shift 0, which
+    keeps the constant nullspace on the black cells.  A pinned solve reduces
+    the right-hand side, back-solves and back-substitutes the red cells.  The
+    blocks it keeps are its own, so refilling ``system.matrix`` afterwards
+    changes nothing.  ``ZeroMeanDirect(matrix)`` takes any sparse operator,
+    such as the full-tensor Poisson operator, which is not symmetric.
 
-    ``ZeroMeanDirect(matrix)`` takes any sparse operator, such as the
-    full-tensor Poisson operator, which is not symmetric.  It factors the
-    block ``A[1:, 1:]`` pinned at node 0 in the symmetric minimum-degree
-    order ``MMD_AT_PLUS_A`` with SuperLU's partial pivoting (1.77M nonzeros
-    for the two-point operator of ``micro_large``).
+    Both pin unknown 0 (the first black cell of ``S``, or node 0) by dropping
+    its row and column, and SuperLU factors the rest with partial pivoting
+    in the symmetric minimum-degree order ``MMD_AT_PLUS_A`` of its pattern.
+    On the 52k-cell ``micro_large`` grid the two-point LU holds 1.47M
+    nonzeros and that of the assembled two-point operator 1.77M; on the
+    128^2 macro grid 0.57M against 0.66M, and 0.67M with ``S`` pinned at its
+    last black cell instead.
 
     For a connected operator the pinned block is nonsingular.  A solve
     mean-projects the right-hand side (it must be compatible up to
@@ -443,32 +441,28 @@ class ZeroMeanDirect:
     def __init__(self, operator, kappa=None):
         if isinstance(operator, ReducedFaceSystem):
             self.n = operator.cells.size
-            # the reduced path works in the system's order
+            # the reduced path works in the order ``cells``
             self._system, self._cells = operator, operator.cells
             self._elimination = operator.assemble(kappa, 0.0)
             # diagonal of the black rows: the sum of kappa over each black cell's faces
             self._black_diag = self._elimination.coupling.sum(axis=0).A1
-            pinned, options = operator.matrix[:-1, :-1], SUPERLU_NATURAL
+            matrix = operator.matrix
         else:
-            self.matrix = operator.tocsr()
-            self.n = self.matrix.shape[0]
+            self.matrix = matrix = operator.tocsr()
+            self.n = matrix.shape[0]
             self._system, self._cells = None, slice(None)
-            pinned = self.matrix[1:, 1:].tocsc()
-            options = {"permc_spec": "MMD_AT_PLUS_A", **SUPERNODES}
         try:
-            self._lu = splu(pinned, **options)
+            self._lu = splu(matrix[1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A", **SUPERNODES)
         except RuntimeError as exc:
             raise SolverError(f"Poisson factorization failed (n = {self.n}): {exc}") from exc
         self.counts = PoissonCounts()
 
     def _pinned_solve(self, rhs):
-        if self._system is None:
-            phi = np.concatenate([[0.0], self._lu.solve(rhs[1:])])
-        else:
-            black = self._system.reduce(rhs, self._elimination)
-            black[:-1] = self._lu.solve(black[:-1])
-            black[-1] = 0.0
-            phi = self._system.back_substitute(black, rhs, self._elimination)
+        system = self._system
+        pinned = rhs if system is None else system.reduce(rhs, self._elimination)
+        phi = np.concatenate([[0.0], self._lu.solve(pinned[1:])])
+        if system is not None:
+            phi = system.back_substitute(phi, rhs, self._elimination)
         return phi - phi.mean()
 
     def _apply(self, phi):

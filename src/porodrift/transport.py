@@ -15,8 +15,8 @@ The implicit matrix of each species and step changes its values but not
 its pattern, and every face joins cells of opposite grid-index parity.  The
 simulation builds one ``linalg.ReducedFaceSystem`` when it is constructed:
 the cells of one parity are eliminated exactly, the Schur complement S on
-the others is refilled in place in its symmetric fill-reducing order (the
-Poisson LU uses it), and the eliminated cells follow by back-substitution.
+the others is refilled in place, a CSR matrix in ascending cell order, and
+the eliminated cells follow by back-substitution.
 S is solved by CG to the true relative residual ``CG_TOL`` with a
 ``linalg.TwoLevel`` preconditioner, whose aggregates are blocks of
 ``AGGREGATE_WIDTH`` grid cells per axis (the fastest of 2, 3, 4, 6 and 8),
@@ -47,8 +47,9 @@ initial energy.
 The potential is factored once per simulation, when it is built
 (``poisson_solver``).  A Poisson tensor without cross terms gives a
 two-point operator, factored on the same reduced system with its own
-coefficients; a full tensor keeps the pinned partial-pivot LU of
-``poisson_matrix``.
+coefficients; a full tensor gets the LU of ``poisson_matrix``.  Both LUs
+pin unknown 0 and let SuperLU order the pinned block (``MMD_AT_PLUS_A``,
+partial pivoting).
 
 The run loop measures each accepted state once (``_Stats``); the output rows
 read those measurements, the summary reduces all of them, and snapshots are
@@ -400,8 +401,7 @@ class TransportSim:
 
         A symmetric, strictly diagonally dominant M-matrix.  One parity of
         cells is eliminated exactly, which leaves the Schur complement S on
-        the others, in a symmetric fill-reducing order the simulation
-        computes once.  Each solve factorizes the coarse operator of the
+        the others.  Each solve factorizes the coarse operator of the
         two-level preconditioner, its one SuperLU factorization, and solves
         S by CG to the true relative residual CG_TOL, started from the black
         cells of ``guess`` (None: from 0).
@@ -416,9 +416,8 @@ class TransportSim:
         rhs = (c / dt + rhs_extra)[system.cells]
         reduced = system.reduce(rhs, elimination)
         try:
-            # S is symmetric: its CSR view S^T multiplies faster than the CSC S
             black, residual, iterations, restarts = cg_solve(
-                system.matrix.T, reduced, CG_TOL, preconditioner=two_level.preconditioner(lu),
+                system.matrix, reduced, CG_TOL, preconditioner=two_level.preconditioner(lu),
                 x0=None if guess is None else guess[system.cells[:reduced.size]])
         except SolverError as exc:
             raise SolverError(f"implicit transport solve: {exc}", residual=exc.residual,

@@ -210,29 +210,36 @@ def test_mass_conserved_every_step(disk_cell_8, canonical_species):
     assert result.summary["max_mass_drift_rel"] <= 1e-9
 
 
-def _check_symmetric_species():
+@pytest.fixture(scope="module")
+def symmetric_runs():
+    # a +1/-1 pair with equal diffusivities and the neutral species they should reproduce
     grid = hole_free_grid(16)
     species = [SpeciesSpec("p", 1.0, 1, smooth_c0), SpeciesSpec("m", 1.0, -1, smooth_c0)]
+    neutral = [SpeciesSpec("n", 1.0, 0, smooth_c0)]
     scaling = make_scaling(grid.eps, T=0.02)
-    result = run_micro(grid, scaling, species, zero_charges(grid), dt_init=1e-3)
+    pair = run_micro(grid, scaling, species, zero_charges(grid), dt_init=1e-3)
+    reference = run_micro(grid, scaling, neutral, zero_charges(grid), dt_init=1e-3)
+    return pair, reference
+
+
+def test_symmetric_species_stay_identical_and_phi_zero(symmetric_runs):
+    result, reference = symmetric_runs
     np.testing.assert_array_equal(result.state.conc[0], result.state.conc[1])
     np.testing.assert_array_equal(result.state.phi, 0.0)
-
     # the coupled symmetric pair reproduces the pure-diffusion trajectory bitwise
-    neutral = [SpeciesSpec("n", 1.0, 0, smooth_c0)]
-    reference = run_micro(grid, scaling, neutral, zero_charges(grid), dt_init=1e-3)
     np.testing.assert_array_equal(result.state.conc[0], reference.state.conc[0])
-    return result
 
 
-def test_symmetric_species_stay_identical_and_phi_zero():
-    _check_symmetric_species()
-
-
-def test_symmetric_species_stay_identical_on_the_two_level_side():
-    # every species starts its CG from its own extrapolated guess, computed the same way
-    result = _check_symmetric_species()
+def test_symmetric_species_stay_identical_on_the_two_level_side(symmetric_runs):
+    # every species starts its CG from its own extrapolated guess, computed the same way,
+    # so each species of the pair repeats the neutral run's two-level solves exactly
+    result, reference = symmetric_runs
     assert result.solves["solves"] > 0
+    assert result.solves["coarse_size"] == reference.solves["coarse_size"] > 0
+    for key in ("solves", "cg_iterations"):
+        assert result.solves[key] == 2 * reference.solves[key]
+    for key in ("max_cg_iterations", "max_cg_residual", "restarts", "rejections"):
+        assert result.solves[key] == reference.solves[key]
 
 
 # The tolerance rule (README, "Tolerances"): a solver moves an output by at most 1e-3 of
