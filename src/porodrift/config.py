@@ -35,7 +35,13 @@ from .geometry import (
 )
 from .linalg import POISSON_TOL
 from .micro import ScalingSpec, SpeciesSpec
-from .verification import MMS_SOLVERS, balanced_charges, check_m_values, check_mms_request
+from .verification import (
+    MMS_SOLVERS,
+    balanced_charges,
+    check_eta_values,
+    check_m_values,
+    check_mms_request,
+)
 
 
 _KIND_NAMES = {str: "a string", dict: "an object", list: "a list"}
@@ -117,13 +123,6 @@ def _list(section, key, default, kind, where):
     """Optional list whose every element is checked against ``kind``."""
     label = f"{where}.{key}"
     return [_typed(v, kind, label) for v in _optional(section, key, default, list, where)]
-
-
-def _nonempty_list(section, key, default, kind, where):
-    values = _list(section, key, default, kind, where)
-    if not values:
-        raise ConfigError(f"{where}.{key} must be a non-empty list")
-    return values
 
 
 def _at_least(value, low, label):
@@ -371,8 +370,8 @@ def parse_and_validate(source) -> RunConfig:
     _grid_bound(conv_macro_resolution, dim, "convergence macro")
 
     eta_sec = _section(raw, "eta_sweep")
-    eta_values = [_positive(value, "eta_sweep.values") for value in
-                  _nonempty_list(eta_sec, "values", [0.5, 0.25, 0.125], float, "eta_sweep")]
+    eta_values = _list(eta_sec, "values", [0.5, 0.25, 0.125], float, "eta_sweep")
+    check_eta_values(eta_values)
     eta_final_time = _at_least(_optional(eta_sec, "T", 0.05, float, "eta_sweep"), 0,
                                "eta_sweep.T")
     eta_dt_init = _positive(_optional(eta_sec, "dt_init", dt_init, float, "eta_sweep"),

@@ -23,9 +23,11 @@ matrix in ascending cell order in place.  The transport solves it by CG with
 a ``TwoLevel`` preconditioner, whose coarse Galerkin operator is refilled
 the same way, in its own cached symmetric fill-reducing order, and
 factorized with the ``NATURAL`` column order (``SUPERLU_NATURAL``), the one
-factorization of a transport solve.  Each fill returns the operator's own
-``Elimination`` blocks, so one system serves the transport matrices of every
-step and the two-point Poisson operator (shift 0).
+factorization of a transport solve.  The system takes right-hand sides and
+returns solutions in cell order; ``black`` names the cells of S's unknowns.
+Each fill returns the operator's own ``Elimination`` blocks, so one system
+serves the transport matrices of every step and the two-point Poisson
+operator (shift 0).
 
 ``ZeroMeanDirect`` factors both Poisson operators with one call: the Schur
 complement of the two-point operator, or an assembled operator such as the
@@ -252,8 +254,9 @@ class ReducedFaceSystem:
     the CG multiplies by it, and the Poisson LU lets SuperLU order its pinned
     block.
 
-    Vectors of the system are in the order ``cells``: the black cells
-    ascending, then the red cells ascending (``u = values[cells]``).  With ``K =
+    The unknowns of ``S`` are the cells ``black`` (ascending), and the
+    system keeps its face lists ``face_lo`` and ``face_hi``.  Right-hand
+    sides and solutions of the operator are in cell order.  With ``K =
     -A_rb``, ``reduce`` turns a right-hand side ``f`` into ``f_b + K^T (f_r
     / d_r)`` and ``back_substitute`` completes a black solution ``x_b`` with
     ``x_r = (f_r + K x_b) / d_r``; both take the ``Elimination`` that
@@ -265,12 +268,12 @@ class ReducedFaceSystem:
         if np.any(colour[face_lo] == colour[face_hi]):
             raise ValueError("a face joins two cells of the same colour")
         red = colour if 2 * np.count_nonzero(colour) >= colour.size else ~colour
-        red_cells = np.flatnonzero(red)
-        black = np.flatnonzero(~red)
-        n_red, n_black = red_cells.size, black.size
+        self._red, self.black = np.flatnonzero(red), np.flatnonzero(~red)
+        self.n_cells, self.face_lo, self.face_hi = colour.size, face_lo, face_hi
+        n_red, n_black = self._red.size, self.black.size
         local = np.empty(colour.size, dtype=np.int32)
-        local[red_cells] = np.arange(n_red)
-        local[black] = np.arange(n_black)
+        local[self._red] = np.arange(n_red)
+        local[self.black] = np.arange(n_black)
         red_lo = red[face_lo]
         face_red = local[np.where(red_lo, face_lo, face_hi)]
         face_black = local[np.where(red_lo, face_hi, face_lo)]
@@ -302,7 +305,6 @@ class ReducedFaceSystem:
         self._face_red = face_red.astype(np.intp)
         self._face_black = face_black.astype(np.intp)
         self._by_red = by_red.astype(np.intp)
-        self.cells = np.concatenate([black, red_cells])
 
     def assemble(self, kappa, shift) -> Elimination:
         """Write ``S`` for face coefficients ``kappa`` and diagonal shift ``shift`` into ``matrix``.
@@ -326,18 +328,20 @@ class ReducedFaceSystem:
         return Elimination(coupling, coupling.T, red_diag)
 
     def reduce(self, values, elimination):
-        """The right-hand side of ``S`` for ``values`` given in the order ``cells``."""
-        n_black = self._diag_slots.size
-        return values[:n_black] + elimination.coupling_t @ (values[n_black:]
-                                                            / elimination.red_diag)
+        """The right-hand side of ``S`` for the operator's right-hand side ``values``."""
+        return values[self.black] + elimination.coupling_t @ (values[self._red]
+                                                              / elimination.red_diag)
 
     def back_substitute(self, black, values, elimination):
-        """The solution in the order ``cells`` whose black part is ``black``.
+        """The operator's solution whose part on ``self.black`` is ``black``.
 
-        ``values`` is the right-hand side in the order ``cells``.
+        ``values`` is the operator's right-hand side.
         """
-        red = (values[black.size:] + elimination.coupling @ black) / elimination.red_diag
-        return np.concatenate([black, red])
+        solution = np.empty(values.size)
+        solution[self.black] = black
+        red = values[self._red] + elimination.coupling @ black
+        solution[self._red] = red / elimination.red_diag
+        return solution
 
 
 class TwoLevel:
@@ -414,10 +418,11 @@ class ZeroMeanDirect:
     ``face_laplacian(kappa)`` on the faces of the ``ReducedFaceSystem``
     ``system`` and assembles its Schur complement ``S`` with shift 0, which
     keeps the constant nullspace on the black cells.  A pinned solve reduces
-    the right-hand side, back-solves and back-substitutes the red cells.  The
-    blocks it keeps are its own, so refilling ``system.matrix`` afterwards
-    changes nothing.  ``ZeroMeanDirect(matrix)`` takes any sparse operator,
-    such as the full-tensor Poisson operator, which is not symmetric.
+    the right-hand side, back-solves and back-substitutes the red cells, all
+    in cell order.  The blocks it keeps are its own, so refilling
+    ``system.matrix`` afterwards changes nothing.  ``ZeroMeanDirect(matrix)``
+    takes any sparse operator, such as the full-tensor Poisson operator,
+    which is not symmetric.
 
     Both pin unknown 0 (the first black cell of ``S``, or node 0) by dropping
     its row and column, and SuperLU factors the rest with partial pivoting
@@ -434,23 +439,20 @@ class ZeroMeanDirect:
     most ``MAX_REFINEMENTS`` corrections, each followed by a check of the
     residual of the whole operator against ``tol``: the matrix product, or
     on the two-point path the net face flux ``sum_f kappa_f (phi_j -
-    phi_nb)`` of every cell, summed in the red-black blocks of the operator.
+    phi_nb)`` of every cell (``face_divergence``).
     ``counts`` records the solves, their corrections and largest residual.
     """
 
     def __init__(self, operator, kappa=None):
         if isinstance(operator, ReducedFaceSystem):
-            self.n = operator.cells.size
-            # the reduced path works in the order ``cells``
-            self._system, self._cells = operator, operator.cells
+            self.n = operator.n_cells
+            self._system, self._kappa = operator, kappa
             self._elimination = operator.assemble(kappa, 0.0)
-            # diagonal of the black rows: the sum of kappa over each black cell's faces
-            self._black_diag = self._elimination.coupling.sum(axis=0).A1
             matrix = operator.matrix
         else:
             self.matrix = matrix = operator.tocsr()
             self.n = matrix.shape[0]
-            self._system, self._cells = None, slice(None)
+            self._system = None
         try:
             self._lu = splu(matrix[1:, 1:].tocsc(), permc_spec="MMD_AT_PLUS_A", **SUPERNODES)
         except RuntimeError as exc:
@@ -468,10 +470,8 @@ class ZeroMeanDirect:
     def _apply(self, phi):
         if self._system is None:
             return self.matrix @ phi
-        coupling, coupling_t, red_diag = self._elimination
-        black, red = phi[:self._black_diag.size], phi[self._black_diag.size:]
-        return np.concatenate([self._black_diag * black - coupling_t @ red,
-                               red_diag * red - coupling @ black])
+        lo, hi = self._system.face_lo, self._system.face_hi
+        return face_divergence(self.n, lo, hi, self._kappa * (phi[hi] - phi[lo]))
 
     def solve(self, rhs, tol=POISSON_TOL):
         """Zero-mean solution; iterative refinement until the residual meets ``tol``."""
@@ -481,7 +481,6 @@ class ZeroMeanDirect:
         b_norm = float(np.linalg.norm(b))
         if b_norm == 0.0:
             return np.zeros(self.n)
-        b = b[self._cells]
         phi = self._pinned_solve(b)
         for corrections in range(MAX_REFINEMENTS + 1):
             residual = b - self._apply(phi)
@@ -489,9 +488,7 @@ class ZeroMeanDirect:
             rel = float(np.linalg.norm(residual)) / b_norm
             if np.isfinite(rel) and rel <= tol:
                 counts.max_residual = max(counts.max_residual, rel)
-                solution = np.empty(self.n)
-                solution[self._cells] = phi
-                return solution
+                return phi
             if corrections < MAX_REFINEMENTS:
                 counts.refinements += 1
                 phi = phi + self._pinned_solve(residual)

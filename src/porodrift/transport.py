@@ -15,8 +15,9 @@ The implicit matrix of each species and step changes its values but not
 its pattern, and every face joins cells of opposite grid-index parity.  The
 simulation builds one ``linalg.ReducedFaceSystem`` when it is constructed:
 the cells of one parity are eliminated exactly, the Schur complement S on
-the others is refilled in place, a CSR matrix in ascending cell order, and
-the eliminated cells follow by back-substitution.
+the others (``black``) is refilled in place, a CSR matrix in ascending cell
+order, and the eliminated cells follow by back-substitution.  The system
+takes the right-hand side and returns the solution in cell order.
 S is solved by CG to the true relative residual ``CG_TOL`` with a
 ``linalg.TwoLevel`` preconditioner, whose aggregates are blocks of
 ``AGGREGATE_WIDTH`` grid cells per axis (the fastest of 2, 3, 4, 6 and 8),
@@ -190,7 +191,7 @@ def reduced_face_system(grid):
 def aggregated_two_level(grid, system):
     """``system``'s ``TwoLevel`` preconditioner, aggregating by grid index // AGGREGATE_WIDTH."""
     index = np.indices(grid.fluid_mask.shape)[:, grid.fluid_mask] // AGGREGATE_WIDTH
-    black = index[:, system.cells[:system.matrix.shape[0]]]
+    black = index[:, system.black]
     shape = tuple(n // AGGREGATE_WIDTH + 1 for n in grid.fluid_mask.shape)
     return TwoLevel(system, np.ravel_multi_index(tuple(black), shape))
 
@@ -266,22 +267,16 @@ class SolveCounts:
 class RunResult:
     """Trajectory handle: final state, per-output diagnostics, step summary.
 
-    ``snapshots`` maps times to the accepted states themselves; ``solves``,
-    the simulation's ``SolveCounts`` as a dict, and ``poisson_solves``, its
-    ``linalg.PoissonCounts``, go to the manifest.
+    ``snapshots`` maps times to the accepted states themselves.  ``counts``
+    holds the simulation's solve records for the manifest: ``transport``, its
+    ``SolveCounts`` as a dict, and ``poisson``, its ``linalg.PoissonCounts``.
     """
 
     state: SimState
     record: DiagnosticsRecord
     summary: dict
     snapshots: dict
-    solves: dict
-    poisson_solves: dict
-
-    @property
-    def counts(self) -> dict:
-        """The simulation's solve records: ``transport`` and ``poisson``."""
-        return {"transport": self.solves, "poisson": self.poisson_solves}
+    counts: dict
 
 
 class TransportSim:
@@ -413,12 +408,12 @@ class TransportSim:
             lu = splu(two_level.assemble(), **SUPERLU_NATURAL)
         except RuntimeError as exc:
             raise SolverError(f"implicit transport solve failed: {exc}") from exc
-        rhs = (c / dt + rhs_extra)[system.cells]
+        rhs = c / dt + rhs_extra
         reduced = system.reduce(rhs, elimination)
         try:
             black, residual, iterations, restarts = cg_solve(
                 system.matrix, reduced, CG_TOL, preconditioner=two_level.preconditioner(lu),
-                x0=None if guess is None else guess[system.cells[:reduced.size]])
+                x0=None if guess is None else guess[system.black])
         except SolverError as exc:
             raise SolverError(f"implicit transport solve: {exc}", residual=exc.residual,
                               iterations=exc.iterations) from exc
@@ -428,9 +423,7 @@ class TransportSim:
         counts.max_cg_iterations = max(counts.max_cg_iterations, iterations)
         counts.max_cg_residual = max(counts.max_cg_residual, residual)
         counts.restarts += restarts
-        solution = np.empty_like(c)
-        solution[system.cells] = system.back_substitute(black, rhs, elimination)
-        return solution
+        return system.back_substitute(black, rhs, elimination)
 
     def step(self, state: SimState, dt: float, source=None, previous=None) -> SimState:
         """One IMEX step of size dt; raises on dt rejection.
@@ -568,8 +561,9 @@ class TransportSim:
 
         return RunResult(state=state, record=record,
                          summary=_summary(stats, rejections, source is not None),
-                         snapshots=snapshots, solves=asdict(self.solves),
-                         poisson_solves=asdict(self._poisson.counts))
+                         snapshots=snapshots,
+                         counts={"transport": asdict(self.solves),
+                                 "poisson": asdict(self._poisson.counts)})
 
 
 def _summary(stats, rejections, source_active) -> dict:

@@ -140,6 +140,15 @@ def check_m_values(m_values) -> None:
                           "(eps strictly decreasing)")
 
 
+def check_eta_values(eta_values) -> None:
+    """Raise ConfigError unless ``eta_values`` is a non-empty list of positive numbers."""
+    if not eta_values:
+        raise ConfigError("eta_sweep.values must be a non-empty list")
+    for eta in eta_values:
+        if eta <= 0:
+            raise ConfigError(f"eta_sweep.values must be positive, got {eta}")
+
+
 def run_convergence_study(cell: MaskedGrid, species, xi1, xi2, alpha, beta, eta, p,
                           m_values, final_time, dt_init, cfl_fraction=0.5,
                           macro_resolution=None, auto_balance=True,
@@ -412,8 +421,7 @@ def run_eta_sweep(grid, tensor, species, charges: FacetCharges, p, eta_values,
     ``eta_<value>``.
     """
     eta_values = [float(v) for v in eta_values]
-    if not eta_values or any(v <= 0 for v in eta_values):
-        raise ConfigError("eta values must be a non-empty list of positive numbers")
+    check_eta_values(eta_values)
     finals = []
     for eta in eta_values:
         result = run_macro(grid, tensor, species, charges, eta, p, final_time, dt_init,

@@ -57,3 +57,25 @@ def test_imports_go_one_way():
             if source is None or LAYER[source] >= LAYER[name]:
                 upward.append(f"{name}: from .{source or ''} import {', '.join(names)}")
     assert upward == []
+
+
+def _unused_imports(path):
+    """Names that ``path`` imports and never reads, except on lines marked ``# noqa: F401``."""
+    source = path.read_text()
+    tree = ast.parse(source)
+    exempt = {number for number, line in enumerate(source.splitlines(), 1)
+              if "# noqa: F401" in line}
+    imports = [node for node in ast.walk(tree) if isinstance(node, (ast.Import, ast.ImportFrom))
+               and getattr(node, "module", None) != "__future__"]
+    imported = {(alias.asname or alias.name).split(".")[0]: alias.lineno
+                for node in imports for alias in node.names if alias.lineno not in exempt}
+    read = {node.id for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return sorted(f"{path.name}:{line}: {name}" for name, line in imported.items()
+                  if name not in read)
+
+
+def test_modules_read_every_name_they_import():
+    paths = sorted(Path(porodrift.__file__).parent.glob("*.py"))
+    assert [entry for path in paths if path.name != "__init__.py"
+            for entry in _unused_imports(path)] == []
