@@ -48,6 +48,7 @@ systems factor faster without relaxed supernodes or column panels.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -97,12 +98,17 @@ def _cg_recurrence(matrix, b, atol, maxiter, preconditioner):
     """SciPy's preconditioned CG from 0 until ``||r|| < atol``: its operations, in its order.
 
     Returns the iterate, the number of iterations and whether the norm test
-    passed within ``maxiter``.
+    passed within ``maxiter``; it stops failed at the first non-finite
+    ``||r||``.
     """
     x, r = np.zeros_like(b), b.copy()
     for iteration in range(maxiter):
-        if np.linalg.norm(r) < atol:
+        # numpy's norm of a real vector, without its overhead
+        norm = np.sqrt(r.dot(r))
+        if norm < atol:
             return x, iteration, True
+        if not math.isfinite(norm):
+            return x, iteration, False
         z = r if preconditioner is None else preconditioner(r)
         rho = np.dot(r, z)
         if iteration:
@@ -135,9 +141,10 @@ def cg_solve(matrix, rhs, tol, preconditioner=None, zero_mean=False, x0=None):
     with ``tol``: above it, CG restarts once from that iterate.  Returns the
     solution, its true relative residual, the number of iterations and of
     restarts.  SolverError (with that residual and count) is raised when CG
-    does not reach its target within max(100, 50 sqrt(n)) iterations, or
-    when the true residual is still above ``tol`` after the restart; a zero
-    right-hand side takes no iteration.
+    does not reach its target within max(100, 50 sqrt(n)) iterations, at
+    once when its residual norm turns non-finite (a NaN or overflowed
+    system), or when the true residual is still above ``tol`` after the
+    restart; a zero right-hand side takes no iteration.
     """
     b = rhs - rhs.mean() if zero_mean else rhs
     b_norm = float(np.linalg.norm(b))
@@ -189,7 +196,7 @@ def _couplings(by_red, degree, face_black, n_black):
     end here, before the first factorization allocates.
     """
     start = np.cumsum(degree) - degree
-    firsts, seconds = [np.empty(0, dtype=np.int32)], [np.empty(0, dtype=np.int32)]
+    firsts, seconds = [np.empty(0, dtype=np.intp)], [np.empty(0, dtype=np.intp)]
     max_degree = int(degree.max(initial=0))
     for i in range(max_degree):
         for j in range(i + 1, max_degree):
@@ -205,7 +212,7 @@ def _couplings(by_red, degree, face_black, n_black):
     low, high = np.minimum(b_first, b_second), np.maximum(b_first, b_second)
     coupled = sparse.csr_matrix((np.ones(low.size), (low, high)), shape=(n_black, n_black))
     coupled.data = np.arange(float(coupled.nnz))
-    entry = np.asarray(coupled[low, high]).ravel().astype(np.int32)
+    entry = np.asarray(coupled[low, high]).ravel().astype(np.intp)
     upper = np.repeat(np.arange(n_black, dtype=np.int32), np.diff(coupled.indptr))
     return first, second, entry, upper, coupled.indices
 
@@ -271,16 +278,18 @@ class ReducedFaceSystem:
         self._red, self.black = np.flatnonzero(red), np.flatnonzero(~red)
         self.n_cells, self.face_lo, self.face_hi = colour.size, face_lo, face_hi
         n_red, n_black = self._red.size, self.black.size
-        local = np.empty(colour.size, dtype=np.int32)
+        # every index array that numpy gathers, scatters or counts with is intp, its native
+        # index type, so that no call converts it
+        local = np.empty(colour.size, dtype=np.intp)
         local[self._red] = np.arange(n_red)
         local[self.black] = np.arange(n_black)
         red_lo = red[face_lo]
-        face_red = local[np.where(red_lo, face_lo, face_hi)]
-        face_black = local[np.where(red_lo, face_hi, face_lo)]
-        by_red = np.argsort(face_red, kind="stable").astype(np.int32)
-        degree = np.bincount(face_red, minlength=n_red)
+        self._face_red = local[np.where(red_lo, face_lo, face_hi)]
+        self._face_black = local[np.where(red_lo, face_hi, face_lo)]
+        self._by_red = np.argsort(self._face_red, kind="stable")
+        degree = np.bincount(self._face_red, minlength=n_red)
         self._pair_first, self._pair_second, self._pair_entry, upper, lower = _couplings(
-            by_red, degree, face_black, n_black)
+            self._by_red, degree, self._face_black, n_black)
 
         # CSR layout: (upper, lower) per coupling, (lower, upper), the diagonal; the entry
         # numbers 1..nnz ride through the conversion as values and name the slots
@@ -290,21 +299,17 @@ class ReducedFaceSystem:
         self.matrix = sparse.csr_matrix((np.arange(1.0, rows.size + 1.0), (rows, cols)),
                                         shape=(n_black, n_black))
         self.matrix.sort_indices()
-        slots = np.empty(rows.size, dtype=np.int32)
-        slots[self.matrix.data.astype(np.int32) - 1] = np.arange(rows.size, dtype=np.int32)
+        slots = np.empty(rows.size, dtype=np.intp)
+        slots[self.matrix.data.astype(np.intp) - 1] = np.arange(rows.size)
         self.matrix.data[:] = 0.0
         n_pairs = upper.size
         self._upper_slots = slots[:n_pairs]
         self._lower_slots = slots[n_pairs:2 * n_pairs]
         self._diag_slots = slots[2 * n_pairs:]
-        # K row by row: the faces of each red cell, with their black cells as columns
+        # K row by row: the faces of each red cell, with their black cells as columns; scipy
+        # keeps the CSR structure arrays of K as int32
         self._coupling_indptr = np.concatenate([[0], np.cumsum(degree)]).astype(np.int32)
-        self._coupling_indices = face_black[by_red]
-        # index arrays that numpy indexes and counts with on every assembly are intp, so
-        # that it does not convert them each time
-        self._face_red = face_red.astype(np.intp)
-        self._face_black = face_black.astype(np.intp)
-        self._by_red = by_red.astype(np.intp)
+        self._coupling_indices = self._face_black[self._by_red].astype(np.int32)
 
     def assemble(self, kappa, shift) -> Elimination:
         """Write ``S`` for face coefficients ``kappa`` and diagonal shift ``shift`` into ``matrix``.
@@ -314,18 +319,28 @@ class ReducedFaceSystem:
         """
         n_red = self._coupling_indptr.size - 1
         red_diag = shift + np.bincount(self._face_red, kappa, n_red)
-        weight = kappa / red_diag[self._face_red]
-        pairs = np.bincount(self._pair_entry,
-                            kappa[self._pair_first] * weight[self._pair_second],
-                            self._upper_slots.size)
+        # the face- and pair-sized temporaries are reused in place, which saves an allocation
+        # each per solve; each in-place step is the operation of its out-of-place form
+        weight = red_diag[self._face_red]
+        np.divide(kappa, weight, out=weight)
+        products = kappa[self._pair_first]
+        products *= weight[self._pair_second]
+        pairs = np.bincount(self._pair_entry, products, self._upper_slots.size)
+        np.negative(pairs, out=pairs)
         data = self.matrix.data
-        data[self._upper_slots] = -pairs
-        data[self._lower_slots] = -pairs
-        data[self._diag_slots] = shift + np.bincount(self._face_black, kappa * (1.0 - weight),
+        data[self._upper_slots] = pairs
+        data[self._lower_slots] = pairs
+        np.subtract(1.0, weight, out=weight)
+        weight *= kappa
+        data[self._diag_slots] = shift + np.bincount(self._face_black, weight,
                                                      self._diag_slots.size)
         coupling = sparse.csr_matrix((kappa[self._by_red], self._coupling_indices,
                                       self._coupling_indptr), shape=(n_red, self._diag_slots.size))
         return Elimination(coupling, coupling.T, red_diag)
+
+    def diagonal(self):
+        """The diagonal of ``S`` as last assembled, in the order of ``black``."""
+        return self.matrix.data[self._diag_slots]
 
     def reduce(self, values, elimination):
         """The right-hand side of ``S`` for the operator's right-hand side ``values``."""
@@ -359,7 +374,8 @@ class TwoLevel:
     ``preconditioner(lu)``, with ``lu`` that factorization, applies one
     Jacobi sweep damped by ``JACOBI_WEIGHT``, the exact coarse correction
     and a second sweep; its products with ``S`` read ``system.matrix``, so
-    they see every refill.  It is symmetric, and it is positive definite
+    they see every refill, and its sweeps the diagonal slots of the last
+    refill (``system.diagonal()``).  It is symmetric, and it is positive definite
     because the damped sweep contracts in the energy norm of ``S``: ``S``
     is symmetric and diagonally dominant with a positive diagonal ``D``, so
     the eigenvalues of ``D^-1 S`` lie in (0, 2) and their multiples by
@@ -382,17 +398,17 @@ class TwoLevel:
             (np.zeros(keys.size), (keys % n_coarse).astype(np.int32), indptr.astype(np.int32)),
             shape=(n_coarse, n_coarse))
         self._aggregate = perm[aggregate].astype(np.intp)
-        self._matrix = matrix
+        self._system = system
 
     def assemble(self):
         """``coarse`` refilled from the current values of ``S``."""
-        self.coarse.data[:] = np.bincount(self._slots, self._matrix.data, self.coarse.nnz)
+        self.coarse.data[:] = np.bincount(self._slots, self._system.matrix.data, self.coarse.nnz)
         return self.coarse
 
     def preconditioner(self, lu):
         """The preconditioner as a function of the residual, ``lu`` solving with ``coarse``."""
-        matrix, aggregate, n_coarse = self._matrix, self._aggregate, self.coarse.shape[0]
-        weight = JACOBI_WEIGHT / matrix.diagonal()
+        matrix, aggregate, n_coarse = self._system.matrix, self._aggregate, self.coarse.shape[0]
+        weight = JACOBI_WEIGHT / self._system.diagonal()
 
         def apply(residual):
             x = weight * residual

@@ -52,6 +52,11 @@ coefficients; a full tensor gets the LU of ``poisson_matrix``.  Both LUs
 pin unknown 0 and let SuperLU order the pinned block (``MMD_AT_PLUS_A``,
 partial pivoting).
 
+The explicit drift is upwinded by index: each face and species takes the
+concentration of its donor cell, chosen from the sign of the velocity, in
+one gather.  ``D_i A_nn`` per face is computed once per simulation; it
+starts every implicit face coefficient and the implicit flux.
+
 The run loop measures each accepted state once (``_Stats``); the output rows
 read those measurements, the summary reduces all of them, and snapshots are
 the accepted states themselves.
@@ -319,6 +324,8 @@ class TransportSim:
         self._poisson = poisson_solver(grid, poisson_tensor, self._reduced)
         self._charges = np.array([s.charge for s in self.species], dtype=float)
         self._diffusivities = np.array([s.diffusivity for s in self.species], dtype=float)
+        # D_i A_nn per species and face: the first factor of every implicit face coefficient
+        self._face_diffusivities = self._diffusivities[:, None] * self._face_diag
 
     # -- potential -----------------------------------------------------------
 
@@ -359,16 +366,22 @@ class TransportSim:
         return g
 
     def _drift_fluxes(self, conc, grad_phi_faces):
-        """Upwinded drift flux per species, or None when drift is inactive."""
+        """Upwinded drift flux per species, or None when drift is inactive.
+
+        The donor cell of each face and species is chosen by index, the lo
+        cell where the velocity is >= 0 and the hi cell elsewhere, and its
+        concentration is gathered once.
+        """
         if self.drift_scale == 0.0 or not np.any(self._charges):
             return None
         grid = self.grid
-        c_lo = conc[:, grid.face_lo]
-        c_hi = conc[:, grid.face_hi]
         factors = -self.drift_scale * self._diffusivities * self._charges
         velocity = factors[:, None] * grad_phi_faces[None, :]
-        upwind = np.where(velocity >= 0.0, c_lo, c_hi)
-        return velocity * upwind
+        donor = np.where(velocity >= 0.0, grid.face_lo, grid.face_hi)
+        donor += np.arange(0, conc.size, conc.shape[1])[:, None]  # row i starts at i * n_fluid
+        flux = conc.take(donor)
+        flux *= velocity
+        return flux
 
     # -- time-step control -----------------------------------------------------
 
@@ -391,23 +404,27 @@ class TransportSim:
 
     # -- stepping ----------------------------------------------------------------
 
-    def _implicit_solve(self, c, diffusivity, face_h, dt, rhs_extra, guess=None):
+    def _implicit_solve(self, c, face_diffusivity, face_h, dt, rhs_extra, guess=None):
         """Solve (face_laplacian(kappa) + I/dt) c* = c/dt + rhs_extra.
 
-        A symmetric, strictly diagonally dominant M-matrix.  One parity of
-        cells is eliminated exactly, which leaves the Schur complement S on
-        the others.  Each solve factorizes the coarse operator of the
-        two-level preconditioner, its one SuperLU factorization, and solves
-        S by CG to the true relative residual CG_TOL, started from the black
-        cells of ``guess`` (None: from 0).
+        ``kappa = face_diffusivity * face_h / h^2``, with ``face_diffusivity``
+        the species' D_i times the tensor's normal entry per face (or a
+        scalar).  A symmetric, strictly diagonally dominant M-matrix.  One
+        parity of cells is eliminated exactly, which leaves the Schur
+        complement S on the others.  Each solve factorizes the coarse
+        operator of the two-level preconditioner, its one SuperLU
+        factorization, and solves S by CG to the true relative residual
+        CG_TOL, started from the black cells of ``guess`` (None: from 0).
+        Both failure messages name the largest face coefficient.
         """
         system, two_level = self._reduced, self._two_level
-        kappa = diffusivity * self._face_diag * face_h / self.grid.h ** 2
+        kappa = face_diffusivity * face_h / self.grid.h ** 2
         elimination = system.assemble(kappa, 1.0 / dt)
         try:
             lu = splu(two_level.assemble(), **SUPERLU_NATURAL)
         except RuntimeError as exc:
-            raise SolverError(f"implicit transport solve failed: {exc}") from exc
+            raise SolverError(f"implicit transport solve failed: {exc}; largest face "
+                              f"coefficient {np.max(kappa):.3e}") from exc
         rhs = c / dt + rhs_extra
         reduced = system.reduce(rhs, elimination)
         try:
@@ -415,7 +432,8 @@ class TransportSim:
                 system.matrix, reduced, CG_TOL, preconditioner=two_level.preconditioner(lu),
                 x0=None if guess is None else guess[system.black])
         except SolverError as exc:
-            raise SolverError(f"implicit transport solve: {exc}", residual=exc.residual,
+            raise SolverError(f"implicit transport solve: {exc}; largest face coefficient "
+                              f"{np.max(kappa):.3e}", residual=exc.residual,
                               iterations=exc.iterations) from exc
         counts = self.solves
         counts.solves += 1
@@ -446,7 +464,7 @@ class TransportSim:
         new_conc = np.empty_like(conc)
         c_safe = np.maximum(conc, 0.0)
         for i in range(conc.shape[0]):
-            d_i = self._diffusivities[i]
+            d_i, face_d = self._diffusivities[i], self._face_diffusivities[i]
             src_i = None if src is None else src[i]
             flux = np.zeros(grid.face_lo.size)
             if drift is not None:
@@ -459,10 +477,9 @@ class TransportSim:
             # built per species, so that one guess at a time is held
             guess = (conc[i] if previous is None else
                      conc[i] + dt / (state.t - previous.t) * (conc[i] - previous.conc[i]))
-            c_star = self._implicit_solve(conc[i], d_i, face_h, dt, self._rate(flux, src_i),
+            c_star = self._implicit_solve(conc[i], face_d, face_h, dt, self._rate(flux, src_i),
                                           guess)
-            flux += (-d_i * self._face_diag * face_h
-                     * (c_star[grid.face_hi] - c_star[grid.face_lo]) / grid.h)
+            flux -= face_d * face_h * (c_star[grid.face_hi] - c_star[grid.face_lo]) / grid.h
             new_conc[i] = conc[i] + dt * self._rate(flux, src_i)
 
         if float(np.min(new_conc)) < -NEG_TOLERANCE:

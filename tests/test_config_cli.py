@@ -1,6 +1,7 @@
 import contextlib
 import io
 import json
+import re
 import tempfile
 import warnings
 from pathlib import Path
@@ -690,6 +691,26 @@ def test_main_runs_micro(tmp_path):
     cfg_path.write_text(json.dumps(canonical_config(tmp_path / "out", T=0.01)))
     assert main(["micro", "--config", str(cfg_path)]) == 0
     assert (tmp_path / "out" / "diagnostics.csv").exists()
+
+
+@pytest.mark.parametrize("eta,message", [
+    # finite face coefficients whose squares overflow: the CG stops at once
+    (1e300, r"CG stopped after 0 iterations at relative residual (nan|inf) .*; largest "
+            r"face coefficient 1\.372e\+304"),
+    # h_p' itself overflows: SuperLU's error names its cause
+    (1e308, "Factor is exactly singular; largest face coefficient inf"),
+], ids=["cg", "lu"])
+def test_overflowing_eta_fails_fast_with_the_largest_face_coefficient(tmp_path, capsys, eta,
+                                                                      message):
+    cfg = canonical_config(tmp_path / "out", T=0.01)
+    cfg["scaling"]["eta"] = eta
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main(["micro", "--config", str(cfg_path)]) == 1
+    err = capsys.readouterr().err
+    assert re.search("FAILED: implicit transport solve.*" + message, err)
+    assert _manifest(tmp_path / "out")["exit_status"] == 1
 
 
 def test_three_dimensional_config_dispatch(tmp_path):

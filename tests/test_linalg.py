@@ -243,6 +243,18 @@ def test_cg_raises_when_the_restart_misses_tol_too(monkeypatch):
     assert failure.value.residual > 1e-12
 
 
+def test_cg_stops_at_the_first_non_finite_residual():
+    # an infinite diagonal entry turns the residual to NaN after one iteration; the norm
+    # test alone is False for NaN, so CG would iterate to its cap
+    matrix, rhs, _ = _spd_system(8)
+    matrix = matrix.tolil()
+    matrix[3, 3] = np.inf
+    with pytest.raises(SolverError, match="CG stopped after [01] iterations") as failure, \
+            np.errstate(invalid="ignore"):
+        cg_solve(matrix.tocsr(), rhs, 1e-10)
+    assert failure.value.iterations <= 1
+
+
 def _check_implicit_solve(grid, species, bound=1e-12):
     sim = MicroSimulation(grid, make_scaling(grid.eps), species, zero_charges(grid))
     rng = np.random.default_rng(11)
@@ -343,6 +355,24 @@ def test_unconverged_two_level_solve_raises_with_iterations_and_residual(monkeyp
                             np.zeros(grid.n_fluid))
     assert failure.value.iterations == 3
     assert failure.value.residual > transport.CG_TOL
+
+
+def test_index_arrays_are_native_intp():
+    # numpy converts every other index array on each gather, scatter or count; the CSR
+    # structure of K is int32, the index type scipy gives its sparse matrices
+    grid = _perforated_grid(2)
+    system = _reduced_system(grid)
+    two_level = transport.aggregated_two_level(grid, system)
+    exceptions = {"_coupling_indices", "_coupling_indptr"}
+    checked = set()
+    for owner in (system, two_level):
+        for name, value in vars(owner).items():
+            if isinstance(value, np.ndarray) and value.dtype.kind in "iu":
+                checked.add(name)
+                expected = np.int32 if name in exceptions else np.intp
+                assert value.dtype == expected, name
+    assert {"_pair_first", "_pair_entry", "_upper_slots", "_slots", "_aggregate"} < checked
+    assert exceptions < checked
 
 
 def _explicit_schur_complement(grid, kappa, dt):

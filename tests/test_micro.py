@@ -170,6 +170,26 @@ def test_upwind_picks_donor_cell():
                                rtol=1e-13)
 
 
+@pytest.mark.parametrize("phi_of", [
+    lambda x: np.sin(2 * np.pi * x[:, 0]) * np.cos(np.pi * x[:, 1]),
+    lambda x: (x[:, 0] - 0.5) * (x[:, 1] - 0.3),
+], ids=["sine", "saddle"])
+def test_upwind_picks_the_donor_cell_bitwise_in_both_directions(disk_cell_8, phi_of):
+    # two oppositely charged species on a perforated grid, and a potential whose face
+    # gradient changes sign: each species draws from the lo cell where its velocity is
+    # >= 0 and from the hi cell elsewhere, to the bit
+    grid = build_masked_grid(disk_cell_8, 2)
+    species = [SpeciesSpec("p", 1.0, 1, smooth_c0), SpeciesSpec("m", 0.5, -1, smooth_c0)]
+    sim = _simple_sim(grid, species)
+    conc = np.stack([smooth_c0(grid.centers), 2.0 - grid.centers[:, 0] ** 2])
+    grad = sim._normal_gradient_faces(phi_of(grid.centers))
+    factors = -sim.drift_scale * sim._diffusivities * sim._charges
+    velocity = factors[:, None] * grad[None, :]
+    assert np.any(velocity[0] > 0) and np.any(velocity[0] < 0)
+    expected = velocity * np.where(velocity >= 0, conc[:, grid.face_lo], conc[:, grid.face_hi])
+    assert np.array_equal(sim._drift_fluxes(conc, grad), expected)
+
+
 # -- stepping -------------------------------------------------------------------
 
 
