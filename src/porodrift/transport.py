@@ -7,9 +7,14 @@ with upwinding; the potential is re-solved from the updated concentrations
 face flux enters its two cells with opposite signs -- so each species' total
 mass telescopes exactly regardless of linear-solver residuals.
 
-A constant symmetric tensor enters through its diagonal as a per-face
+A constant symmetric tensor A enters through its diagonal as a per-face
 two-point coefficient (implicit) and through its off-diagonal entries as
-four-point averaged tangential differences (explicit).
+four-point averaged tangential differences (explicit).  A transport tensor
+must satisfy 0 <= A <= 2 diag(A) (in 2-D, A >= 0), the exact condition under
+which the step (I - dt L_diag) u+ = (I + dt L_cross) u of constant
+coefficients has spectral radius <= 1 for every dt (Fourier modes; in 't
+Hout & Welfert, Appl. Numer. Math. 2007).  So only the drift bounds dt.  With
+eta > 0, h_p' varies, and near the condition's boundary a large step can raise the energy.
 
 The implicit matrix of each species and step changes its values but not
 its pattern, and every face joins cells of opposite grid-index parity.  The
@@ -307,15 +312,16 @@ class TransportSim:
         self.species = list(species)
         self.eta = float(eta)
         self.p = float(p)
-        transport_tensor = _checked_tensor(transport_tensor, grid.dim)
+        self.transport_tensor = tensor = _checked_tensor(transport_tensor, grid.dim)
+        if np.linalg.eigvalsh([tensor, np.diag(2 * tensor.diagonal()) - tensor]).min() < -1e-8:
+            raise ValueError(f"transport tensor {tensor.tolist()} violates 0 <= A <= 2 diag(A)")
         poisson_tensor = _checked_tensor(poisson_tensor, grid.dim)
         self.drift_scale = float(drift_scale)
         self.poisson_tol = float(poisson_tol)
         self.energy_prefactor = float(energy_prefactor)
         self.grad_scale = float(grad_scale)
-        self._face_diag = transport_tensor[grid.face_axis, grid.face_axis]
-        self._cross = cross_operator(grid, transport_tensor)
-        self._cross_magnitude = 0.0 if self._cross is None else _off_diagonal_max(transport_tensor)
+        self._face_diag = tensor[grid.face_axis, grid.face_axis]
+        self._cross = cross_operator(grid, tensor)
         self._volumetric = np.asarray(charges.volumetric, dtype=float)
         self._boundary_rhs = charges.cell_sums(grid)
         self._reduced = reduced_face_system(grid)
@@ -386,21 +392,11 @@ class TransportSim:
     # -- time-step control -----------------------------------------------------
 
     def dt_limit(self, state: SimState) -> float:
-        """Largest admissible dt at this state (drift CFL, explicit cross-term bound)."""
-        grid = self.grid
-        limit = np.inf
+        """Largest admissible dt at this state: the drift CFL limit (the cross terms set none)."""
         factors = np.abs(self.drift_scale * self._diffusivities * self._charges)
-        if np.any(factors > 0):
-            grad = np.abs(self._normal_gradient_faces(state.phi))
-            vmax = float(np.max(factors)) * (float(np.max(grad)) if grad.size else 0.0)
-            if vmax > 0:
-                limit = CFL_SAFETY * grid.h / vmax
-        if self._cross_magnitude > 0.0:
-            h_max = h_p_prime(max(float(np.max(state.conc)), 0.0), self.eta, self.p)
-            d_max = float(np.max(self._diffusivities))
-            limit = min(limit, 0.25 * grid.h ** 2
-                        / (grid.dim * d_max * self._cross_magnitude * h_max))
-        return limit
+        grad = np.abs(self._normal_gradient_faces(state.phi)) if np.any(factors > 0) else []
+        vmax = float(np.max(factors)) * float(np.max(grad, initial=0.0))
+        return CFL_SAFETY * self.grid.h / vmax if vmax > 0 else np.inf
 
     # -- stepping ----------------------------------------------------------------
 
@@ -565,8 +561,12 @@ class TransportSim:
                         dt *= 0.5
                         rejections += 1
                         if dt < DT_FLOOR:
+                            cross = ("" if self._cross is None else "; largest off-diagonal "
+                                     "entry of the transport tensor in magnitude "
+                                     f"{_off_diagonal_max(self.transport_tensor):.3e}")
                             raise TimeStepError(f"time step fell below {DT_FLOOR:g} at t = "
-                                                f"{state.t:.6g} without restoring nonnegativity")
+                                                f"{state.t:.6g} without restoring "
+                                                f"nonnegativity{cross}")
                 if abs(new_state.t - t_event) <= time_tol:
                     new_state.t = t_event
                 previous, state = state, new_state

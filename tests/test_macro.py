@@ -1,11 +1,14 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from porodrift import (
     FacetCharges,
     InclusionShape,
     MacroSimulation,
     SpeciesSpec,
+    TimeStepError,
     build_cell_geometry,
     build_macro_source,
     build_masked_grid,
@@ -14,6 +17,8 @@ from porodrift import (
     run_macro,
     run_micro,
 )
+from porodrift.diagnostics import energy_value
+from porodrift.geometry import balance_outer_charges
 from porodrift.linalg import ZeroMeanDirect, face_laplacian
 from porodrift.macro import sample_macro_field
 from porodrift.transport import cross_operator, poisson_matrix
@@ -111,6 +116,12 @@ def test_tensor_must_be_symmetric():
     bad = np.array([[1.0, 0.2], [-0.2, 1.0]])
     with pytest.raises(ValueError, match="symmetric"):
         MacroSimulation(grid, bad, spec, _zero_source(grid), eta=1.0, p=4.0)
+    # a symmetric transport tensor must also satisfy 0 <= A <= 2 diag(A): in 2-D A >= 0,
+    # in 3-D with unit diagonal and every a_kl = a, a <= 0.5
+    for domain, tensor in ((grid, [[1.0, 0.95], [0.95, 0.8]]),
+                           (_hole_free(3, 4), np.full((3, 3), 0.55) + 0.45 * np.eye(3))):
+        with pytest.raises(ValueError, match=r"violates 0 <= A <= 2 diag\(A\)"):
+            MacroSimulation(domain, np.array(tensor), spec, _zero_source(domain), eta=1.0, p=4.0)
 
 
 # -- stepping ---------------------------------------------------------------------
@@ -170,13 +181,124 @@ def test_constant_state_is_steady():
     assert result.summary["max_mass_drift_rel"] <= 1e-12
 
 
-def test_full_tensor_mass_conservation():
+def _translated_disk_a_hom():
+    # off the cell centre the staircase disk gives A_hom an off-diagonal entry of -0.0073
+    cell = build_cell_geometry(InclusionShape("disk", center=(0.4, 0.55), radius=0.25), 16)
+    return compute_effective_tensor(cell).a_hom
+
+
+@pytest.mark.parametrize("tensor", [
+    lambda: [[1.0, 0.1], [0.1, 0.7]],
+    lambda: [[1.0, 0.45], [0.45, 0.8]],
+    lambda: [[1.0, 0.85], [0.85, 0.8]],
+    _translated_disk_a_hom,
+], ids=["a0.1", "a0.45", "a0.85", "translated-disk"])
+def test_full_tensor_mass_conservation(tensor):
+    # without drift (z = 0) nothing limits dt: the cross terms take the step dt_init
     grid = hole_free_grid(16)
     species = [SpeciesSpec("s", 1.0, 0, smooth_c0)]
-    tensor = np.array([[1.0, 0.1], [0.1, 0.7]])
-    result = run_macro(grid, tensor, species, _zero_source(grid), 1.0, 4.0, 0.02, 1e-3)
+    result = run_macro(grid, np.array(tensor()), species, _zero_source(grid), 1.0, 4.0, 0.02,
+                       1e-3)
+    assert result.summary["steps"] == round(0.02 / 1e-3)
     assert result.summary["max_mass_drift_rel"] <= 1e-12
     assert result.summary["min_c"] >= -1e-12
+    assert result.summary["max_energy_increase_rel"] <= 1e-8
+
+
+def _rough_c0(x):
+    return 1.0 + np.random.default_rng(0).uniform(-0.9, 0.9, x.shape[0])
+
+
+def test_nearly_degenerate_tensor_fails_typed_naming_the_cross_term():
+    # inside the condition (det 0.0079) but nearly singular: on rough data no halving
+    # restores nonnegativity, with or without a dt bound from the cross term
+    grid = hole_free_grid(16)
+    species = [SpeciesSpec("s", 1.0, 0, _rough_c0)]
+    tensor = np.array([[1.0, 0.89], [0.89, 0.8]])
+    with pytest.raises(TimeStepError, match="largest off-diagonal entry of the transport "
+                                            "tensor in magnitude 8.900e-01"):
+        run_macro(grid, tensor, species, _zero_source(grid), 1.0, 4.0, 0.02, 1e-3)
+
+
+def _step_matrix(grid, tensor, dt):
+    """(I - dt L_diag)^-1 (I + dt L_cross) of the constant-coefficient transport, dense."""
+    diag = poisson_matrix(grid, np.diag(np.diag(tensor))).toarray() / grid.cell_volume
+    cross = poisson_matrix(grid, tensor).toarray() / grid.cell_volume - diag
+    eye = np.eye(grid.n_fluid)
+    return np.linalg.solve(eye + dt * diag, eye - dt * cross)
+
+
+@pytest.mark.parametrize("dim,a,inside", [
+    (2, 0.45, True), (2, np.sqrt(0.8), True), (3, 0.5, True), (3, 0.55, False),
+], ids=["2d-0.45", "2d-singular", "3d-0.5", "3d-0.55"])
+def test_cross_terms_are_stable_at_every_dt_exactly_inside_the_tensor_condition(dim, a, inside):
+    # 2-D [[1, a], [a, 0.8]] meets 0 <= A <= 2 diag(A) up to a = sqrt(0.8), where A turns
+    # singular; 3-D unit diagonal with every a_kl = a up to a = 0.5, where 1 + 2a reaches 2
+    grid = _hole_free(dim, 16 if dim == 2 else 8)
+    tensor = (np.array([[1.0, a], [a, 0.8]]) if dim == 2
+              else np.full((3, 3), a) + (1.0 - a) * np.eye(3))
+    step = _step_matrix(grid, tensor, dt=1.0)
+    radius = np.max(np.abs(np.linalg.eigvals(step)))
+    if not inside:
+        assert radius > 1.05
+        return
+    assert radius <= 1.0 + 1e-10
+    # the matrix is the engine's step: linear diffusion (eta = 0), no drift
+    species = [SpeciesSpec("s", 1.0, 0, smooth_c0)]
+    sim = MacroSimulation(grid, tensor, species, _zero_source(grid), eta=0.0, p=4.0)
+    state = sim.initial_state()
+    np.testing.assert_allclose(sim.step(state, 1.0).conc[0], step @ state.conc[0],
+                               rtol=0.0, atol=1e-8)
+
+
+class _TensorFieldEnergy(MacroSimulation):
+    """Measures the energy with the field term (1/2) phi . P_A phi of the tensor A.
+
+    The summary's energy takes the two-point |grad phi|^2 for every run, which is
+    not the functional the homogenized scheme dissipates unless A = I.
+    """
+
+    def __init__(self, grid, tensor, *args, **kwargs):
+        super().__init__(grid, tensor, *args, **kwargs)
+        self._field = poisson_matrix(grid, tensor)
+
+    def _statistics(self, state, dt):
+        entropy = energy_value(self.grid, state.conc, state.phi, self.eta, self.p, 0.0)
+        return super()._statistics(state, dt)._replace(
+            energy=entropy + 0.5 * state.phi @ (self._field @ state.phi))
+
+
+@settings(max_examples=25, deadline=None, database=None)
+@given(resolution=st.integers(8, 16),
+       diagonal=st.tuples(st.floats(0.2, 1.5), st.floats(0.2, 1.5)),
+       rho=st.floats(-0.99, 0.99),
+       diffusivities=st.tuples(st.floats(0.2, 2.0), st.floats(0.2, 2.0)),
+       charges=st.tuples(st.integers(-2, 2), st.integers(-2, 2)),
+       eta=st.floats(0.0, 2.0), p=st.floats(1.5, 5.0),
+       modes=st.tuples(*[st.tuples(st.floats(0.0, 0.9), st.integers(1, 2),
+                                   st.integers(0, 2))] * 2))
+def test_coupled_full_tensor_runs_keep_the_invariants(resolution, diagonal, rho, diffusivities,
+                                                      charges, eta, p, modes):
+    # A = [[d1, a], [a, d2]] with a = rho sqrt(d1 d2) meets 0 <= A <= 2 diag(A) for |rho| <= 1
+    off = rho * np.sqrt(diagonal[0] * diagonal[1])
+    tensor = np.array([[diagonal[0], off], [off, diagonal[1]]])
+
+    def c0(amplitude, k1, k2):
+        return lambda x: 1.0 + amplitude * np.cos(k1 * np.pi * x[:, 0]) * np.cos(
+            k2 * np.pi * x[:, 1])
+
+    grid = hole_free_grid(resolution)
+    species = [SpeciesSpec(f"s{i}", d, z, c0(*mode))
+               for i, (d, z, mode) in enumerate(zip(diffusivities, charges, modes))]
+    sources, _ = balance_outer_charges(grid, species, _zero_source(grid))
+    summary = _TensorFieldEnergy(grid, tensor, species, sources, eta, p).run(0.005, 1e-3).summary
+    assert summary["max_mass_drift_rel"] <= 1e-12
+    assert summary["max_compat_residual"] <= 1e-10
+    assert summary["min_c"] >= -1e-12
+    # the condition is exact for constant coefficients; nearer the singular end, the face
+    # coefficient h_p' varying between cells lets the energy of nonlinear runs rise
+    if abs(rho) <= 0.8:
+        assert summary["max_energy_increase_rel"] <= 1e-8
 
 
 # -- sampling -------------------------------------------------------------------

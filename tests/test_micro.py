@@ -420,8 +420,10 @@ def test_run_loop_aborts_below_dt_floor():
             raise _StepRejected
 
     sim = AlwaysRejects(grid, scaling, species, zero_charges(grid))
-    with pytest.raises(TimeStepError):
+    with pytest.raises(TimeStepError) as failure:
         sim.run(0.01, 1e-3)
+    # the identity transport tensor has no off-diagonal entry to name
+    assert str(failure.value).endswith("without restoring nonnegativity")
 
 
 def test_energy_evaluated_once_per_accepted_state(monkeypatch):
