@@ -35,6 +35,7 @@ from .geometry import (
 )
 from .linalg import POISSON_TOL
 from .micro import ScalingSpec, SpeciesSpec
+from .transport import h_p_prime
 from .verification import (
     MMS_SOLVERS,
     balanced_charges,
@@ -421,6 +422,12 @@ def parse_and_validate(source) -> RunConfig:
         with np.errstate(over="ignore"):  # the largest c0^p, as c0 >= 0 here
             _finite_samples(np.max(values, keepdims=True) ** p,
                             f"species {spec.name!r}: initial concentration to the power p = {p:g}")
+            # the largest initial implicit face coefficient; the CG norm sums its square
+            coefficient = spec.diffusivity * h_p_prime(np.max(values), eta, p) / grid.h ** 2
+        if not math.isfinite(coefficient * coefficient):
+            raise ConfigError(f"scaling.eta = {eta:g} overflows the implicit face coefficient "
+                              f"D h_p'(max c0) / h^2 = {coefficient:.3e} of species "
+                              f"{spec.name!r}, or its square")
     charges = surface_charge_on_facets(grid, xi1, xi2)
     _finite_samples(charges.gamma_values, "surface_charge.xi1")
     _finite_samples(charges.outer_values, "surface_charge.xi2")

@@ -1,14 +1,17 @@
 """Structural diagnostics: entropy density, energy functional, time-series record.
 
-The energy functional combines the scaled field energy of the potential with
-the entropy density of each species,
+The energy functional combines the field energy of the potential with the
+entropy density of each species,
 
-    V = (1/2) s |grad phi|^2 + sum_i int Psi(c_i),
+    V = (w/2) phi . P phi + sum_i int Psi(c_i),
     Psi(r) = r log r - r + 1 + eta/(p-1) r^p,
 
-where the prefactor s is eps^(alpha+beta) for microscopic runs.  Along exact
-solutions V is non-increasing; the run loop tracks the discrete analogue
-every accepted step.
+with P the simulation's Poisson operator and w its drift scale: micro runs
+have P = eps^alpha times the two-point Laplacian and w = eps^beta (the field
+term (1/2) eps^(alpha+beta) |grad phi|^2), coupled macro runs P = P_A of the
+effective tensor and w = 1, and decoupled macro runs w = 0, as their
+transport never sees phi.  Along exact solutions V is non-increasing; the
+run loop tracks the discrete analogue every accepted step.
 
 The verification harnesses (homogenization sweep, manufactured solutions,
 eta sweep) live in :mod:`porodrift.verification`.
@@ -43,15 +46,10 @@ def face_gradient_l2(grid, values: np.ndarray) -> float:
     return float(np.sqrt(np.sum(diffs ** 2) * grid.cell_volume))
 
 
-def energy_value(grid, conc: np.ndarray, phi: np.ndarray, eta: float, p: float,
-                 grad_prefactor: float) -> float:
-    """Discrete energy functional; ``grad_prefactor`` is eps^(alpha+beta) for micro runs."""
-    diffs = (phi[grid.face_hi] - phi[grid.face_lo]) / grid.h
-    field_energy = 0.5 * grad_prefactor * float(np.sum(diffs ** 2)) * grid.cell_volume
-    entropy = 0.0
-    for c in conc:
-        entropy += float(np.sum(psi_eval(np.maximum(c, 0.0), eta, p))) * grid.cell_volume
-    return field_energy + entropy
+def energy_value(grid, conc: np.ndarray, eta: float, p: float, field_energy: float) -> float:
+    """Discrete energy functional: ``field_energy`` plus the entropy sum of ``conc``."""
+    return field_energy + sum(float(np.sum(psi_eval(np.maximum(c, 0.0), eta, p)))
+                              * grid.cell_volume for c in conc)
 
 
 def lp_norm_pth_power(grid, values: np.ndarray, p: float) -> float:

@@ -489,6 +489,13 @@ class ZeroMeanDirect:
         lo, hi = self._system.face_lo, self._system.face_hi
         return face_divergence(self.n, lo, hi, self._kappa * (phi[hi] - phi[lo]))
 
+    def energy(self, phi):
+        """``(1/2) phi . P phi``, on the two-point path ``sum_f kappa_f (phi_hi - phi_lo)^2/2``."""
+        if self._system is None:
+            return 0.5 * float(phi @ (self.matrix @ phi))
+        lo, hi = self._system.face_lo, self._system.face_hi
+        return 0.5 * float(np.sum(self._kappa * (phi[hi] - phi[lo]) ** 2))
+
     def solve(self, rhs, tol=POISSON_TOL):
         """Zero-mean solution; iterative refinement until the residual meets ``tol``."""
         counts = self.counts

@@ -97,9 +97,8 @@ class MacroSimulation(TransportSim):
         if not grid.is_unperforated:
             raise GeometryError("the homogenized model lives on the unperforated domain")
         super().__init__(
-            grid, species, eta, p, transport_tensor=tensor, poisson_tensor=tensor,
-            drift_scale=1.0 if mode == "coupled" else 0.0, charges=charges,
-            energy_prefactor=1.0, grad_scale=1.0, poisson_tol=poisson_tol,
+            grid, species, eta, p, transport_tensor=tensor, poisson_tensor=tensor, charges=charges,
+            drift_scale=1.0 if mode == "coupled" else 0.0, grad_scale=1.0, poisson_tol=poisson_tol,
         )
 
 

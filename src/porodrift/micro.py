@@ -79,9 +79,8 @@ class MicroSimulation(TransportSim):
         eps, alpha, beta = scaling.epsilon, scaling.alpha, scaling.beta
         identity = np.eye(grid.dim)
         super().__init__(
-            grid, species, scaling.eta, scaling.p,
-            transport_tensor=identity, poisson_tensor=eps ** alpha * identity,
-            drift_scale=eps ** beta, charges=charges, energy_prefactor=eps ** (alpha + beta),
+            grid, species, scaling.eta, scaling.p, transport_tensor=identity,
+            poisson_tensor=eps ** alpha * identity, drift_scale=eps ** beta, charges=charges,
             grad_scale=eps ** alpha, poisson_tol=poisson_tol,
         )
 

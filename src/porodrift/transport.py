@@ -298,16 +298,15 @@ class TransportSim:
 
       transport_tensor   A, constant symmetric (dim, dim)
       poisson_tensor     B, constant symmetric (dim, dim)
-      drift_scale        mobility factor; 0.0 drops the drift from transport
+      drift_scale        mobility factor and weight of the energy's field term
+                         (1/2) phi . P phi; 0.0 drops the drift from transport
       charges            FacetCharges: charge density per interface and outer
                          facet, and s, the fixed charge density per cell
-      energy_prefactor   weight of (1/2)|grad phi|^2 in the energy
       grad_scale         factor on the logged |grad phi|
     """
 
     def __init__(self, grid, species, eta, p, *, transport_tensor, poisson_tensor,
-                 drift_scale, charges, energy_prefactor, grad_scale,
-                 poisson_tol=POISSON_TOL):
+                 drift_scale, charges, grad_scale, poisson_tol=POISSON_TOL):
         self.grid = grid
         self.species = list(species)
         self.eta = float(eta)
@@ -318,7 +317,6 @@ class TransportSim:
         poisson_tensor = _checked_tensor(poisson_tensor, grid.dim)
         self.drift_scale = float(drift_scale)
         self.poisson_tol = float(poisson_tol)
-        self.energy_prefactor = float(energy_prefactor)
         self.grad_scale = float(grad_scale)
         self._face_diag = tensor[grid.face_axis, grid.face_axis]
         self._cross = cross_operator(grid, tensor)
@@ -500,7 +498,8 @@ class TransportSim:
             masses=np.array([np.sum(c) for c in conc]) * grid.cell_volume,
             mins=[float(np.min(c)) for c in conc], maxs=[float(np.max(c)) for c in conc],
             compat=state.compat,
-            energy=energy_value(grid, conc, state.phi, self.eta, self.p, self.energy_prefactor),
+            energy=energy_value(grid, conc, self.eta, self.p,
+                                self.drift_scale * self._poisson.energy(state.phi)),
             pnorm=(max(lp_norm_pth_power(grid, c, self.p) for c in conc)
                    * self.eta / (self.p - 1.0)),
             dt=dt)

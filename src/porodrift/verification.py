@@ -107,6 +107,7 @@ class ConvergenceReport:
     max_conc_per_eps: list
     energy_initial_per_eps: list
     energy_max_per_eps: list
+    max_energy_increase_rel_per_eps: list
     a_hom: np.ndarray
     porosity: float
     macro_resolution: int
@@ -183,7 +184,7 @@ def run_convergence_study(cell: MaskedGrid, species, xi1, xi2, alpha, beta, eta,
     names = [s.name for s in species]
     conc_errors = {name: [] for name in names}
     phi_plain, phi_corr = [], []
-    max_conc, e0_list, emax_list = [], [], []
+    max_conc, e0_list, emax_list, increases = [], [], [], []
     for m in m_values:
         grid = build_masked_grid(cell, m)
         charges, _ = balanced_charges(grid, species, surface_charge_on_facets(grid, xi1, xi2),
@@ -212,6 +213,7 @@ def run_convergence_study(cell: MaskedGrid, species, xi1, xi2, alpha, beta, eta,
         energies = result.record.column("energy")
         e0_list.append(energies[0])
         emax_list.append(float(np.max(energies)))
+        increases.append(result.summary["max_energy_increase_rel"])
 
     return ConvergenceReport(
         m_values=m_values,
@@ -223,6 +225,7 @@ def run_convergence_study(cell: MaskedGrid, species, xi1, xi2, alpha, beta, eta,
         max_conc_per_eps=max_conc,
         energy_initial_per_eps=e0_list,
         energy_max_per_eps=emax_list,
+        max_energy_increase_rel_per_eps=increases,
         a_hom=tensor.a_hom,
         porosity=tensor.porosity,
         macro_resolution=macro_resolution,

@@ -207,6 +207,15 @@ def test_acceptance_5_mms_verification():
 # -- criterion 6 ---------------------------------------------------------------------
 
 
+def _energy_decay_per_eps(m_values, increases):
+    """The eps-uniform estimate: the micro run of every level keeps the energy gate."""
+    checks = [(len(increases) == len(m_values), f"{len(increases)} energy increases reported "
+                                                f"for {len(m_values)} eps levels")]
+    return checks + [(increase <= 1e-8, f"energy rose by {increase:.3e} of its initial value "
+                                        f"at eps = 1/{m}")
+                     for m, increase in zip(m_values, increases)]
+
+
 def test_acceptance_6_homogenization_coupled(converge_run):
     out_dir, elapsed = converge_run
     report = json.loads((out_dir / "report.json").read_text())
@@ -225,6 +234,7 @@ def test_acceptance_6_homogenization_coupled(converge_run):
     bound = 2.0 * max(report["energy_initial_per_eps"])
     checks.append((max(report["energy_max_per_eps"]) <= bound,
                    "max energy over the sweep exceeds twice the largest initial energy"))
+    checks += _energy_decay_per_eps(report["m_values"], report["max_energy_increase_rel_per_eps"])
     _report(6, "homogenization convergence (alpha = beta)", checks)
 
 
@@ -245,6 +255,8 @@ def test_acceptance_7_decoupling(disk_cell_8, canonical_species):
         errors = report.conc_errors[name]
         strict = all(b < a for a, b in zip(errors, errors[1:]))
         checks.append((strict, f"decoupled errors for {name} not decreasing: {errors}"))
+
+    checks += _energy_decay_per_eps(report.m_values, report.max_energy_increase_rel_per_eps)
 
     # bitwise invariance of the decoupled concentration path under z and xi changes
     grid = build_masked_grid(build_cell_geometry(InclusionShape("none"), 8), 4)

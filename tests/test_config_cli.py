@@ -1,4 +1,5 @@
 import contextlib
+import dataclasses
 import io
 import json
 import re
@@ -14,7 +15,14 @@ from hypothesis import strategies as st
 import porodrift.config as config_module
 import porodrift.transport as transport
 import porodrift.verification as verification
-from porodrift import ConfigError, InclusionShape, build_cell_geometry, build_masked_grid
+from porodrift import (
+    ConfigError,
+    InclusionShape,
+    SolverError,
+    build_cell_geometry,
+    build_masked_grid,
+    run_micro,
+)
 from porodrift.cli import dispatch, main
 from porodrift.config import RunConfig, parse_and_validate
 from porodrift.linalg import ZeroMeanDirect
@@ -693,6 +701,22 @@ def test_main_runs_micro(tmp_path):
     assert (tmp_path / "out" / "diagnostics.csv").exists()
 
 
+@pytest.mark.parametrize("eta", [1e300, 1e308])
+def test_overflowing_eta_is_a_config_error(tmp_path, capsys, eta):
+    # the largest initial face coefficient D h_p'(max c0) / h^2, or its square, overflows
+    cfg = canonical_config(tmp_path / "out", T=0.01)
+    cfg["scaling"]["eta"] = eta
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["micro", "--config", str(cfg_path)]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "porodrift: invalid config" in err and "scaling.eta" in err
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("eta,message", [
     # finite face coefficients whose squares overflow: the CG stops at once
     (1e300, r"CG stopped after 0 iterations at relative residual (nan|inf) .*; largest "
@@ -700,17 +724,13 @@ def test_main_runs_micro(tmp_path):
     # h_p' itself overflows: SuperLU's error names its cause
     (1e308, "Factor is exactly singular; largest face coefficient inf"),
 ], ids=["cg", "lu"])
-def test_overflowing_eta_fails_fast_with_the_largest_face_coefficient(tmp_path, capsys, eta,
-                                                                      message):
-    cfg = canonical_config(tmp_path / "out", T=0.01)
-    cfg["scaling"]["eta"] = eta
-    cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps(cfg))
-    with np.errstate(over="ignore", invalid="ignore"):
-        assert main(["micro", "--config", str(cfg_path)]) == 1
-    err = capsys.readouterr().err
-    assert re.search("FAILED: implicit transport solve.*" + message, err)
-    assert _manifest(tmp_path / "out")["exit_status"] == 1
+def test_overflowing_eta_fails_fast_with_the_largest_face_coefficient(tmp_path, eta, message):
+    # the config reader rejects these eta; the engine, handed one directly, fails typed
+    config = parse_and_validate(canonical_config(tmp_path / "out", T=0.01))
+    scaling = dataclasses.replace(config.scaling(), eta=eta)
+    with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SolverError) as failure:
+        run_micro(config.grid, scaling, config.species, config.charges, config.dt_init)
+    assert re.search("implicit transport solve.*" + message, str(failure.value))
 
 
 def test_three_dimensional_config_dispatch(tmp_path):

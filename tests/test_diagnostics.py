@@ -8,6 +8,8 @@ from porodrift.diagnostics import (
     face_gradient_l2,
     lp_norm_pth_power,
 )
+from porodrift.transport import poisson_matrix, poisson_solver
+from porodrift.verification import MMS_TENSOR
 
 from conftest import hole_free_grid
 
@@ -49,9 +51,8 @@ def test_energy_constant_unit_concentration():
     grid = hole_free_grid(16)
     n_species = 3
     conc = np.ones((n_species, grid.n_fluid))
-    phi = np.zeros(grid.n_fluid)
     eta, p = 1.0, 4.0
-    value = energy_value(grid, conc, phi, eta, p, grad_prefactor=1.0)
+    value = energy_value(grid, conc, eta, p, 0.0)
     expected = n_species * (eta / (p - 1.0)) * grid.n_fluid * grid.cell_volume
     assert value == pytest.approx(expected, rel=1e-13)
 
@@ -59,21 +60,25 @@ def test_energy_constant_unit_concentration():
 def test_energy_zero_concentration():
     grid = hole_free_grid(16)
     conc = np.zeros((2, grid.n_fluid))
-    phi = np.zeros(grid.n_fluid)
-    value = energy_value(grid, conc, phi, 1.0, 4.0, grad_prefactor=1.0)
+    value = energy_value(grid, conc, 1.0, 4.0, 0.0)
     assert value == pytest.approx(2.0 * grid.n_fluid * grid.cell_volume, rel=1e-13)
 
 
 def test_energy_gradient_term_quadrature():
     grid = hole_free_grid(32)
-    conc = np.zeros((1, grid.n_fluid))
     phi = grid.centers[:, 0].copy()
     # |grad phi| = 1 on interior x-faces; (n-1)/n of cells carry an x-face pair
-    value = energy_value(grid, conc, phi, 1.0, 4.0, grad_prefactor=2.0)
     n = grid.n_cells_per_edge
     expected_field = 0.5 * 2.0 * (n - 1) * n * grid.cell_volume
+    field = poisson_solver(grid, 2.0 * np.eye(2)).energy(phi)
+    assert field == pytest.approx(expected_field, rel=1e-13)
+    conc = np.zeros((1, grid.n_fluid))
     expected = expected_field + grid.n_fluid * grid.cell_volume  # Psi(0) = 1 per cell
-    assert value == pytest.approx(expected, rel=1e-13)
+    assert energy_value(grid, conc, 1.0, 4.0, field) == pytest.approx(expected, rel=1e-13)
+    # the full-tensor operator's energy is its quadratic form, on any phi
+    phi = np.sin(3.0 * grid.centers[:, 0]) * np.cos(2.0 * grid.centers[:, 1])
+    matrix = poisson_matrix(grid, MMS_TENSOR)
+    assert poisson_solver(grid, MMS_TENSOR).energy(phi) == 0.5 * phi @ (matrix @ phi)
 
 
 def test_face_gradient_l2_linear_field():

@@ -262,7 +262,7 @@ def test_one_balance_serves_both_scales(build, dim):
 
     sim = TransportSim(grid, species, 1.0, 4.0, transport_tensor=np.eye(dim),
                        poisson_tensor=np.eye(dim), drift_scale=1.0, charges=balanced,
-                       energy_prefactor=1.0, grad_scale=1.0)
+                       grad_scale=1.0)
     c0 = np.stack([s.initial_profile(grid.centers) for s in species])
     bulk = np.abs(np.array([s.charge for s in species])) @ c0 + np.abs(balanced.volumetric)
     facets = np.concatenate([balanced.gamma_values, balanced.outer_values])

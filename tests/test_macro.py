@@ -17,7 +17,7 @@ from porodrift import (
     run_macro,
     run_micro,
 )
-from porodrift.diagnostics import energy_value
+from porodrift.diagnostics import psi_eval
 from porodrift.geometry import balance_outer_charges
 from porodrift.linalg import ZeroMeanDirect, face_laplacian
 from porodrift.macro import sample_macro_field
@@ -251,21 +251,40 @@ def test_cross_terms_are_stable_at_every_dt_exactly_inside_the_tensor_condition(
                                rtol=0.0, atol=1e-8)
 
 
-class _TensorFieldEnergy(MacroSimulation):
-    """Measures the energy with the field term (1/2) phi . P_A phi of the tensor A.
+def _energy_decay_run(tensor, mode="coupled"):
+    """8^2 macro run of a neutral and a charged species, c0 = 1, outer charge balanced."""
+    grid = hole_free_grid(8)
+    species = [SpeciesSpec("n", 1.0, 0, lambda x: np.ones(x.shape[0])),
+               SpeciesSpec("c", 1.0, 1, lambda x: np.ones(x.shape[0]))]
+    sources, _ = balance_outer_charges(grid, species, _zero_source(grid))
+    return grid, run_macro(grid, np.asarray(tensor), species, sources, 2.0, 2.0, 0.005, 1e-3,
+                           mode=mode)
 
-    The summary's energy takes the two-point |grad phi|^2 for every run, which is
-    not the functional the homogenized scheme dissipates unless A = I.
-    """
 
-    def __init__(self, grid, tensor, *args, **kwargs):
-        super().__init__(grid, tensor, *args, **kwargs)
-        self._field = poisson_matrix(grid, tensor)
+@pytest.mark.parametrize("tensor", [1.5 * np.eye(2), np.diag([1.5, 0.6])],
+                         ids=["isotropic-1.5", "diag-1.5-0.6"])
+def test_coupled_energy_decays_with_the_tensor_field_term(tensor):
+    # the energy's field term is (1/2) phi . P_A phi; with the two-point |grad phi|^2 the
+    # isotropic case rose by 1.0007e-8 of the initial energy
+    grid, result = _energy_decay_run(tensor)
+    assert result.summary["steps"] == 5
+    assert result.summary["max_energy_increase_rel"] <= 1e-8
+    phi = result.state.phi
+    field = 0.5 * phi @ (poisson_matrix(grid, tensor) @ phi)
+    entropy = np.sum(psi_eval(result.state.conc, 2.0, 2.0)) * grid.cell_volume
+    assert field > 0.0
+    assert result.record.column("energy")[-1] == pytest.approx(field + entropy, rel=1e-13)
 
-    def _statistics(self, state, dt):
-        entropy = energy_value(self.grid, state.conc, state.phi, self.eta, self.p, 0.0)
-        return super()._statistics(state, dt)._replace(
-            energy=entropy + 0.5 * state.phi @ (self._field @ state.phi))
+
+def test_decoupled_energy_is_the_entropy_sum():
+    # decoupled transport never sees phi, so its energy has no field term
+    grid, result = _energy_decay_run(np.diag([1.5, 0.6]), mode="decoupled")
+    assert np.any(result.state.phi != 0.0)
+    # Psi(1) = eta / (p - 1) = 2 per species on the unit square
+    assert result.summary["energy_initial"] == 4.0
+    entropy = sum(np.sum(psi_eval(c, 2.0, 2.0)) * grid.cell_volume for c in result.state.conc)
+    assert result.record.column("energy")[-1] == entropy
+    assert result.summary["max_energy_increase_rel"] == 0.0
 
 
 @settings(max_examples=25, deadline=None, database=None)
@@ -291,7 +310,7 @@ def test_coupled_full_tensor_runs_keep_the_invariants(resolution, diagonal, rho,
     species = [SpeciesSpec(f"s{i}", d, z, c0(*mode))
                for i, (d, z, mode) in enumerate(zip(diffusivities, charges, modes))]
     sources, _ = balance_outer_charges(grid, species, _zero_source(grid))
-    summary = _TensorFieldEnergy(grid, tensor, species, sources, eta, p).run(0.005, 1e-3).summary
+    summary = MacroSimulation(grid, tensor, species, sources, eta, p).run(0.005, 1e-3).summary
     assert summary["max_mass_drift_rel"] <= 1e-12
     assert summary["max_compat_residual"] <= 1e-10
     assert summary["min_c"] >= -1e-12

@@ -14,6 +14,7 @@ from porodrift import (
     build_masked_grid,
     h_p_eval,
     h_p_prime,
+    psi_eval,
     run_micro,
     surface_charge_on_facets,
     validate_compatibility,
@@ -438,6 +439,27 @@ def test_energy_evaluated_once_per_accepted_state(monkeypatch):
     result = _simple_sim(grid, species, T=0.01).run(0.01, 1e-3, output_interval=2e-3)
     assert result.summary["steps"] == 10 and len(result.record) == 6
     assert len(calls) == result.summary["steps"] + 1
+
+
+@pytest.mark.parametrize("alpha,beta", [(0.0, 0.0), (0.5, 1.0)], ids=["0-0", "0.5-1"])
+def test_micro_energy_is_the_scaled_gradient_functional(disk_cell_8, canonical_species, alpha,
+                                                        beta):
+    # V = sum_i sum Psi(c_i) h^n + (1/2) eps^(alpha+beta) sum_f ((phi_hi - phi_lo) / h)^2 h^n
+    grid = build_masked_grid(disk_cell_8, 4)
+    charges = surface_charge_on_facets(grid, constant_xi1(0.2), zero_xi2)
+    charges, _ = balance_outer_charges(grid, canonical_species, charges)
+    scaling = make_scaling(grid.eps, alpha=alpha, beta=beta, T=0.01)
+    times = [0.0, 0.002, 0.004, 0.006, 0.008, 0.01]
+    result = run_micro(grid, scaling, canonical_species, charges, dt_init=1e-3,
+                       output_interval=0.002, snapshot_times=times)
+    assert result.record.column("t") == pytest.approx(times, abs=1e-15)
+    for t, energy in zip(times, result.record.column("energy")):
+        state = result.snapshots[t]
+        entropy = np.sum(psi_eval(state.conc, 1.0, 4.0)) * grid.cell_volume
+        slopes = (state.phi[grid.face_hi] - state.phi[grid.face_lo]) / grid.h
+        field = 0.5 * grid.eps ** (alpha + beta) * np.sum(slopes ** 2) * grid.cell_volume
+        assert field > 1e-3 * entropy  # a wrong weight would show
+        assert energy == pytest.approx(entropy + field, rel=1e-13)
 
 
 def _reduced_summary(record, names, source_active):
