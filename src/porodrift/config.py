@@ -176,22 +176,18 @@ def _inclusion_from_config(geo: dict, dim: int) -> InclusionShape:
     if not isinstance(inc, dict):
         raise ConfigError(f"{where} must be an object with a 'kind'")
     kind = _require(_known(inc, INCLUSION_KEYS, where), "kind", str, where)
-    try:
-        if kind == "none":
-            return InclusionShape("none", center=tuple([0.5] * dim))
-        center = _coordinates(inc, "center", [0.5] * dim, dim)
-        if kind == "disk":
-            return InclusionShape("disk", center=center,
-                                  radius=_require(inc, "radius", float, where))
-        if kind == "square":
-            return InclusionShape("square", center=center,
-                                  half_width=_require(inc, "half_width", float, where))
-        if kind == "super_ellipse":
-            return InclusionShape("super_ellipse", center=center,
-                                  semi_axes=_coordinates(inc, "semi_axes", None, dim),
-                                  exponent=_optional(inc, "exponent", 4.0, float, where))
-    except GeometryError as exc:
-        raise ConfigError(str(exc)) from exc
+    if kind == "none":
+        return InclusionShape("none", center=tuple([0.5] * dim))
+    center = _coordinates(inc, "center", [0.5] * dim, dim)
+    if kind == "disk":
+        return InclusionShape("disk", center=center, radius=_require(inc, "radius", float, where))
+    if kind == "square":
+        return InclusionShape("square", center=center,
+                              half_width=_require(inc, "half_width", float, where))
+    if kind == "super_ellipse":
+        return InclusionShape("super_ellipse", center=center,
+                              semi_axes=_coordinates(inc, "semi_axes", None, dim),
+                              exponent=_optional(inc, "exponent", 4.0, float, where))
     raise ConfigError(f"unknown inclusion kind {kind!r}")
 
 
@@ -411,7 +407,12 @@ def parse_and_validate(source) -> RunConfig:
         config.grid = grid = build_masked_grid(config.cell, m)
     except GeometryError as exc:
         raise ConfigError(str(exc)) from exc
-    for spec in species:
+    # scaling.eta serves the micro, macro and convergence grids, the sweep values the macro one
+    etas = [("scaling.eta", eta, 1.0 / max(m * r, macro_resolution, r * conv_m_values[-1],
+                                             conv_macro_resolution))]
+    etas += [(f"eta_sweep.values[{k}]", value, 1.0 / macro_resolution)
+             for k, value in enumerate(eta_values)]
+    for idx, spec in enumerate(species):
         values = spec.initial_profile(grid.centers)
         _finite_samples(values, f"species {spec.name!r}: initial concentration")
         if np.min(values) < 0:
@@ -422,12 +423,13 @@ def parse_and_validate(source) -> RunConfig:
         with np.errstate(over="ignore"):  # the largest c0^p, as c0 >= 0 here
             _finite_samples(np.max(values, keepdims=True) ** p,
                             f"species {spec.name!r}: initial concentration to the power p = {p:g}")
-            # the largest initial implicit face coefficient; the CG norm sums its square
-            coefficient = spec.diffusivity * h_p_prime(np.max(values), eta, p) / grid.h ** 2
-        if not math.isfinite(coefficient * coefficient):
-            raise ConfigError(f"scaling.eta = {eta:g} overflows the implicit face coefficient "
-                              f"D h_p'(max c0) / h^2 = {coefficient:.3e} of species "
-                              f"{spec.name!r}, or its square")
+        for key, value, h in etas:
+            with np.errstate(over="ignore"):  # the largest initial implicit face coefficient
+                coefficient = spec.diffusivity * h_p_prime(np.max(values), value, p) / h ** 2
+            if not math.isfinite(coefficient * coefficient):  # the CG norm sums its square
+                raise ConfigError(f"species[{idx}].D = {spec.diffusivity:g} with {key} = {value:g} "
+                                  f"overflows the implicit face coefficient D h_p'(max c0) / h^2 = "
+                                  f"{coefficient:.3e} of {spec.name!r} at h = {h:g}, or its square")
     charges = surface_charge_on_facets(grid, xi1, xi2)
     _finite_samples(charges.gamma_values, "surface_charge.xi1")
     _finite_samples(charges.outer_values, "surface_charge.xi2")

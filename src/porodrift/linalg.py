@@ -186,6 +186,18 @@ def symmetric_ordering(pattern):
                  **_SYMMETRIC, **SUPERNODES).perm_c
 
 
+def _entries(rows, cols, n):
+    """The distinct pairs ``(rows, cols)`` of indices below ``n``, and the entry of each pair.
+
+    Returns the distinct pairs as two arrays in row-major order, which is a
+    CSR pattern with sorted indices (a CSC pattern when called with the
+    pairs swapped), and for every pair given the number of its entry in that
+    order; repeated pairs share one entry.
+    """
+    keys, entry = np.unique(rows * n + cols, return_inverse=True)
+    return keys // n, keys % n, entry
+
+
 def _couplings(by_red, degree, face_black, n_black):
     """The entries that eliminating the red cells adds between black cells.
 
@@ -207,24 +219,9 @@ def _couplings(by_red, degree, face_black, n_black):
     b_first, b_second = face_black[first], face_black[second]
     if np.any(b_first == b_second):
         raise ValueError("face lists repeat a pair of cells")
-    # scipy's conversion merges the pairs into entries in (upper, lower) order; numbered
-    # 0..n-1 as values, the entries are read back at each pair
-    low, high = np.minimum(b_first, b_second), np.maximum(b_first, b_second)
-    coupled = sparse.csr_matrix((np.ones(low.size), (low, high)), shape=(n_black, n_black))
-    coupled.data = np.arange(float(coupled.nnz))
-    entry = np.asarray(coupled[low, high]).ravel().astype(np.intp)
-    upper = np.repeat(np.arange(n_black, dtype=np.int32), np.diff(coupled.indptr))
-    return first, second, entry, upper, coupled.indices
-
-
-def _pattern_order(upper, lower, n):
-    """``symmetric_ordering`` of the pattern with off-diagonal entries (upper, lower), both ways."""
-    diagonal = np.arange(n, dtype=np.int32)
-    unit = np.concatenate([-np.ones(2 * upper.size),
-                           1.0 + np.bincount(upper, minlength=n) + np.bincount(lower, minlength=n)])
-    pattern = sparse.csc_matrix((unit, (np.concatenate([upper, lower, diagonal]),
-                                        np.concatenate([lower, upper, diagonal]))), shape=(n, n))
-    return symmetric_ordering(pattern).astype(np.int32)
+    upper, lower, entry = _entries(np.minimum(b_first, b_second),
+                                   np.maximum(b_first, b_second), n_black)
+    return first, second, entry, upper, lower
 
 
 class Elimination(NamedTuple):
@@ -254,10 +251,9 @@ class ReducedFaceSystem:
 
     ``S`` is a CSR matrix in ascending cell order.  Its pattern and layout
     (sorted int32 indices, and the slot of every entry) are built once;
-    ``assemble`` rewrites only the values.  The layout comes from scipy's
-    counting-sort COO to CSR conversion of the entries numbered 1..nnz, whose
-    values then name each entry's slot; only the few entries of each row are
-    sorted among themselves.  Nothing here orders ``S`` for a factorization:
+    ``assemble`` rewrites only the values.  ``_entries`` numbers the entries
+    of the pattern in row-major order, which is the CSR order, so the number
+    of an entry is its slot.  Nothing here orders ``S`` for a factorization:
     the CG multiplies by it, and the Poisson LU lets SuperLU order its pinned
     block.
 
@@ -291,21 +287,17 @@ class ReducedFaceSystem:
         self._pair_first, self._pair_second, self._pair_entry, upper, lower = _couplings(
             self._by_red, degree, self._face_black, n_black)
 
-        # CSR layout: (upper, lower) per coupling, (lower, upper), the diagonal; the entry
-        # numbers 1..nnz ride through the conversion as values and name the slots
-        diagonal = np.arange(n_black, dtype=np.int32)
-        rows = np.concatenate([upper, lower, diagonal])
-        cols = np.concatenate([lower, upper, diagonal])
-        self.matrix = sparse.csr_matrix((np.arange(1.0, rows.size + 1.0), (rows, cols)),
-                                        shape=(n_black, n_black))
-        self.matrix.sort_indices()
-        slots = np.empty(rows.size, dtype=np.intp)
-        slots[self.matrix.data.astype(np.intp) - 1] = np.arange(rows.size)
-        self.matrix.data[:] = 0.0
-        n_pairs = upper.size
-        self._upper_slots = slots[:n_pairs]
-        self._lower_slots = slots[n_pairs:2 * n_pairs]
-        self._diag_slots = slots[2 * n_pairs:]
+        # CSR layout: (upper, lower) per coupling, (lower, upper), the diagonal; the entry of
+        # each pair in row-major order is its slot
+        diagonal = np.arange(n_black)
+        rows, cols, slots = _entries(np.concatenate([upper, lower, diagonal]),
+                                     np.concatenate([lower, upper, diagonal]), n_black)
+        self.matrix = sparse.csr_matrix(
+            (np.zeros(rows.size), cols.astype(np.int32),
+             np.searchsorted(rows, np.arange(n_black + 1)).astype(np.int32)),
+            shape=(n_black, n_black))
+        self._upper_slots, self._lower_slots, self._diag_slots = np.split(
+            slots, [upper.size, 2 * upper.size])
         # K row by row: the faces of each red cell, with their black cells as columns; scipy
         # keeps the CSR structure arrays of K as int32
         self._coupling_indptr = np.concatenate([[0], np.cumsum(degree)]).astype(np.int32)
@@ -367,7 +359,8 @@ class TwoLevel:
     prolongation ``P`` is piecewise constant and the Galerkin operator ``C =
     P^T S P`` sums the entries of ``S`` over each pair of aggregates.  The
     pattern of ``C``, its symmetric fill-reducing order and the CSC slot
-    that every entry of ``S`` adds to are computed once; ``assemble`` refills
+    that every entry of ``S`` adds to are computed once, the slots numbered
+    by ``_entries`` in the order of ``C``; ``assemble`` refills
     ``coarse`` from ``system.matrix``, and the caller factorizes it with
     ``SUPERLU_NATURAL``.
 
@@ -388,16 +381,20 @@ class TwoLevel:
         n_coarse = int(aggregate.max(initial=-1)) + 1
         cols = aggregate[matrix.indices]
         rows = aggregate[np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))]
-        coupled = np.unique(rows[rows < cols] * n_coarse + cols[rows < cols])
-        perm = _pattern_order(coupled // n_coarse, coupled % n_coarse, n_coarse).astype(np.intp)
-        # in the order of C, each entry of S falls on the slot of its key in CSC order
-        keys, self._slots = np.unique(perm[cols] * n_coarse + perm[rows], return_inverse=True)
-        indptr = np.concatenate([[0], np.cumsum(np.bincount(keys // n_coarse,
-                                                            minlength=n_coarse))])
+        # C's pattern is symmetric, so its CSR arrays are its CSC arrays; with the diagonal
+        # dominant by one it has the order of every matrix of that pattern
+        pattern_rows, pattern_cols, _ = _entries(rows, cols, n_coarse)
+        indptr = np.searchsorted(pattern_rows, np.arange(n_coarse + 1))
+        unit = np.where(pattern_rows == pattern_cols, np.diff(indptr)[pattern_rows], -1.0)
+        perm = symmetric_ordering(sparse.csc_matrix((unit, pattern_cols, indptr),
+                                                    shape=(n_coarse, n_coarse))).astype(np.intp)
+        # in the order of C, each entry of S falls on the slot of its pair in CSC order
+        coarse_cols, coarse_rows, self._slots = _entries(perm[cols], perm[rows], n_coarse)
         self.coarse = sparse.csc_matrix(
-            (np.zeros(keys.size), (keys % n_coarse).astype(np.int32), indptr.astype(np.int32)),
+            (np.zeros(coarse_rows.size), coarse_rows.astype(np.int32),
+             np.searchsorted(coarse_cols, np.arange(n_coarse + 1)).astype(np.int32)),
             shape=(n_coarse, n_coarse))
-        self._aggregate = perm[aggregate].astype(np.intp)
+        self._aggregate = perm[aggregate]
         self._system = system
 
     def assemble(self):

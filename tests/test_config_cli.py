@@ -23,7 +23,7 @@ from porodrift import (
     build_masked_grid,
     run_micro,
 )
-from porodrift.cli import dispatch, main
+from porodrift.cli import _write_json, dispatch, main
 from porodrift.config import RunConfig, parse_and_validate
 from porodrift.linalg import ZeroMeanDirect
 
@@ -624,6 +624,78 @@ def test_main_rejects_non_object_section(tmp_path, monkeypatch, capsys, section,
     assert not (tmp_path / "out").exists()
 
 
+def _without(section, key=None):
+    def patch(cfg):
+        if key is None:
+            del cfg[section]
+        else:
+            del cfg[section][key]
+        return cfg
+    return patch
+
+
+def _with(section, key, value):
+    def patch(cfg):
+        cfg[section][key] = value
+        return cfg
+    return patch
+
+
+def _duplicate_species(cfg):
+    cfg["species"][1]["name"] = cfg["species"][0]["name"]
+    return cfg
+
+
+@pytest.mark.parametrize("patch,message", [
+    (_without("scaling"), "missing required config section 'scaling'"),
+    (_without("scaling", "alpha"), "missing required key 'alpha' in scaling section"),
+    (lambda cfg: [cfg], "config must be a JSON object"),
+    (_with("geometry", "m", 2**53 + 1),
+     "geometry.m must be at most 9007199254740992 in magnitude, got 9007199254740993"),
+    (_with("scaling", "cfl_fraction", 0.0), "scaling.cfl_fraction must lie in (0, 1], got 0.0"),
+    (_with("scaling", "cfl_fraction", 1.5), "scaling.cfl_fraction must lie in (0, 1], got 1.5"),
+    (_duplicate_species, "duplicate species name 'cation'"),
+    # the geometry build's GeometryError ends as a ConfigError
+    (_with("geometry", "inclusion", {"kind": "disk", "radius": 0.45}),
+     "inclusion margin 0.05 to the cell boundary is below 2/r = 0.25"),
+], ids=["missing-section", "missing-key", "non-object-root", "integer-beyond-2^53",
+        "cfl-fraction-zero", "cfl-fraction-above-one", "duplicate-species",
+        "inclusion-margin"])
+def test_config_reader_error_branches_exit_2(tmp_path, capsys, patch, message):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(patch(canonical_config(tmp_path / "out", T=0.01))))
+    assert main(["micro", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "porodrift: invalid config" in err and message in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_square_inclusion_parses():
+    cfg = canonical_config("out")
+    cfg["geometry"]["inclusion"] = {"kind": "square", "center": [0.5, 0.5], "half_width": 0.2}
+    config = parse_and_validate(cfg)
+    assert config.inclusion == InclusionShape("square", center=(0.5, 0.5), half_width=0.2)
+    # the cells whose centers lie within 0.2 of the middle, 4 x 4 of the 8 x 8, are solid
+    assert config.cell.n_fluid == 48
+
+
+def test_write_json_keeps_non_finite_floats_as_strings_and_numpy_scalars_as_numbers(tmp_path):
+    # perfbench reads a non-finite report value as a string (workloads._finite)
+    path = tmp_path / "report.json"
+    _write_json(path, {"nan": float("nan"), "inf": float("inf"), "minus_inf": -np.inf,
+                       "np_nan": np.float64("nan"), "np_inf": np.float32("inf"),
+                       "np_float": np.float64(0.1), "np_int": np.int64(2**40),
+                       "array": np.array([1.5, np.nan]), 3: [np.int32(-1)]})
+    text = path.read_text()
+    assert "NaN" not in text and "Infinity" not in text
+    report = json.loads(text)
+    assert report == {"nan": "nan", "inf": "inf", "minus_inf": "-inf", "np_nan": "nan",
+                      "np_inf": "inf", "np_float": 0.1, "np_int": 2**40,
+                      "array": [1.5, "nan"], "3": [-1]}
+    assert type(report["np_float"]) is float and type(report["np_int"]) is int
+
+
 def _full_canonical_config(out_dir):
     """The canonical config with every optional section spelled out."""
     cfg = canonical_config(out_dir, T=0.01)
@@ -715,6 +787,51 @@ def test_overflowing_eta_is_a_config_error(tmp_path, capsys, eta):
     err = capsys.readouterr().err
     assert "porodrift: invalid config" in err and "scaling.eta" in err
     assert not (tmp_path / "out").exists()
+
+
+def _set_sweep(values):
+    def patch(cfg):
+        cfg["eta_sweep"] = {"values": values}
+    return patch
+
+
+def _set_anion_diffusivity(cfg):
+    cfg["species"][1]["D"] = 1e300
+
+
+@pytest.mark.parametrize("subcommand,patch,message", [
+    # the sweep runs on the macro grid, h = 1/32 here
+    ("eta-sweep", _set_sweep([1e300]), "species[0].D = 1 with eta_sweep.values[0] = 1e+300 "
+                                       "overflows"),
+    ("eta-sweep", _set_sweep([0.5, 1e250]), "species[0].D = 1 with eta_sweep.values[1] = "
+                                            "1e+250 overflows"),
+    ("micro", _set_anion_diffusivity, "species[1].D = 1e+300 with scaling.eta = 1 overflows"),
+], ids=["sweep-1e300", "sweep-1e250", "diffusivity-1e300"])
+def test_overflowing_face_coefficient_names_its_operands(tmp_path, capsys, subcommand, patch,
+                                                         message):
+    cfg = canonical_config(tmp_path / "out", T=0.01)
+    patch(cfg)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main([subcommand, "--config", str(cfg_path)]) == 2
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    err = capsys.readouterr().err
+    assert "porodrift: invalid config" in err and message in err
+    assert "Warning" not in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_scaling_eta_is_checked_on_the_finest_grid_it_runs_on(tmp_path):
+    # finite squares on the 32^2 micro grid, overflowing ones on the 64^2 macro grid
+    cfg = canonical_config(tmp_path / "out", T=0.01)
+    cfg["scaling"]["eta"] = 5e149
+    cfg["convergence"] = {"m_values": [2, 4]}
+    assert isinstance(parse_and_validate(cfg), RunConfig)
+    cfg["macro"] = {"resolution": 64}
+    with pytest.raises(ConfigError, match=r"scaling\.eta = 5e\+149 overflows .* at h = 0\.015625"):
+        parse_and_validate(cfg)
 
 
 @pytest.mark.parametrize("eta,message", [

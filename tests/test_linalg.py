@@ -357,6 +357,27 @@ def test_unconverged_two_level_solve_raises_with_iterations_and_residual(monkeyp
     assert failure.value.residual > transport.CG_TOL
 
 
+@settings(max_examples=100, deadline=None)
+@given(data=st.data(), n=st.integers(1, 300))
+def test_entries_number_the_distinct_pairs_in_row_major_order(data, n):
+    index = st.integers(0, n - 1)
+    pool = data.draw(st.lists(st.tuples(index, index), min_size=1, max_size=20))
+    # drawn from a small pool, the pairs repeat
+    pairs = [pool[k] for k in data.draw(st.lists(st.integers(0, len(pool) - 1), max_size=60))]
+    rows = np.array([row for row, _ in pairs], dtype=np.intp)
+    cols = np.array([col for _, col in pairs], dtype=np.intp)
+    first, second, entry = linalg._entries(rows, cols, n)
+    reference = {pair: number for number, pair in enumerate(sorted(set(pairs)))}
+    assert list(zip(first.tolist(), second.tolist())) == list(reference)
+    assert entry.dtype == np.intp
+    assert entry.tolist() == [reference[pair] for pair in pairs]
+    # swapped, the pairs come in column-major order, each with the entry of that order
+    cols_first, rows_second, swapped = linalg._entries(cols, rows, n)
+    by_column = sorted(set(pairs), key=lambda pair: (pair[1], pair[0]))
+    assert list(zip(rows_second.tolist(), cols_first.tolist())) == by_column
+    assert swapped.tolist() == [by_column.index(pair) for pair in pairs]
+
+
 def test_index_arrays_are_native_intp():
     # numpy converts every other index array on each gather, scatter or count; the CSR
     # structure of K is int32, the index type scipy gives its sparse matrices
