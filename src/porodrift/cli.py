@@ -3,11 +3,12 @@
 Subcommands: cell, micro, macro, converge, mms, eta-sweep.  Every run writes
 a ``manifest.json`` listing each produced file with its SHA-256; numerical
 outputs (diagnostics.csv, snapshot_*.csv, report.json) are bit-reproducible
-for identical configs.  Wall-clock timings and the solver counts of each
-simulation of a ``micro``, ``macro``, ``converge``, ``eta-sweep`` or ``mms``
-run (``transport_solves``: its ``transport.SolveCounts``; ``poisson_solves``:
-its ``linalg.PoissonCounts``) live only in the manifest, which is the one
-file exempt from byte-for-byte replay comparison.
+for identical configs.  Wall-clock timings, the process's peak RSS
+(``peak_rss_mb``) and the solver counts of each simulation of a ``micro``,
+``macro``, ``converge``, ``eta-sweep`` or ``mms`` run (``transport_solves``:
+its ``transport.SolveCounts``; ``poisson_solves``: its
+``linalg.PoissonCounts``) live only in the manifest, which is the one file
+exempt from byte-for-byte replay comparison.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import resource
 import sys
 import time
 from pathlib import Path
@@ -241,6 +243,8 @@ def dispatch(subcommand: str, config, out_dir=None) -> int:
             for name in written
         ],
         "timings_seconds": timings,
+        # the process's peak resident set so far (ru_maxrss is in KiB on Linux)
+        "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0,
         "transport_solves": {name: counts["transport"] for name, counts in solves.items()},
         "poisson_solves": {name: counts["poisson"] for name, counts in solves.items()},
     }

@@ -62,6 +62,13 @@ MAX_REFINEMENTS = 2   # iterative-refinement passes of ZeroMeanDirect.solve
 POISSON_TOL = 1e-10   # default relative residual of the Poisson solves (solver.poisson_tol)
 JACOBI_WEIGHT = 0.7   # damping of the Jacobi sweeps of TwoLevel.preconditioner
 
+# CG's error never grows in the energy norm, so from 0 its residual stays below sqrt(cond(A))
+# ||b|| in exact arithmetic: past DIVERGENCE_FACTOR ||b|| the system is singular in double
+# precision (cond(A) > 1/eps).  From a guess, rounding leaves about eps times the largest
+# residual seen in the true residual, so past that bound no tolerance below sqrt(eps) = 1.5e-8
+# can be met
+DIVERGENCE_FACTOR = 1.0 / math.sqrt(np.finfo(float).eps)
+
 # SuperLU supernode relaxation and panel size of every factorization
 SUPERNODES = {"relax": 1, "panel_size": 1}
 
@@ -94,12 +101,12 @@ def face_divergence(n_cells, face_lo, face_hi, flux):
     return gain - loss
 
 
-def _cg_recurrence(matrix, b, atol, maxiter, preconditioner):
+def _cg_recurrence(matrix, b, atol, maxiter, preconditioner, limit):
     """SciPy's preconditioned CG from 0 until ``||r|| < atol``: its operations, in its order.
 
     Returns the iterate, the number of iterations and whether the norm test
-    passed within ``maxiter``; it stops failed at the first non-finite
-    ``||r||``.
+    passed within ``maxiter``; it stops failed at the first ``||r||`` that is
+    not finite or is above ``limit``.
     """
     x, r = np.zeros_like(b), b.copy()
     for iteration in range(maxiter):
@@ -107,7 +114,7 @@ def _cg_recurrence(matrix, b, atol, maxiter, preconditioner):
         norm = np.sqrt(r.dot(r))
         if norm < atol:
             return x, iteration, True
-        if not math.isfinite(norm):
+        if not math.isfinite(norm) or norm > limit:
             return x, iteration, False
         z = r if preconditioner is None else preconditioner(r)
         rho = np.dot(r, z)
@@ -143,8 +150,10 @@ def cg_solve(matrix, rhs, tol, preconditioner=None, zero_mean=False, x0=None):
     restarts.  SolverError (with that residual and count) is raised when CG
     does not reach its target within max(100, 50 sqrt(n)) iterations, at
     once when its residual norm turns non-finite (a NaN or overflowed
-    system), or when the true residual is still above ``tol`` after the
-    restart; a zero right-hand side takes no iteration.
+    system) or exceeds ``DIVERGENCE_FACTOR ||b||`` (a guess or an iterate
+    that no tolerance below 1.5e-8 can correct), or when the true residual
+    is still above ``tol`` after the restart; a zero right-hand side takes
+    no iteration.
     """
     b = rhs - rhs.mean() if zero_mean else rhs
     b_norm = float(np.linalg.norm(b))
@@ -156,7 +165,8 @@ def cg_solve(matrix, rhs, tol, preconditioner=None, zero_mean=False, x0=None):
         if zero_mean and values is not None:
             defect = defect - defect.mean()
         step, steps, converged = _cg_recurrence(
-            matrix, defect, tol * b_norm, max(100, int(50 * np.sqrt(b.size))), preconditioner)
+            matrix, defect, tol * b_norm, max(100, int(50 * np.sqrt(b.size))), preconditioner,
+            DIVERGENCE_FACTOR * b_norm)
         iterations += steps
         values = step if values is None else values + step
         if zero_mean:
@@ -192,9 +202,14 @@ def _entries(rows, cols, n):
     Returns the distinct pairs as two arrays in row-major order, which is a
     CSR pattern with sorted indices (a CSC pattern when called with the
     pairs swapped), and for every pair given the number of its entry in that
-    order; repeated pairs share one entry.
+    order (intp); repeated pairs share one entry.  The keys ``row * n + col``
+    are int32 when every key fits, ``n * n < 2**31``, which halves the sort's
+    memory, and intp otherwise; the pairs come back in the key type.
     """
-    keys, entry = np.unique(rows * n + cols, return_inverse=True)
+    keys = rows.astype(np.int32 if n * n < 2**31 else np.intp)
+    keys *= n
+    keys += cols
+    keys, entry = np.unique(keys, return_inverse=True)
     return keys // n, keys % n, entry
 
 
@@ -358,11 +373,14 @@ class TwoLevel:
     of one label make one coarse unknown (plain aggregation), so the
     prolongation ``P`` is piecewise constant and the Galerkin operator ``C =
     P^T S P`` sums the entries of ``S`` over each pair of aggregates.  The
-    pattern of ``C``, its symmetric fill-reducing order and the CSC slot
-    that every entry of ``S`` adds to are computed once, the slots numbered
-    by ``_entries`` in the order of ``C``; ``assemble`` refills
-    ``coarse`` from ``system.matrix``, and the caller factorizes it with
-    ``SUPERLU_NATURAL``.
+    pattern of ``C``, its symmetric fill-reducing order ``perm`` and the CSC
+    slot that every entry of ``S`` adds to are computed once, in one
+    numbering pass: ``_entries`` numbers the distinct aggregate pairs of the
+    entries of ``S``, an argsort of those pairs by ``(perm[col],
+    perm[row])`` gives the CSC layout of ``C`` in its cached order, and the
+    slot of each entry is the rank of its pair in that sort.  ``assemble``
+    refills ``coarse`` from ``system.matrix``, and the caller factorizes it
+    with ``SUPERLU_NATURAL``.
 
     ``preconditioner(lu)``, with ``lu`` that factorization, applies one
     Jacobi sweep damped by ``JACOBI_WEIGHT``, the exact coarse correction
@@ -383,13 +401,19 @@ class TwoLevel:
         rows = aggregate[np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))]
         # C's pattern is symmetric, so its CSR arrays are its CSC arrays; with the diagonal
         # dominant by one it has the order of every matrix of that pattern
-        pattern_rows, pattern_cols, _ = _entries(rows, cols, n_coarse)
+        pattern_rows, pattern_cols, entry = _entries(rows, cols, n_coarse)
         indptr = np.searchsorted(pattern_rows, np.arange(n_coarse + 1))
         unit = np.where(pattern_rows == pattern_cols, np.diff(indptr)[pattern_rows], -1.0)
         perm = symmetric_ordering(sparse.csc_matrix((unit, pattern_cols, indptr),
                                                     shape=(n_coarse, n_coarse))).astype(np.intp)
-        # in the order of C, each entry of S falls on the slot of its pair in CSC order
-        coarse_cols, coarse_rows, self._slots = _entries(perm[cols], perm[rows], n_coarse)
+        # in the order of C, each entry of S falls on the slot of its pair in CSC order: the
+        # rank of (perm[col], perm[row]) among C's distinct pairs
+        coarse_rows, coarse_cols = perm[pattern_rows], perm[pattern_cols]
+        order = np.argsort(coarse_cols * n_coarse + coarse_rows)
+        rank = np.empty(order.size, dtype=np.intp)
+        rank[order] = np.arange(order.size)
+        self._slots = rank[entry]
+        coarse_rows, coarse_cols = coarse_rows[order], coarse_cols[order]
         self.coarse = sparse.csc_matrix(
             (np.zeros(coarse_rows.size), coarse_rows.astype(np.int32),
              np.searchsorted(coarse_cols, np.arange(n_coarse + 1)).astype(np.int32)),

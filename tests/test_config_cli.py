@@ -172,6 +172,7 @@ def test_manifest_lists_every_written_file(tmp_path):
     # the share of the run spent writing the listed files
     timings = manifest["timings_seconds"]
     assert 0.0 < timings["write"] < timings["total"]
+    assert manifest["peak_rss_mb"] > 0.0
 
 
 def test_replay_determinism(tmp_path):

@@ -378,6 +378,50 @@ def test_entries_number_the_distinct_pairs_in_row_major_order(data, n):
     assert swapped.tolist() == [by_column.index(pair) for pair in pairs]
 
 
+def test_entries_key_in_intp_where_int32_would_overflow():
+    # n * n >= 2**31: the key (n - 1) * n + n - 1 = 2**32 - 1 needs intp
+    n = 2**16
+    rows = np.array([n - 1, 0, 5, n - 1, 0, 5], dtype=np.intp)
+    cols = np.array([n - 1, n - 1, 5, 0, n - 1, 3], dtype=np.intp)
+    first, second, entry = linalg._entries(rows, cols, n)
+    assert first.dtype == second.dtype == entry.dtype == np.intp
+    pairs = list(zip(rows.tolist(), cols.tolist()))
+    reference = sorted(set(pairs))
+    assert list(zip(first.tolist(), second.tolist())) == reference
+    assert entry.tolist() == [reference.index(pair) for pair in pairs]
+    # below the bound the keys are int32, and the pairs are numbered the same
+    small = rows % 46340, cols % 46340
+    wide, narrow = linalg._entries(*small, n), linalg._entries(*small, 46340)
+    assert narrow[0].dtype == narrow[1].dtype == np.int32 and narrow[2].dtype == np.intp
+    assert wide[0].dtype == np.intp
+    for wide_array, narrow_array in zip(wide, narrow):
+        assert np.array_equal(wide_array, narrow_array)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_labels=st.integers(1, 60))
+def test_two_level_numbers_the_coarse_layout_like_a_second_entries_call(seed, n_labels):
+    # random labels make aggregates of scattered cells, so C's pattern is irregular
+    system = _reduced_system(_perforated_grid(2))
+    labels = np.random.default_rng(seed).integers(0, n_labels, system.black.size) * 7
+    two_level = linalg.TwoLevel(system, labels)
+    # the reference: the numbering in the cached order by a second _entries call
+    matrix = system.matrix
+    _, aggregate = np.unique(labels, return_inverse=True)
+    n_coarse = int(aggregate.max()) + 1
+    perm = np.empty(n_coarse, dtype=np.intp)
+    perm[aggregate] = two_level._aggregate
+    cols = perm[aggregate[matrix.indices]]
+    rows = perm[aggregate[np.repeat(np.arange(matrix.shape[0]), np.diff(matrix.indptr))]]
+    coarse_cols, coarse_rows, slots = linalg._entries(cols, rows, n_coarse)
+    indptr = np.searchsorted(coarse_cols, np.arange(n_coarse + 1)).astype(np.int32)
+    for actual, expected in [(two_level.coarse.indptr, indptr),
+                             (two_level.coarse.indices, coarse_rows.astype(np.int32)),
+                             (two_level._slots, slots)]:
+        assert actual.dtype == expected.dtype
+        assert np.array_equal(actual, expected)
+
+
 def test_index_arrays_are_native_intp():
     # numpy converts every other index array on each gather, scatter or count; the CSR
     # structure of K is int32, the index type scipy gives its sparse matrices

@@ -7,6 +7,7 @@ from porodrift import (
     FacetCharges,
     InclusionShape,
     MacroSimulation,
+    SolverError,
     SpeciesSpec,
     TimeStepError,
     build_cell_geometry,
@@ -19,7 +20,7 @@ from porodrift import (
 )
 from porodrift.diagnostics import psi_eval
 from porodrift.geometry import balance_outer_charges
-from porodrift.linalg import ZeroMeanDirect, face_laplacian
+from porodrift.linalg import DIVERGENCE_FACTOR, ZeroMeanDirect, face_laplacian
 from porodrift.macro import sample_macro_field
 from porodrift.transport import cross_operator, poisson_matrix
 
@@ -150,6 +151,18 @@ def test_decoupled_equals_pure_diffusion_bitwise():
     r2 = run_macro(grid, np.eye(2), neutral, _zero_source(grid), 1.0, 4.0, 0.02, 1e-3,
                    mode="coupled")
     np.testing.assert_array_equal(r1.state.conc, r2.state.conc)
+
+
+def test_transport_cg_stops_at_a_guess_it_cannot_correct():
+    # eta 5e149 gives face coefficients near 3e154: the guess's residual is 1.6e148 times
+    # that of 0, far past the divergence bound; without it CG ran 2,262 iterations
+    grid = hole_free_grid(64)
+    species = [SpeciesSpec("p", 1.0, 1, smooth_c0), SpeciesSpec("m", 0.5, -1, smooth_c0)]
+    with pytest.raises(SolverError, match="implicit transport solve: CG stopped after 0 "
+                                          "iterations") as failure:
+        run_macro(grid, np.eye(2), species, _zero_source(grid), 5e149, 4.0, 1e-3, 1e-3)
+    assert failure.value.iterations == 0
+    assert failure.value.residual > DIVERGENCE_FACTOR
 
 
 def test_coupled_identity_matches_micro_hole_free():

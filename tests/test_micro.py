@@ -163,7 +163,7 @@ def test_upwind_picks_donor_cell():
     phi = phi - phi.mean()
     conc = 1.0 + 0.25 * np.sin(2 * np.pi * grid.centers[:, 1])
     grad = sim._normal_gradient_faces(phi)
-    drift = sim._drift_fluxes(conc[None, :], grad)[0]
+    drift = sim._drift_flux(0, conc, grad)
     x_faces = grid.face_axis == 0
     velocity = -1.0 * 1.0 * grad[x_faces]
     assert np.all(velocity > 0)
@@ -188,7 +188,8 @@ def test_upwind_picks_the_donor_cell_bitwise_in_both_directions(disk_cell_8, phi
     velocity = factors[:, None] * grad[None, :]
     assert np.any(velocity[0] > 0) and np.any(velocity[0] < 0)
     expected = velocity * np.where(velocity >= 0, conc[:, grid.face_lo], conc[:, grid.face_hi])
-    assert np.array_equal(sim._drift_fluxes(conc, grad), expected)
+    assert np.array_equal(np.stack([sim._drift_flux(i, conc[i], grad) for i in range(2)]),
+                          expected)
 
 
 # -- stepping -------------------------------------------------------------------
