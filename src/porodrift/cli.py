@@ -87,13 +87,19 @@ def _sha256(path: Path) -> str:
 def dispatch(subcommand: str, config, out_dir=None) -> int:
     """Run one pipeline as ``config`` sets it, write its artifacts and manifest.
 
-    Returns the exit status: 2 for a ConfigError only the run detects, 1 for
-    any other failure, else 0.
+    Returns the exit status: 2 for a ConfigError only the run detects or an
+    output directory that cannot be created (the one failure without a
+    manifest), 1 for any other failure, else 0.
     """
     if subcommand not in SUBCOMMANDS:
         raise PorodriftError(f"unknown subcommand {subcommand!r}; expected one of {SUBCOMMANDS}")
     run_dir = Path(out_dir if out_dir is not None else config.output_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
+    try:
+        run_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        print(f"porodrift: cannot create output directory {run_dir}: {exc.strerror or exc}",
+              file=sys.stderr)
+        return 2
 
     written = []
     timings = {"write": 0.0}

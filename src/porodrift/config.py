@@ -35,7 +35,7 @@ from .geometry import (
 )
 from .linalg import POISSON_TOL
 from .micro import ScalingSpec, SpeciesSpec
-from .transport import h_p_prime
+from .transport import DT_FLOOR, h_p_prime
 from .verification import (
     MMS_SOLVERS,
     balanced_charges,
@@ -135,6 +135,20 @@ def _at_least(value, low, label):
 def _positive(value, label):
     if value <= 0:
         raise ConfigError(f"{label} must be positive, got {value}")
+    return value
+
+
+def _time_step(value, label):
+    """A ``dt_init``: positive, and not below the engine's step floor ``DT_FLOOR``.
+
+    Every step is at most ``dt_init``, so a smaller one makes a run take
+    ``T / dt_init`` steps or more, and at 1e-300 the implicit solve's
+    ``c/dt`` overflows the CG's norms.
+    """
+    _positive(value, label)
+    if value < DT_FLOOR:
+        raise ConfigError(f"{label} must be at least the time-step floor {DT_FLOOR:g}, "
+                          f"got {value}")
     return value
 
 
@@ -288,8 +302,9 @@ def parse_and_validate(source) -> RunConfig:
     eta = _require(sca, "eta", float, "scaling")
     p = _require(sca, "p", float, "scaling")
     final_time = _require(sca, "T", float, "scaling")
-    dt_init = _positive(_optional(sca, "dt_init", final_time / 100 if final_time > 0 else 1e-3,
-                                  float, "scaling"), "scaling.dt_init")
+    default_dt = max(final_time / 100, DT_FLOOR) if final_time > 0 else 1e-3
+    dt_init = _time_step(_optional(sca, "dt_init", default_dt, float, "scaling"),
+                         "scaling.dt_init")
     cfl_fraction = _optional(sca, "cfl_fraction", 0.5, float, "scaling")
     if not 0 < cfl_fraction <= 1:
         raise ConfigError(f"scaling.cfl_fraction must lie in (0, 1], got {cfl_fraction}")
@@ -358,8 +373,8 @@ def parse_and_validate(source) -> RunConfig:
     check_m_values(conv_m_values)
     conv_final_time = _at_least(_optional(conv, "T", 0.05, float, "convergence"), 0,
                                 "convergence.T")
-    conv_dt_init = _positive(_optional(conv, "dt_init", 5e-4, float, "convergence"),
-                             "convergence.dt_init")
+    conv_dt_init = _time_step(_optional(conv, "dt_init", 5e-4, float, "convergence"),
+                              "convergence.dt_init")
     conv_macro_resolution = _at_least(
         _optional(conv, "macro_resolution", r * max(conv_m_values), int, "convergence"),
         MIN_RESOLUTION, "convergence.macro_resolution")
@@ -371,8 +386,8 @@ def parse_and_validate(source) -> RunConfig:
     check_eta_values(eta_values)
     eta_final_time = _at_least(_optional(eta_sec, "T", 0.05, float, "eta_sweep"), 0,
                                "eta_sweep.T")
-    eta_dt_init = _positive(_optional(eta_sec, "dt_init", dt_init, float, "eta_sweep"),
-                            "eta_sweep.dt_init")
+    eta_dt_init = _time_step(_optional(eta_sec, "dt_init", dt_init, float, "eta_sweep"),
+                             "eta_sweep.dt_init")
 
     mms_sec = _section(raw, "mms")
     mms_solvers = _list(mms_sec, "solvers", list(MMS_SOLVERS), str, "mms")

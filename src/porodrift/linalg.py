@@ -451,15 +451,19 @@ class PoissonCounts:
 class ZeroMeanDirect:
     """Cached LU of a singular operator with constant nullspace; zero-mean solves.
 
-    ``ZeroMeanDirect(system, kappa)`` takes the two-point operator
-    ``face_laplacian(kappa)`` on the faces of the ``ReducedFaceSystem``
-    ``system`` and assembles its Schur complement ``S`` with shift 0, which
-    keeps the constant nullspace on the black cells.  A pinned solve reduces
-    the right-hand side, back-solves and back-substitutes the red cells, all
-    in cell order.  The blocks it keeps are its own, so refilling
-    ``system.matrix`` afterwards changes nothing.  ``ZeroMeanDirect(matrix)``
-    takes any sparse operator, such as the full-tensor Poisson operator,
-    which is not symmetric.
+    ``ZeroMeanDirect(system, kappa, face_axis)`` takes the two-point
+    operator ``face_laplacian(kappa[face_axis])`` on the faces of the
+    ``ReducedFaceSystem`` ``system`` and assembles its Schur complement
+    ``S`` with shift 0, which keeps the constant nullspace on the black
+    cells.  ``kappa`` holds one coefficient per axis (the Poisson tensor's
+    diagonal entry times the facet area over h) and ``face_axis``, the
+    grid's own array, names the axis of every face, so the coefficient is
+    gathered per face where a residual or the energy needs it and never
+    stored per face.  A pinned solve reduces the right-hand side,
+    back-solves and back-substitutes the red cells, all in cell order.  The
+    blocks it keeps are its own, so refilling ``system.matrix`` afterwards
+    changes nothing.  ``ZeroMeanDirect(matrix)`` takes any sparse operator,
+    such as the full-tensor Poisson operator, which is not symmetric.
 
     Both pin unknown 0 (the first black cell of ``S``, or node 0) by dropping
     its row and column, and SuperLU factors the rest with partial pivoting
@@ -480,11 +484,11 @@ class ZeroMeanDirect:
     ``counts`` records the solves, their corrections and largest residual.
     """
 
-    def __init__(self, operator, kappa=None):
+    def __init__(self, operator, kappa=None, face_axis=None):
         if isinstance(operator, ReducedFaceSystem):
             self.n = operator.n_cells
-            self._system, self._kappa = operator, kappa
-            self._elimination = operator.assemble(kappa, 0.0)
+            self._system, self._kappa, self._face_axis = operator, kappa, face_axis
+            self._elimination = operator.assemble(kappa[face_axis], 0.0)
             matrix = operator.matrix
         else:
             self.matrix = matrix = operator.tocsr()
@@ -508,14 +512,15 @@ class ZeroMeanDirect:
         if self._system is None:
             return self.matrix @ phi
         lo, hi = self._system.face_lo, self._system.face_hi
-        return face_divergence(self.n, lo, hi, self._kappa * (phi[hi] - phi[lo]))
+        return face_divergence(self.n, lo, hi,
+                               self._kappa[self._face_axis] * (phi[hi] - phi[lo]))
 
     def energy(self, phi):
         """``(1/2) phi . P phi``, on the two-point path ``sum_f kappa_f (phi_hi - phi_lo)^2/2``."""
         if self._system is None:
             return 0.5 * float(phi @ (self.matrix @ phi))
         lo, hi = self._system.face_lo, self._system.face_hi
-        return 0.5 * float(np.sum(self._kappa * (phi[hi] - phi[lo]) ** 2))
+        return 0.5 * float(np.sum(self._kappa[self._face_axis] * (phi[hi] - phi[lo]) ** 2))
 
     def solve(self, rhs, tol=POISSON_TOL):
         """Zero-mean solution; iterative refinement until the residual meets ``tol``."""

@@ -63,9 +63,14 @@ flux, its CG start and its solution end before the next species' solve: on
 the 52k-cell ``micro_large`` grid this lowered the run's peak RSS from 122.3
 to 117.7 MB (``BENCH_31.json``).  The explicit drift is upwinded by index:
 each face takes the concentration of its donor cell, chosen from the sign of
-the species' velocity, in one gather per species.  ``D_i A_nn`` per face is
-computed once per simulation; it starts every implicit face coefficient and
-the implicit flux.
+the species' velocity, in one gather per species.  The simulation stores no
+face-sized array that only repeats a constant: the tensor's diagonal and
+``D_i A_kk`` are kept per axis k and gathered by ``grid.face_axis`` where
+they are used.  A species' face coefficient ``(D_i A_kk) h_p'`` is one
+array, which the implicit solve divides by h^2 and the implicit flux
+reuses.  The face gradient of the potential (each species computes it
+again), the clipped concentration and the cell-ordered CG start end before
+the coarse factorization, where a run reaches its peak RSS.
 
 The run loop measures each accepted state once (``_Stats``); the output rows
 read those measurements, the summary reduces all of them, and snapshots are
@@ -96,7 +101,7 @@ from .linalg import (
 )
 
 NEG_TOLERANCE = 1e-12     # accepted round-off undershoot of concentrations
-DT_FLOOR = 1e-10          # abort threshold for the step-halving loop
+DT_FLOOR = 1e-10          # floor of the CFL step, of step halving and of a config's dt_init
 CFL_SAFETY = 0.4          # dt <= CFL_SAFETY * h / max face drift speed
 CROSS_TOL = 1e-14         # off-diagonal tensor entries up to this count as zero
 AGGREGATE_WIDTH = 3       # grid cells per axis of one aggregate of the two-level CG
@@ -225,8 +230,9 @@ def poisson_solver(grid, tensor, reduced=None):
     tensor = np.asarray(tensor, dtype=float)
     if _off_diagonal_max(tensor) > CROSS_TOL:
         return ZeroMeanDirect(poisson_matrix(grid, tensor))
-    kappa = tensor[grid.face_axis, grid.face_axis] * grid.facet_area / grid.h
-    return ZeroMeanDirect(reduced_face_system(grid) if reduced is None else reduced, kappa)
+    kappa = tensor.diagonal() * grid.facet_area / grid.h
+    return ZeroMeanDirect(reduced_face_system(grid) if reduced is None else reduced, kappa,
+                          grid.face_axis)
 
 
 def _checked_tensor(tensor, dim):
@@ -326,7 +332,7 @@ class TransportSim:
         self.drift_scale = float(drift_scale)
         self.poisson_tol = float(poisson_tol)
         self.grad_scale = float(grad_scale)
-        self._face_diag = tensor[grid.face_axis, grid.face_axis]
+        self._tensor_diag = tensor.diagonal()
         self._cross = cross_operator(grid, tensor)
         self._volumetric = np.asarray(charges.volumetric, dtype=float)
         self._boundary_rhs = charges.cell_sums(grid)
@@ -336,8 +342,9 @@ class TransportSim:
         self._poisson = poisson_solver(grid, poisson_tensor, self._reduced)
         self._charges = np.array([s.charge for s in self.species], dtype=float)
         self._diffusivities = np.array([s.diffusivity for s in self.species], dtype=float)
-        # D_i A_nn per species and face: the first factor of every implicit face coefficient
-        self._face_diffusivities = self._diffusivities[:, None] * self._face_diag
+        # D_i A_kk per species and axis k: gathered by face axis, the first factor of every
+        # implicit face coefficient
+        self._axis_diffusivities = self._diffusivities[:, None] * self._tensor_diag
 
     # -- potential -----------------------------------------------------------
 
@@ -372,7 +379,8 @@ class TransportSim:
     def _normal_gradient_faces(self, values):
         """(A grad u) . n per face: two-point normal part plus tangential terms."""
         grid = self.grid
-        g = self._face_diag * (values[grid.face_hi] - values[grid.face_lo]) / grid.h
+        diag = self._tensor_diag[grid.face_axis]
+        g = diag * (values[grid.face_hi] - values[grid.face_lo]) / grid.h
         if self._cross is not None:
             g = g + self._cross @ values
         return g
@@ -408,38 +416,42 @@ class TransportSim:
 
     # -- stepping ----------------------------------------------------------------
 
-    def _implicit_solve(self, c, face_diffusivity, face_h, dt, rhs_extra, guess=None):
+    def _implicit_solve(self, c, coefficient, dt, rhs_extra, guess=None):
         """Solve (face_laplacian(kappa) + I/dt) c* = c/dt + rhs_extra.
 
-        ``kappa = face_diffusivity * face_h / h^2``, with ``face_diffusivity``
-        the species' D_i times the tensor's normal entry per face (or a
-        scalar).  A symmetric, strictly diagonally dominant M-matrix.  One
+        ``kappa = coefficient / h^2``, with ``coefficient`` per face the
+        species' D_i times the tensor's normal entry times h_p'.  A
+        symmetric, strictly diagonally dominant M-matrix.  One
         parity of cells is eliminated exactly, which leaves the Schur
         complement S on the others.  Each solve factorizes the coarse
         operator of the two-level preconditioner, its one SuperLU
         factorization, and solves S by CG to the true relative residual
         CG_TOL, started from the black cells of ``guess`` (None: from 0).
-        Both failure messages name the largest face coefficient.
+        Both failure messages name the largest face coefficient, which is
+        ``max(coefficient) / h^2`` (division by a positive constant keeps
+        the order), so ``kappa`` ends once S and its blocks are assembled.
         """
         system, two_level = self._reduced, self._two_level
-        kappa = face_diffusivity * face_h
-        kappa /= self.grid.h ** 2
-        elimination = system.assemble(kappa, 1.0 / dt)
+        # the CG start on S's unknowns; the guess in cell order ends here
+        x0 = None if guess is None else guess[system.black]
+        del guess
+        elimination = system.assemble(coefficient / self.grid.h ** 2, 1.0 / dt)
         try:
             lu = splu(two_level.assemble(), **SUPERLU_NATURAL)
         except RuntimeError as exc:
             raise SolverError(f"implicit transport solve failed: {exc}; largest face "
-                              f"coefficient {np.max(kappa):.3e}") from exc
+                              f"coefficient {np.max(coefficient) / self.grid.h ** 2:.3e}"
+                              ) from exc
         rhs = c / dt + rhs_extra
         reduced = system.reduce(rhs, elimination)
         try:
             black, residual, iterations, restarts = cg_solve(
                 system.matrix, reduced, CG_TOL, preconditioner=two_level.preconditioner(lu),
-                x0=None if guess is None else guess[system.black])
+                x0=x0)
         except SolverError as exc:
             raise SolverError(f"implicit transport solve: {exc}; largest face coefficient "
-                              f"{np.max(kappa):.3e}", residual=exc.residual,
-                              iterations=exc.iterations) from exc
+                              f"{np.max(coefficient) / self.grid.h ** 2:.3e}",
+                              residual=exc.residual, iterations=exc.iterations) from exc
         counts = self.solves
         counts.solves += 1
         counts.cg_iterations += iterations
@@ -461,13 +473,12 @@ class TransportSim:
         """
         t_new = state.t + dt
         drifting = self.drift_scale != 0.0 and np.any(self._charges)
-        grad_phi = self._normal_gradient_faces(state.phi) if drifting else None
         src = (None if source is None
                else np.asarray(source(t_new, self.grid.centers), dtype=float))
 
         new_conc = np.empty_like(state.conc)
         for i in range(new_conc.shape[0]):
-            new_conc[i] = self._species_step(i, state, dt, grad_phi,
+            new_conc[i] = self._species_step(i, state, dt, drifting,
                                              None if src is None else src[i], previous)
 
         if float(np.min(new_conc)) < -NEG_TOLERANCE:
@@ -475,25 +486,36 @@ class TransportSim:
 
         return self.state(t_new, new_conc)
 
-    def _species_step(self, i, state, dt, grad_phi, src_i, previous):
-        """Species ``i``'s concentration after ``step``; ``grad_phi`` is None without drift.
+    def _species_step(self, i, state, dt, drifting, src_i, previous):
+        """Species ``i``'s concentration after ``step``, with its drift if ``drifting``.
 
         Its drift, face coefficients, implicit flux, solution and CG start are
-        its own, so they end before the next species' solve.
+        its own, so they end before the next species' solve.  So does the
+        face gradient of the potential, which each species computes again:
+        kept for the next species, it would be one more face-sized array at
+        this species' coarse factorization, where a run peaks.  The flux is
+        built on the drift array: ``0.0 + x`` and ``x`` differ only in the
+        sign of a zero, which the divergence's ``bincount`` (its sums start
+        at +0.0) does not see.  The clipped concentration ends before the
+        solve, and the CG start, passed as an expression, ends in the solve
+        once its black cells are taken.
         """
         grid = self.grid
-        c, face_d = state.conc[i], self._face_diffusivities[i]
-        flux = np.zeros(grid.face_lo.size)
-        if grad_phi is not None:
-            flux += self._drift_flux(i, c, grad_phi)
+        c = state.conc[i]
+        flux = (self._drift_flux(i, c, self._normal_gradient_faces(state.phi)) if drifting
+                else np.zeros(grid.face_lo.size))
         c_safe = np.maximum(c, 0.0)
         # explicit tangential part, then the implicit normal diffusive flux
         if self._cross is not None:
             flux += -self._diffusivities[i] * (self._cross @ h_p_eval(c_safe, self.eta, self.p))
-        face_h = h_p_prime(self._face_average(c_safe), self.eta, self.p)
-        guess = c if previous is None else c + dt / (state.t - previous.t) * (c - previous.conc[i])
-        c_star = self._implicit_solve(c, face_d, face_h, dt, self._rate(flux, src_i), guess)
-        flux -= face_d * face_h * (c_star[grid.face_hi] - c_star[grid.face_lo]) / grid.h
+        # (D_i A_kk) h_p' per face
+        coefficient = self._axis_diffusivities[i][grid.face_axis]
+        coefficient *= h_p_prime(self._face_average(c_safe), self.eta, self.p)
+        del c_safe
+        c_star = self._implicit_solve(
+            c, coefficient, dt, self._rate(flux, src_i),
+            c if previous is None else c + dt / (state.t - previous.t) * (c - previous.conc[i]))
+        flux -= coefficient * (c_star[grid.face_hi] - c_star[grid.face_lo]) / grid.h
         return c + dt * self._rate(flux, src_i)
 
     # -- initialization and the run loop -------------------------------------------
@@ -533,7 +555,10 @@ class TransportSim:
 
         dt policy per step: min(dt_init, cfl_fraction * CFL limit, distance to
         the next output/snapshot boundary), with automatic halving on
-        nonnegativity rejection down to a floor of 1e-10.
+        nonnegativity rejection down to a floor of ``DT_FLOOR``.  A CFL term
+        below that floor is a ``TimeStepError`` too, before the step: such a
+        run would take steps too small ever to reach ``final_time``.  The
+        distance to the next output time may be smaller.
         """
         if final_time < 0:
             raise ValueError("final_time must be >= 0")
@@ -566,7 +591,11 @@ class TransportSim:
         time_tol = 1e-12 * max(1.0, final_time)
         for t_event, snapshot in events[1:]:
             while state.t < t_event - time_tol:
-                dt = min(dt_init, cfl_fraction * self.dt_limit(state), t_event - state.t)
+                dt_cfl = cfl_fraction * self.dt_limit(state)
+                if dt_cfl < DT_FLOOR:
+                    raise TimeStepError(f"CFL time step {dt_cfl:.3e} at t = {state.t:.6g} is "
+                                        f"below the floor {DT_FLOOR:g}")
+                dt = min(dt_init, dt_cfl, t_event - state.t)
                 while True:
                     try:
                         new_state = self.step(state, dt, source=source, previous=previous)

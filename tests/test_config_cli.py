@@ -18,7 +18,9 @@ import porodrift.verification as verification
 from porodrift import (
     ConfigError,
     InclusionShape,
+    MicroSimulation,
     SolverError,
+    TimeStepError,
     build_cell_geometry,
     build_masked_grid,
     run_micro,
@@ -849,6 +851,107 @@ def test_overflowing_eta_fails_fast_with_the_largest_face_coefficient(tmp_path, 
     with np.errstate(over="ignore", invalid="ignore"), pytest.raises(SolverError) as failure:
         run_micro(config.grid, scaling, config.species, config.charges, config.dt_init)
     assert re.search("implicit transport solve.*" + message, str(failure.value))
+
+
+@pytest.mark.parametrize("subcommand,section", [
+    ("micro", "scaling"), ("macro", "scaling"), ("converge", "convergence"),
+    ("eta-sweep", "eta_sweep"),
+], ids=["micro", "macro", "converge", "eta-sweep"])
+def test_dt_init_below_the_step_floor_is_a_config_error(tmp_path, capsys, subcommand, section):
+    # at 1e-300 the implicit solve's c/dt would overflow the CG's norms
+    cfg = canonical_config(tmp_path / "out", T=0.01)
+    cfg.setdefault(section, {})["dt_init"] = transport.DT_FLOOR
+    assert isinstance(parse_and_validate(cfg), RunConfig)
+    cfg[section]["dt_init"] = 1e-300
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main([subcommand, "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert (f"porodrift: invalid config: {section}.dt_init must be at least the time-step "
+            f"floor 1e-10, got 1e-300") in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_default_dt_init_is_a_hundredth_of_t_and_at_least_the_step_floor():
+    cfg = minimal_config()
+    del cfg["scaling"]["dt_init"]
+    assert parse_and_validate(cfg).dt_init == 0.01 / 100
+    cfg["scaling"]["T"] = 5e-9
+    assert parse_and_validate(cfg).dt_init == transport.DT_FLOOR
+
+
+MAX_STEPS = 100  # more steps than any run below may take, so that a loop fails instead of hanging
+
+
+def _huge_charge(cfg):
+    cfg["species"][0]["z"] = 2**53
+
+
+def _tiny_cfl_fraction(cfg):
+    cfg["scaling"]["cfl_fraction"] = 1e-300
+
+
+def _cfl_limited_config(out_dir, patch):
+    # the reader accepts both: the drift's CFL limit allows steps of about 5e-34 and 1e-301
+    cfg = canonical_config(out_dir, T=0.01)
+    cfg["geometry"]["m"] = 2
+    patch(cfg)
+    return cfg
+
+
+@pytest.mark.parametrize("patch", [_huge_charge, _tiny_cfl_fraction], ids=["z", "cfl-fraction"])
+def test_cfl_step_below_the_floor_stops_the_run(tmp_path, patch):
+    config = parse_and_validate(_cfl_limited_config(tmp_path / "out", patch))
+
+    class Bounded(MicroSimulation):
+        steps = 0
+
+        def step(self, *args, **kwargs):
+            self.steps += 1
+            assert self.steps <= MAX_STEPS, "the run loop kept stepping"
+            return super().step(*args, **kwargs)
+
+    sim = Bounded(config.grid, config.scaling(), config.species, config.charges)
+    with pytest.raises(TimeStepError,
+                       match=r"^CFL time step \S+ at t = 0 is below the floor 1e-10$"):
+        sim.run(config.final_time, config.dt_init, cfl_fraction=config.cfl_fraction)
+    assert sim.steps == 0
+
+
+def test_cfl_step_below_the_floor_exits_1_with_manifest(tmp_path, capsys, monkeypatch):
+    real_step, steps = transport.TransportSim.step, []
+
+    def bounded_step(self, *args, **kwargs):
+        steps.append(None)
+        assert len(steps) <= MAX_STEPS, "the run loop kept stepping"
+        return real_step(self, *args, **kwargs)
+
+    monkeypatch.setattr(transport.TransportSim, "step", bounded_step)
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(_cfl_limited_config(tmp_path / "out", _tiny_cfl_fraction)))
+    assert main(["micro", "--config", str(cfg_path)]) == 1
+    assert "below the floor 1e-10" in capsys.readouterr().err
+    manifest = _manifest(tmp_path / "out")
+    assert manifest["exit_status"] == 1
+    assert manifest["error"].startswith("CFL time step 1.2")
+
+
+@pytest.mark.parametrize("option", [True, False], ids=["out", "output-directory"])
+def test_unusable_output_directory_exits_2(tmp_path, capsys, option):
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    cfg_path = tmp_path / "run.json"
+    for target, reason in [(blocker, "File exists"), (blocker / "run", "Not a directory")]:
+        cfg = canonical_config(tmp_path / "unused" if option else target, T=0.01)
+        cfg_path.write_text(json.dumps(cfg))
+        argv = ["micro", "--config", str(cfg_path)] + (["--out", str(target)] if option else [])
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"porodrift: cannot create output directory {target}: {reason}\n"
+    assert blocker.read_text() == ""
+    assert not (tmp_path / "unused").exists()
 
 
 def test_three_dimensional_config_dispatch(tmp_path):

@@ -155,7 +155,7 @@ def test_singular_factorization_raises_solver_error():
         ZeroMeanDirect(face_laplacian(6, face_lo, face_hi, 1.0))
     system = ReducedFaceSystem(np.arange(6) % 2, face_lo, face_hi)
     with pytest.raises(SolverError, match=r"Poisson factorization.*n = 6"):
-        ZeroMeanDirect(system, np.ones(face_lo.size))
+        ZeroMeanDirect(system, np.ones(1), np.zeros(face_lo.size, dtype=np.intp))
 
 
 def test_zero_mean_cg_matches_dense_reference(disk_cell_8):
@@ -263,7 +263,7 @@ def _check_implicit_solve(grid, species, bound=1e-12):
     face_h = rng.uniform(0.1, 10.0, grid.face_lo.size)
     dt = 1e-3
     diffusivity = 0.7
-    solution = sim._implicit_solve(c, diffusivity, face_h, dt, rhs_extra)
+    solution = sim._implicit_solve(c, diffusivity * face_h, dt, rhs_extra)
     # micro transport tensor is the identity
     matrix = _transport_matrix(grid, diffusivity * face_h / grid.h ** 2, dt)
     reference = spsolve(matrix, c / dt + rhs_extra)
@@ -306,9 +306,9 @@ def test_warm_and_cold_two_level_solves_agree(disk_cell_8, monkeypatch):
                           zero_charges(grid))
     c = smooth_c0(grid.centers)
     face_h = transport.h_p_prime(0.5 * (c[grid.face_lo] + c[grid.face_hi]), 1.0, 4.0)
-    cold = sim._implicit_solve(c, 1.0, face_h, 5e-4, np.zeros(grid.n_fluid))
+    cold = sim._implicit_solve(c, face_h, 5e-4, np.zeros(grid.n_fluid))
     cold_iterations = sim.solves.cg_iterations
-    warm = sim._implicit_solve(c, 1.0, face_h, 5e-4, np.zeros(grid.n_fluid), c)
+    warm = sim._implicit_solve(c, face_h, 5e-4, np.zeros(grid.n_fluid), c)
     assert sim.solves.solves == 2
     assert np.max(np.abs(warm - cold)) <= 1e-12 * np.max(np.abs(cold))
     assert 0 < sim.solves.cg_iterations - cold_iterations < cold_iterations
@@ -350,7 +350,7 @@ def test_unconverged_two_level_solve_raises_with_iterations_and_residual(monkeyp
     rng = np.random.default_rng(2)
     with pytest.raises(SolverError, match="implicit transport solve: CG stopped after 3 "
                                           "iterations") as failure:
-        sim._implicit_solve(rng.uniform(0.5, 1.5, grid.n_fluid), 1.0,
+        sim._implicit_solve(rng.uniform(0.5, 1.5, grid.n_fluid),
                             rng.uniform(0.1, 10.0, grid.face_lo.size), 1e-3,
                             np.zeros(grid.n_fluid))
     assert failure.value.iterations == 3
@@ -470,7 +470,7 @@ def test_reduced_matrix_is_the_csr_schur_complement(dim):
     # the two-point Poisson residual is the net face flux, the full operator's product
     v = rng.uniform(-1.0, 1.0, grid.n_fluid)
     full = face_laplacian(grid.n_fluid, grid.face_lo, grid.face_hi, kappa) @ v
-    flux = ZeroMeanDirect(system, kappa)._apply(v)
+    flux = ZeroMeanDirect(system, kappa, np.arange(kappa.size))._apply(v)
     assert np.max(np.abs(flux - full)) <= 1e-14 * np.max(np.abs(kappa))
 
 
@@ -586,6 +586,6 @@ def test_transport_assembly_leaves_the_poisson_solution_unchanged(disk_cell_8,
     first = sim.state(0.0, conc).phi
     assert np.max(np.abs(first)) > 0.0
     # the transport refills the shared reduced matrix with other coefficients
-    sim._implicit_solve(cation, 0.7, rng.uniform(0.1, 10.0, grid.face_lo.size), 1e-3,
+    sim._implicit_solve(cation, 0.7 * rng.uniform(0.1, 10.0, grid.face_lo.size), 1e-3,
                         np.zeros(grid.n_fluid))
     np.testing.assert_array_equal(sim.state(0.0, conc).phi, first)

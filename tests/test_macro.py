@@ -7,6 +7,7 @@ from porodrift import (
     FacetCharges,
     InclusionShape,
     MacroSimulation,
+    MicroSimulation,
     SolverError,
     SpeciesSpec,
     TimeStepError,
@@ -419,6 +420,44 @@ def test_cross_operator_exact_for_linear_fields(slope, tensor):
     np.testing.assert_allclose(cross_operator(grid, tensor) @ (grid.centers @ slope), expected,
                                rtol=0.0, atol=1e-12)
     assert cross_operator(grid, np.diag(np.diag(tensor))) is None
+
+
+ANISOTROPIC = np.diag([1.0, 0.6])
+
+
+def _anisotropic_simulations(disk_cell_8):
+    """A micro simulation on the m = 2 disk grid and a macro one with ``ANISOTROPIC``."""
+    species = [SpeciesSpec("p", 1.0, 1, smooth_c0), SpeciesSpec("m", 0.5, -1, smooth_c0)]
+    micro_grid, macro_grid = build_masked_grid(disk_cell_8, 2), hole_free_grid(16)
+    return [MicroSimulation(micro_grid, make_scaling(micro_grid.eps), species,
+                            zero_charges(micro_grid)),
+            MacroSimulation(macro_grid, ANISOTROPIC, species, _zero_source(macro_grid),
+                            eta=1.0, p=4.0)]
+
+
+def test_simulations_hold_no_face_sized_float_array(disk_cell_8):
+    # the tensor's diagonal, D_i A_kk and the Poisson coefficient are kept per axis
+    for sim in _anisotropic_simulations(disk_cell_8):
+        n_faces, n_species, n_cells = sim.grid.face_lo.size, len(sim.species), sim.grid.n_fluid
+        face_sizes = {n_faces, n_species * n_faces}
+        assert face_sizes.isdisjoint({n_cells, n_species * n_cells})
+        sizes = [value.size for owner in (sim, sim._poisson) for value in vars(owner).values()
+                 if isinstance(value, np.ndarray) and value.dtype.kind == "f"]
+        assert n_cells in sizes
+        assert face_sizes.isdisjoint(sizes)
+
+
+def test_per_axis_constants_give_the_per_face_formulas_bitwise(disk_cell_8):
+    # every benchmark workload is isotropic: here each axis has its own entry
+    sim = _anisotropic_simulations(disk_cell_8)[1]
+    grid = sim.grid
+    lo, hi, axis = grid.face_lo, grid.face_hi, grid.face_axis
+    assert set(axis.tolist()) == {0, 1}
+    u = np.random.default_rng(8).uniform(-1.0, 1.0, grid.n_fluid)
+    assert np.array_equal(sim._normal_gradient_faces(u),
+                          ANISOTROPIC[axis, axis] * (u[hi] - u[lo]) / grid.h)
+    kappa = ANISOTROPIC[axis, axis] * grid.facet_area / grid.h
+    assert sim._poisson.energy(u) == float(np.sum(kappa * (u[hi] - u[lo]) ** 2)) / 2
 
 
 def test_three_dimensional_macro_run():

@@ -393,7 +393,7 @@ def test_rejected_step_extrapolates_with_the_halved_dt():
             return super().step(state, dt, **kwargs)
 
         def _implicit_solve(self, *args):
-            self.guesses.append(args[5])
+            self.guesses.append(args[4])
             return super()._implicit_solve(*args)
 
     sim = RejectsSecond(grid, scaling, species, zero_charges(grid))
