@@ -21,7 +21,7 @@ from .errors import SolverError
 from .geometry import MaskedGrid
 from .linalg import cg_solve, face_divergence, face_laplacian
 
-DEFAULT_TOL = 1e-12     # relative residual of the cell-problem CG (solver.cell_tol)
+CELL_TOL = 1e-12        # relative residual every cell-problem CG meets (README, Tolerances)
 RHS_SUM_TOL = 1e-12     # |sum of a right-hand side| relative to its scale: 0 up to rounding
 
 
@@ -41,7 +41,7 @@ def _rhs_for_direction(cell: MaskedGrid, k: int) -> np.ndarray:
     return face_divergence(cell.n_fluid, cell.face_lo[sel], cell.face_hi[sel], flux)
 
 
-def solve_cell_problem(cell: MaskedGrid, k: int, tol: float = DEFAULT_TOL) -> CorrectorField:
+def solve_cell_problem(cell: MaskedGrid, k: int) -> CorrectorField:
     """Solve for the direction-k corrector with ``linalg.cg_solve``.
 
     The right-hand side is the masked-face divergence of the constant field
@@ -51,8 +51,6 @@ def solve_cell_problem(cell: MaskedGrid, k: int, tol: float = DEFAULT_TOL) -> Co
     """
     if not 0 <= k < cell.dim:
         raise ValueError(f"direction index {k} out of range for dimension {cell.dim}")
-    if tol <= 0:
-        raise ValueError("tol must be positive")
     rhs = _rhs_for_direction(cell, k)
     total = abs(float(np.sum(rhs)))
     if total > RHS_SUM_TOL * max(1.0, float(np.sum(np.abs(rhs)))):
@@ -60,7 +58,7 @@ def solve_cell_problem(cell: MaskedGrid, k: int, tol: float = DEFAULT_TOL) -> Co
     coeff = cell.facet_area / cell.h
     matrix = face_laplacian(cell.n_fluid, cell.face_lo, cell.face_hi, coeff)
     try:
-        values, residual, iterations, _ = cg_solve(matrix, rhs, tol, zero_mean=True)
+        values, residual, iterations, _ = cg_solve(matrix, rhs, CELL_TOL, zero_mean=True)
     except SolverError as exc:
         raise SolverError(f"cell problem {k + 1}: {exc}", residual=exc.residual,
                           iterations=exc.iterations) from exc
@@ -101,9 +99,9 @@ class EffectiveTensor:
     correctors: tuple
 
 
-def compute_effective_tensor(cell: MaskedGrid, tol: float = DEFAULT_TOL) -> EffectiveTensor:
+def compute_effective_tensor(cell: MaskedGrid) -> EffectiveTensor:
     """Solve the n cell problems and assemble both tensor expressions."""
-    correctors = tuple(solve_cell_problem(cell, k, tol=tol) for k in range(cell.dim))
+    correctors = tuple(solve_cell_problem(cell, k) for k in range(cell.dim))
     grads = corrected_gradients(cell, correctors)
     a_hom = np.empty((cell.dim, cell.dim))
     for k in range(cell.dim):

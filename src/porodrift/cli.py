@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .cell_problem import compute_effective_tensor
-from .config import parse_and_validate
+from .config import parse_and_validate, snapshot_file
 from .errors import ConfigError, GeometryError, PorodriftError
 from .geometry import (
     build_cell_geometry,
@@ -122,7 +122,7 @@ def dispatch(subcommand: str, config, out_dir=None) -> int:
                         else build_cell_geometry(config.inclusion, config.cell_resolution))
             except GeometryError as exc:
                 raise ConfigError(f"cell.resolution {config.cell_resolution}: {exc}") from exc
-            tensor = compute_effective_tensor(cell, tol=config.cell_tol)
+            tensor = compute_effective_tensor(cell)
             report = {
                 "kind": "cell",
                 "resolution": cell.r,
@@ -142,10 +142,8 @@ def dispatch(subcommand: str, config, out_dir=None) -> int:
             grid, conc_name, phi_name, extra = config.grid, "c", "phi", {}
             result = run_micro(
                 grid, config.scaling(), config.species, config.charges,
-                dt_init=config.dt_init, cfl_fraction=config.cfl_fraction,
-                output_interval=config.output_interval or None,
+                dt_init=config.dt_init, output_interval=config.output_interval or None,
                 snapshot_times=config.snapshot_times,
-                poisson_tol=config.poisson_tol,
             )
 
         elif subcommand == "macro":
@@ -153,16 +151,15 @@ def dispatch(subcommand: str, config, out_dir=None) -> int:
             grid, charges = homogenized_problem(config.cell, config.macro_resolution,
                                                 config.species, config.xi1, config.xi2,
                                                 config.auto_balance)
-            tensor = compute_effective_tensor(config.cell, tol=config.cell_tol)
+            tensor = compute_effective_tensor(config.cell)
             conc_name, phi_name = "c0", "phi0"
             extra = {"mode": mode, "a_hom": tensor.a_hom, "porosity": tensor.porosity,
                      "macro_resolution": config.macro_resolution}
             result = run_macro(
                 grid, tensor.a_hom, config.species, charges, config.eta, config.p,
                 config.final_time, config.dt_init, mode=mode,
-                cfl_fraction=config.cfl_fraction,
                 output_interval=config.output_interval or None,
-                snapshot_times=config.snapshot_times, poisson_tol=config.poisson_tol,
+                snapshot_times=config.snapshot_times,
             )
 
         elif subcommand == "converge":
@@ -170,10 +167,9 @@ def dispatch(subcommand: str, config, out_dir=None) -> int:
                 config.cell, config.species, config.xi1, config.xi2,
                 config.alpha, config.beta, config.eta, config.p,
                 config.convergence_m_values, config.convergence_final_time,
-                config.convergence_dt_init, cfl_fraction=config.cfl_fraction,
+                config.convergence_dt_init,
                 macro_resolution=config.convergence_macro_resolution,
-                auto_balance=config.auto_balance, poisson_tol=config.poisson_tol,
-                cell_tol=config.cell_tol,
+                auto_balance=config.auto_balance,
             )
             emit("report.json", _write_json, report.to_dict())
             timings.update(report.runtimes)
@@ -184,8 +180,7 @@ def dispatch(subcommand: str, config, out_dir=None) -> int:
 
         elif subcommand == "mms":
             report = run_mms_verification(config.mms_solvers,
-                                          resolutions=config.mms_resolutions,
-                                          poisson_tol=config.poisson_tol, solves=solves)
+                                          resolutions=config.mms_resolutions, solves=solves)
             emit("report.json", _write_json, report)
             if not report["passed"]:
                 status = 1
@@ -197,11 +192,10 @@ def dispatch(subcommand: str, config, out_dir=None) -> int:
             grid, charges = homogenized_problem(config.cell, config.macro_resolution,
                                                 config.species, config.xi1, config.xi2,
                                                 config.auto_balance)
-            tensor = compute_effective_tensor(config.cell, tol=config.cell_tol)
+            tensor = compute_effective_tensor(config.cell)
             report = run_eta_sweep(grid, tensor.a_hom, config.species, charges, config.p,
                                    config.eta_values, config.eta_final_time,
-                                   config.eta_dt_init, cfl_fraction=config.cfl_fraction,
-                                   poisson_tol=config.poisson_tol, solves=solves)
+                                   config.eta_dt_init, solves=solves)
             emit("report.json", _write_json, report)
 
         if subcommand in ("micro", "macro"):
@@ -209,7 +203,7 @@ def dispatch(subcommand: str, config, out_dir=None) -> int:
             emit("diagnostics.csv", result.record.to_csv)
             for t_snap, state in sorted(result.snapshots.items()):
                 columns = {f"{conc_name}_{i + 1}": c for i, c in enumerate(state.conc)}
-                emit(f"snapshot_{t_snap:.6f}.csv", _write_snapshot, "x", grid.centers,
+                emit(snapshot_file(t_snap), _write_snapshot, "x", grid.centers,
                      {**columns, phi_name: state.phi})
             emit("report.json", _write_json, {
                 "kind": subcommand,
@@ -275,10 +269,16 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
 
     try:
-        config = parse_and_validate(Path(args.config).read_text())
+        text = Path(args.config).read_text()
     except FileNotFoundError:
         print(f"porodrift: config file not found: {args.config}", file=sys.stderr)
         return 2
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc  # an OSError's reason, without its path
+        print(f"porodrift: cannot read config {args.config}: {reason}", file=sys.stderr)
+        return 2
+    try:
+        config = parse_and_validate(text)
     except PorodriftError as exc:
         print(f"porodrift: invalid config: {exc}", file=sys.stderr)
         return 2

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cell_problem import DEFAULT_TOL
+from .cell_problem import CELL_TOL
 from .errors import ConfigError, GeometryError
 from .expressions import ExpressionError, compile_expression
 from .geometry import (
@@ -66,7 +66,16 @@ SECTION_KEYS = {
     "mms": ("solvers", "resolutions"),
 }
 SPECIES_KEYS = ("name", "D", "z", "c0")
+# keys a config may state only at these values, which are engine constants: the tolerances
+# linalg.POISSON_TOL and cell_problem.CELL_TOL, and the factor 0.5 of transport.CFL_SAFETY
+FIXED_VALUES = {("scaling", "cfl_fraction"): 0.5, ("solver", "poisson_tol"): POISSON_TOL,
+                ("solver", "cell_tol"): CELL_TOL}
 INCLUSION_KEYS = ("kind", "center", "radius", "half_width", "semi_axes", "exponent")
+
+
+def snapshot_file(t):
+    """The name of the snapshot file of time ``t``."""
+    return f"snapshot_{t:.6f}.csv"
 
 
 def _known(obj, keys, where):
@@ -219,13 +228,10 @@ class RunConfig:
     p: float
     final_time: float
     dt_init: float
-    cfl_fraction: float
     species: list
     xi1: object
     xi2: object
     auto_balance: bool
-    poisson_tol: float
-    cell_tol: float
     output_dir: str
     output_interval: float
     snapshot_times: list
@@ -271,7 +277,7 @@ def parse_and_validate(source) -> RunConfig:
         text = str(source)
         try:
             raw = json.loads(text)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
@@ -305,9 +311,6 @@ def parse_and_validate(source) -> RunConfig:
     default_dt = max(final_time / 100, DT_FLOOR) if final_time > 0 else 1e-3
     dt_init = _time_step(_optional(sca, "dt_init", default_dt, float, "scaling"),
                          "scaling.dt_init")
-    cfl_fraction = _optional(sca, "cfl_fraction", 0.5, float, "scaling")
-    if not 0 < cfl_fraction <= 1:
-        raise ConfigError(f"scaling.cfl_fraction must lie in (0, 1], got {cfl_fraction}")
 
     species_raw = raw["species"]
     if not isinstance(species_raw, list) or not species_raw:
@@ -337,11 +340,11 @@ def parse_and_validate(source) -> RunConfig:
     xi2 = _compiled(str(_optional(charge_sec, "xi2", "0")), dim, "surface_charge.xi2")
     auto_balance = _optional(charge_sec, "auto_balance", False, bool, "surface_charge")
 
-    solver = _section(raw, "solver")
-    poisson_tol = _optional(solver, "poisson_tol", POISSON_TOL, float, "solver")
-    cell_tol = _optional(solver, "cell_tol", DEFAULT_TOL, float, "solver")
-    if poisson_tol <= 0 or cell_tol <= 0:
-        raise ConfigError("solver tolerances must be positive")
+    sections = {"scaling": sca, "solver": _section(raw, "solver")}
+    for (name, key), fixed in FIXED_VALUES.items():
+        value = _optional(sections[name], key, fixed, float, name)
+        if value != fixed:
+            raise ConfigError(f"{name}.{key} is fixed at {fixed:g}, got {value}")
 
     output = _section(raw, "output")
     output_dir = str(_optional(output, "directory", "out"))
@@ -353,9 +356,14 @@ def parse_and_validate(source) -> RunConfig:
                           f"more than {MAX_OUTPUT_TIMES} output times")
     snapshot_times = _list(output, "snapshot_times", [final_time] if final_time > 0 else [],
                            float, "output")
+    named = {}
     for t_snap in snapshot_times:
         if t_snap < 0 or t_snap > final_time + 1e-12:
             raise ConfigError(f"snapshot time {t_snap} outside [0, T = {final_time}]")
+        other = named.setdefault(snapshot_file(t_snap), t_snap)
+        if other != t_snap:
+            raise ConfigError(f"snapshot times {other!r} and {t_snap!r} both name "
+                              f"{snapshot_file(t_snap)}")
 
     macro_sec = _section(raw, "macro")
     macro_resolution = _at_least(_optional(macro_sec, "resolution", m * r, int, "macro"),
@@ -399,9 +407,8 @@ def parse_and_validate(source) -> RunConfig:
     config = RunConfig(
         raw=raw, inclusion=inclusion, m=m, r=r,
         alpha=alpha, beta=beta, eta=eta, p=p, final_time=final_time,
-        dt_init=dt_init, cfl_fraction=cfl_fraction, species=species,
+        dt_init=dt_init, species=species,
         xi1=xi1, xi2=xi2, auto_balance=auto_balance,
-        poisson_tol=poisson_tol, cell_tol=cell_tol,
         output_dir=output_dir, output_interval=output_interval,
         snapshot_times=snapshot_times,
         macro_resolution=macro_resolution,

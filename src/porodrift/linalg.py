@@ -59,7 +59,7 @@ from scipy.sparse.linalg import spilu, splu
 from .errors import SolverError
 
 MAX_REFINEMENTS = 2   # iterative-refinement passes of ZeroMeanDirect.solve
-POISSON_TOL = 1e-10   # default relative residual of the Poisson solves (solver.poisson_tol)
+POISSON_TOL = 1e-10   # relative residual every Poisson solve meets (README, Tolerances)
 JACOBI_WEIGHT = 0.7   # damping of the Jacobi sweeps of TwoLevel.preconditioner
 
 # CG's error never grows in the energy norm, so from 0 its residual stays below sqrt(cond(A))
@@ -478,9 +478,9 @@ class ZeroMeanDirect:
     rounding), fixes the pinned value to 0 and mean-projects the result, so
     it returns the zero-mean solution.  Iterative refinement then applies at
     most ``MAX_REFINEMENTS`` corrections, each followed by a check of the
-    residual of the whole operator against ``tol``: the matrix product, or
-    on the two-point path the net face flux ``sum_f kappa_f (phi_j -
-    phi_nb)`` of every cell (``face_divergence``).
+    residual of the whole operator against ``POISSON_TOL``: the matrix
+    product, or on the two-point path the net face flux ``sum_f kappa_f
+    (phi_j - phi_nb)`` of every cell (``face_divergence``).
     ``counts`` records the solves, their corrections and largest residual.
     """
 
@@ -522,8 +522,8 @@ class ZeroMeanDirect:
         lo, hi = self._system.face_lo, self._system.face_hi
         return 0.5 * float(np.sum(self._kappa[self._face_axis] * (phi[hi] - phi[lo]) ** 2))
 
-    def solve(self, rhs, tol=POISSON_TOL):
-        """Zero-mean solution; iterative refinement until the residual meets ``tol``."""
+    def solve(self, rhs):
+        """Zero-mean solution; iterative refinement until the residual meets ``POISSON_TOL``."""
         counts = self.counts
         counts.solves += 1
         b = rhs - rhs.mean()
@@ -535,7 +535,7 @@ class ZeroMeanDirect:
             residual = b - self._apply(phi)
             residual -= residual.mean()
             rel = float(np.linalg.norm(residual)) / b_norm
-            if np.isfinite(rel) and rel <= tol:
+            if np.isfinite(rel) and rel <= POISSON_TOL:
                 counts.max_residual = max(counts.max_residual, rel)
                 return phi
             if corrections < MAX_REFINEMENTS:
@@ -543,6 +543,6 @@ class ZeroMeanDirect:
                 phi = phi + self._pinned_solve(residual)
                 phi -= phi.mean()
         raise SolverError(
-            f"direct Neumann solve residual {rel:.3e} exceeds tolerance {tol:.3e}",
+            f"direct Neumann solve residual {rel:.3e} exceeds tolerance {POISSON_TOL:.3e}",
             residual=rel,
         )

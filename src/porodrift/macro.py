@@ -25,7 +25,6 @@ import numpy as np
 
 from .errors import GeometryError
 from .geometry import FacetCharges, MaskedGrid
-from .linalg import POISSON_TOL
 from .transport import RunResult, TransportSim, gradient_matrices
 
 __all__ = [
@@ -91,26 +90,23 @@ class MacroSimulation(TransportSim):
 
     def __init__(self, grid: MaskedGrid, tensor: np.ndarray, species,
                  charges: FacetCharges, eta: float, p: float,
-                 mode: str = "coupled", poisson_tol: float = POISSON_TOL):
+                 mode: str = "coupled"):
         if mode not in ("coupled", "decoupled"):
             raise ValueError(f"mode must be 'coupled' or 'decoupled', got {mode!r}")
         if not grid.is_unperforated:
             raise GeometryError("the homogenized model lives on the unperforated domain")
         super().__init__(
             grid, species, eta, p, transport_tensor=tensor, poisson_tensor=tensor, charges=charges,
-            drift_scale=1.0 if mode == "coupled" else 0.0, grad_scale=1.0, poisson_tol=poisson_tol,
-        )
+            drift_scale=1.0 if mode == "coupled" else 0.0, grad_scale=1.0)
 
 
 def run_macro(grid: MaskedGrid, tensor: np.ndarray, species, charges: FacetCharges,
               eta: float, p: float, final_time: float, dt_init: float,
-              mode: str = "coupled", cfl_fraction: float = 0.5, output_interval=None,
-              snapshot_times=(), poisson_tol: float = POISSON_TOL) -> RunResult:
+              mode: str = "coupled", output_interval=None, snapshot_times=()) -> RunResult:
     """Integrate the homogenized model to ``final_time``."""
-    sim = MacroSimulation(grid, tensor, species, charges, eta, p, mode=mode,
-                          poisson_tol=poisson_tol)
-    return sim.run(final_time, dt_init, cfl_fraction=cfl_fraction,
-                   output_interval=output_interval, snapshot_times=snapshot_times)
+    sim = MacroSimulation(grid, tensor, species, charges, eta, p, mode=mode)
+    return sim.run(final_time, dt_init, output_interval=output_interval,
+                   snapshot_times=snapshot_times)
 
 
 def reconstruct_corrector_potential(macro_grid: MaskedGrid, phi0: np.ndarray,

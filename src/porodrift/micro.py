@@ -17,7 +17,6 @@ import numpy as np
 
 from .errors import ConfigError
 from .geometry import FacetCharges, MaskedGrid
-from .linalg import POISSON_TOL
 from .transport import RunResult, TransportSim
 
 __all__ = ["ScalingSpec", "SpeciesSpec", "MicroSimulation", "run_micro"]
@@ -75,21 +74,19 @@ class MicroSimulation(TransportSim):
     permittivity eps^alpha, mobility eps^beta, the sampled facet charges."""
 
     def __init__(self, grid: MaskedGrid, scaling: ScalingSpec, species,
-                 charges: FacetCharges, poisson_tol: float = POISSON_TOL):
+                 charges: FacetCharges):
         eps, alpha, beta = scaling.epsilon, scaling.alpha, scaling.beta
         identity = np.eye(grid.dim)
         super().__init__(
             grid, species, scaling.eta, scaling.p, transport_tensor=identity,
             poisson_tensor=eps ** alpha * identity, drift_scale=eps ** beta, charges=charges,
-            grad_scale=eps ** alpha, poisson_tol=poisson_tol,
-        )
+            grad_scale=eps ** alpha)
 
 
 def run_micro(grid: MaskedGrid, scaling: ScalingSpec, species, charges: FacetCharges,
-              dt_init: float, cfl_fraction: float = 0.5, output_interval=None,
-              snapshot_times=(), poisson_tol: float = POISSON_TOL, source=None) -> RunResult:
+              dt_init: float, output_interval=None, snapshot_times=(),
+              source=None) -> RunResult:
     """Integrate the microscopic system to scaling.final_time."""
-    sim = MicroSimulation(grid, scaling, species, charges, poisson_tol=poisson_tol)
-    return sim.run(scaling.final_time, dt_init, cfl_fraction=cfl_fraction,
-                   output_interval=output_interval, snapshot_times=snapshot_times,
-                   source=source)
+    sim = MicroSimulation(grid, scaling, species, charges)
+    return sim.run(scaling.final_time, dt_init, output_interval=output_interval,
+                   snapshot_times=snapshot_times, source=source)

@@ -90,7 +90,6 @@ from scipy.sparse.linalg import splu
 from .diagnostics import DiagnosticsRecord, energy_value, face_gradient_l2, lp_norm_pth_power
 from .errors import ConfigError, GeometryError, SolverError, TimeStepError
 from .linalg import (
-    POISSON_TOL,
     SUPERLU_NATURAL,
     ReducedFaceSystem,
     TwoLevel,
@@ -102,7 +101,7 @@ from .linalg import (
 
 NEG_TOLERANCE = 1e-12     # accepted round-off undershoot of concentrations
 DT_FLOOR = 1e-10          # floor of the CFL step, of step halving and of a config's dt_init
-CFL_SAFETY = 0.4          # dt <= CFL_SAFETY * h / max face drift speed
+CFL_SAFETY = 0.2          # dt <= CFL_SAFETY * h / max face drift speed
 CROSS_TOL = 1e-14         # off-diagonal tensor entries up to this count as zero
 AGGREGATE_WIDTH = 3       # grid cells per axis of one aggregate of the two-level CG
 CG_TOL = 1e-10            # true relative residual of the two-level CG solves
@@ -320,7 +319,7 @@ class TransportSim:
     """
 
     def __init__(self, grid, species, eta, p, *, transport_tensor, poisson_tensor,
-                 drift_scale, charges, grad_scale, poisson_tol=POISSON_TOL):
+                 drift_scale, charges, grad_scale):
         self.grid = grid
         self.species = list(species)
         self.eta = float(eta)
@@ -330,7 +329,6 @@ class TransportSim:
             raise ValueError(f"transport tensor {tensor.tolist()} violates 0 <= A <= 2 diag(A)")
         poisson_tensor = _checked_tensor(poisson_tensor, grid.dim)
         self.drift_scale = float(drift_scale)
-        self.poisson_tol = float(poisson_tol)
         self.grad_scale = float(grad_scale)
         self._tensor_diag = tensor.diagonal()
         self._cross = cross_operator(grid, tensor)
@@ -364,8 +362,7 @@ class TransportSim:
                 f"{COMPAT_TOL:g} relative to charge scale {scale:.3e}",
                 residual=residual,
             )
-        return SimState(t=t, conc=conc, phi=self._poisson.solve(rhs, tol=self.poisson_tol),
-                        compat=residual)
+        return SimState(t=t, conc=conc, phi=self._poisson.solve(rhs), compat=residual)
 
     # -- face kernels ----------------------------------------------------------
 
@@ -549,16 +546,16 @@ class TransportSim:
         record.add_row(state.t, stats.masses, stats.energy, stats.mins, stats.maxs,
                        float(np.mean(state.phi)), stats.compat, grad_phi, grad_c, stats.dt)
 
-    def run(self, final_time, dt_init, cfl_fraction=0.5, output_interval=None,
-            snapshot_times=(), source=None) -> RunResult:
+    def run(self, final_time, dt_init, output_interval=None, snapshot_times=(),
+            source=None) -> RunResult:
         """Integrate to ``final_time`` recording diagnostics at output times.
 
-        dt policy per step: min(dt_init, cfl_fraction * CFL limit, distance to
-        the next output/snapshot boundary), with automatic halving on
-        nonnegativity rejection down to a floor of ``DT_FLOOR``.  A CFL term
-        below that floor is a ``TimeStepError`` too, before the step: such a
-        run would take steps too small ever to reach ``final_time``.  The
-        distance to the next output time may be smaller.
+        dt policy per step: min(dt_init, ``dt_limit`` (CFL_SAFETY h / max drift
+        speed), distance to the next output/snapshot boundary), with automatic
+        halving on nonnegativity rejection down to a floor of ``DT_FLOOR``.  A
+        CFL term below that floor is a ``TimeStepError`` too, before the step:
+        such a run would take steps too small ever to reach ``final_time``.
+        The distance to the next output time may be smaller.
         """
         if final_time < 0:
             raise ValueError("final_time must be >= 0")
@@ -591,7 +588,7 @@ class TransportSim:
         time_tol = 1e-12 * max(1.0, final_time)
         for t_event, snapshot in events[1:]:
             while state.t < t_event - time_tol:
-                dt_cfl = cfl_fraction * self.dt_limit(state)
+                dt_cfl = self.dt_limit(state)
                 if dt_cfl < DT_FLOOR:
                     raise TimeStepError(f"CFL time step {dt_cfl:.3e} at t = {state.t:.6g} is "
                                         f"below the floor {DT_FLOOR:g}")

@@ -20,7 +20,7 @@ to constants), plain and with the first-order corrector reconstruction.
 
 The manufactured-solution battery grades the observed orders of fixed 2-D
 problems against ``MMS_THRESHOLDS``.  Their data are the ``MMS_*`` constants:
-callers choose only the resolutions and the Poisson tolerance.
+callers choose only the resolutions.
 """
 
 from __future__ import annotations
@@ -30,7 +30,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .cell_problem import DEFAULT_TOL, compute_effective_tensor
+from .cell_problem import compute_effective_tensor
 from .errors import ConfigError
 from .geometry import (
     MIN_RESOLUTION,
@@ -43,7 +43,6 @@ from .geometry import (
     surface_charge_on_facets,
     validate_compatibility,
 )
-from .linalg import POISSON_TOL
 from .macro import (
     build_macro_source,
     limit_mode,
@@ -151,9 +150,8 @@ def check_eta_values(eta_values) -> None:
 
 
 def run_convergence_study(cell: MaskedGrid, species, xi1, xi2, alpha, beta, eta, p,
-                          m_values, final_time, dt_init, cfl_fraction=0.5,
-                          macro_resolution=None, auto_balance=True,
-                          poisson_tol=POISSON_TOL, cell_tol=DEFAULT_TOL) -> ConvergenceReport:
+                          m_values, final_time, dt_init, macro_resolution=None,
+                          auto_balance=True) -> ConvergenceReport:
     """Micro runs over eps = 1/m against one macro reference run.
 
     The macro mode follows the scaling split: coupled when alpha == beta,
@@ -167,17 +165,15 @@ def run_convergence_study(cell: MaskedGrid, species, xi1, xi2, alpha, beta, eta,
 
     timings = {}
     t0 = time.perf_counter()
-    tensor = compute_effective_tensor(cell, tol=cell_tol)
+    tensor = compute_effective_tensor(cell)
     timings["cell_problem"] = time.perf_counter() - t0
 
     macro_grid, macro_charges = homogenized_problem(cell, macro_resolution, species, xi1, xi2,
                                                     auto_balance)
 
     t0 = time.perf_counter()
-    macro_result = run_macro(
-        macro_grid, tensor.a_hom, species, macro_charges, eta, p, final_time, dt_init,
-        mode=mode, cfl_fraction=cfl_fraction, poisson_tol=poisson_tol,
-    )
+    macro_result = run_macro(macro_grid, tensor.a_hom, species, macro_charges, eta, p,
+                             final_time, dt_init, mode=mode)
     timings["macro"] = time.perf_counter() - t0
     solves = {"macro": macro_result.counts}
 
@@ -192,8 +188,7 @@ def run_convergence_study(cell: MaskedGrid, species, xi1, xi2, alpha, beta, eta,
         scaling = ScalingSpec(epsilon=grid.eps, alpha=alpha, beta=beta, eta=eta, p=p,
                               final_time=final_time)
         t0 = time.perf_counter()
-        result = run_micro(grid, scaling, species, charges, dt_init,
-                           cfl_fraction=cfl_fraction, poisson_tol=poisson_tol)
+        result = run_micro(grid, scaling, species, charges, dt_init)
         timings[f"micro_m{m}"] = time.perf_counter() - t0
         solves[f"micro_m{m}"] = result.counts
 
@@ -271,7 +266,7 @@ def _order_report(solver, resolutions, errors) -> dict:
             "order": _least_squares_order([1.0 / res for res in resolutions], errors)}
 
 
-def mms_poisson_micro(resolutions, poisson_tol=POISSON_TOL) -> dict:
+def mms_poisson_micro(resolutions) -> dict:
     """phi = cos(pi x1) cos(pi x2) with matching bulk source and zero Neumann data."""
     errors = []
     for res in resolutions:
@@ -279,12 +274,12 @@ def mms_poisson_micro(resolutions, poisson_tol=POISSON_TOL) -> dict:
         x = grid.centers
         exact = np.cos(np.pi * x[:, 0]) * np.cos(np.pi * x[:, 1])
         rhs = 2.0 * np.pi ** 2 * exact * grid.cell_volume
-        phi = poisson_solver(grid, np.eye(grid.dim)).solve(rhs, tol=poisson_tol)
+        phi = poisson_solver(grid, np.eye(grid.dim)).solve(rhs)
         errors.append(_mean_aligned_rms(phi, exact))
     return _order_report("poisson_micro", resolutions, errors)
 
 
-def mms_poisson_macro(resolutions, poisson_tol=POISSON_TOL) -> dict:
+def mms_poisson_macro(resolutions) -> dict:
     """phi = cos(pi x1) cos(2 pi x2) against MMS_TENSOR with exact flux data."""
     tensor = MMS_TENSOR
     errors = []
@@ -304,7 +299,7 @@ def mms_poisson_macro(resolutions, poisson_tol=POISSON_TOL) -> dict:
         normal_flux = np.where(grid.outer_axis == 0, flux[0], flux[1]) * grid.outer_sign
         boundary = FacetCharges(gamma_values=np.empty(0), outer_values=normal_flux)
         rhs = rho * grid.cell_volume + boundary.cell_sums(grid)
-        phi = poisson_solver(grid, tensor).solve(rhs, tol=poisson_tol)
+        phi = poisson_solver(grid, tensor).solve(rhs)
         errors.append(_mean_aligned_rms(phi, exact))
     return _order_report("poisson_macro", resolutions, errors)
 
@@ -324,20 +319,19 @@ def _diffusion_source(t, pts):
     return (-c - MMS_DIFFUSIVITY * (hpp * grad_sq + hp1 * lap_c))[None, :]
 
 
-def _diffusion_run(grid, final_time, dt, poisson_tol, solves, key):
+def _diffusion_run(grid, final_time, dt, solves, key):
     """The final concentration of the manufactured diffusion run; its solves go to solves[key]."""
     scaling = ScalingSpec(epsilon=1.0, alpha=0.0, beta=0.0, eta=MMS_ETA, p=MMS_P,
                           final_time=final_time)
     charges = FacetCharges(gamma_values=np.empty(0), outer_values=np.zeros(grid.outer_cell.size))
     spec = SpeciesSpec("mms", MMS_DIFFUSIVITY, 0, lambda pts: _diffusion_exact(0.0, pts))
-    result = run_micro(grid, scaling, [spec], charges, dt_init=dt, source=_diffusion_source,
-                       poisson_tol=poisson_tol)
+    result = run_micro(grid, scaling, [spec], charges, dt_init=dt, source=_diffusion_source)
     if solves is not None:
         solves[key] = result.counts
     return result.state.conc[0]
 
 
-def mms_diffusion_spatial(resolutions, poisson_tol=POISSON_TOL, solves=None) -> dict:
+def mms_diffusion_spatial(resolutions, solves=None) -> dict:
     """Spatial order of the IMEX nonlinear-diffusion step; dt scales with h^2.
 
     ``solves``, when given, receives each run's solve counts
@@ -346,13 +340,13 @@ def mms_diffusion_spatial(resolutions, poisson_tol=POISSON_TOL, solves=None) -> 
     errors = []
     for res in resolutions:
         grid = _hole_free_grid(res)
-        conc = _diffusion_run(grid, MMS_SPATIAL_T, 0.5 * grid.h ** 2, poisson_tol, solves,
+        conc = _diffusion_run(grid, MMS_SPATIAL_T, 0.5 * grid.h ** 2, solves,
                               f"diffusion_spatial_r{res}")
         errors.append(_rms(conc - _diffusion_exact(MMS_SPATIAL_T, grid.centers)))
     return _order_report("diffusion_spatial", resolutions, errors)
 
 
-def mms_diffusion_temporal(poisson_tol=POISSON_TOL, solves=None) -> dict:
+def mms_diffusion_temporal(solves=None) -> dict:
     """Temporal order on a fixed grid against a small-dt reference run.
 
     Self-referencing cancels the common spatial error, exposing the O(dt)
@@ -360,8 +354,7 @@ def mms_diffusion_temporal(poisson_tol=POISSON_TOL, solves=None) -> dict:
     each run's solve counts under ``diffusion_temporal_dt<dt>``.
     """
     grid = _hole_free_grid(MMS_TEMPORAL_RESOLUTION)
-    final = {dt: _diffusion_run(grid, MMS_TEMPORAL_T, dt, poisson_tol, solves,
-                                f"diffusion_temporal_dt{dt}")
+    final = {dt: _diffusion_run(grid, MMS_TEMPORAL_T, dt, solves, f"diffusion_temporal_dt{dt}")
              for dt in (MMS_REFERENCE_DT, *MMS_DT_VALUES)}
     errors = [_rms(final[dt] - final[MMS_REFERENCE_DT]) for dt in MMS_DT_VALUES]
     return {"solver": "diffusion_temporal", "resolution": MMS_TEMPORAL_RESOLUTION,
@@ -385,24 +378,23 @@ def check_mms_request(solvers, resolutions) -> None:
                           "(an order is fitted over them)")
 
 
-def run_mms_verification(solvers=MMS_SOLVERS, resolutions=(32, 64, 128),
-                         poisson_tol=POISSON_TOL, solves=None) -> dict:
+def run_mms_verification(solvers=MMS_SOLVERS, resolutions=(32, 64, 128), solves=None) -> dict:
     """Run the requested manufactured-solution studies and grade the orders.
 
     Every Poisson solve of the studies, the diffusion runs' included, meets
-    ``poisson_tol``.  ``solves``, when given, receives the solve counts of
-    every diffusion run, keyed by study and run.
+    ``linalg.POISSON_TOL``.  ``solves``, when given, receives the solve counts
+    of every diffusion run, keyed by study and run.
     """
     check_mms_request(solvers, resolutions)
     reports = []
     chosen = set(solvers)
     if "poisson_micro" in chosen:
-        reports.append(mms_poisson_micro(resolutions, poisson_tol=poisson_tol))
+        reports.append(mms_poisson_micro(resolutions))
     if "poisson_macro" in chosen:
-        reports.append(mms_poisson_macro(resolutions, poisson_tol=poisson_tol))
+        reports.append(mms_poisson_macro(resolutions))
     if "diffusion" in chosen:
-        reports += [mms_diffusion_spatial(resolutions, poisson_tol=poisson_tol, solves=solves),
-                    mms_diffusion_temporal(poisson_tol=poisson_tol, solves=solves)]
+        reports += [mms_diffusion_spatial(resolutions, solves=solves),
+                    mms_diffusion_temporal(solves=solves)]
     for report in reports:
         lo, hi = MMS_THRESHOLDS[report["solver"]]
         report["threshold"] = [lo, hi]
@@ -414,8 +406,7 @@ def run_mms_verification(solvers=MMS_SOLVERS, resolutions=(32, 64, 128),
 
 
 def run_eta_sweep(grid, tensor, species, charges: FacetCharges, p, eta_values,
-                  final_time, dt_init, cfl_fraction=0.5, poisson_tol=POISSON_TOL,
-                  solves=None) -> dict:
+                  final_time, dt_init, solves=None) -> dict:
     """Coupled macro runs for a decreasing list of eta; reports successive distances.
 
     Exploratory: distances are logged, monotonicity is reported but nothing is
@@ -428,8 +419,7 @@ def run_eta_sweep(grid, tensor, species, charges: FacetCharges, p, eta_values,
     finals = []
     for eta in eta_values:
         result = run_macro(grid, tensor, species, charges, eta, p, final_time, dt_init,
-                           mode="coupled", cfl_fraction=cfl_fraction,
-                           poisson_tol=poisson_tol)
+                           mode="coupled")
         if solves is not None:
             solves[f"eta_{eta}"] = result.counts
         finals.append(result.state)

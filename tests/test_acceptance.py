@@ -118,7 +118,7 @@ def test_acceptance_1_effective_tensor_suite():
 
     start = time.perf_counter()
     disk = build_cell_geometry(InclusionShape("disk", center=(0.5, 0.5), radius=0.25), 128)
-    tensor = compute_effective_tensor(disk, tol=1e-12)
+    tensor = compute_effective_tensor(disk)
     elapsed = time.perf_counter() - start
     a = tensor.a_hom
     checks.append((abs(a[0, 1] - a[1, 0]) <= 1e-10,

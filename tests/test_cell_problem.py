@@ -48,7 +48,7 @@ def test_rhs_is_compatible(disk_cell_64):
 
 
 def test_corrector_zero_mean_and_periodic_residual(disk_cell_64):
-    corr = solve_cell_problem(disk_cell_64, 0, tol=1e-12)
+    corr = solve_cell_problem(disk_cell_64, 0)
     assert abs(np.mean(corr.values)) <= 1e-12
     # residual bound from the CG tolerance: |div| <= ||r||_2 / vol
     rhs = _rhs_for_direction(disk_cell_64, 0)
@@ -62,7 +62,7 @@ def test_unconverged_solve_flagged(disk_cell_64, monkeypatch):
     monkeypatch.setattr(linalg, "_cg_recurrence", lambda matrix, b, atol, maxiter, *args:
                         recurrence(matrix, b, atol, 1, *args))
     with pytest.raises(SolverError, match="after 1 iterations") as excinfo:
-        solve_cell_problem(disk_cell_64, 0, tol=1e-12)
+        solve_cell_problem(disk_cell_64, 0)
     assert excinfo.value.residual > 1e-12
 
 
@@ -73,7 +73,7 @@ def test_unconverged_field_has_large_divergence(disk_cell_64):
 
 
 def test_disk_tensor_invariants(disk_cell_64):
-    tensor = compute_effective_tensor(disk_cell_64, tol=1e-12)
+    tensor = compute_effective_tensor(disk_cell_64)
     a = tensor.a_hom
     # symmetry and isotropy of the centered disk
     assert abs(a[0, 1] - a[1, 0]) <= 1e-10
@@ -89,7 +89,7 @@ def test_disk_tensor_invariants(disk_cell_64):
 
 def test_divergence_form_identity(disk_cell_64):
     # |Y^f| A_kk = int |grad w_k + e_k|^2 (testing the discrete problem with w_k)
-    tensor = compute_effective_tensor(disk_cell_64, tol=1e-12)
+    tensor = compute_effective_tensor(disk_cell_64)
     from porodrift.cell_problem import corrected_gradients
 
     grads = corrected_gradients(disk_cell_64, tensor.correctors)
@@ -103,7 +103,7 @@ def test_divergence_form_identity(disk_cell_64):
 
 def test_variational_upper_bound(disk_cell_64):
     # energy of the trivial competitor w = 0 bounds the minimum from above
-    tensor = compute_effective_tensor(disk_cell_64, tol=1e-12)
+    tensor = compute_effective_tensor(disk_cell_64)
     for k in range(2):
         sel = disk_cell_64.face_axis == k
         trivial = np.count_nonzero(sel) / disk_cell_64.n_fluid
@@ -112,8 +112,8 @@ def test_variational_upper_bound(disk_cell_64):
 
 
 def test_swap_symmetry_of_correctors(disk_cell_64):
-    w1 = solve_cell_problem(disk_cell_64, 0, tol=1e-12)
-    w2 = solve_cell_problem(disk_cell_64, 1, tol=1e-12)
+    w1 = solve_cell_problem(disk_cell_64, 0)
+    w2 = solve_cell_problem(disk_cell_64, 1)
     res = disk_cell_64.r
     full1 = np.full((res, res), np.nan)
     full2 = np.full((res, res), np.nan)
@@ -127,7 +127,7 @@ def test_refinement_consistency():
     for res in (64, 128):
         cell = build_cell_geometry(InclusionShape("disk", center=(0.5, 0.5),
                                                   radius=0.25), res)
-        values[res] = compute_effective_tensor(cell, tol=1e-12).a_hom[0, 0]
+        values[res] = compute_effective_tensor(cell).a_hom[0, 0]
     assert abs(values[64] - values[128]) < 1e-2
 
 
@@ -135,7 +135,7 @@ def test_disk_regression_values():
     for res, frozen in DISK_A11.items():
         cell = build_cell_geometry(InclusionShape("disk", center=(0.5, 0.5),
                                                   radius=0.25), res)
-        a11 = compute_effective_tensor(cell, tol=1e-12).a_hom[0, 0]
+        a11 = compute_effective_tensor(cell).a_hom[0, 0]
         assert a11 == pytest.approx(frozen, rel=1e-10)
     extrapolated = 2 * DISK_A11[256] - DISK_A11[128]
     assert extrapolated == pytest.approx(DISK_A11_EXTRAPOLATED, abs=1e-12)
@@ -144,7 +144,7 @@ def test_disk_regression_values():
 def test_square_inclusion_diagonal_equal():
     cell = build_cell_geometry(
         InclusionShape("square", center=(0.5, 0.5), half_width=0.25), 64)
-    tensor = compute_effective_tensor(cell, tol=1e-12)
+    tensor = compute_effective_tensor(cell)
     assert abs(tensor.a_hom[0, 0] - tensor.a_hom[1, 1]) <= 1e-10
 
 

@@ -13,6 +13,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import porodrift.config as config_module
+import porodrift.linalg as linalg
 import porodrift.transport as transport
 import porodrift.verification as verification
 from porodrift import (
@@ -102,9 +103,41 @@ def test_snapshot_beyond_final_time_rejected():
         parse_and_validate(cfg)
 
 
+def test_snapshot_times_naming_one_file_rejected(tmp_path, capsys):
+    # both times are written as snapshot_0.001000.csv, so the second snapshot would overwrite
+    # the first, and the manifest would list that file twice
+    cfg = canonical_config(tmp_path / "out", T=0.002)
+    cfg["geometry"]["m"] = 2
+    cfg["output"]["snapshot_times"] = [0.001, 0.0010004, 0.002]
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["micro", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert ("porodrift: invalid config: snapshot times 0.001 and 0.0010004 both name "
+            "snapshot_0.001000.csv") in err
+    assert not (tmp_path / "out").exists()
+    # equal times name one snapshot
+    cfg["output"]["snapshot_times"] = [0.001, 0.001, 0.002]
+    assert parse_and_validate(cfg).snapshot_times == [0.001, 0.001, 0.002]
+
+
 def test_not_json_rejected():
     with pytest.raises(ConfigError, match="not valid JSON"):
         parse_and_validate("{broken")
+
+
+DEEP_LIST = "[" * 100000 + "]" * 100000  # deeper than json.loads can recurse
+
+
+@pytest.mark.parametrize("text", [DEEP_LIST, '{"geometry": ' + DEEP_LIST + "}"],
+                         ids=["root", "geometry"])
+def test_deeply_nested_json_exits_2(tmp_path, capsys, text):
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(text)
+    assert main(["micro", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("porodrift: invalid config: config is not valid JSON: ")
+    assert "Traceback" not in err
 
 
 def test_auto_balance_shift_recorded():
@@ -259,7 +292,7 @@ def test_manifest_records_the_poisson_solves(tmp_path):
     # one solve for the initial state and one per accepted step, none refined
     assert poisson["micro"]["solves"] == summary["steps"] + 1
     assert poisson["micro"]["refinements"] == 0
-    assert 0.0 < poisson["micro"]["max_residual"] <= config.poisson_tol
+    assert 0.0 < poisson["micro"]["max_residual"] <= linalg.POISSON_TOL
 
     cfg = canonical_config(tmp_path / "converge")
     cfg["convergence"] = {"m_values": [2, 4], "T": 0.004, "dt_init": 1e-3,
@@ -325,12 +358,17 @@ def test_mms_dispatch(tmp_path):
     assert report["passed"] is True
 
 
-def test_mms_dispatch_meets_poisson_tol(tmp_path):
-    # no direct solve reaches a residual of 1e-300: the studies must use this setting
+def test_mms_config_with_another_poisson_tol_exits_2(tmp_path, capsys):
+    # the Poisson tolerance is the constant linalg.POISSON_TOL: a config may state only its value
     cfg = minimal_config(mms={"solvers": ["poisson_micro"], "resolutions": [8, 16]},
-                         solver={"poisson_tol": 1e-300})
-    assert dispatch("mms", parse_and_validate(cfg), out_dir=tmp_path) == 1
-    assert "exceeds tolerance 1.000e-300" in _manifest(tmp_path)["error"]
+                         solver={"poisson_tol": 1e-300},
+                         output={"directory": str(tmp_path / "out")})
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["mms", "--config", str(cfg_path)]) == 2
+    err = capsys.readouterr().err
+    assert "solver.poisson_tol is fixed at 1e-10, got 1e-300" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_eta_sweep_dispatch(tmp_path):
@@ -476,8 +514,23 @@ def test_species_name_that_breaks_the_csv_exits_2(tmp_path, capsys, name):
     assert not (tmp_path / "out").exists()
 
 
-def test_main_requires_existing_config(tmp_path):
-    assert main(["micro", "--config", str(tmp_path / "missing.json")]) == 2
+def test_main_requires_existing_config(tmp_path, capsys):
+    path = tmp_path / "missing.json"
+    assert main(["micro", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"porodrift: config file not found: {path}\n"
+
+
+@pytest.mark.parametrize("kind", ["directory", "invalid-utf-8"])
+def test_main_reports_an_unreadable_config(tmp_path, capsys, kind):
+    path = tmp_path / "run.json"
+    if kind == "directory":
+        path.mkdir()
+        reason = "Is a directory"
+    else:
+        path.write_bytes(b"\xff\xfe")
+        reason = "'utf-8' codec can't decode byte 0xff in position 0: invalid start byte"
+    assert main(["micro", "--config", str(path)]) == 2
+    assert capsys.readouterr().err == f"porodrift: cannot read config {path}: {reason}\n"
 
 
 @pytest.mark.parametrize("section,key,text,message", [
@@ -655,14 +708,16 @@ def _duplicate_species(cfg):
     (lambda cfg: [cfg], "config must be a JSON object"),
     (_with("geometry", "m", 2**53 + 1),
      "geometry.m must be at most 9007199254740992 in magnitude, got 9007199254740993"),
-    (_with("scaling", "cfl_fraction", 0.0), "scaling.cfl_fraction must lie in (0, 1], got 0.0"),
-    (_with("scaling", "cfl_fraction", 1.5), "scaling.cfl_fraction must lie in (0, 1], got 1.5"),
+    (_with("scaling", "cfl_fraction", 0.0), "scaling.cfl_fraction is fixed at 0.5, got 0.0"),
+    (_with("scaling", "cfl_fraction", 1.5), "scaling.cfl_fraction is fixed at 0.5, got 1.5"),
+    (lambda cfg: {**cfg, "solver": {"cell_tol": 1e-10}},
+     "solver.cell_tol is fixed at 1e-12, got 1e-10"),
     (_duplicate_species, "duplicate species name 'cation'"),
     # the geometry build's GeometryError ends as a ConfigError
     (_with("geometry", "inclusion", {"kind": "disk", "radius": 0.45}),
      "inclusion margin 0.05 to the cell boundary is below 2/r = 0.25"),
 ], ids=["missing-section", "missing-key", "non-object-root", "integer-beyond-2^53",
-        "cfl-fraction-zero", "cfl-fraction-above-one", "duplicate-species",
+        "cfl-fraction-zero", "cfl-fraction-above-one", "cell-tol-other", "duplicate-species",
         "inclusion-margin"])
 def test_config_reader_error_branches_exit_2(tmp_path, capsys, patch, message):
     cfg_path = tmp_path / "run.json"
@@ -889,19 +944,15 @@ def _huge_charge(cfg):
     cfg["species"][0]["z"] = 2**53
 
 
-def _tiny_cfl_fraction(cfg):
-    cfg["scaling"]["cfl_fraction"] = 1e-300
-
-
 def _cfl_limited_config(out_dir, patch):
-    # the reader accepts both: the drift's CFL limit allows steps of about 5e-34 and 1e-301
+    # the reader accepts it: the drift's CFL limit allows steps of about 4e-34
     cfg = canonical_config(out_dir, T=0.01)
     cfg["geometry"]["m"] = 2
     patch(cfg)
     return cfg
 
 
-@pytest.mark.parametrize("patch", [_huge_charge, _tiny_cfl_fraction], ids=["z", "cfl-fraction"])
+@pytest.mark.parametrize("patch", [_huge_charge], ids=["z"])
 def test_cfl_step_below_the_floor_stops_the_run(tmp_path, patch):
     config = parse_and_validate(_cfl_limited_config(tmp_path / "out", patch))
 
@@ -916,7 +967,7 @@ def test_cfl_step_below_the_floor_stops_the_run(tmp_path, patch):
     sim = Bounded(config.grid, config.scaling(), config.species, config.charges)
     with pytest.raises(TimeStepError,
                        match=r"^CFL time step \S+ at t = 0 is below the floor 1e-10$"):
-        sim.run(config.final_time, config.dt_init, cfl_fraction=config.cfl_fraction)
+        sim.run(config.final_time, config.dt_init)
     assert sim.steps == 0
 
 
@@ -930,12 +981,12 @@ def test_cfl_step_below_the_floor_exits_1_with_manifest(tmp_path, capsys, monkey
 
     monkeypatch.setattr(transport.TransportSim, "step", bounded_step)
     cfg_path = tmp_path / "run.json"
-    cfg_path.write_text(json.dumps(_cfl_limited_config(tmp_path / "out", _tiny_cfl_fraction)))
+    cfg_path.write_text(json.dumps(_cfl_limited_config(tmp_path / "out", _huge_charge)))
     assert main(["micro", "--config", str(cfg_path)]) == 1
     assert "below the floor 1e-10" in capsys.readouterr().err
     manifest = _manifest(tmp_path / "out")
     assert manifest["exit_status"] == 1
-    assert manifest["error"].startswith("CFL time step 1.2")
+    assert manifest["error"].startswith("CFL time step 3.966e-34 at t = 0")
 
 
 @pytest.mark.parametrize("option", [True, False], ids=["out", "output-directory"])

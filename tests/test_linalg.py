@@ -91,7 +91,7 @@ def test_zero_mean_direct_matches_dense_reference(disk_cell_8, case):
     assert abs(phi.mean()) <= 1e-14
 
 
-def test_poisson_counts_record_solves_refinements_and_residual():
+def test_poisson_counts_record_solves_refinements_and_residual(monkeypatch):
     grid = hole_free_grid(16)
     direct = poisson_solver(grid, np.eye(2))
     rhs = (smooth_c0(grid.centers) - 1.0) * grid.cell_volume
@@ -100,8 +100,9 @@ def test_poisson_counts_record_solves_refinements_and_residual():
     assert direct.counts.solves == 2 and direct.counts.refinements == 0
     assert 0.0 < direct.counts.max_residual <= linalg.POISSON_TOL
     # a residual no solve reaches: every correction is counted before the failure
+    monkeypatch.setattr(linalg, "POISSON_TOL", 1e-300)
     with pytest.raises(SolverError):
-        direct.solve(rhs, tol=1e-300)
+        direct.solve(rhs)
     assert direct.counts.solves == 3 and direct.counts.refinements == linalg.MAX_REFINEMENTS
 
 
@@ -119,15 +120,16 @@ def test_two_point_poisson_lu_fills_less_than_the_full_pinned_lu(case):
 
 @pytest.mark.parametrize("tensor", [np.eye(2), [[1.0, 0.1], [0.1, 0.7]]],
                          ids=["reduced", "full-tensor"])
-def test_refinement_checks_every_correction(tensor):
+def test_refinement_checks_every_correction(tensor, monkeypatch):
     grid = hole_free_grid(16)
     direct = poisson_solver(grid, tensor)
     iterates = []
     pinned_solve = direct._pinned_solve
     direct._pinned_solve = lambda rhs: iterates.append(pinned_solve(rhs)) or iterates[-1]
     rhs = smooth_c0(grid.centers) * grid.cell_volume
+    monkeypatch.setattr(linalg, "POISSON_TOL", 1e-300)
     with pytest.raises(SolverError, match="direct Neumann solve residual") as failure:
-        direct.solve(rhs, tol=1e-300)
+        direct.solve(rhs)
     # one back-solve per pinned solve
     assert len(iterates) == 1 + MAX_REFINEMENTS
     # the reported residual is that of the last iterate, which every correction built

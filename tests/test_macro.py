@@ -3,6 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import porodrift.linalg as linalg
 from porodrift import (
     FacetCharges,
     InclusionShape,
@@ -83,25 +84,27 @@ def test_staircase_perimeter_tends_to_l1_limit():
 # -- Poisson with tensor -------------------------------------------------------------
 
 
-def test_identity_tensor_matches_micro_poisson():
+def test_identity_tensor_matches_micro_poisson(monkeypatch):
     # the identity tensor reduces to the micro model's two-point face Laplacian
+    monkeypatch.setattr(linalg, "POISSON_TOL", 1e-12)
     grid = hole_free_grid(32)
     charge = smooth_c0(grid.centers)
     rhs = (charge - charge.mean()) * grid.cell_volume
     two_point = face_laplacian(grid.n_fluid, grid.face_lo, grid.face_hi,
                                grid.facet_area / grid.h)
-    phi_two_point = ZeroMeanDirect(two_point).solve(rhs, tol=1e-12)
-    phi_tensor = ZeroMeanDirect(poisson_matrix(grid, np.eye(2))).solve(rhs, tol=1e-12)
+    phi_two_point = ZeroMeanDirect(two_point).solve(rhs)
+    phi_tensor = ZeroMeanDirect(poisson_matrix(grid, np.eye(2))).solve(rhs)
     np.testing.assert_allclose(phi_tensor, phi_two_point, atol=1e-10)
 
 
-def test_isotropic_tensor_scales_solution():
+def test_isotropic_tensor_scales_solution(monkeypatch):
+    monkeypatch.setattr(linalg, "POISSON_TOL", 1e-12)
     grid = hole_free_grid(32)
     charge = smooth_c0(grid.centers)
     rhs = (charge - charge.mean()) * grid.cell_volume
     a = 0.37
-    phi_a = ZeroMeanDirect(poisson_matrix(grid, a * np.eye(2))).solve(rhs, tol=1e-12)
-    phi_1 = ZeroMeanDirect(poisson_matrix(grid, np.eye(2))).solve(rhs, tol=1e-12)
+    phi_a = ZeroMeanDirect(poisson_matrix(grid, a * np.eye(2))).solve(rhs)
+    phi_1 = ZeroMeanDirect(poisson_matrix(grid, np.eye(2))).solve(rhs)
     np.testing.assert_allclose(phi_a, phi_1 / a, atol=1e-9)
 
 
@@ -397,7 +400,7 @@ def test_reconstruction_without_inclusion_is_interpolation():
 def test_reconstruction_linear_macro_field(disk_cell_8):
     micro_grid = build_masked_grid(disk_cell_8, 4)
     macro_grid = hole_free_grid(32)
-    tensor = compute_effective_tensor(disk_cell_8, tol=1e-12)
+    tensor = compute_effective_tensor(disk_cell_8)
     phi0 = macro_grid.centers[:, 0].copy()
     rec = reconstruct_corrector_potential(macro_grid, phi0, tensor.correctors, micro_grid)
     ids = micro_grid.unit_cell_ids()
