@@ -8,7 +8,6 @@ from .cell_problem import (
     CorrectorField,
     EffectiveTensor,
     compute_effective_tensor,
-    corrector_residual,
     solve_cell_problem,
 )
 from .diagnostics import DiagnosticsRecord, energy_value, psi_eval

@@ -75,15 +75,6 @@ def corrected_gradients(cell: MaskedGrid, correctors) -> np.ndarray:
     return grads
 
 
-def corrector_residual(cell: MaskedGrid, corrector: CorrectorField) -> float:
-    """Max norm of the discrete divergence of (grad_y w_k + e_k) over fluid cells."""
-    w = corrector.values
-    g = (w[cell.face_hi] - w[cell.face_lo]) / cell.h
-    g += (cell.face_axis == corrector.k).astype(float)
-    div = face_divergence(cell.n_fluid, cell.face_lo, cell.face_hi, g * cell.facet_area)
-    return float(np.max(np.abs(div))) / cell.h ** cell.dim
-
-
 @dataclass
 class EffectiveTensor:
     """Homogenized tensor with porosity and the correctors that produced it.

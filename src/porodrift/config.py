@@ -264,21 +264,25 @@ class RunConfig:
 
 
 def parse_and_validate(source) -> RunConfig:
-    """Parse a JSON config (text, dict, or path-like) into a validated RunConfig.
+    """Parse a JSON config, given as JSON text or a dict, into a validated RunConfig.
 
-    Builds the unit cell and micro grid, samples the surface charges, and
-    computes the discrete compatibility residual.  With auto_balance the
-    outer charge is shifted by the constant -R/|outer boundary| (recorded in
-    the manifest); otherwise an incompatible balance is a ConfigError.
+    Any other ``source``, such as a path, is a ConfigError: the caller reads
+    the file.  Builds the unit cell and micro grid, samples the surface
+    charges, and computes the discrete compatibility residual.  With
+    auto_balance the outer charge is shifted by the constant -R/|outer
+    boundary| (recorded in the manifest); otherwise an incompatible balance
+    is a ConfigError.
     """
     if isinstance(source, dict):
         raw = source
-    else:
-        text = str(source)
+    elif isinstance(source, str):
         try:
-            raw = json.loads(text)
+            raw = json.loads(source)
         except (json.JSONDecodeError, RecursionError) as exc:
             raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    else:
+        raise ConfigError("the config reader takes JSON text or a dict, got "
+                          f"{type(source).__name__}")
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
     _known(raw, SECTION_KEYS, "config")
@@ -320,7 +324,7 @@ def parse_and_validate(source) -> RunConfig:
     for idx, entry in enumerate(species_raw):
         where = f"species[{idx}]"
         entry = _known(_typed(entry, dict, where), SPECIES_KEYS, where)
-        name = str(_optional(entry, "name", f"s{idx + 1}"))
+        name = _optional(entry, "name", f"s{idx + 1}", str, where)
         if any(char in name for char in CSV_BREAKING):
             raise ConfigError(f"{where}.name {name!r} may not hold a comma, a double quote "
                               "or a line break (it names diagnostics.csv columns)")
@@ -336,8 +340,10 @@ def parse_and_validate(source) -> RunConfig:
         species.append(SpeciesSpec(name, diffusivity, charge, c0))
 
     charge_sec = _section(raw, "surface_charge")
-    xi1 = _compiled(str(_optional(charge_sec, "xi1", "0")), dim, "surface_charge.xi1", "xy")
-    xi2 = _compiled(str(_optional(charge_sec, "xi2", "0")), dim, "surface_charge.xi2")
+    xi1 = _compiled(_optional(charge_sec, "xi1", "0", str, "surface_charge"), dim,
+                    "surface_charge.xi1", "xy")
+    xi2 = _compiled(_optional(charge_sec, "xi2", "0", str, "surface_charge"), dim,
+                    "surface_charge.xi2")
     auto_balance = _optional(charge_sec, "auto_balance", False, bool, "surface_charge")
 
     sections = {"scaling": sca, "solver": _section(raw, "solver")}
@@ -347,7 +353,7 @@ def parse_and_validate(source) -> RunConfig:
             raise ConfigError(f"{name}.{key} is fixed at {fixed:g}, got {value}")
 
     output = _section(raw, "output")
-    output_dir = str(_optional(output, "directory", "out"))
+    output_dir = _optional(output, "directory", "out", str, "output")
     output_interval = _optional(output, "interval", final_time / 10 if final_time > 0 else 0.0,
                                 float, "output")
     _at_least(output_interval, 0, "output.interval")

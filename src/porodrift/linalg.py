@@ -25,9 +25,10 @@ the same way, in its own cached symmetric fill-reducing order, and
 factorized with the ``NATURAL`` column order (``SUPERLU_NATURAL``), the one
 factorization of a transport solve.  The system takes right-hand sides and
 returns solutions in cell order; ``black`` names the cells of S's unknowns.
-Each fill returns the operator's own ``Elimination`` blocks, so one system
-serves the transport matrices of every step and the two-point Poisson
-operator (shift 0).
+The red-black block is never stored as a matrix: the elimination multiplies
+by it on the system's face lists, given the operator's face coefficients and
+the red diagonal that its fill returns, so one system serves the transport
+matrices of every step and the two-point Poisson operator (shift 0).
 
 ``ZeroMeanDirect`` factors both Poisson operators with one call: the Schur
 complement of the two-point operator, or an assembled operator such as the
@@ -50,7 +51,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sparse
@@ -239,19 +239,6 @@ def _couplings(by_red, degree, face_black, n_black):
     return first, second, entry, upper, lower
 
 
-class Elimination(NamedTuple):
-    """The blocks of one operator on a ``ReducedFaceSystem`` that its elimination keeps.
-
-    ``coupling`` is the red-black block ``K = -A_rb`` (CSR, one entry
-    ``kappa_f`` per face, columns in the order of ``S``), ``coupling_t`` its
-    transpose and ``red_diag`` the diagonal ``d_r`` of the red block.
-    """
-
-    coupling: sparse.csr_matrix
-    coupling_t: sparse.csc_matrix
-    red_diag: np.ndarray
-
-
 class ReducedFaceSystem:
     """``face_laplacian(kappa) + shift I`` with one colour of cells eliminated exactly.
 
@@ -277,8 +264,11 @@ class ReducedFaceSystem:
     sides and solutions of the operator are in cell order.  With ``K =
     -A_rb``, ``reduce`` turns a right-hand side ``f`` into ``f_b + K^T (f_r
     / d_r)`` and ``back_substitute`` completes a black solution ``x_b`` with
-    ``x_r = (f_r + K x_b) / d_r``; both take the ``Elimination`` that
-    ``assemble`` returned for the operator.
+    ``x_r = (f_r + K x_b) / d_r``; both take the operator's ``kappa`` and
+    the ``d_r`` that ``assemble`` returned for it.  ``K`` has one entry
+    ``kappa_f`` per face, at its red and black cell, so both products run
+    on the face lists, each summing in the order of SciPy's sparse product
+    with ``K`` stored row by row (faces grouped by red cell, in face order).
     """
 
     def __init__(self, colour, face_lo, face_hi):
@@ -313,19 +303,15 @@ class ReducedFaceSystem:
             shape=(n_black, n_black))
         self._upper_slots, self._lower_slots, self._diag_slots = np.split(
             slots, [upper.size, 2 * upper.size])
-        # K row by row: the faces of each red cell, with their black cells as columns; scipy
-        # keeps the CSR structure arrays of K as int32
-        self._coupling_indptr = np.concatenate([[0], np.cumsum(degree)]).astype(np.int32)
-        self._coupling_indices = self._face_black[self._by_red].astype(np.int32)
 
-    def assemble(self, kappa, shift) -> Elimination:
+    def assemble(self, kappa, shift):
         """Write ``S`` for face coefficients ``kappa`` and diagonal shift ``shift`` into ``matrix``.
 
-        Returns the blocks that ``reduce`` and ``back_substitute`` take for
-        this operator; they stay valid when ``matrix`` is refilled.
+        Returns the red diagonal ``d_r`` that ``reduce`` and
+        ``back_substitute`` take, with ``kappa``, for this operator; it stays
+        valid when ``matrix`` is refilled.
         """
-        n_red = self._coupling_indptr.size - 1
-        red_diag = shift + np.bincount(self._face_red, kappa, n_red)
+        red_diag = shift + np.bincount(self._face_red, kappa, self._red.size)
         # the face- and pair-sized temporaries are reused in place, which saves an allocation
         # each per solve; each in-place step is the operation of its out-of-place form
         weight = red_diag[self._face_red]
@@ -341,28 +327,34 @@ class ReducedFaceSystem:
         weight *= kappa
         data[self._diag_slots] = shift + np.bincount(self._face_black, weight,
                                                      self._diag_slots.size)
-        coupling = sparse.csr_matrix((kappa[self._by_red], self._coupling_indices,
-                                      self._coupling_indptr), shape=(n_red, self._diag_slots.size))
-        return Elimination(coupling, coupling.T, red_diag)
+        return red_diag
 
     def diagonal(self):
         """The diagonal of ``S`` as last assembled, in the order of ``black``."""
         return self.matrix.data[self._diag_slots]
 
-    def reduce(self, values, elimination):
-        """The right-hand side of ``S`` for the operator's right-hand side ``values``."""
-        return values[self.black] + elimination.coupling_t @ (values[self._red]
-                                                              / elimination.red_diag)
+    def reduce(self, values, kappa, red_diag):
+        """The right-hand side of ``S`` for the operator's right-hand side ``values``.
 
-    def back_substitute(self, black, values, elimination):
+        ``K^T (f_r / d_r)`` sums each black cell's terms in red-cell order,
+        the order of the CSC product.
+        """
+        scaled = values[self._red] / red_diag
+        return values[self.black] + np.bincount(
+            self._face_black[self._by_red], (kappa * scaled[self._face_red])[self._by_red],
+            self.black.size)
+
+    def back_substitute(self, black, values, kappa, red_diag):
         """The operator's solution whose part on ``self.black`` is ``black``.
 
-        ``values`` is the operator's right-hand side.
+        ``values`` is the operator's right-hand side.  ``K x_b`` sums each
+        red cell's faces in face order, the order of the CSR product.
         """
         solution = np.empty(values.size)
         solution[self.black] = black
-        red = values[self._red] + elimination.coupling @ black
-        solution[self._red] = red / elimination.red_diag
+        red = values[self._red] + np.bincount(self._face_red, kappa * black[self._face_black],
+                                              self._red.size)
+        solution[self._red] = red / red_diag
         return solution
 
 
@@ -458,12 +450,13 @@ class ZeroMeanDirect:
     cells.  ``kappa`` holds one coefficient per axis (the Poisson tensor's
     diagonal entry times the facet area over h) and ``face_axis``, the
     grid's own array, names the axis of every face, so the coefficient is
-    gathered per face where a residual or the energy needs it and never
-    stored per face.  A pinned solve reduces the right-hand side,
-    back-solves and back-substitutes the red cells, all in cell order.  The
-    blocks it keeps are its own, so refilling ``system.matrix`` afterwards
-    changes nothing.  ``ZeroMeanDirect(matrix)`` takes any sparse operator,
-    such as the full-tensor Poisson operator, which is not symmetric.
+    gathered per face where a pinned solve, a residual or the energy needs
+    it and never stored per face.  A pinned solve reduces the right-hand
+    side, back-solves and back-substitutes the red cells, all in cell order.
+    It keeps its LU and the red diagonal of its own fill, so refilling
+    ``system.matrix`` afterwards changes nothing.  ``ZeroMeanDirect(matrix)``
+    takes any sparse operator, such as the full-tensor Poisson operator,
+    which is not symmetric.
 
     Both pin unknown 0 (the first black cell of ``S``, or node 0) by dropping
     its row and column, and SuperLU factors the rest with partial pivoting
@@ -488,7 +481,7 @@ class ZeroMeanDirect:
         if isinstance(operator, ReducedFaceSystem):
             self.n = operator.n_cells
             self._system, self._kappa, self._face_axis = operator, kappa, face_axis
-            self._elimination = operator.assemble(kappa[face_axis], 0.0)
+            self._red_diag = operator.assemble(kappa[face_axis], 0.0)
             matrix = operator.matrix
         else:
             self.matrix = matrix = operator.tocsr()
@@ -502,10 +495,13 @@ class ZeroMeanDirect:
 
     def _pinned_solve(self, rhs):
         system = self._system
-        pinned = rhs if system is None else system.reduce(rhs, self._elimination)
-        phi = np.concatenate([[0.0], self._lu.solve(pinned[1:])])
-        if system is not None:
-            phi = system.back_substitute(phi, rhs, self._elimination)
+        if system is None:
+            phi = np.concatenate([[0.0], self._lu.solve(rhs[1:])])
+        else:
+            kappa = self._kappa[self._face_axis]
+            pinned = system.reduce(rhs, kappa, self._red_diag)
+            phi = system.back_substitute(np.concatenate([[0.0], self._lu.solve(pinned[1:])]),
+                                         rhs, kappa, self._red_diag)
         return phi - phi.mean()
 
     def _apply(self, phi):

@@ -424,38 +424,38 @@ class TransportSim:
         operator of the two-level preconditioner, its one SuperLU
         factorization, and solves S by CG to the true relative residual
         CG_TOL, started from the black cells of ``guess`` (None: from 0).
-        Both failure messages name the largest face coefficient, which is
-        ``max(coefficient) / h^2`` (division by a positive constant keeps
-        the order), so ``kappa`` ends once S and its blocks are assembled.
+        Both failure messages name the largest face coefficient.  ``kappa``
+        lives until the red cells are back-substituted, since the elimination
+        multiplies by the red-black block on the face lists.
         """
         system, two_level = self._reduced, self._two_level
         # the CG start on S's unknowns; the guess in cell order ends here
         x0 = None if guess is None else guess[system.black]
         del guess
-        elimination = system.assemble(coefficient / self.grid.h ** 2, 1.0 / dt)
+        kappa = coefficient / self.grid.h ** 2
+        red_diag = system.assemble(kappa, 1.0 / dt)
         try:
             lu = splu(two_level.assemble(), **SUPERLU_NATURAL)
         except RuntimeError as exc:
             raise SolverError(f"implicit transport solve failed: {exc}; largest face "
-                              f"coefficient {np.max(coefficient) / self.grid.h ** 2:.3e}"
-                              ) from exc
+                              f"coefficient {np.max(kappa):.3e}") from exc
         rhs = c / dt + rhs_extra
-        reduced = system.reduce(rhs, elimination)
+        reduced = system.reduce(rhs, kappa, red_diag)
         try:
             black, residual, iterations, restarts = cg_solve(
                 system.matrix, reduced, CG_TOL, preconditioner=two_level.preconditioner(lu),
                 x0=x0)
         except SolverError as exc:
             raise SolverError(f"implicit transport solve: {exc}; largest face coefficient "
-                              f"{np.max(coefficient) / self.grid.h ** 2:.3e}",
-                              residual=exc.residual, iterations=exc.iterations) from exc
+                              f"{np.max(kappa):.3e}", residual=exc.residual,
+                              iterations=exc.iterations) from exc
         counts = self.solves
         counts.solves += 1
         counts.cg_iterations += iterations
         counts.max_cg_iterations = max(counts.max_cg_iterations, iterations)
         counts.max_cg_residual = max(counts.max_cg_residual, residual)
         counts.restarts += restarts
-        return system.back_substitute(black, rhs, elimination)
+        return system.back_substitute(black, rhs, kappa, red_diag)
 
     def step(self, state: SimState, dt: float, source=None, previous=None) -> SimState:
         """One IMEX step of size dt; raises on dt rejection.

@@ -126,6 +126,16 @@ def test_not_json_rejected():
         parse_and_validate("{broken")
 
 
+def test_config_reader_takes_text_or_a_dict_not_a_path(tmp_path):
+    # the CLI reads the file itself and hands on its text
+    path = tmp_path / "run.json"
+    path.write_text(json.dumps(minimal_config()))
+    assert isinstance(parse_and_validate(path.read_text()), RunConfig)
+    for source, kind in [(path, type(path).__name__), (path.read_bytes(), "bytes")]:
+        with pytest.raises(ConfigError, match=f"takes JSON text or a dict, got {kind}$"):
+            parse_and_validate(source)
+
+
 DEEP_LIST = "[" * 100000 + "]" * 100000  # deeper than json.loads can recurse
 
 
@@ -702,6 +712,13 @@ def _duplicate_species(cfg):
     return cfg
 
 
+def _first_species_named(name):
+    def patch(cfg):
+        cfg["species"][0]["name"] = name
+        return cfg
+    return patch
+
+
 @pytest.mark.parametrize("patch,message", [
     (_without("scaling"), "missing required config section 'scaling'"),
     (_without("scaling", "alpha"), "missing required key 'alpha' in scaling section"),
@@ -713,11 +730,17 @@ def _duplicate_species(cfg):
     (lambda cfg: {**cfg, "solver": {"cell_tol": 1e-10}},
      "solver.cell_tol is fixed at 1e-12, got 1e-10"),
     (_duplicate_species, "duplicate species name 'cation'"),
+    # a string value is never converted: a list name would become a CSV column "['a']"
+    (_first_species_named(["a"]), "species[0].name must be a string, got ['a']"),
+    (_with("output", "directory", 5), "output.directory must be a string, got 5"),
+    (_with("surface_charge", "xi1", 0.2), "surface_charge.xi1 must be a string, got 0.2"),
+    (_with("surface_charge", "xi2", 0), "surface_charge.xi2 must be a string, got 0"),
     # the geometry build's GeometryError ends as a ConfigError
     (_with("geometry", "inclusion", {"kind": "disk", "radius": 0.45}),
      "inclusion margin 0.05 to the cell boundary is below 2/r = 0.25"),
 ], ids=["missing-section", "missing-key", "non-object-root", "integer-beyond-2^53",
         "cfl-fraction-zero", "cfl-fraction-above-one", "cell-tol-other", "duplicate-species",
+        "list-species-name", "number-directory", "number-xi1", "number-xi2",
         "inclusion-margin"])
 def test_config_reader_error_branches_exit_2(tmp_path, capsys, patch, message):
     cfg_path = tmp_path / "run.json"

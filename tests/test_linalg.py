@@ -425,21 +425,40 @@ def test_two_level_numbers_the_coarse_layout_like_a_second_entries_call(seed, n_
 
 
 def test_index_arrays_are_native_intp():
-    # numpy converts every other index array on each gather, scatter or count; the CSR
-    # structure of K is int32, the index type scipy gives its sparse matrices
+    # numpy converts every other index array on each gather, scatter or count
     grid = _perforated_grid(2)
     system = _reduced_system(grid)
     two_level = transport.aggregated_two_level(grid, system)
-    exceptions = {"_coupling_indices", "_coupling_indptr"}
     checked = set()
     for owner in (system, two_level):
         for name, value in vars(owner).items():
             if isinstance(value, np.ndarray) and value.dtype.kind in "iu":
                 checked.add(name)
-                expected = np.int32 if name in exceptions else np.intp
-                assert value.dtype == expected, name
+                assert value.dtype == np.intp, name
     assert {"_pair_first", "_pair_entry", "_upper_slots", "_slots", "_aggregate"} < checked
-    assert exceptions < checked
+
+
+@pytest.mark.parametrize("dim", [2, 3])
+def test_face_list_elimination_is_scipys_product_bitwise(dim):
+    # the reference stores K = -A_rb as a CSR matrix: the faces grouped by red cell, in face
+    # order, with their black cells as columns; its products fix the order of every sum
+    grid = _perforated_grid(dim)
+    system = _reduced_system(grid)
+    rng = np.random.default_rng(dim)
+    kappa = rng.uniform(0.1, 10.0, grid.face_lo.size) / grid.h ** 2
+    red_diag = system.assemble(kappa, rng.uniform(1.0, 100.0))
+    by_red, n_red = system._by_red, red_diag.size
+    indptr = np.concatenate([[0], np.cumsum(np.bincount(system._face_red, minlength=n_red))])
+    coupling = sparse.csr_matrix((kappa[by_red], system._face_black[by_red], indptr),
+                                 shape=(n_red, system.black.size))
+    red = np.setdiff1d(np.arange(grid.n_fluid), system.black)
+    values = rng.uniform(-1.0, 1.0, grid.n_fluid)
+    black = rng.uniform(-1.0, 1.0, system.black.size)
+    assert np.array_equal(system.reduce(values, kappa, red_diag),
+                          values[system.black] + coupling.T @ (values[red] / red_diag))
+    solution = system.back_substitute(black, values, kappa, red_diag)
+    assert np.array_equal(solution[system.black], black)
+    assert np.array_equal(solution[red], (values[red] + coupling @ black) / red_diag)
 
 
 def _explicit_schur_complement(grid, kappa, dt):
@@ -514,18 +533,18 @@ def test_reduced_solve_matches_spsolve_of_the_full_matrix(grid, seed, log_dt):
     dt = 10.0 ** log_dt
     rhs = rng.uniform(-1.0, 1.0, grid.n_fluid)
     system = _reduced_system(grid)
-    elimination = system.assemble(kappa, 1.0 / dt)
+    red_diag = system.assemble(kappa, 1.0 / dt)
     lu = _symmetric_mmd_lu(system.matrix.tocsc())
-    solution = system.back_substitute(lu.solve(system.reduce(rhs, elimination)), rhs,
-                                      elimination)
+    solution = system.back_substitute(lu.solve(system.reduce(rhs, kappa, red_diag)), rhs,
+                                      kappa, red_diag)
     reference = spsolve(_transport_matrix(grid, kappa, dt), rhs)
     assert np.max(np.abs(solution - reference)) <= 1e-12 * np.max(np.abs(reference))
     # the transport's two-level CG, at a tight tolerance, meets the same bound
     two_level = transport.aggregated_two_level(grid, system)
-    black = cg_solve(system.matrix, system.reduce(rhs, elimination), 1e-13,
+    black = cg_solve(system.matrix, system.reduce(rhs, kappa, red_diag), 1e-13,
                      preconditioner=two_level.preconditioner(
                          splu(two_level.assemble(), **SUPERLU_NATURAL)))[0]
-    solution = system.back_substitute(black, rhs, elimination)
+    solution = system.back_substitute(black, rhs, kappa, red_diag)
     assert np.max(np.abs(solution - reference)) <= 1e-12 * np.max(np.abs(reference))
     # a face between two cells of one parity breaks the elimination
     parity = _parity(grid)
