@@ -36,8 +36,8 @@ class CorrectorField:
 
 
 def _rhs_for_direction(cell: MaskedGrid, k: int) -> np.ndarray:
-    sel = cell.face_axis == k
-    flux = np.full(int(np.count_nonzero(sel)), -cell.facet_area)
+    sel = cell.axis_faces(k)
+    flux = np.full(int(cell.axis_counts[k]), -cell.facet_area)
     return face_divergence(cell.n_fluid, cell.face_lo[sel], cell.face_hi[sel], flux)
 
 
@@ -71,7 +71,7 @@ def corrected_gradients(cell: MaskedGrid, correctors) -> np.ndarray:
     for k in range(cell.dim):
         w = correctors[k].values
         grads[k] = (w[cell.face_hi] - w[cell.face_lo]) / cell.h
-        grads[k] += (cell.face_axis == k).astype(float)
+        grads[k, cell.axis_faces(k)] += 1.0
     return grads
 
 
@@ -97,8 +97,7 @@ def compute_effective_tensor(cell: MaskedGrid) -> EffectiveTensor:
     a_hom = np.empty((cell.dim, cell.dim))
     for k in range(cell.dim):
         for j in range(cell.dim):
-            sel = cell.face_axis == j
-            a_hom[j, k] = np.sum(grads[k][sel]) / cell.n_fluid
+            a_hom[j, k] = np.sum(grads[k][cell.axis_faces(j)]) / cell.n_fluid
     energy = grads @ grads.T / cell.n_fluid
     return EffectiveTensor(
         a_hom=a_hom,

@@ -304,7 +304,10 @@ def parse_and_validate(source) -> RunConfig:
     if dim not in (2, 3):
         raise ConfigError(f"dimension must be 2 or 3, got {dim}")
     _grid_bound(m * r, dim, "geometry")
-    inclusion = _inclusion_from_config(geo, dim)
+    try:
+        inclusion = _inclusion_from_config(geo, dim)
+    except GeometryError as exc:
+        raise ConfigError(str(exc)) from exc
 
     sca = _section(raw, "scaling")
     alpha = _require(sca, "alpha", float, "scaling")
@@ -435,6 +438,21 @@ def parse_and_validate(source) -> RunConfig:
         config.grid = grid = build_masked_grid(config.cell, m)
     except GeometryError as exc:
         raise ConfigError(str(exc)) from exc
+    # each micro grid's permittivity eps^alpha must be finite and its Poisson face coefficient
+    # eps^alpha h^(n-2) a positive normal float; eps^beta <= eps^alpha (eps <= 1, alpha <= beta)
+    # may underflow, which only drops the drift
+    micro_grids = [("geometry.m", m)]
+    micro_grids += [(f"convergence.m_values[{k}]", value) for k, value in enumerate(conv_m_values)]
+    for key, m_value in micro_grids:
+        with np.errstate(over="ignore", under="ignore"):
+            permittivity = np.float64(1.0 / m_value) ** alpha
+            coefficient = permittivity * (1.0 / (m_value * r)) ** (dim - 2)
+        if not (math.isfinite(permittivity)
+                and np.finfo(float).tiny <= coefficient < math.inf):
+            raise ConfigError(f"scaling.alpha = {alpha:g} at {key} = {m_value} gives the "
+                              f"permittivity eps^alpha = {permittivity:.3e} and the Poisson face "
+                              f"coefficient eps^alpha h^(n-2) = {coefficient:.3e}; the first must "
+                              "be finite and the second a positive normal float")
     # scaling.eta serves the micro, macro and convergence grids, the sweep values the macro one
     etas = [("scaling.eta", eta, 1.0 / max(m * r, macro_resolution, r * conv_m_values[-1],
                                              conv_macro_resolution))]

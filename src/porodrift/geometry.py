@@ -38,7 +38,7 @@ class InclusionShape:
         "none"          empty inclusion, porosity 1
         "disk"          ball of ``radius`` around ``center``
         "square"        axis-aligned cube of half width ``half_width``
-        "super_ellipse" sum((|x_i - c_i| / a_i)^q) <= 1 with exponent q
+        "super_ellipse" sum((|x_i - c_i| / a_i)^q) <= 1 with exponent q > 0
     """
 
     kind: str
@@ -51,6 +51,8 @@ class InclusionShape:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise GeometryError(f"unknown inclusion kind {self.kind!r}; expected one of {_KINDS}")
+        if self.kind == "super_ellipse" and not self.exponent > 0:
+            raise GeometryError(f"super_ellipse exponent must be positive, got {self.exponent}")
 
     def contains(self, points: np.ndarray) -> np.ndarray:
         """Boolean mask of which points (shape (k, n)) lie inside Y^s."""
@@ -63,7 +65,8 @@ class InclusionShape:
         if self.kind == "square":
             return np.max(delta, axis=1) < self.half_width
         axes = np.asarray(self.semi_axes, dtype=float)
-        return np.sum((delta / axes[None, :]) ** self.exponent, axis=1) < 1.0
+        with np.errstate(over="ignore"):  # a term that overflows lies outside either way
+            return np.sum((delta / axes[None, :]) ** self.exponent, axis=1) < 1.0
 
     def margin(self, dim: int) -> float:
         """Distance from the inclusion's bounding box to the cell boundary."""
@@ -97,6 +100,12 @@ class MaskedGrid:
     ``cell`` m times per axis, so eps = 1/m and h = eps/r, and its outer
     facets line the boundary of Omega.
 
+    The fluid-fluid faces are grouped by axis, axis 0 first, and
+    ``axis_counts[k]`` counts those normal to axis k: a per-axis constant
+    expands to one value per face with ``np.repeat(values, axis_counts)``,
+    and ``axis_faces(k)`` slices out the faces of one axis.  The grid keeps
+    no face axis and no fluid numbering of the full grid.
+
     Immutable once built; safe to share across concurrent solver runs.
     """
 
@@ -106,11 +115,10 @@ class MaskedGrid:
     r: int                        # cells per unit-cell edge
     fluid_mask: np.ndarray
     n_fluid: int
-    fluid_id: np.ndarray          # full-grid array, -1 on solid cells
     centers: np.ndarray           # (n_fluid, dim) cell centers
-    face_lo: np.ndarray           # fluid-fluid faces, fluid ids
+    face_lo: np.ndarray           # fluid-fluid faces, fluid ids, grouped by axis
     face_hi: np.ndarray
-    face_axis: np.ndarray
+    axis_counts: np.ndarray       # (dim,) faces per axis
     gamma_cell: np.ndarray        # fluid id adjacent to each fluid-solid facet
     gamma_center: np.ndarray      # (k, dim) facet midpoints
     outer_cell: np.ndarray        # fluid id behind each outer-boundary facet
@@ -157,20 +165,27 @@ class MaskedGrid:
     def is_unperforated(self) -> bool:
         return self.gamma_cell.size == 0 and self.n_fluid == self.fluid_mask.size
 
+    def axis_faces(self, axis: int) -> slice:
+        """The fluid-fluid faces normal to ``axis``, a slice of the face lists."""
+        start = int(np.sum(self.axis_counts[:axis]))
+        return slice(start, start + int(self.axis_counts[axis]))
+
     def unit_cell_ids(self) -> np.ndarray:
         """For each fluid cell, the fluid id of its image in the unit cell.
 
         Exact lookup: the grid tiles the cell pattern, so micro cell centers
-        land on unit-cell centers under y = (x / eps) mod 1.
+        land on unit-cell centers under y = (x / eps) mod 1.  The unit cell
+        numbers its fluid cells in C order, so the id of a fluid cell there
+        is the count of fluid cells before it.
         """
         if self._unit_cell_ids is None:
-            shape = self.fluid_mask.shape
-            multi = np.unravel_index(np.arange(self.fluid_mask.size), shape)
-            within = tuple(ix % self.r for ix in multi)
-            ids = self.cell.fluid_id[within]
-            self._unit_cell_ids = ids[self.fluid_mask.ravel()]
-            if np.any(self._unit_cell_ids < 0):
+            cell_mask = self.cell.fluid_mask.ravel()
+            multi = np.unravel_index(np.flatnonzero(self.fluid_mask), self.fluid_mask.shape)
+            within = np.ravel_multi_index(tuple(ix % self.r for ix in multi),
+                                          self.cell.fluid_mask.shape)
+            if not np.all(cell_mask[within]):
                 raise GeometryError("tiling mismatch: fluid cell maps to solid unit-cell cell")
+            self._unit_cell_ids = (np.cumsum(cell_mask) - 1)[within]
         return self._unit_cell_ids
 
 
@@ -209,12 +224,13 @@ def _grid_points(n_side, dim):
 def _classify_faces(fluid_mask, periodic):
     """Number the fluid cells and classify every face of the grid.
 
-    Returns the ``MaskedGrid`` fields the mask determines: the fluid numbering
-    and centers, the fluid-fluid faces, the fluid-solid facets and the outer
-    facets.  ``periodic`` adds the faces that wrap around the grid and leaves
-    the outer facets empty.  Otherwise the outer facets come axis by axis, the
-    x = 0 side before the x = 1 side, and a solid cell on the outer boundary
-    is an error.
+    Returns the ``MaskedGrid`` fields the mask determines: the fluid cells'
+    centers, the fluid-fluid faces axis by axis with their count per axis,
+    the fluid-solid facets and the outer facets; the fluid numbering of the
+    full grid stays local.  ``periodic`` adds the faces that wrap around the
+    grid and leaves the outer facets empty.  Otherwise the outer facets come
+    axis by axis, the x = 0 side before the x = 1 side, and a solid cell on
+    the outer boundary is an error.
     """
     shape = fluid_mask.shape
     dim = len(shape)
@@ -228,14 +244,15 @@ def _classify_faces(fluid_mask, periodic):
     idx = np.arange(fluid_mask.size).reshape(shape)
 
     faces = {key: [np.empty((0, dim)) if key.endswith("center") else np.empty(0, np.int64)]
-             for key in ("face_lo", "face_hi", "face_axis", "gamma_cell", "gamma_center",
+             for key in ("face_lo", "face_hi", "gamma_cell", "gamma_center",
                          "outer_cell", "outer_axis", "outer_sign", "outer_center")}
+    axis_counts = np.zeros(dim, dtype=np.int64)
     for axis in range(dim):
         lo, hi = _adjacent_flat_indices(shape, axis, periodic)
         both = mask_flat[lo] & mask_flat[hi]
         faces["face_lo"].append(id_flat[lo[both]])
         faces["face_hi"].append(id_flat[hi[both]])
-        faces["face_axis"].append(np.full(int(both.sum()), axis, dtype=np.int64))
+        axis_counts[axis] = np.count_nonzero(both)
         # the solid neighbour sits on the high side, then on the low side
         for only, fluid_side in ((mask_flat[lo] & ~mask_flat[hi], lo),
                                  (~mask_flat[lo] & mask_flat[hi], hi)):
@@ -255,7 +272,7 @@ def _classify_faces(fluid_mask, periodic):
             ctr[:, axis] = 0.0 if side == 0 else 1.0
             faces["outer_center"].append(ctr)
     fields = {key: np.concatenate(parts) for key, parts in faces.items()}
-    fields.update(fluid_mask=fluid_mask, n_fluid=n_fluid, fluid_id=fluid_id,
+    fields.update(fluid_mask=fluid_mask, n_fluid=n_fluid, axis_counts=axis_counts,
                   centers=_grid_points(n_side, dim)[mask_flat])
     return fields
 
@@ -276,7 +293,8 @@ def build_cell_geometry(shape: InclusionShape, r: int) -> MaskedGrid:
     A grid cell is solid iff its center lies inside the inclusion.  Rejects
     inclusions whose bounding box leaves a margin below 2/r to the cell
     boundary, and disconnected fluid regions (both break the periodic cell
-    problems downstream).
+    problems downstream), and an inclusion that covers no cell center, which
+    the grid would silently drop.
     """
     if r < MIN_RESOLUTION:
         raise GeometryError(f"unit-cell resolution r must be >= {MIN_RESOLUTION}, got {r}")
@@ -291,6 +309,9 @@ def build_cell_geometry(shape: InclusionShape, r: int) -> MaskedGrid:
                 f"{2.0 / r:.6g}; the solid part must stay strictly inside the cell"
             )
     fluid_mask = ~shape.contains(_grid_points(r, dim)).reshape((r,) * dim)
+    if shape.kind != "none" and fluid_mask.all():
+        raise GeometryError(f"the {shape.kind} inclusion covers no cell center at r = {r}; "
+                            "enlarge it or refine the unit cell")
     fields = _classify_faces(fluid_mask, periodic=True)
     _check_connected(fields["n_fluid"], fields["face_lo"], fields["face_hi"])
     return MaskedGrid(cell=None, dim=dim, m=1, r=r, **fields)

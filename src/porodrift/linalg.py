@@ -443,15 +443,16 @@ class PoissonCounts:
 class ZeroMeanDirect:
     """Cached LU of a singular operator with constant nullspace; zero-mean solves.
 
-    ``ZeroMeanDirect(system, kappa, face_axis)`` takes the two-point
-    operator ``face_laplacian(kappa[face_axis])`` on the faces of the
-    ``ReducedFaceSystem`` ``system`` and assembles its Schur complement
-    ``S`` with shift 0, which keeps the constant nullspace on the black
-    cells.  ``kappa`` holds one coefficient per axis (the Poisson tensor's
-    diagonal entry times the facet area over h) and ``face_axis``, the
-    grid's own array, names the axis of every face, so the coefficient is
-    gathered per face where a pinned solve, a residual or the energy needs
-    it and never stored per face.  A pinned solve reduces the right-hand
+    ``ZeroMeanDirect(system, kappa, axis_counts)`` takes the two-point
+    operator ``face_laplacian(np.repeat(kappa, axis_counts))`` on the faces
+    of the ``ReducedFaceSystem`` ``system`` and assembles its Schur
+    complement ``S`` with shift 0, which keeps the constant nullspace on the
+    black cells.  The faces are grouped by axis: ``kappa`` holds one
+    coefficient per axis (the Poisson tensor's diagonal entry times the
+    facet area over h) and ``axis_counts``, the grid's own array, counts the
+    faces of each axis, so the coefficient is repeated per face where a
+    pinned solve, a residual or the energy needs it and never stored per
+    face.  A pinned solve reduces the right-hand
     side, back-solves and back-substitutes the red cells, all in cell order.
     It keeps its LU and the red diagonal of its own fill, so refilling
     ``system.matrix`` afterwards changes nothing.  ``ZeroMeanDirect(matrix)``
@@ -477,11 +478,11 @@ class ZeroMeanDirect:
     ``counts`` records the solves, their corrections and largest residual.
     """
 
-    def __init__(self, operator, kappa=None, face_axis=None):
+    def __init__(self, operator, kappa=None, axis_counts=None):
         if isinstance(operator, ReducedFaceSystem):
             self.n = operator.n_cells
-            self._system, self._kappa, self._face_axis = operator, kappa, face_axis
-            self._red_diag = operator.assemble(kappa[face_axis], 0.0)
+            self._system, self._kappa, self._axis_counts = operator, kappa, axis_counts
+            self._red_diag = operator.assemble(self._face_kappa(), 0.0)
             matrix = operator.matrix
         else:
             self.matrix = matrix = operator.tocsr()
@@ -493,12 +494,15 @@ class ZeroMeanDirect:
             raise SolverError(f"Poisson factorization failed (n = {self.n}): {exc}") from exc
         self.counts = PoissonCounts()
 
+    def _face_kappa(self):
+        return np.repeat(self._kappa, self._axis_counts)
+
     def _pinned_solve(self, rhs):
         system = self._system
         if system is None:
             phi = np.concatenate([[0.0], self._lu.solve(rhs[1:])])
         else:
-            kappa = self._kappa[self._face_axis]
+            kappa = self._face_kappa()
             pinned = system.reduce(rhs, kappa, self._red_diag)
             phi = system.back_substitute(np.concatenate([[0.0], self._lu.solve(pinned[1:])]),
                                          rhs, kappa, self._red_diag)
@@ -509,14 +513,14 @@ class ZeroMeanDirect:
             return self.matrix @ phi
         lo, hi = self._system.face_lo, self._system.face_hi
         return face_divergence(self.n, lo, hi,
-                               self._kappa[self._face_axis] * (phi[hi] - phi[lo]))
+                               self._face_kappa() * (phi[hi] - phi[lo]))
 
     def energy(self, phi):
         """``(1/2) phi . P phi``, on the two-point path ``sum_f kappa_f (phi_hi - phi_lo)^2/2``."""
         if self._system is None:
             return 0.5 * float(phi @ (self.matrix @ phi))
         lo, hi = self._system.face_lo, self._system.face_hi
-        return 0.5 * float(np.sum(self._kappa[self._face_axis] * (phi[hi] - phi[lo]) ** 2))
+        return 0.5 * float(np.sum(self._face_kappa() * (phi[hi] - phi[lo]) ** 2))
 
     def solve(self, rhs):
         """Zero-mean solution; iterative refinement until the residual meets ``POISSON_TOL``."""

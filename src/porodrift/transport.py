@@ -65,12 +65,15 @@ to 117.7 MB (``BENCH_31.json``).  The explicit drift is upwinded by index:
 each face takes the concentration of its donor cell, chosen from the sign of
 the species' velocity, in one gather per species.  The simulation stores no
 face-sized array that only repeats a constant: the tensor's diagonal and
-``D_i A_kk`` are kept per axis k and gathered by ``grid.face_axis`` where
-they are used.  A species' face coefficient ``(D_i A_kk) h_p'`` is one
-array, which the implicit solve divides by h^2 and the implicit flux
-reuses.  The face gradient of the potential (each species computes it
-again), the clipped concentration and the cell-ordered CG start end before
-the coarse factorization, where a run reaches its peak RSS.
+``D_i A_kk`` are kept per axis k and repeated over the faces of each axis
+(``np.repeat(values, grid.axis_counts)``; the grid lists its faces axis by
+axis) where they are used.  A species' face coefficient ``(D_i A_kk) h_p'``
+is one array, which the implicit solve divides by h^2 and the implicit
+flux reuses.  The face gradient of the potential (each species computes it
+again), the clipped concentration, the cell-ordered CG start, the divided
+coefficient ``kappa``, the explicit part of the right-hand side and the
+previous state's potential all end before the coarse factorization, where
+a run reaches its peak RSS.
 
 The run loop measures each accepted state once (``_Stats``); the output rows
 read those measurements, the summary reduces all of them, and snapshots are
@@ -182,7 +185,8 @@ def cross_operator(grid, tensor):
         return None
     s_lo, s_hi = _face_incidence(grid)
     avg = 0.5 * (s_lo + s_hi)
-    coef = tensor[grid.face_axis] * (grid.face_axis[:, None] != np.arange(grid.dim))
+    face_axis = np.repeat(np.arange(grid.dim), grid.axis_counts)
+    coef = tensor[face_axis] * (face_axis[:, None] != np.arange(grid.dim))
     return sum(sparse.diags(coef[:, t]) @ (avg @ grad)
                for t, grad in enumerate(gradient_matrices(grid))).tocsr()
 
@@ -194,7 +198,7 @@ def poisson_matrix(grid, tensor):
     cross terms, each times the facet area.  The constant is its nullspace.
     """
     tensor = np.asarray(tensor, dtype=float)
-    face_diag = tensor[grid.face_axis, grid.face_axis]
+    face_diag = np.repeat(tensor.diagonal(), grid.axis_counts)
     matrix = face_laplacian(grid.n_fluid, grid.face_lo, grid.face_hi,
                             face_diag * grid.facet_area / grid.h)
     cross = cross_operator(grid, tensor)
@@ -231,7 +235,7 @@ def poisson_solver(grid, tensor, reduced=None):
         return ZeroMeanDirect(poisson_matrix(grid, tensor))
     kappa = tensor.diagonal() * grid.facet_area / grid.h
     return ZeroMeanDirect(reduced_face_system(grid) if reduced is None else reduced, kappa,
-                          grid.face_axis)
+                          grid.axis_counts)
 
 
 def _checked_tensor(tensor, dim):
@@ -257,7 +261,7 @@ class SimState:
 
     t: float
     conc: np.ndarray
-    phi: np.ndarray
+    phi: np.ndarray | None        # None in the run loop's record of the previous state
     compat: float | None = None
 
 
@@ -340,8 +344,8 @@ class TransportSim:
         self._poisson = poisson_solver(grid, poisson_tensor, self._reduced)
         self._charges = np.array([s.charge for s in self.species], dtype=float)
         self._diffusivities = np.array([s.diffusivity for s in self.species], dtype=float)
-        # D_i A_kk per species and axis k: gathered by face axis, the first factor of every
-        # implicit face coefficient
+        # D_i A_kk per species and axis k: repeated over the faces of each axis, the first
+        # factor of every implicit face coefficient
         self._axis_diffusivities = self._diffusivities[:, None] * self._tensor_diag
 
     # -- potential -----------------------------------------------------------
@@ -376,7 +380,7 @@ class TransportSim:
     def _normal_gradient_faces(self, values):
         """(A grad u) . n per face: two-point normal part plus tangential terms."""
         grid = self.grid
-        diag = self._tensor_diag[grid.face_axis]
+        diag = np.repeat(self._tensor_diag, grid.axis_counts)
         g = diag * (values[grid.face_hi] - values[grid.face_lo]) / grid.h
         if self._cross is not None:
             g = g + self._cross @ values
@@ -425,29 +429,35 @@ class TransportSim:
         factorization, and solves S by CG to the true relative residual
         CG_TOL, started from the black cells of ``guess`` (None: from 0).
         Both failure messages name the largest face coefficient.  ``kappa``
-        lives until the red cells are back-substituted, since the elimination
-        multiplies by the red-black block on the face lists.
+        and ``rhs_extra`` end before the coarse factorization, where a run
+        peaks: the right-hand side is formed and reduced first, and the
+        failure messages and the back-substitution, which multiplies by the
+        red-black block on the face lists, divide ``coefficient`` by h^2
+        again, the same operation with the same bits.
         """
         system, two_level = self._reduced, self._two_level
+        h2 = self.grid.h ** 2
         # the CG start on S's unknowns; the guess in cell order ends here
         x0 = None if guess is None else guess[system.black]
         del guess
-        kappa = coefficient / self.grid.h ** 2
+        kappa = coefficient / h2
         red_diag = system.assemble(kappa, 1.0 / dt)
+        rhs = c / dt + rhs_extra
+        del rhs_extra
+        reduced = system.reduce(rhs, kappa, red_diag)
+        del kappa
         try:
             lu = splu(two_level.assemble(), **SUPERLU_NATURAL)
         except RuntimeError as exc:
             raise SolverError(f"implicit transport solve failed: {exc}; largest face "
-                              f"coefficient {np.max(kappa):.3e}") from exc
-        rhs = c / dt + rhs_extra
-        reduced = system.reduce(rhs, kappa, red_diag)
+                              f"coefficient {np.max(coefficient / h2):.3e}") from exc
         try:
             black, residual, iterations, restarts = cg_solve(
                 system.matrix, reduced, CG_TOL, preconditioner=two_level.preconditioner(lu),
                 x0=x0)
         except SolverError as exc:
             raise SolverError(f"implicit transport solve: {exc}; largest face coefficient "
-                              f"{np.max(kappa):.3e}", residual=exc.residual,
+                              f"{np.max(coefficient / h2):.3e}", residual=exc.residual,
                               iterations=exc.iterations) from exc
         counts = self.solves
         counts.solves += 1
@@ -455,13 +465,14 @@ class TransportSim:
         counts.max_cg_iterations = max(counts.max_cg_iterations, iterations)
         counts.max_cg_residual = max(counts.max_cg_residual, residual)
         counts.restarts += restarts
-        return system.back_substitute(black, rhs, kappa, red_diag)
+        return system.back_substitute(black, rhs, coefficient / h2, red_diag)
 
     def step(self, state: SimState, dt: float, source=None, previous=None) -> SimState:
         """One IMEX step of size dt; raises on dt rejection.
 
-        ``previous`` is the accepted state before ``state`` (None on the first
-        step).  Each species' solve gets the linear extrapolation
+        ``previous`` holds the time and the concentrations of the accepted
+        state before ``state`` (None on the first step), and no potential.
+        Each species' solve gets the linear extrapolation
         ``c^n + (dt / dt_prev)(c^n - c^{n-1})`` of the two, or ``c^n`` without
         ``previous``, as the start of its CG.
 
@@ -506,7 +517,7 @@ class TransportSim:
         if self._cross is not None:
             flux += -self._diffusivities[i] * (self._cross @ h_p_eval(c_safe, self.eta, self.p))
         # (D_i A_kk) h_p' per face
-        coefficient = self._axis_diffusivities[i][grid.face_axis]
+        coefficient = np.repeat(self._axis_diffusivities[i], grid.axis_counts)
         coefficient *= h_p_prime(self._face_average(c_safe), self.eta, self.p)
         del c_safe
         c_star = self._implicit_solve(
@@ -609,7 +620,8 @@ class TransportSim:
                                                 f"nonnegativity{cross}")
                 if abs(new_state.t - t_event) <= time_tol:
                     new_state.t = t_event
-                previous, state = state, new_state
+                # the CG start reads only t and conc, so the previous potential ends here
+                previous, state = SimState(t=state.t, conc=state.conc, phi=None), new_state
                 stats.append(self._statistics(state, dt))
             self._record_row(record, state, stats[-1])
             if snapshot:

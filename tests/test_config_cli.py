@@ -712,6 +712,13 @@ def _duplicate_species(cfg):
     return cfg
 
 
+def _scaled(alpha, beta):
+    def patch(cfg):
+        cfg["scaling"].update(alpha=alpha, beta=beta)
+        return cfg
+    return patch
+
+
 def _first_species_named(name):
     def patch(cfg):
         cfg["species"][0]["name"] = name
@@ -738,10 +745,26 @@ def _first_species_named(name):
     # the geometry build's GeometryError ends as a ConfigError
     (_with("geometry", "inclusion", {"kind": "disk", "radius": 0.45}),
      "inclusion margin 0.05 to the cell boundary is below 2/r = 0.25"),
+    # eps^alpha overflows or its Poisson face coefficient underflows on some micro grid: the
+    # micro run at m = 4 or one of the convergence study's at m = 4, 8, 16
+    (_scaled(-400.0, 0.0), "scaling.alpha = -400 at convergence.m_values[1] = 8 gives the "
+                           "permittivity eps^alpha = inf"),
+    (_scaled(-300.0, -300.0), "scaling.alpha = -300 at convergence.m_values[2] = 16"),
+    (_scaled(400.0, 400.0), "scaling.alpha = 400 at convergence.m_values[1] = 8"),
+    (_scaled(-600.0, 0.0), "scaling.alpha = -600 at geometry.m = 4"),
+    (_with("geometry", "inclusion", {"kind": "super_ellipse", "semi_axes": [0.25, 0.25],
+                                     "exponent": -1}),
+     "super_ellipse exponent must be positive, got -1.0"),
+    # q = 0.5 keeps every cell center of the r = 8 cell outside the inclusion
+    (_with("geometry", "inclusion", {"kind": "super_ellipse", "semi_axes": [0.25, 0.25],
+                                     "exponent": 0.5}),
+     "the super_ellipse inclusion covers no cell center at r = 8"),
 ], ids=["missing-section", "missing-key", "non-object-root", "integer-beyond-2^53",
         "cfl-fraction-zero", "cfl-fraction-above-one", "cell-tol-other", "duplicate-species",
         "list-species-name", "number-directory", "number-xi1", "number-xi2",
-        "inclusion-margin"])
+        "inclusion-margin", "alpha-overflow", "alpha-overflow-at-the-finest-m",
+        "alpha-underflow", "alpha-overflow-at-geometry-m", "negative-exponent",
+        "inclusion-covering-no-center"])
 def test_config_reader_error_branches_exit_2(tmp_path, capsys, patch, message):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(patch(canonical_config(tmp_path / "out", T=0.01))))

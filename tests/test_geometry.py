@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -62,6 +64,35 @@ def test_super_ellipse_between_disk_and_square():
     assert box.porosity < soft.porosity < disk.porosity
 
 
+@pytest.mark.parametrize("exponent", [0.0, -2.0, float("nan")])
+def test_super_ellipse_exponent_must_be_positive(exponent):
+    with pytest.raises(GeometryError, match="super_ellipse exponent must be positive"):
+        InclusionShape("super_ellipse", center=(0.5, 0.5), semi_axes=(0.25, 0.25),
+                       exponent=exponent)
+
+
+@pytest.mark.parametrize("shape", [
+    InclusionShape("super_ellipse", center=(0.5, 0.5), semi_axes=(0.25, 0.25), exponent=0.5),
+    InclusionShape("disk", center=(0.5, 0.5), radius=0.05),
+    InclusionShape("square", center=(0.5, 0.5, 0.5), half_width=0.06),
+], ids=["super-ellipse-q-0.5", "small-disk", "small-cube"])
+def test_inclusion_covering_no_cell_center_is_rejected(shape):
+    # at r = 8 the cell centers nearest the middle lie 1/16 from it on every axis
+    with pytest.raises(GeometryError, match="inclusion covers no cell center at r = 8"):
+        build_cell_geometry(shape, 8)
+    # one level finer, the same inclusion covers the centers next to the middle
+    assert build_cell_geometry(shape, 32).porosity < 1.0
+
+
+def test_huge_super_ellipse_exponent_is_the_square():
+    # every term (|x_i - c_i| / a_i)^q with q = 1e308 underflows to 0 inside the box and
+    # overflows to inf outside it, without a warning (warnings are errors here)
+    box = build_cell_geometry(InclusionShape("square", center=(0.5, 0.5), half_width=0.25), 16)
+    huge = build_cell_geometry(InclusionShape("super_ellipse", center=(0.5, 0.5),
+                                              semi_axes=(0.25, 0.25), exponent=1e308), 16)
+    np.testing.assert_array_equal(huge.fluid_mask, box.fluid_mask)
+
+
 def test_disconnected_fluid_detected():
     # two fluid components joined by no face
     face_lo = np.array([0, 2], dtype=np.int64)
@@ -107,9 +138,11 @@ def test_gamma_scaling_identity(disk_cell_8):
 def test_single_cell_grid_matches_cell_staircase(disk_cell_8):
     # the inclusion is interior, so no fluid-solid facet wraps around the cell
     grid = build_masked_grid(disk_cell_8, 1)
-    for name in ("fluid_mask", "fluid_id", "centers", "gamma_cell", "gamma_center"):
+    for name in ("fluid_mask", "centers", "gamma_cell", "gamma_center"):
         np.testing.assert_array_equal(getattr(grid, name), getattr(disk_cell_8, name),
                                       err_msg=name)
+    # both number their fluid cells alike: each is its own image in the unit cell
+    np.testing.assert_array_equal(grid.unit_cell_ids(), np.arange(grid.n_fluid))
     assert grid.porosity == disk_cell_8.porosity
 
 
@@ -178,6 +211,52 @@ def test_unit_cell_ids_map_to_matching_centers(disk_cell_8):
     ids = grid.unit_cell_ids()
     y = np.mod(grid.centers / grid.eps, 1.0)
     np.testing.assert_allclose(disk_cell_8.centers[ids], y, atol=1e-12)
+
+
+def test_unit_cell_ids_keep_the_tiling_mismatch_error(disk_cell_8):
+    # the disk grid's fluid cells at the corners of the square's 4 x 4 block are solid there
+    square = build_cell_geometry(InclusionShape("square", center=(0.5, 0.5), half_width=0.25), 8)
+    grid = replace(build_masked_grid(disk_cell_8, 2), cell=square)
+    with pytest.raises(GeometryError, match="tiling mismatch"):
+        grid.unit_cell_ids()
+
+
+def _layout_grids():
+    """Periodic unit cells and domain grids, 2-D and 3-D, each with a perforation."""
+    for dim, r, m in ((2, 8, 3), (3, 8, 2)):
+        cell = build_cell_geometry(InclusionShape("disk", center=(0.5,) * dim, radius=0.25), r)
+        yield cell
+        yield build_masked_grid(cell, m)
+
+
+@pytest.mark.parametrize("grid", list(_layout_grids()),
+                         ids=["cell-2d", "domain-2d", "cell-3d", "domain-3d"])
+def test_faces_are_grouped_by_axis(grid):
+    # each face's axis, recovered from its two cells' centers: the one coordinate that differs
+    # (by h, or by 1 - h across the periodic wrap)
+    differs = np.abs(grid.centers[grid.face_hi] - grid.centers[grid.face_lo]) > 0.5 * grid.h
+    assert np.all(differs.sum(axis=1) == 1)
+    face_axis = np.argmax(differs, axis=1)
+    np.testing.assert_array_equal(np.repeat(np.arange(grid.dim), grid.axis_counts), face_axis)
+    for axis in range(grid.dim):
+        faces = grid.axis_faces(axis)
+        np.testing.assert_array_equal(np.arange(faces.start, faces.stop),
+                                      np.flatnonzero(face_axis == axis))
+    assert grid.axis_counts.shape == (grid.dim,) and np.all(grid.axis_counts > 0)
+
+
+@pytest.mark.parametrize("grid", list(_layout_grids()),
+                         ids=["cell-2d", "domain-2d", "cell-3d", "domain-3d"])
+def test_grid_holds_no_face_sized_or_full_grid_integer_array_but_the_face_lists(grid):
+    if grid.cell is not None:
+        grid.unit_cell_ids()  # cached on the grid
+    n_faces, n_cells = grid.face_lo.size, grid.fluid_mask.size
+    assert n_cells not in (n_faces, grid.n_fluid)
+    held = {name for name, value in vars(grid).items()
+            if isinstance(value, np.ndarray) and value.dtype.kind in "iu"
+            and value.size in (n_faces, n_cells)}
+    assert held == {"face_lo", "face_hi"}
+    assert not {"face_axis", "fluid_id"} & set(vars(grid))
 
 
 def test_three_dimensional_grid_smoke():

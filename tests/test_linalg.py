@@ -18,6 +18,7 @@ from porodrift import (
     build_masked_grid,
     run_micro,
 )
+from porodrift.geometry import _grid_points
 from porodrift.linalg import (
     MAX_REFINEMENTS,
     SUPERLU_NATURAL,
@@ -157,7 +158,7 @@ def test_singular_factorization_raises_solver_error():
         ZeroMeanDirect(face_laplacian(6, face_lo, face_hi, 1.0))
     system = ReducedFaceSystem(np.arange(6) % 2, face_lo, face_hi)
     with pytest.raises(SolverError, match=r"Poisson factorization.*n = 6"):
-        ZeroMeanDirect(system, np.ones(1), np.zeros(face_lo.size, dtype=np.intp))
+        ZeroMeanDirect(system, np.ones(1), np.array([face_lo.size]))
 
 
 def test_zero_mean_cg_matches_dense_reference(disk_cell_8):
@@ -491,7 +492,7 @@ def test_reduced_matrix_is_the_csr_schur_complement(dim):
     # the two-point Poisson residual is the net face flux, the full operator's product
     v = rng.uniform(-1.0, 1.0, grid.n_fluid)
     full = face_laplacian(grid.n_fluid, grid.face_lo, grid.face_hi, kappa) @ v
-    flux = ZeroMeanDirect(system, kappa, np.arange(kappa.size))._apply(v)
+    flux = ZeroMeanDirect(system, kappa, np.ones(kappa.size, int))._apply(v)
     assert np.max(np.abs(flux - full)) <= 1e-14 * np.max(np.abs(kappa))
 
 
@@ -518,9 +519,10 @@ def _small_grids(draw):
     # a factor of 1.0 would put it exactly on that bound, where rounding can land one ulp
     # short of 2/r (r = 6), so the factor stays below 1
     size = draw(st.floats(0.05, 0.95)) * (0.5 - 2.0 / r)
-    if size <= 0.0:
-        kind = "none"
     shape = InclusionShape(kind, center=(0.5,) * dim, radius=size, half_width=size)
+    if size <= 0.0 or not np.any(shape.contains(_grid_points(r, dim))):
+        # an inclusion that covers no cell center is refused; its grid is the hole-free one
+        shape = InclusionShape("none", center=(0.5,) * dim)
     return build_masked_grid(build_cell_geometry(shape, r), draw(st.integers(1, 3)))
 
 

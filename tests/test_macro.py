@@ -420,7 +420,7 @@ def test_cross_operator_exact_for_linear_fields(slope, tensor):
     slope, tensor = np.array(slope), np.array(tensor)
     # the tangential part of (T grad u) . n on every face: sum over t != axis of T[axis, t] a_t
     off_diagonal = tensor - np.diag(np.diag(tensor))
-    expected = (off_diagonal @ slope)[grid.face_axis]
+    expected = (off_diagonal @ slope)[np.repeat(np.arange(dim), grid.axis_counts)]
     np.testing.assert_allclose(cross_operator(grid, tensor) @ (grid.centers @ slope), expected,
                                rtol=0.0, atol=1e-12)
     assert cross_operator(grid, np.diag(np.diag(tensor))) is None
@@ -461,13 +461,19 @@ def test_simulations_hold_no_face_sized_float_array(disk_cell_8):
                   for size in _held_float_sizes(value)]
         assert n_cells in sizes
         assert face_sizes.isdisjoint(sizes)
+        # nor a face-sized integer array: the Poisson solver repeats its per-axis coefficient
+        # by the grid's face counts per axis
+        int_sizes = [value.size for value in vars(sim._poisson).values()
+                     if isinstance(value, np.ndarray) and value.dtype.kind in "iu"]
+        assert sim.grid.dim in int_sizes
+        assert face_sizes.isdisjoint(int_sizes)
 
 
 def test_per_axis_constants_give_the_per_face_formulas_bitwise(disk_cell_8):
     # every benchmark workload is isotropic: here each axis has its own entry
     sim = _anisotropic_simulations(disk_cell_8)[1]
     grid = sim.grid
-    lo, hi, axis = grid.face_lo, grid.face_hi, grid.face_axis
+    lo, hi, axis = grid.face_lo, grid.face_hi, np.repeat(np.arange(grid.dim), grid.axis_counts)
     assert set(axis.tolist()) == {0, 1}
     u = np.random.default_rng(8).uniform(-1.0, 1.0, grid.n_fluid)
     assert np.array_equal(sim._normal_gradient_faces(u),

@@ -164,7 +164,7 @@ def test_upwind_picks_donor_cell():
     conc = 1.0 + 0.25 * np.sin(2 * np.pi * grid.centers[:, 1])
     grad = sim._normal_gradient_faces(phi)
     drift = sim._drift_flux(0, conc, grad)
-    x_faces = grid.face_axis == 0
+    x_faces = np.repeat(np.arange(grid.dim), grid.axis_counts) == 0
     velocity = -1.0 * 1.0 * grad[x_faces]
     assert np.all(velocity > 0)
     np.testing.assert_allclose(drift[x_faces], velocity * conc[grid.face_lo[x_faces]],
@@ -400,7 +400,9 @@ def test_rejected_step_extrapolates_with_the_halved_dt():
     result = sim.run(0.005, 1e-3)
     assert result.summary["rejections"] == 1
     (first, _, none), (state, rejected_dt, previous), (retry, dt, retry_previous) = sim.steps[:3]
-    assert none is None and previous is first and retry is state and retry_previous is first
+    assert none is None and retry is state and retry_previous is previous
+    # the previous state keeps the first state's time and concentrations, and no potential
+    assert previous.t == first.t and previous.conc is first.conc and previous.phi is None
     assert dt == 0.5 * rejected_dt
     # the first step starts from c^n; the retry extrapolates over the halved dt
     np.testing.assert_array_equal(sim.guesses[0], first.conc[0])
