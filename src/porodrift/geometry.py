@@ -100,11 +100,13 @@ class MaskedGrid:
     ``cell`` m times per axis, so eps = 1/m and h = eps/r, and its outer
     facets line the boundary of Omega.
 
-    The fluid-fluid faces are grouped by axis, axis 0 first, and
+    The fluid cells are numbered in C order of the full grid.  The
+    fluid-fluid faces are grouped by axis, axis 0 first, and
     ``axis_counts[k]`` counts those normal to axis k: a per-axis constant
     expands to one value per face with ``np.repeat(values, axis_counts)``,
     and ``axis_faces(k)`` slices out the faces of one axis.  The grid keeps
-    no face axis and no fluid numbering of the full grid.
+    no face axis, no fluid numbering of the full grid and no cell centers:
+    ``centers`` computes them from ``fluid_mask`` on each access.
 
     Immutable once built; safe to share across concurrent solver runs.
     """
@@ -115,7 +117,6 @@ class MaskedGrid:
     r: int                        # cells per unit-cell edge
     fluid_mask: np.ndarray
     n_fluid: int
-    centers: np.ndarray           # (n_fluid, dim) cell centers
     face_lo: np.ndarray           # fluid-fluid faces, fluid ids, grouped by axis
     face_hi: np.ndarray
     axis_counts: np.ndarray       # (dim,) faces per axis
@@ -138,6 +139,12 @@ class MaskedGrid:
     @property
     def h(self) -> float:
         return 1.0 / (self.m * self.r)
+
+    @property
+    def centers(self) -> np.ndarray:
+        """The (n_fluid, dim) fluid cell centers, the rows of ``_grid_points`` at the fluid cells."""
+        coordinates = _axis_points(self.n_cells_per_edge)
+        return np.stack([coordinates[ix] for ix in np.nonzero(self.fluid_mask)], axis=1)
 
     @property
     def cell_volume(self) -> float:
@@ -214,18 +221,22 @@ def _face_centers(flat_lo, shape, axis, h, wrap):
     return centers
 
 
+def _axis_points(n_side):
+    """Cell-center coordinates along one axis of the uniform grid of n_side cells over (0,1)."""
+    return (np.arange(n_side) + 0.5) * (1.0 / n_side)
+
+
 def _grid_points(n_side, dim):
     """Centers of all cells of the uniform n_side^dim grid over (0,1)^dim, C order."""
-    axes_1d = (np.arange(n_side) + 0.5) * (1.0 / n_side)
-    grids = np.meshgrid(*([axes_1d] * dim), indexing="ij")
+    grids = np.meshgrid(*([_axis_points(n_side)] * dim), indexing="ij")
     return np.stack([g.ravel() for g in grids], axis=1)
 
 
 def _classify_faces(fluid_mask, periodic):
     """Number the fluid cells and classify every face of the grid.
 
-    Returns the ``MaskedGrid`` fields the mask determines: the fluid cells'
-    centers, the fluid-fluid faces axis by axis with their count per axis,
+    Returns the ``MaskedGrid`` fields the mask determines: the fluid cell
+    count, the fluid-fluid faces axis by axis with their count per axis,
     the fluid-solid facets and the outer facets; the fluid numbering of the
     full grid stays local.  ``periodic`` adds the faces that wrap around the
     grid and leaves the outer facets empty.  Otherwise the outer facets come
@@ -272,8 +283,7 @@ def _classify_faces(fluid_mask, periodic):
             ctr[:, axis] = 0.0 if side == 0 else 1.0
             faces["outer_center"].append(ctr)
     fields = {key: np.concatenate(parts) for key, parts in faces.items()}
-    fields.update(fluid_mask=fluid_mask, n_fluid=n_fluid, axis_counts=axis_counts,
-                  centers=_grid_points(n_side, dim)[mask_flat])
+    fields.update(fluid_mask=fluid_mask, n_fluid=n_fluid, axis_counts=axis_counts)
     return fields
 
 
@@ -396,11 +406,20 @@ def balance_outer_charges(grid: MaskedGrid, species, charges: FacetCharges):
     """Shift the outer-boundary charge by a constant so the discrete balance is exact.
 
     Returns (balanced charges, shift).  The shift -R/|outer boundary| is the
-    unique constant correction supported on the outer boundary.
+    unique constant correction supported on the outer boundary.  It is
+    applied in two parts, so that a large outer charge does not cancel
+    against it: the mean of the outer charge is subtracted first, and then
+    the residual R of the centered data is spread over the outer area.  A
+    constant outer charge of 1e6 balanced in one step leaves rounding of
+    about 1e-10 on every facet, which the balanced data's small charge scale
+    does not absorb.
     """
-    residual = validate_compatibility(grid, species, charges, raise_on_fail=False)
+    mean = np.mean(charges.outer_values)
+    centered = replace(charges, outer_values=charges.outer_values - mean)
+    residual = validate_compatibility(grid, species, centered, raise_on_fail=False)
     shift = -residual / grid.outer_area_total
-    return replace(charges, outer_values=charges.outer_values + shift), float(shift)
+    return (replace(centered, outer_values=centered.outer_values + shift),
+            float(shift - mean))
 
 
 def surface_charge_on_facets(grid: MaskedGrid, xi1, xi2) -> FacetCharges:

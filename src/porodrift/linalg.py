@@ -26,9 +26,10 @@ factorized with the ``NATURAL`` column order (``SUPERLU_NATURAL``), the one
 factorization of a transport solve.  The system takes right-hand sides and
 returns solutions in cell order; ``black`` names the cells of S's unknowns.
 The red-black block is never stored as a matrix: the elimination multiplies
-by it on the system's face lists, given the operator's face coefficients and
-the red diagonal that its fill returns, so one system serves the transport
-matrices of every step and the two-point Poisson operator (shift 0).
+by it on the system's face lists, summing in face order, given the
+operator's face coefficients and the red diagonal that its fill returns, so
+one system serves the transport matrices of every step and the two-point
+Poisson operator (shift 0).
 
 ``ZeroMeanDirect`` factors both Poisson operators with one call: the Schur
 complement of the two-point operator, or an assembled operator such as the
@@ -267,8 +268,11 @@ class ReducedFaceSystem:
     ``x_r = (f_r + K x_b) / d_r``; both take the operator's ``kappa`` and
     the ``d_r`` that ``assemble`` returned for it.  ``K`` has one entry
     ``kappa_f`` per face, at its red and black cell, so both products run
-    on the face lists, each summing in the order of SciPy's sparse product
-    with ``K`` stored row by row (faces grouped by red cell, in face order).
+    on the face lists and sum each cell's terms in face order: the order of
+    SciPy's sparse products with ``K`` stored row by row (faces grouped by
+    red cell) and with ``K^T`` stored row by row (faces grouped by black
+    cell), each in face order within a row.  The system keeps no
+    face-sized permutation.
     """
 
     def __init__(self, colour, face_lo, face_hi):
@@ -287,10 +291,9 @@ class ReducedFaceSystem:
         red_lo = red[face_lo]
         self._face_red = local[np.where(red_lo, face_lo, face_hi)]
         self._face_black = local[np.where(red_lo, face_hi, face_lo)]
-        self._by_red = np.argsort(self._face_red, kind="stable")
         degree = np.bincount(self._face_red, minlength=n_red)
         self._pair_first, self._pair_second, self._pair_entry, upper, lower = _couplings(
-            self._by_red, degree, self._face_black, n_black)
+            np.argsort(self._face_red, kind="stable"), degree, self._face_black, n_black)
 
         # CSR layout: (upper, lower) per coupling, (lower, upper), the diagonal; the entry of
         # each pair in row-major order is its slot
@@ -336,13 +339,12 @@ class ReducedFaceSystem:
     def reduce(self, values, kappa, red_diag):
         """The right-hand side of ``S`` for the operator's right-hand side ``values``.
 
-        ``K^T (f_r / d_r)`` sums each black cell's terms in red-cell order,
-        the order of the CSC product.
+        ``K^T (f_r / d_r)`` sums each black cell's terms in face order, the
+        order of the CSR product with ``K^T``.
         """
         scaled = values[self._red] / red_diag
-        return values[self.black] + np.bincount(
-            self._face_black[self._by_red], (kappa * scaled[self._face_red])[self._by_red],
-            self.black.size)
+        return values[self.black] + np.bincount(self._face_black, kappa * scaled[self._face_red],
+                                                self.black.size)
 
     def back_substitute(self, black, values, kappa, red_diag):
         """The operator's solution whose part on ``self.black`` is ``black``.
@@ -450,9 +452,9 @@ class ZeroMeanDirect:
     black cells.  The faces are grouped by axis: ``kappa`` holds one
     coefficient per axis (the Poisson tensor's diagonal entry times the
     facet area over h) and ``axis_counts``, the grid's own array, counts the
-    faces of each axis, so the coefficient is repeated per face where a
-    pinned solve, a residual or the energy needs it and never stored per
-    face.  A pinned solve reduces the right-hand
+    faces of each axis, so the coefficient is repeated per face once per
+    solve, for its pinned solves and residuals, and once per energy, and
+    never stored per face.  A pinned solve reduces the right-hand
     side, back-solves and back-substitutes the red cells, all in cell order.
     It keeps its LU and the red diagonal of its own fill, so refilling
     ``system.matrix`` afterwards changes nothing.  ``ZeroMeanDirect(matrix)``
@@ -497,23 +499,21 @@ class ZeroMeanDirect:
     def _face_kappa(self):
         return np.repeat(self._kappa, self._axis_counts)
 
-    def _pinned_solve(self, rhs):
+    def _pinned_solve(self, rhs, kappa):
         system = self._system
         if system is None:
             phi = np.concatenate([[0.0], self._lu.solve(rhs[1:])])
         else:
-            kappa = self._face_kappa()
             pinned = system.reduce(rhs, kappa, self._red_diag)
             phi = system.back_substitute(np.concatenate([[0.0], self._lu.solve(pinned[1:])]),
                                          rhs, kappa, self._red_diag)
         return phi - phi.mean()
 
-    def _apply(self, phi):
+    def _apply(self, phi, kappa):
         if self._system is None:
             return self.matrix @ phi
         lo, hi = self._system.face_lo, self._system.face_hi
-        return face_divergence(self.n, lo, hi,
-                               self._face_kappa() * (phi[hi] - phi[lo]))
+        return face_divergence(self.n, lo, hi, kappa * (phi[hi] - phi[lo]))
 
     def energy(self, phi):
         """``(1/2) phi . P phi``, on the two-point path ``sum_f kappa_f (phi_hi - phi_lo)^2/2``."""
@@ -530,9 +530,11 @@ class ZeroMeanDirect:
         b_norm = float(np.linalg.norm(b))
         if b_norm == 0.0:
             return np.zeros(self.n)
-        phi = self._pinned_solve(b)
+        # the two-point path's face coefficients, repeated over the faces once per solve
+        kappa = None if self._system is None else self._face_kappa()
+        phi = self._pinned_solve(b, kappa)
         for corrections in range(MAX_REFINEMENTS + 1):
-            residual = b - self._apply(phi)
+            residual = b - self._apply(phi, kappa)
             residual -= residual.mean()
             rel = float(np.linalg.norm(residual)) / b_norm
             if np.isfinite(rel) and rel <= POISSON_TOL:
@@ -540,7 +542,7 @@ class ZeroMeanDirect:
                 return phi
             if corrections < MAX_REFINEMENTS:
                 counts.refinements += 1
-                phi = phi + self._pinned_solve(residual)
+                phi = phi + self._pinned_solve(residual, kappa)
                 phi -= phi.mean()
         raise SolverError(
             f"direct Neumann solve residual {rel:.3e} exceeds tolerance {POISSON_TOL:.3e}",

@@ -238,6 +238,25 @@ def poisson_solver(grid, tensor, reduced=None):
                           grid.axis_counts)
 
 
+def charge_rhs(grid, charge_numbers, volumetric, boundary_rhs, conc):
+    """Finite-volume Poisson right-hand side: the cell charges of ``conc`` plus facet charges.
+
+    ``charge_numbers`` holds z_i per species, ``volumetric`` the fixed charge
+    density per cell and ``boundary_rhs`` the facet charges summed per cell
+    (``FacetCharges.cell_sums``).
+    """
+    rho = charge_numbers @ conc + volumetric
+    return rho * grid.cell_volume + boundary_rhs
+
+
+def charge_balance(rhs):
+    """The compatibility residual of a Poisson right-hand side and the charge scale it is held to.
+
+    A state passes when the residual is at most ``COMPAT_TOL`` times the scale.
+    """
+    return float(np.sum(rhs)), max(1.0, float(np.sum(np.abs(rhs))))
+
+
 def _checked_tensor(tensor, dim):
     tensor = np.asarray(tensor, dtype=float)
     if tensor.shape != (dim, dim):
@@ -350,16 +369,10 @@ class TransportSim:
 
     # -- potential -----------------------------------------------------------
 
-    def _charge_rhs(self, conc):
-        """Finite-volume Poisson right-hand side: cell charges plus facet charges."""
-        rho = self._charges @ conc + self._volumetric
-        return rho * self.grid.cell_volume + self._boundary_rhs
-
     def state(self, t, conc) -> SimState:
         """The state of ``conc`` at ``t``: its potential and its guarded compatibility residual."""
-        rhs = self._charge_rhs(conc)
-        residual = float(np.sum(rhs))
-        scale = max(1.0, float(np.sum(np.abs(rhs))))
+        rhs = charge_rhs(self.grid, self._charges, self._volumetric, self._boundary_rhs, conc)
+        residual, scale = charge_balance(rhs)
         if abs(residual) > COMPAT_TOL * scale:
             raise SolverError(
                 f"state corruption: compatibility residual {residual:.3e} exceeds "

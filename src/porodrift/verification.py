@@ -51,7 +51,7 @@ from .macro import (
     sample_macro_field,
 )
 from .micro import ScalingSpec, SpeciesSpec, run_micro
-from .transport import poisson_solver
+from .transport import COMPAT_TOL, charge_balance, charge_rhs, poisson_solver
 
 
 def _rms(values: np.ndarray) -> float:
@@ -69,11 +69,49 @@ def balanced_charges(grid: MaskedGrid, species, charges: FacetCharges, auto_bala
     With ``auto_balance`` the outer charge is shifted by the constant that
     makes the discrete charge balance exact.  Otherwise the balance is
     checked, a ConfigError raised if it fails, and the shift is None.
+    Either way the charges must give a Poisson right-hand side of the
+    initial state that a run can solve (``_check_initial_rhs``).
     """
     if auto_balance:
-        return balance_outer_charges(grid, species, charges)
-    validate_compatibility(grid, species, charges)
-    return charges, None
+        balanced, shift = balance_outer_charges(grid, species, charges)
+    else:
+        validate_compatibility(grid, species, charges)
+        balanced, shift = charges, None
+    _check_initial_rhs(grid, species, charges, balanced)
+    return balanced, shift
+
+
+def _check_initial_rhs(grid: MaskedGrid, species, charges: FacetCharges,
+                       balanced: FacetCharges):
+    """ConfigError unless the initial state's Poisson right-hand side can be solved.
+
+    The right-hand side of the initial concentrations and the ``balanced``
+    charges is the one ``TransportSim.state`` takes at t = 0.  Its squared
+    norm must be finite, as the Poisson solve measures its residual against
+    that norm: the error names ``surface_charge.xi2`` when the outer charge
+    of the unbalanced ``charges`` overflows it alone, else
+    ``surface_charge.xi1``.  It must also pass the compatibility guard of
+    every state, ``COMPAT_TOL`` relative to its charge scale, which rounding
+    in a large outer charge can fail.
+    """
+    conc = np.stack([np.asarray(s.initial_profile(grid.centers), dtype=float) for s in species])
+    numbers = np.array([s.charge for s in species], dtype=float)
+    with np.errstate(over="ignore", invalid="ignore"):
+        rhs = charge_rhs(grid, numbers, np.asarray(balanced.volumetric, dtype=float),
+                         balanced.cell_sums(grid), conc)
+        norm_squared = float(rhs @ rhs)
+        outer = charges.outer_values * grid.facet_area
+        key = "surface_charge.xi1" if np.isfinite(outer @ outer) else "surface_charge.xi2"
+    if not np.isfinite(norm_squared):
+        raise ConfigError(f"{key} overflows the initial Poisson right-hand side: its squared "
+                          f"norm is {norm_squared} on the {grid.n_fluid}-cell grid, and the "
+                          "solve needs it finite")
+    residual, scale = charge_balance(rhs)
+    if abs(residual) > COMPAT_TOL * scale:
+        raise ConfigError(f"surface_charge.xi2 cannot balance the charge data in double "
+                          f"precision: the initial compatibility residual {residual:.3e} exceeds "
+                          f"{COMPAT_TOL:g} relative to the charge scale {scale:.3e}",
+                          residual=residual)
 
 
 def _hole_free_grid(resolution, dim=2):

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import settings
 
 from porodrift import (
     InclusionShape,
@@ -9,6 +10,12 @@ from porodrift import (
     build_masked_grid,
     surface_charge_on_facets,
 )
+
+# The property tests draw the same examples on every run: a failure replays without a stored
+# example database.  ``pytest --hypothesis-profile=random`` draws fresh examples instead.
+settings.register_profile("reproducible", derandomize=True, database=None)
+settings.register_profile("random", derandomize=False)
+settings.load_profile("reproducible")
 
 
 def zero_xi1(x, y):

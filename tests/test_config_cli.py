@@ -4,6 +4,7 @@ import io
 import json
 import re
 import tempfile
+import time
 import warnings
 from pathlib import Path
 
@@ -21,6 +22,7 @@ from porodrift import (
     InclusionShape,
     MicroSimulation,
     SolverError,
+    SpeciesSpec,
     TimeStepError,
     build_cell_geometry,
     build_masked_grid,
@@ -29,6 +31,8 @@ from porodrift import (
 from porodrift.cli import _write_json, dispatch, main
 from porodrift.config import RunConfig, parse_and_validate
 from porodrift.linalg import ZeroMeanDirect
+
+from conftest import constant_xi1, zero_xi2
 
 
 def minimal_config(**overrides):
@@ -759,12 +763,26 @@ def _first_species_named(name):
     (_with("geometry", "inclusion", {"kind": "super_ellipse", "semi_axes": [0.25, 0.25],
                                      "exponent": 0.5}),
      "the super_ellipse inclusion covers no cell center at r = 8"),
+    # the balanced charges' total is finite, but the initial Poisson right-hand side's squared
+    # norm, which the solve's residual test takes, overflows
+    (_with("surface_charge", "xi1", "1e200"),
+     "surface_charge.xi1 overflows the initial Poisson right-hand side: its squared norm is inf"),
+    (_with("surface_charge", "xi1", "1e300"),
+     "surface_charge.xi1 overflows the initial Poisson right-hand side: its squared norm is inf"),
+    (_with("surface_charge", "xi2", "1e300*x1"),
+     "surface_charge.xi2 overflows the initial Poisson right-hand side: its squared norm is inf"),
+    # the outer charge's mean rounds at 1e300, and no balance leaves less than that rounding
+    (_with("surface_charge", "xi2", "1e300"),
+     "surface_charge.xi2 cannot balance the charge data in double precision: the initial "
+     "compatibility residual"),
 ], ids=["missing-section", "missing-key", "non-object-root", "integer-beyond-2^53",
         "cfl-fraction-zero", "cfl-fraction-above-one", "cell-tol-other", "duplicate-species",
         "list-species-name", "number-directory", "number-xi1", "number-xi2",
         "inclusion-margin", "alpha-overflow", "alpha-overflow-at-the-finest-m",
         "alpha-underflow", "alpha-overflow-at-geometry-m", "negative-exponent",
-        "inclusion-covering-no-center"])
+        "inclusion-covering-no-center", "xi1-overflowing-poisson-rhs",
+        "xi1-overflowing-poisson-rhs-1e300", "xi2-overflowing-poisson-rhs",
+        "xi2-beyond-balance"])
 def test_config_reader_error_branches_exit_2(tmp_path, capsys, patch, message):
     cfg_path = tmp_path / "run.json"
     cfg_path.write_text(json.dumps(patch(canonical_config(tmp_path / "out", T=0.01))))
@@ -868,6 +886,66 @@ def test_grid_beyond_the_cell_bound_rejected():
     cfg["geometry"]["m"] = 10**6
     with pytest.raises(ConfigError, match=r"geometry grid has 8000000\^2 cells"):
         parse_and_validate(cfg)
+
+
+@pytest.mark.parametrize("xi2", ["1e6", "-1e7", "1e16"])
+@pytest.mark.parametrize("subcommand", ["micro", "macro"])
+def test_large_outer_charge_is_balanced_without_cancellation(tmp_path, subcommand, xi2):
+    # balanced in one step, the outer charge cancels against a shift of about -xi2 and leaves
+    # rounding that the state's compatibility guard rejects at t = 0
+    cfg = canonical_config(tmp_path, T=0.01)
+    cfg["surface_charge"]["xi2"] = xi2
+    config = parse_and_validate(cfg)
+    assert config.balance_shift == pytest.approx(-float(xi2), rel=1e-6)
+    assert dispatch(subcommand, config, out_dir=tmp_path) == 0
+    summary = json.loads((tmp_path / "report.json").read_text())["summary"]
+    assert summary["max_compat_residual"] <= 1e-15
+
+
+def test_macro_charges_whose_poisson_rhs_overflows_are_a_config_error(disk_cell_8):
+    # the reader checks the micro grid's charges; the macro grid's interface charge is not
+    # scaled by eps, so homogenized_problem checks its own
+    species = [SpeciesSpec("s", 1.0, 1, lambda x: np.ones(x.shape[0]))]
+    with pytest.raises(ConfigError, match="^surface_charge.xi1 overflows the initial Poisson "
+                                          "right-hand side: its squared norm is inf on the "
+                                          "256-cell grid"):
+        verification.homogenized_problem(disk_cell_8, 16, species, constant_xi1(1e300),
+                                         zero_xi2, True)
+
+
+def test_interface_charge_whose_drift_is_too_fast_stops_at_t_0(tmp_path, capsys):
+    # the Poisson right-hand side of xi1 = 1e100 is finite, so the reader accepts it and the
+    # drift's CFL step stops the run
+    cfg = canonical_config(tmp_path / "out", T=0.01)
+    cfg["surface_charge"]["xi1"] = "1e100"
+    cfg_path = tmp_path / "run.json"
+    cfg_path.write_text(json.dumps(cfg))
+    assert main(["micro", "--config", str(cfg_path)]) == 1
+    assert re.search(r"FAILED: CFL time step \S+ at t = 0 is below the floor 1e-10$",
+                     capsys.readouterr().err.strip())
+
+
+def test_three_species_micro_run_keeps_the_invariants(tmp_path):
+    cfg = canonical_config(tmp_path, T=0.01)
+    cfg["geometry"]["m"] = 2
+    cfg["species"] = [
+        {"name": "dication", "D": 1.0, "z": 2, "c0": "1 + 0.5*cos(pi*x1)*cos(pi*x2)"},
+        {"name": "anion", "D": 0.5, "z": -1, "c0": "2 - 0.25*cos(pi*x1)"},
+        {"name": "neutral", "D": 0.25, "z": 0, "c0": "1 + 0.5*sin(pi*x2)"},
+    ]
+    t0 = time.perf_counter()
+    assert dispatch("micro", parse_and_validate(cfg), out_dir=tmp_path) == 0
+    assert time.perf_counter() - t0 < 1.0
+    summary = json.loads((tmp_path / "report.json").read_text())["summary"]
+    assert summary["steps"] > 0
+    assert summary["min_c"] >= -1e-12
+    assert summary["max_energy_increase_rel"] <= 1e-8
+    rows = (tmp_path / "diagnostics.csv").read_text().splitlines()
+    header, first, last = rows[0].split(","), rows[1].split(","), rows[-1].split(",")
+    for name in ("dication", "anion", "neutral"):
+        column = header.index(f"mass_{name}")
+        initial, final = float(first[column]), float(last[column])
+        assert abs(final - initial) <= 1e-12 * abs(initial), name
 
 
 def test_main_runs_micro(tmp_path):

@@ -14,7 +14,7 @@ from porodrift import (
     surface_charge_on_facets,
     validate_compatibility,
 )
-from porodrift.geometry import _check_connected
+from porodrift.geometry import _check_connected, _grid_points
 from porodrift.transport import TransportSim
 
 from conftest import constant_xi1, constant_xi2, zero_xi1, zero_xi2
@@ -257,6 +257,19 @@ def test_grid_holds_no_face_sized_or_full_grid_integer_array_but_the_face_lists(
             and value.size in (n_faces, n_cells)}
     assert held == {"face_lo", "face_hi"}
     assert not {"face_axis", "fluid_id"} & set(vars(grid))
+    # nor a cell-sized float array: the centers are computed where they are read
+    assert not {name for name, value in vars(grid).items()
+                if isinstance(value, np.ndarray) and value.dtype.kind == "f"
+                and value.shape[:1] == (grid.n_fluid,)}
+
+
+@pytest.mark.parametrize("grid", list(_layout_grids()),
+                         ids=["cell-2d", "domain-2d", "cell-3d", "domain-3d"])
+def test_centers_are_the_grid_points_of_the_fluid_cells_bitwise(grid):
+    centers = grid.centers
+    expected = _grid_points(grid.n_cells_per_edge, grid.dim)[grid.fluid_mask.ravel()]
+    assert centers.shape == (grid.n_fluid, grid.dim) and centers.dtype == expected.dtype
+    assert np.array_equal(centers, expected)
 
 
 def test_three_dimensional_grid_smoke():

@@ -126,7 +126,8 @@ def test_refinement_checks_every_correction(tensor, monkeypatch):
     direct = poisson_solver(grid, tensor)
     iterates = []
     pinned_solve = direct._pinned_solve
-    direct._pinned_solve = lambda rhs: iterates.append(pinned_solve(rhs)) or iterates[-1]
+    direct._pinned_solve = lambda rhs, kappa: (iterates.append(pinned_solve(rhs, kappa))
+                                               or iterates[-1])
     rhs = smooth_c0(grid.centers) * grid.cell_volume
     monkeypatch.setattr(linalg, "POISSON_TOL", 1e-300)
     with pytest.raises(SolverError, match="direct Neumann solve residual") as failure:
@@ -139,7 +140,7 @@ def test_refinement_checks_every_correction(tensor, monkeypatch):
         phi = phi + correction
         phi -= phi.mean()
     b = rhs - rhs.mean()
-    residual = b - direct._apply(phi)
+    residual = b - direct._apply(phi, None if direct._system is None else direct._face_kappa())
     residual -= residual.mean()
     assert failure.value.residual == np.linalg.norm(residual) / np.linalg.norm(b)
 
@@ -437,26 +438,37 @@ def test_index_arrays_are_native_intp():
                 checked.add(name)
                 assert value.dtype == np.intp, name
     assert {"_pair_first", "_pair_entry", "_upper_slots", "_slots", "_aggregate"} < checked
+    # the elimination sums in face order, so the system keeps no face-sized permutation
+    n_faces = grid.face_lo.size
+    assert {name for name, value in vars(system).items()
+            if isinstance(value, np.ndarray) and value.size == n_faces} == {
+        "face_lo", "face_hi", "_face_red", "_face_black"}
 
 
 @pytest.mark.parametrize("dim", [2, 3])
 def test_face_list_elimination_is_scipys_product_bitwise(dim):
-    # the reference stores K = -A_rb as a CSR matrix: the faces grouped by red cell, in face
-    # order, with their black cells as columns; its products fix the order of every sum
+    # the reference stores K = -A_rb and K^T as CSR matrices: the faces grouped by red cell
+    # (by black cell), in face order, with their black (red) cells as columns; their
+    # products fix the order of every sum
     grid = _perforated_grid(dim)
     system = _reduced_system(grid)
     rng = np.random.default_rng(dim)
     kappa = rng.uniform(0.1, 10.0, grid.face_lo.size) / grid.h ** 2
     red_diag = system.assemble(kappa, rng.uniform(1.0, 100.0))
-    by_red, n_red = system._by_red, red_diag.size
-    indptr = np.concatenate([[0], np.cumsum(np.bincount(system._face_red, minlength=n_red))])
-    coupling = sparse.csr_matrix((kappa[by_red], system._face_black[by_red], indptr),
-                                 shape=(n_red, system.black.size))
+    n_red, n_black = red_diag.size, system.black.size
+
+    def grouped(rows, cols, n_rows, n_cols):
+        order = np.argsort(rows, kind="stable")
+        indptr = np.concatenate([[0], np.cumsum(np.bincount(rows, minlength=n_rows))])
+        return sparse.csr_matrix((kappa[order], cols[order], indptr), shape=(n_rows, n_cols))
+
+    coupling = grouped(system._face_red, system._face_black, n_red, n_black)
+    transposed = grouped(system._face_black, system._face_red, n_black, n_red)
     red = np.setdiff1d(np.arange(grid.n_fluid), system.black)
     values = rng.uniform(-1.0, 1.0, grid.n_fluid)
-    black = rng.uniform(-1.0, 1.0, system.black.size)
+    black = rng.uniform(-1.0, 1.0, n_black)
     assert np.array_equal(system.reduce(values, kappa, red_diag),
-                          values[system.black] + coupling.T @ (values[red] / red_diag))
+                          values[system.black] + transposed @ (values[red] / red_diag))
     solution = system.back_substitute(black, values, kappa, red_diag)
     assert np.array_equal(solution[system.black], black)
     assert np.array_equal(solution[red], (values[red] + coupling @ black) / red_diag)
@@ -492,7 +504,7 @@ def test_reduced_matrix_is_the_csr_schur_complement(dim):
     # the two-point Poisson residual is the net face flux, the full operator's product
     v = rng.uniform(-1.0, 1.0, grid.n_fluid)
     full = face_laplacian(grid.n_fluid, grid.face_lo, grid.face_hi, kappa) @ v
-    flux = ZeroMeanDirect(system, kappa, np.ones(kappa.size, int))._apply(v)
+    flux = ZeroMeanDirect(system, kappa, np.ones(kappa.size, int))._apply(v, kappa)
     assert np.max(np.abs(flux - full)) <= 1e-14 * np.max(np.abs(kappa))
 
 
